@@ -32,7 +32,7 @@ from .problems import (
     nominal_solve,
     validate_k,
 )
-from .lp import EQ, LE, LinearProgram, LpError, LpSolution, solve_lp, solve_lp_with_rows
+from .lp import EQ, LE, LinearProgram, LpError, LpSolution, solve_lp
 from .scenarios import (
     construct_lp_scenario,
     fixed_scenario_guarantee,
@@ -107,7 +107,6 @@ __all__ = [
     "separation_oracle",
     "serialize_instance",
     "solve_lp",
-    "solve_lp_with_rows",
     "upper_bound",
     "validate_k",
     "worstcase_apriori_bound",

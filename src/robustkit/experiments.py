@@ -238,39 +238,56 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         return cell_index, instance_id, f"{type(exc).__name__}: {exc}", {}, timings
 
 
+class InvariantError(RuntimeError):
+    """An instance's results break an ordering every correct run satisfies."""
+
+
+def _require(holds: bool, invariant: str, detail: str) -> None:
+    if not holds:
+        raise InvariantError(f"{invariant} violated: {detail}")
+
+
 def _spot_check(out, ks_valid, N, mm_val, opt_val):
-    """Ordering invariants; cheap enough to keep on for every instance."""
+    """Ordering invariants; cheap enough to keep on for every instance.
+
+    Raises InvariantError naming the broken invariant; plain raises, so
+    the checks also run under python -O.
+    """
     tol = EPS_CMP
     for family in ("mid", "lp"):
         lb = out.get(("lb", family, None))
         ub = out.get(("ub", family, None))
         if lb is not None and ub is not None:
-            assert lb <= ub + tol
+            _require(lb <= ub + tol, "lb <= ub", f"{family} lb={lb} ub={ub}")
         if lb is not None and mm_val is not None:
-            assert lb <= mm_val + tol
+            _require(lb <= mm_val + tol, "lb <= mm", f"{family} lb={lb} mm={mm_val}")
     prev = None
     for k in ks_valid:
         pre_lp = out.get(("apriori", "lp", k))
         pre_mid = out.get(("apriori", "mid", k))
         if pre_lp is not None and pre_mid is not None:
-            assert pre_lp <= pre_mid + tol and pre_lp <= N + tol
+            _require(
+                pre_lp <= pre_mid + tol and pre_lp <= N + tol,
+                "1/t* <= min(midpoint guarantee, N)",
+                f"k={k} 1/t*={pre_lp} midpoint={pre_mid} N={N}",
+            )
         if pre_lp is not None and prev is not None:
-            assert pre_lp <= prev + tol
+            _require(pre_lp <= prev + tol, "1/t* non-increasing in k", f"k={k} 1/t*={pre_lp} > {prev}")
         prev = pre_lp
         lbk = out.get(("lb", "lp", k))
         if lbk is not None and mm_val is not None:
-            assert lbk <= mm_val + tol
+            _require(lbk <= mm_val + tol, "lb <= mm", f"lp k={k} lb={lbk} mm={mm_val}")
     if opt_val is not None:
         scale = tol * max(1.0, opt_val)
         if mm_val is not None:
-            assert mm_val <= opt_val + scale
+            _require(mm_val <= opt_val + scale, "mm <= opt", f"mm={mm_val} opt={opt_val}")
         for family, k in [("mid", None)] + [("lp", k) for k in ks_valid]:
             ub = out.get(("ub", family, k))
             lb = out.get(("lb", family, k))
             if ub is not None:
-                assert ub >= opt_val - scale
+                _require(ub >= opt_val - scale, "opt <= ub", f"{family} k={k} ub={ub} opt={opt_val}")
             if lb is not None:
-                assert lb <= opt_val + scale
+                _require(lb <= opt_val + scale, "lb <= opt", f"{family} k={k} lb={lb} opt={opt_val}")
 
 
 def run_grid(
@@ -326,17 +343,18 @@ def run_grid(
             for fam, secs in o[4].items():
                 family_time[fam] = family_time.get(fam, 0.0) + secs
         ks_valid = tuple(k for k in grid.ks if k <= p)
-        for metric, method, k in _metric_order(ks_valid):
-            family = "opt" if method == "exact" else method
+        order = _metric_order(ks_valid)
+        families = ["opt" if method == "exact" else method for _, method, _ in order]
+        # family runtime is shared across that family's rows in the cell
+        family_rows = {family: families.count(family) for family in families}
+        for (metric, method, k), family in zip(order, families):
             values = [o[3][(metric, method, k)] for o in good if (metric, method, k) in o[3]]
             if not values:
                 continue
             arr = np.array(values)
             mean = float(arr.mean())
             stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-            # family runtime is shared across that family's rows in the cell
-            n_family_rows = sum(1 for m, meth, _ in _metric_order(ks_valid) if (("opt" if meth == "exact" else meth) == family))
-            runtime_ms = 1000.0 * family_time.get(family, 0.0) / max(1, n_family_rows)
+            runtime_ms = 1000.0 * family_time.get(family, 0.0) / family_rows[family]
             result.rows.append(
                 AggregateRow(n=n, p=p, N=N, metric=metric, method=method, k=k, value=mean, stderr=stderr, instances=len(values), runtime_ms=runtime_ms)
             )

@@ -4,8 +4,14 @@ Two-phase method (no Big-M: large constants interact badly with cost
 magnitudes) with Bland's anti-cycling pivot rule, which also makes every
 solve deterministic: identical input yields the identical pivot sequence.
 Built for the desk-scale programs produced by scenario construction and
-the max-min bound; there is deliberately no sparse algebra, warm
-starting, or integer support.
+the max-min bound; there is deliberately no sparse algebra or integer
+support.
+
+Row generation is warm-started: `solve_lp(lp, row_source)` keeps the
+optimal tableau, appends each violated row written in the current basis
+with a fresh basic slack, and restores primal feasibility with dual
+simplex pivots, which keep the reduced costs optimal (Chvatal, *Linear
+Programming*, 1983, ch. 10). No solve restarts from scratch.
 """
 
 from __future__ import annotations
@@ -93,7 +99,13 @@ class LpSolution:
     status: str  # optimal | infeasible | unbounded
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
-    iterations: int = 0
+    iterations: int = 0  # primal plus dual simplex pivots over the whole call
+
+
+RowSource = Callable[[np.ndarray], Optional[Tuple[np.ndarray, str, float]]]
+
+# Row generation gives up after this many appended rows.
+_MAX_ROUNDS = 100_000
 
 
 def _pivot(T: np.ndarray, basis: List[int], row: int, col: int) -> None:
@@ -106,6 +118,10 @@ def _pivot(T: np.ndarray, basis: List[int], row: int, col: int) -> None:
     basis[row] = col
 
 
+def _pivot_cap(T: np.ndarray) -> int:
+    return 10_000 + 200 * (T.shape[0] + T.shape[1] - 2)
+
+
 def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
     """Pivot the tableau to optimality (max sense, z-c objective row)."""
     m = len(basis)
@@ -115,8 +131,9 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
         improving = np.nonzero(obj < -_PIVOT_TOL)[0]
         if improving.size == 0:
             # optimality certificate: no nonbasic variable has an improving
-            # reduced cost beyond tolerance
-            assert bool(np.all(T[-1, :-1] >= -1e-9)), "reduced costs violate optimality"
+            # reduced cost beyond tolerance, and none is NaN
+            if not np.all(np.isfinite(obj)):
+                raise LpError("non-finite reduced costs")
             return "optimal", iterations
         col = int(improving[0])  # Bland: smallest improving index
         colvals = T[:m, col]
@@ -134,81 +151,116 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
             raise LpError(f"simplex exceeded {max_iter} pivots")
 
 
+def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
+    """Pivot a tableau with optimal reduced costs back to primal feasibility.
+
+    The leaving row is the infeasible one (rhs below -_PIVOT_TOL) with the
+    smallest basic index. The entering column minimizes reduced cost over
+    minus the row's entry among the row's negative entries, ties going to
+    the smallest column, which keeps every reduced cost nonnegative. A
+    leaving row without a negative entry proves the rows infeasible.
+    """
+    iterations = 0
+    while True:
+        infeasible = np.nonzero(T[:-1, -1] < -_PIVOT_TOL)[0]
+        if infeasible.size == 0:
+            return "optimal", iterations
+        row = int(min(infeasible, key=lambda r: basis[r]))
+        rowvals = T[row, :-1]
+        negative = rowvals < -_PIVOT_TOL
+        if not negative.any():
+            return "infeasible", iterations
+        ratios = np.full(rowvals.shape[0], np.inf)
+        ratios[negative] = T[-1, :-1][negative] / -rowvals[negative]
+        col = int(np.argmin(ratios))  # first minimum: smallest column
+        _pivot(T, basis, row, col)
+        iterations += 1
+        if iterations > max_iter:
+            raise LpError(f"dual simplex exceeded {max_iter} pivots")
+
+
+def _append_row(T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np.ndarray:
+    """T plus the row `row . y + s = rhs` for a fresh slack s, made basic.
+
+    The row is written in the current basis by eliminating every basic
+    column, so it reads s = rhs - (nonbasic terms) and the reduced costs
+    are unchanged. Returns the grown tableau and appends s to basis.
+    """
+    m, width = T.shape[0] - 1, T.shape[1]
+    out = np.zeros((m + 2, width + 1))
+    out[:m, : width - 1] = T[:m, :-1]
+    out[:m, -1] = T[:m, -1]
+    out[-1, : width - 1] = T[-1, :-1]
+    out[-1, -1] = T[-1, -1]
+    new = out[m]
+    new[: row.shape[0]] = row
+    new[width - 1] = 1.0
+    new[-1] = rhs
+    new -= new[basis] @ out[:m]
+    basis.append(width - 1)
+    return out
+
+
 def _standardize(lp: LinearProgram):
     """Rewrite as max c.y, A y rel b, y >= 0.
 
-    Returns (c, rows, pieces, offsets, feasible) where pieces[j] lists
-    (column, sign) pairs recovering x_j = offsets[j] + sum sign * y_col.
+    Returns (c, rows, P, offsets) with x = offsets + P @ y, where each
+    column of P holds one +-1, or None when the bounds alone are
+    infeasible. A row a.x rel r becomes (a @ P) y rel r - a.offsets.
     """
-    pieces = []
-    offsets = []
+    if np.any(lp.upper < lp.lower):
+        return None
+    columns = []  # (variable, sign) of each y column
+    offsets = np.zeros(lp.n_vars)
     extra_rows = []  # upper-bound rows in y space
-    cols = 0
     for j in range(lp.n_vars):
         lo, up = lp.lower[j], lp.upper[j]
-        if up < lo:
-            return None  # trivially infeasible bounds
         if lo == -np.inf and up == np.inf:
-            pieces.append([(cols, 1.0), (cols + 1, -1.0)])
-            offsets.append(0.0)
-            cols += 2
+            columns += [(j, 1.0), (j, -1.0)]
         elif lo == -np.inf:
             # mirror: x = up - y
-            pieces.append([(cols, -1.0)])
-            offsets.append(up)
-            cols += 1
+            offsets[j] = up
+            columns.append((j, -1.0))
         else:
-            pieces.append([(cols, 1.0)])
-            offsets.append(lo)
+            offsets[j] = lo
             if up != np.inf:
-                extra_rows.append((cols, up - lo))
-            cols += 1
+                extra_rows.append((len(columns), up - lo))
+            columns.append((j, 1.0))
+    P = np.zeros((lp.n_vars, len(columns)))
+    for col, (j, sign) in enumerate(columns):
+        P[j, col] = sign
 
-    def to_std(coeffs):
-        row = np.zeros(cols)
-        shift = 0.0
-        for j, a in enumerate(coeffs):
-            if a == 0.0:
-                continue
-            for col, sign in pieces[j]:
-                row[col] += a * sign
-            shift += a * offsets[j]
-        return row, shift
-
-    rows = []
-    for coeffs, rel, rhs in lp.constraints:
-        row, shift = to_std(coeffs)
-        rows.append((row, rel, rhs - shift))
+    rows = [(coeffs @ P, rel, rhs - float(coeffs @ offsets)) for coeffs, rel, rhs in lp.constraints]
     for col, ub in extra_rows:
-        row = np.zeros(cols)
+        row = np.zeros(len(columns))
         row[col] = 1.0
         rows.append((row, LE, ub))
 
-    c = np.zeros(cols)
-    for j, a in enumerate(lp.objective):
-        if a == 0.0:
-            continue
-        for col, sign in pieces[j]:
-            c[col] += a * sign
+    c = lp.objective @ P
     if lp.sense == "min":
         c = -c
-    return c, rows, pieces, offsets
+    return c, rows, P, offsets
 
 
-def solve_lp(lp: LinearProgram) -> LpSolution:
-    """Two-phase dense simplex; deterministic; raises LpError on numerical failure."""
+def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
+    """Two-phase dense simplex; deterministic; raises LpError on numerical failure.
+
+    With row_source the LP is solved by row generation. After each optimum
+    the source is called with the primal values and returns a "<=" row
+    the point violates, or None when all of its implicit rows hold. The
+    row is appended to the optimal tableau and dual simplex pivots restore
+    feasibility, so the result is the optimum over the LP's rows plus
+    every row the source returned (or "infeasible" if those rows exclude
+    every point). The caller's LP is not modified. A source that returns
+    a row the point satisfies, or more than _MAX_ROUNDS rows, raises
+    LpError. iterations counts every primal and dual pivot.
+    """
     std = _standardize(lp)
     if std is None:
         return LpSolution(status="infeasible")
-    c, rows, pieces, offsets = std
+    c, rows, P, offsets = std
     n_std = c.shape[0]
     m = len(rows)
-
-    if m == 0:
-        if np.any(c > _PIVOT_TOL):
-            return LpSolution(status="unbounded")
-        y = np.zeros(n_std)
-        return _finish(lp, pieces, offsets, y, 0)
 
     # normalize rhs >= 0; classify rows
     A = np.zeros((m, n_std))
@@ -251,7 +303,7 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
             basis[i] = art_at
             art_at += 1
 
-    max_iter = 10_000 + 200 * (m + total)
+    max_iter = _pivot_cap(T)
     iterations = 0
 
     art_start = n_std + n_le + n_ge
@@ -264,7 +316,8 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
                 T[-1] -= T[i]
         status, its = _run_simplex(T, basis, max_iter)
         iterations += its
-        assert status == "optimal"  # phase 1 objective is bounded by 0
+        if status != "optimal":  # the phase 1 objective is bounded by 0
+            raise LpError(f"phase 1 reported {status}")
         scale = max(1.0, float(np.abs(b).max()))
         if T[-1, -1] < -EPS_CUT * scale:
             return LpSolution(status="infeasible", iterations=iterations)
@@ -297,70 +350,66 @@ def solve_lp(lp: LinearProgram) -> LpSolution:
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
 
-    y = np.zeros(total)
-    for i in range(m):
-        y[basis[i]] = T[i, -1]
-    y = np.maximum(y[:n_std], 0.0)
-    return _finish(lp, pieces, offsets, y, iterations)
+    work = lp if row_source is None else lp.copy()  # base rows plus generated rows
+    while True:
+        x = offsets + P @ _primal(T, basis, n_std)
+        _check_feasible(work, x)
+        source_row = None if row_source is None else row_source(x)
+        if source_row is None:
+            return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), iterations=iterations)
+        if len(work.constraints) - len(lp.constraints) == _MAX_ROUNDS:
+            raise LpError(f"row generation did not terminate within {_MAX_ROUNDS} rounds")
+        coeffs, rel, rhs = source_row
+        if rel != LE:
+            raise ValueError(f"row_source must return {LE!r} rows, got {rel!r}")
+        work.add_constraint(coeffs, rel, rhs)
+        coeffs, _, rhs = work.constraints[-1]
+        if not float(coeffs @ x) > rhs:
+            raise LpError("row_source returned a constraint the current point satisfies")
+        T = _append_row(T, basis, coeffs @ P, rhs - float(coeffs @ offsets))
+        max_iter = _pivot_cap(T)
+        status, its = _dual_simplex(T, basis, max_iter)
+        iterations += its
+        if status == "infeasible":
+            return LpSolution(status="infeasible", iterations=iterations)
+        # the reduced costs stayed optimal; this certifies them (normally 0 pivots)
+        status, its = _run_simplex(T, basis, max_iter)
+        iterations += its
+        if status == "unbounded":
+            return LpSolution(status="unbounded", iterations=iterations)
 
 
-def _finish(lp: LinearProgram, pieces, offsets, y: np.ndarray, iterations: int) -> LpSolution:
-    x = np.array(offsets, dtype=float)
-    for j, plist in enumerate(pieces):
-        for col, sign in plist:
-            x[j] += sign * y[col]
-    _check_feasible(lp, x)
-    objective = float(lp.objective @ x)
-    return LpSolution(status="optimal", x=x, objective=objective, iterations=iterations)
+def _primal(T: np.ndarray, basis: List[int], n_std: int) -> np.ndarray:
+    """Values of the standardized variables y at the tableau's basic solution."""
+    y = np.zeros(T.shape[1] - 1)
+    y[basis] = T[:-1, -1]
+    return np.maximum(y[:n_std], 0.0)
 
 
 def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
     """Surface accumulated round-off as an error instead of a wrong answer."""
+    if not np.all(np.isfinite(x)):
+        raise LpError("solution has non-finite values")
     xmag = float(np.abs(x).max()) if x.size else 0.0
-    for j in range(lp.n_vars):
-        tol = EPS_FEAS * max(1.0, abs(lp.lower[j]) if lp.lower[j] != -np.inf else 1.0, xmag)
-        if lp.lower[j] != -np.inf and x[j] < lp.lower[j] - tol:
-            raise LpError(f"variable {j} violates its lower bound: {x[j]} < {lp.lower[j]}")
-        if lp.upper[j] != np.inf and x[j] > lp.upper[j] + tol:
-            raise LpError(f"variable {j} violates its upper bound: {x[j]} > {lp.upper[j]}")
-    for idx, (coeffs, rel, rhs) in enumerate(lp.constraints):
-        lhs = float(coeffs @ x)
-        scale = max(1.0, abs(rhs), float(np.abs(coeffs).max()) * max(1.0, xmag))
-        if rel == LE:
-            if lhs > rhs + EPS_FEAS * scale:
-                raise LpError(f"constraint {idx} violated: {lhs} > {rhs}")
-        else:
-            if abs(lhs - rhs) > EPS_FEAS * scale:
-                raise LpError(f"constraint {idx} violated: {lhs} != {rhs}")
-
-
-RowSource = Callable[[np.ndarray], Optional[Tuple[np.ndarray, str, float]]]
-
-
-def solve_lp_with_rows(lp: LinearProgram, row_source: RowSource, max_rounds: int = 100_000) -> LpSolution:
-    """Row generation: re-solve while row_source reports violated constraints.
-
-    row_source is called with the current primal values and must return a
-    constraint violated by more than EPS_CUT, or None when all implicit
-    rows hold. Equivalent to solve_lp over the full implicit constraint
-    set; terminates because that set is finite.
-    """
-    work = lp.copy()
-    iterations = 0
-    for _ in range(max_rounds):
-        sol = solve_lp(work)
-        iterations += sol.iterations
-        if sol.status != "optimal":
-            sol.iterations = iterations
-            return sol
-        row = row_source(sol.x)
-        if row is None:
-            sol.iterations = iterations
-            return sol
-        coeffs, rel, rhs = row
-        lhs = float(np.asarray(coeffs, dtype=float) @ sol.x)
-        violated = lhs > rhs if rel == LE else abs(lhs - rhs) > 0
-        if not violated:
-            raise LpError("row_source returned a constraint the current point satisfies")
-        work.add_constraint(coeffs, rel, rhs)
-    raise LpError(f"row generation did not terminate within {max_rounds} rounds")
+    lo, up = lp.lower, lp.upper
+    tol = EPS_FEAS * np.maximum(max(1.0, xmag), np.where(np.isfinite(lo), np.abs(lo), 1.0))
+    below, above = np.nonzero(x < lo - tol)[0], np.nonzero(x > up + tol)[0]
+    if below.size:
+        j = below[0]
+        raise LpError(f"variable {j} violates its lower bound: {x[j]} < {lo[j]}")
+    if above.size:
+        j = above[0]
+        raise LpError(f"variable {j} violates its upper bound: {x[j]} > {up[j]}")
+    if not lp.constraints:
+        return
+    A = np.array([coeffs for coeffs, _, _ in lp.constraints])
+    b = np.array([rhs for _, _, rhs in lp.constraints])
+    eq = np.array([rel == EQ for _, rel, _ in lp.constraints])
+    lhs = A @ x
+    scale = np.maximum(np.maximum(1.0, np.abs(b)), np.abs(A).max(axis=1) * max(1.0, xmag))
+    excess = np.where(eq, np.abs(lhs - b), lhs - b)
+    violated = np.nonzero(excess > EPS_FEAS * scale)[0]
+    if violated.size:
+        idx = violated[0]
+        relation = "!=" if eq[idx] else ">"
+        raise LpError(f"constraint {idx} violated: {lhs[idx]} {relation} {b[idx]}")

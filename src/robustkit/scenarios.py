@@ -10,27 +10,24 @@ Three ways to compress a scenario set into a single cost vector:
   the convex hull of the set. Solving the resulting scenario gives a
   1/t*-approximation, never worse than N.
 
-The same constraint family with c held fixed gives a sharpened guarantee
-for any hull scenario (in particular the midpoint), computed here by
-bisection on t with a k-smallest separation check instead of enumerating
-all C(n, k) subsets.
+The N * C(n, k) subset rows are never materialized: one vectorized
+separation oracle (for each scenario, the k items where c - t * c^i is
+smallest) finds the most violated row, and the LP is solved by
+warm-started row generation. The same constraint family with c held
+fixed gives a sharpened guarantee for any hull scenario (in particular
+the midpoint), computed here by bisection on t with that oracle.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from typing import Optional, Tuple
 
 import numpy as np
 
 from .core import EPS_CMP, EPS_CUT, ConvexWeights, Scenario, UncertaintySet
-from .lp import EQ, LE, LinearProgram, LpError, solve_lp, solve_lp_with_rows
+from .lp import EQ, LE, LinearProgram, LpError, solve_lp
 from .problems import ProblemSpec, max_solution_cardinality_bound, validate_k
-
-# Above this many explicit constraint rows the dense tableau gets slow and
-# memory-hungry, so construction switches to row generation.
-EAGER_MAX_ROWS = 500
 
 SUPPORTED_K = (1, 2, 3)
 
@@ -50,26 +47,19 @@ def worstcase_apriori_bound(u: UncertaintySet, spec: ProblemSpec) -> int:
     return min(u.n_scenarios, max_solution_cardinality_bound(spec))
 
 
-def _k_smallest(vals: np.ndarray, k: int) -> np.ndarray:
-    """Indices of the k smallest entries, ties broken by ascending index."""
-    return np.lexsort((np.arange(vals.shape[0]), vals))[:k]
-
-
 def _most_violated(costs: np.ndarray, values: np.ndarray, t: float, k: int):
     """Max of t*sum_S c^i - sum_S c over scenarios i and |S| = k subsets.
 
     For each scenario the maximizing S collects the k smallest values of
-    (c_j - t * c^i_j). Ties resolve to the smallest scenario index, then
-    the lexicographically smallest subset. Returns (violation, i, S).
+    (c_j - t * c^i_j). Ties resolve to the smallest scenario index (argmax
+    takes the first maximum), then the smallest item indices (the sort is
+    stable). Returns (violation, i, S) with S sorted.
     """
-    best = (-math.inf, -1, ())
-    for i in range(costs.shape[0]):
-        vals = values - t * costs[i]
-        idx = _k_smallest(vals, k)
-        violation = -float(vals[idx].sum())
-        if violation > best[0]:
-            best = (violation, i, tuple(sorted(int(j) for j in idx)))
-    return best
+    vals = values - t * costs
+    idx = np.argsort(vals, axis=1, kind="stable")[:, :k]
+    violations = -np.take_along_axis(vals, idx, axis=1).sum(axis=1)
+    i = int(np.argmax(violations))
+    return float(violations[i]), i, tuple(sorted(int(j) for j in idx[i]))
 
 
 def separation_oracle(
@@ -92,17 +82,17 @@ def separation_oracle(
     return None
 
 
-def scenario_lp(u: UncertaintySet, k: int, eager: bool) -> LinearProgram:
-    """The guarantee LP over variables [t, lam_1..lam_N], maximizing t.
+def scenario_lp(u: UncertaintySet) -> LinearProgram:
+    """The base guarantee LP over variables [t, lam_1..lam_N], maximizing t.
 
     The hull scenario c = sum_i lam_i c^i is substituted away, leaving
-    t * a(i, S) <= sum_m lam_m a(m, S) with a(m, S) the subset sums. With
-    eager=True all N * C(n, k) rows are materialized; otherwise only the
-    simplex row, and the subset rows are expected from a separation
-    callback. t is capped at 1, which is tight whenever any subset of any
-    scenario has positive cost and pins the degenerate all-zero case.
+    t * a(i, S) <= sum_m lam_m a(m, S) with a(m, S) the subset sums. Only
+    the simplex row is materialized; the subset rows are generated by the
+    separation oracle. t is capped at 1, which is tight whenever any
+    subset of any scenario has positive cost and pins the degenerate
+    all-zero case.
     """
-    n_scen, n_items = u.costs.shape
+    n_scen = u.n_scenarios
     objective = np.zeros(1 + n_scen)
     objective[0] = 1.0
     lower = np.zeros(1 + n_scen)
@@ -112,14 +102,6 @@ def scenario_lp(u: UncertaintySet, k: int, eager: bool) -> LinearProgram:
     simplex_row = np.zeros(1 + n_scen)
     simplex_row[1:] = 1.0
     lp.add_constraint(simplex_row, EQ, 1.0)
-    if eager:
-        for subset in itertools.combinations(range(n_items), k):
-            sums = u.costs[:, subset].sum(axis=1)
-            for i in range(n_scen):
-                row = np.zeros(1 + n_scen)
-                row[0] = sums[i]
-                row[1:] = -sums
-                lp.add_constraint(row, LE, 0.0)
     return lp
 
 
@@ -131,38 +113,26 @@ def _subset_row(u: UncertaintySet, i: int, subset) -> np.ndarray:
     return row
 
 
-def construct_lp_scenario(
-    u: UncertaintySet, spec: ProblemSpec, k: int, mode: str = "auto"
-) -> Tuple[float, Scenario, ConvexWeights]:
+def construct_lp_scenario(u: UncertaintySet, spec: ProblemSpec, k: int) -> Tuple[float, Scenario, ConvexWeights]:
     """Solve the guarantee LP and return (t_star, scenario, hull weights).
 
     The returned solution's nominal optimizer is a 1/t_star-approximation
-    for the min-max problem; 1/t_star <= N always. mode forces the eager
-    or lazy constraint handling ("eager"/"lazy"), defaulting to eager for
-    at most EAGER_MAX_ROWS rows.
+    for the min-max problem; 1/t_star <= N always. The subset rows are
+    added one at a time, each the most violated one at the current
+    optimum, until none is violated by more than EPS_CUT.
     """
     if k not in SUPPORTED_K:
         raise ValueError(f"k must be one of {SUPPORTED_K}, got {k}")
     if not validate_k(spec, k):
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
-    if mode not in ("auto", "eager", "lazy"):
-        raise ValueError(f"unknown mode {mode!r}")
-    n_scen, n_items = u.costs.shape
-    n_rows = n_scen * math.comb(n_items, k)
-    eager = mode == "eager" or (mode == "auto" and n_rows <= EAGER_MAX_ROWS)
 
-    lp = scenario_lp(u, k, eager=eager)
-    if eager:
-        sol = solve_lp(lp)
-    else:
+    def row_source(x):
+        violation, i, subset = _most_violated(u.costs, np.maximum(x[1:] @ u.costs, 0.0), x[0], k)
+        if violation > EPS_CUT:
+            return _subset_row(u, i, subset), LE, 0.0
+        return None
 
-        def row_source(x):
-            violation, i, subset = _most_violated(u.costs, np.maximum(x[1:] @ u.costs, 0.0), x[0], k)
-            if violation > EPS_CUT:
-                return _subset_row(u, i, subset), LE, 0.0
-            return None
-
-        sol = solve_lp_with_rows(lp, row_source)
+    sol = solve_lp(scenario_lp(u), row_source)
     if sol.status != "optimal":
         raise LpError(f"scenario construction LP reported {sol.status}")
 
@@ -176,8 +146,8 @@ def construct_lp_scenario(
     violation, _, _ = _most_violated(u.costs, scenario.values, t_star, k)
     if violation > EPS_CMP:
         raise LpError(f"constructed scenario violates its own constraints by {violation}")
-    if 1.0 / t_star > n_scen + EPS_CMP:
-        raise LpError(f"guarantee 1/t*={1.0 / t_star} exceeds the scenario count {n_scen}")
+    if 1.0 / t_star > u.n_scenarios + EPS_CMP:
+        raise LpError(f"guarantee 1/t*={1.0 / t_star} exceeds the scenario count {u.n_scenarios}")
     return t_star, scenario, lam
 
 

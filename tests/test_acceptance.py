@@ -15,7 +15,7 @@ import pytest
 
 import robustkit as rk
 from robustkit.experiments import derive_seed
-from test_lp import brute_force_vertex_max, random_bounded_lp
+from test_lp import brute_force_vertex_max, eager_t_star, random_bounded_lp
 
 pytestmark = pytest.mark.acceptance
 
@@ -210,14 +210,14 @@ def test_criterion_5_lp_engine():
             unbounded = rk.LinearProgram(objective=np.abs(rng.uniform(0.1, 1, n)))
             assert rk.solve_lp(unbounded).status == "unbounded"
 
-        # eager vs row generation on scenario-construction programs
+        # row generation vs one solve of the fully materialized program
         for trial in range(100):
             n = int(rng.integers(2, 11))
             N = int(rng.integers(1, 6))
             k = int(rng.integers(1, min(2, n) + 1))
             u, spec = rk.generate_instance(n, max(k, n // 2), N, seed=derive_seed(99, n, k, N, trial))
-            t_eager, _, _ = rk.construct_lp_scenario(u, spec, k, mode="eager")
-            t_lazy, _, _ = rk.construct_lp_scenario(u, spec, k, mode="lazy")
+            t_eager = eager_t_star(u, k)
+            t_lazy, _, _ = rk.construct_lp_scenario(u, spec, k)
             assert abs(t_eager - t_lazy) <= 1e-7
 
 

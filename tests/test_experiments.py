@@ -1,12 +1,17 @@
 import csv
 import io
 import math
+import os
+import re
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 import robustkit as rk
-from robustkit.experiments import SplitMix64, _mix64, derive_seed
+from robustkit.experiments import InvariantError, SplitMix64, _mix64, _spot_check, derive_seed
 
 
 class TestSplitMix64:
@@ -212,3 +217,39 @@ class TestGridValidation:
             rk.ExperimentGrid(cells=[(3, 2, 1)], instance_count=0)
         with pytest.raises(ValueError, match="method"):
             rk.ExperimentGrid(cells=[(3, 2, 1)], methods=("bogus",))
+
+
+class TestSpotCheck:
+    @pytest.mark.parametrize(
+        "out, mm, opt, invariant",
+        [
+            ({("lb", "mid", None): 2.0, ("ub", "mid", None): 1.0}, None, None, "lb <= ub"),
+            ({("lb", "mid", None): 2.0}, 1.0, None, "lb <= mm"),
+            ({("lb", "lp", 1): 2.0}, 1.0, None, "lb <= mm"),
+            ({("apriori", "lp", 1): 3.0, ("apriori", "mid", 1): 2.0}, None, None, "1/t* <= min(midpoint guarantee, N)"),
+            ({("apriori", "lp", 1): 1.5, ("apriori", "lp", 2): 2.0}, None, None, "1/t* non-increasing in k"),
+            ({}, 2.0, 1.0, "mm <= opt"),
+            ({("ub", "lp", 2): 1.0}, None, 2.0, "opt <= ub"),
+            ({("lb", "mid", None): 3.0}, None, 2.0, "lb <= opt"),
+        ],
+    )
+    def test_each_invariant_is_named(self, out, mm, opt, invariant):
+        with pytest.raises(InvariantError, match="^" + re.escape(f"{invariant} violated")):
+            _spot_check(out, (1, 2), 10, mm, opt)
+
+    def test_consistent_values_pass(self):
+        out = {("lb", "mid", None): 1.0, ("ub", "mid", None): 2.0, ("apriori", "lp", 1): 1.5, ("apriori", "mid", 1): 2.0}
+        _spot_check(out, (1,), 10, 1.5, 1.8)
+
+    def test_raises_under_python_optimize(self):
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys\n"
+            "if not sys.flags.optimize: sys.exit(3)\n"
+            "from robustkit.experiments import _spot_check\n"
+            "_spot_check({('lb', 'mid', None): 2.0, ('ub', 'mid', None): 1.0}, (), 3, None, None)\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 1
+        assert "InvariantError: lb <= ub violated" in proc.stderr

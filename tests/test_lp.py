@@ -2,8 +2,12 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustkit as rk
+from robustkit import lp as lp_module
+from robustkit.core import EPS_CUT
 from robustkit.lp import LpError
 from robustkit.scenarios import scenario_lp
 
@@ -45,6 +49,26 @@ def brute_force_vertex_max(lp):
             if best is None or value > best:
                 best = value
     return best
+
+
+def eager_scenario_lp(u, k):
+    """The guarantee LP with all N * C(n, k) subset rows materialized."""
+    lp = scenario_lp(u)
+    for subset in itertools.combinations(range(u.n_items), k):
+        sums = u.costs[:, subset].sum(axis=1)
+        for i in range(u.n_scenarios):
+            row = np.zeros(1 + u.n_scenarios)
+            row[0] = sums[i]
+            row[1:] = -sums
+            lp.add_constraint(row, rk.LE, 0.0)
+    return lp
+
+
+def eager_t_star(u, k):
+    """Reference t*: one plain solve of the fully materialized LP."""
+    sol = rk.solve_lp(eager_scenario_lp(u, k))
+    assert sol.status == "optimal"
+    return float(sol.x[0])
 
 
 def random_bounded_lp(rng, max_vars=6, max_rows=8):
@@ -113,7 +137,7 @@ class TestSolveLpBasics:
 
     def test_table1_scenario_lp(self, table1):
         u, _ = table1
-        sol = rk.solve_lp(scenario_lp(u, 1, eager=True))
+        sol = rk.solve_lp(eager_scenario_lp(u, 1))
         assert sol.status == "optimal"
         assert 1.0 / sol.objective == pytest.approx(4.0 / 3.0, abs=0.01)
 
@@ -159,7 +183,7 @@ class TestFeasibilityOfReportedOptimum:
     def test_constraints_hold_within_eps(self, table1):
         u, _ = table1
         for k in (1, 2):
-            lp = scenario_lp(u, k, eager=True)
+            lp = eager_scenario_lp(u, k)
             sol = rk.solve_lp(lp)
             x = sol.x
             for coeffs, rel, rhs in lp.constraints:
@@ -171,20 +195,33 @@ class TestFeasibilityOfReportedOptimum:
             assert abs(float(lp.objective @ x) - sol.objective) <= 1e-9 * (1 + abs(sol.objective))
 
 
+def first_violated_source(rows):
+    """Row source returning the first of rows that x violates by more than 1e-9."""
+
+    def source(x):
+        for coeffs, rel, rhs in rows:
+            if float(coeffs @ x) > rhs + 1e-9:
+                return coeffs, rel, rhs
+        return None
+
+    return source
+
+
 class TestRowGeneration:
     def test_silent_source_equals_plain_solve(self):
         rng = np.random.default_rng(5)
         lp = random_bounded_lp(rng)
         plain = rk.solve_lp(lp)
-        lazy = rk.solve_lp_with_rows(lp, lambda x: None)
+        lazy = rk.solve_lp(lp, lambda x: None)
         assert plain.status == lazy.status
+        assert lazy.iterations == plain.iterations
         if plain.status == "optimal":
             assert lazy.objective == pytest.approx(plain.objective, abs=1e-12)
 
     def test_table1_k2_lazy_matches_eager(self, table1):
         u, spec = table1
-        t_eager, _, _ = rk.construct_lp_scenario(u, spec, 2, mode="eager")
-        t_lazy, _, _ = rk.construct_lp_scenario(u, spec, 2, mode="lazy")
+        t_eager = eager_t_star(u, 2)
+        t_lazy, _, _ = rk.construct_lp_scenario(u, spec, 2)
         assert t_eager == pytest.approx(1.0, abs=1e-9)
         assert t_lazy == pytest.approx(t_eager, abs=1e-7)
 
@@ -196,9 +233,81 @@ class TestRowGeneration:
             costs = rng.integers(0, 101, size=(n_scen, n)).astype(float)
             u = rk.UncertaintySet(costs)
             spec = rk.Selection(n=n, p=max(2, n // 2))
-            t_eager, _, _ = rk.construct_lp_scenario(u, spec, 2, mode="eager")
-            t_lazy, _, _ = rk.construct_lp_scenario(u, spec, 2, mode="lazy")
+            t_eager = eager_t_star(u, 2)
+            t_lazy, _, _ = rk.construct_lp_scenario(u, spec, 2)
             assert abs(t_eager - t_lazy) <= 1e-7
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.data())
+    def test_tie_heavy_warm_start_matches_eager(self, data):
+        n = data.draw(st.integers(2, 7), label="n")
+        n_scen = data.draw(st.integers(1, 5), label="N")
+        k = data.draw(st.integers(1, min(3, n)), label="k")
+        flat = data.draw(st.lists(st.integers(0, 5), min_size=n * n_scen, max_size=n * n_scen), label="costs")
+        u = rk.UncertaintySet(np.array(flat, dtype=float).reshape(n_scen, n))
+        spec = rk.Selection(n=n, p=max(k, n // 2))
+        t_lazy, _, lam = rk.construct_lp_scenario(u, spec, k)
+        assert abs(t_lazy - eager_t_star(u, k)) <= 1e-7
+        for subset in itertools.combinations(range(n), k):
+            sums = u.costs[:, subset].sum(axis=1)
+            assert np.all(t_lazy * sums <= float(lam.lam @ sums) + EPS_CUT)
+
+    def test_random_warm_start_matches_plain_solve(self):
+        rng = np.random.default_rng(9090)
+        statuses = set()
+        for _ in range(80):
+            lp = random_bounded_lp(rng, max_vars=5, max_rows=5)
+            hidden = []
+            for _ in range(int(rng.integers(1, 6))):
+                coeffs = rng.uniform(-2, 2, lp.n_vars)
+                hidden.append((coeffs, rk.LE, float(coeffs @ (lp.upper * rng.uniform(0, 1, lp.n_vars)))))
+            full = lp.copy()
+            for row in hidden:
+                full.add_constraint(*row)
+            plain = rk.solve_lp(full)
+            warm = rk.solve_lp(lp, first_violated_source(hidden))
+            assert warm.status == plain.status
+            statuses.add(plain.status)
+            if plain.status == "optimal":
+                assert warm.objective == pytest.approx(plain.objective, abs=1e-7 * max(1.0, abs(plain.objective)))
+        assert statuses == {"optimal", "infeasible"}
+
+    def test_dual_simplex_keeps_reduced_costs_optimal(self):
+        # max -d.x s.t. A x + s = b from the slack basis: dual feasible (d >= 0)
+        # but primal infeasible wherever b < 0
+        rng = np.random.default_rng(31)
+        outcomes = set()
+        for _ in range(60):
+            m, n = int(rng.integers(1, 6)), int(rng.integers(1, 6))
+            A = rng.uniform(-2, 2, (m, n))
+            b = rng.uniform(-3, 3, m)
+            d = rng.uniform(0, 2, n)
+            T = np.zeros((m + 1, n + m + 1))
+            T[:m, :n], T[:m, n : n + m], T[:m, -1] = A, np.eye(m), b
+            T[-1, :n] = d
+            basis = list(range(n, n + m))
+            status, _ = lp_module._dual_simplex(T, basis, 10_000)
+            lp = rk.LinearProgram(objective=-d)
+            for i in range(m):
+                lp.add_constraint(A[i], rk.LE, b[i])
+            plain = rk.solve_lp(lp)
+            assert status == plain.status
+            outcomes.add(status)
+            if status == "optimal":
+                assert np.all(T[-1, :-1] >= -1e-9) and np.all(T[:-1, -1] >= -1e-9)
+                assert T[-1, -1] == pytest.approx(plain.objective, abs=1e-9)
+        assert outcomes == {"optimal", "infeasible"}
+
+    def test_infeasible_source_row(self):
+        lp = rk.LinearProgram(objective=[1.0, 1.0], upper=[2.0, 2.0])
+        lp.add_constraint([1.0, 1.0], rk.LE, 3.0)
+        cut = (np.array([-1.0, -1.0]), rk.LE, -5.0)  # x0 + x1 >= 5
+        full = lp.copy()
+        full.add_constraint(*cut)
+        assert rk.solve_lp(full).status == "infeasible"
+        sol = rk.solve_lp(lp, first_violated_source([cut]))
+        assert sol.status == "infeasible"
+        assert len(lp.constraints) == 1  # the caller's LP is left alone
 
     def test_stalling_source_raises(self):
         lp = rk.LinearProgram(objective=[1.0], upper=[1.0])
@@ -207,4 +316,19 @@ class TestRowGeneration:
             return np.array([1.0]), rk.LE, 5.0  # never violated
 
         with pytest.raises(LpError, match="satisfies"):
-            rk.solve_lp_with_rows(lp, satisfied_row)
+            rk.solve_lp(lp, satisfied_row)
+
+    def test_equality_source_row_rejected(self):
+        lp = rk.LinearProgram(objective=[1.0], upper=[1.0])
+        with pytest.raises(ValueError, match="<="):
+            rk.solve_lp(lp, lambda x: (np.array([1.0]), rk.EQ, 0.5))
+
+    def test_round_cap_raises(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_MAX_ROUNDS", 3)
+        lp = rk.LinearProgram(objective=[1.0], upper=[10.0])
+
+        def endless(x):
+            return np.array([1.0]), rk.LE, float(x[0]) - 1.0
+
+        with pytest.raises(LpError, match="3 rounds"):
+            rk.solve_lp(lp, endless)

@@ -119,6 +119,29 @@ class TestSeparationOracle:
         with pytest.raises(ValueError):
             rk.separation_oracle(u, rk.midpoint_scenario(u), 1.0, 0)
 
+    def test_vectorized_oracle_equals_per_scenario_loop_on_ties(self):
+        from robustkit.scenarios import _most_violated
+
+        def loop_reference(costs, values, t, k):
+            # one scenario at a time; strict > keeps the first scenario on ties
+            best = (-math.inf, -1, ())
+            for i in range(costs.shape[0]):
+                vals = values - t * costs[i]
+                idx = np.lexsort((np.arange(vals.shape[0]), vals))[:k]
+                violation = -float(vals[idx].sum())
+                if violation > best[0]:
+                    best = (violation, i, tuple(sorted(int(j) for j in idx)))
+            return best
+
+        rng = np.random.default_rng(606)
+        for _ in range(500):
+            n_scen, n = int(rng.integers(1, 6)), int(rng.integers(1, 8))
+            costs = rng.integers(0, 6, size=(n_scen, n)).astype(float)
+            values = rng.integers(0, 6, size=n).astype(float)
+            t = float(rng.choice([0.25, 0.5, 1.0]))
+            k = int(rng.integers(1, n + 1))
+            assert _most_violated(costs, values, t, k) == loop_reference(costs, values, t, k)
+
     @settings(max_examples=40, deadline=None)
     @given(u=uncertainty_sets, t=st.floats(min_value=0.05, max_value=1.0), k=st.integers(min_value=1, max_value=2))
     def test_none_iff_exhaustive_check_clears(self, u, t, k):
