@@ -5,7 +5,12 @@ bounds from the nominal value of a scenario certified inside the convex
 hull of the set. The hull-wide best lower bound (max over hull scenarios
 of the nominal optimum) is computed compactly by dualizing the nominal
 LP, and an exhaustive enumerator provides exact optima for verification
-at desk scale.
+at desk scale. For selection it is a depth-first search that prunes a
+partial subset when, even adding in every scenario the sum of the r
+smallest remaining costs for its r missing items, the worst case exceeds
+the incumbent; the last missing item is evaluated for all candidates in
+one numpy step. Pruning is strict, so ties with the incumbent are still
+visited and resolve to the lexicographically smallest subset.
 """
 
 from __future__ import annotations
@@ -132,12 +137,24 @@ def maxmin_lower_bound(u: UncertaintySet, spec: ProblemSpec) -> float:
 def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySolution]:
     """Exact min-max optimum by exhaustive enumeration with pruning.
 
-    Depth-first over subsets ordered by midpoint cost ascending, keeping
-    per-scenario running sums; a branch is abandoned once a lower bound on
-    its completions exceeds the incumbent. Value ties resolve to the
-    lexicographically smallest index tuple, so results are stable across
-    enumeration-order changes. Refuses instances whose feasible set
-    exceeds MAX_ENUMERATION.
+    Returns the lexicographic minimum of (value, sorted index tuple) over
+    all feasible solutions, so value ties resolve to the smallest tuple
+    whatever the enumeration order. Refuses instances whose feasible set
+    exceeds MAX_ENUMERATION; s-t paths are enumerated in a single pass.
+
+    Selection is a depth-first search over items in ascending midpoint
+    order, seeded with the midpoint solution as incumbent. A node holds
+    acc, the per-scenario costs of the items taken so far. Any completion
+    with r more items from the remaining positions adds, in every
+    scenario, at least the sum of the r smallest remaining costs, so the
+    node is pruned when acc plus that sum exceeds the incumbent in some
+    scenario. The comparison is strict, with a relative margin above the
+    rounding of the two sums, so a completion that ties the incumbent is
+    never pruned and the tie-break still sees it. When one item is
+    missing, all completions are evaluated in one numpy step and taken in
+    visiting order. A value is acc plus the item costs added in midpoint
+    order, the incumbent's included, so fractional costs give the same
+    bits on every path.
     """
     if isinstance(spec, Selection):
         return _exact_selection(u, spec)
@@ -155,34 +172,37 @@ def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinaryS
     mid = u.costs.mean(axis=0)
     order = np.lexsort((np.arange(n), mid))
     costs = u.costs[:, order]
-    # per-scenario minimum over the remaining (suffix) items, for bounding
-    suffix_min = np.empty((u.n_scenarios, n + 1))
-    suffix_min[:, n] = 0.0
-    for pos in range(n - 1, -1, -1):
-        suffix_min[:, pos] = np.minimum(costs[:, pos], suffix_min[:, pos + 1])
+    # low[pos, r]: per scenario, the sum of the r smallest costs among
+    # positions pos..n-1; inf where fewer than r remain
+    low = np.full((n + 1, p + 1, u.n_scenarios), np.inf)
+    low[:, 0] = 0.0
+    for pos in range(n):
+        tail = np.sort(costs[:, pos:], axis=1)[:, :p]
+        low[pos, 1 : tail.shape[1] + 1] = np.cumsum(tail, axis=1).T
+    # the bound and a completion's value sum the same kind of nonnegative
+    # terms in different orders; each is within a relative n*eps of exact
+    margin = 1.0 + 4 * n * np.finfo(float).eps
 
-    # seed the incumbent with the midpoint solution
+    # seed the incumbent with the midpoint solution, valued like the search
     x0 = nominal_solve(spec, mid)
-    best_val = upper_bound(u, x0)
+    rank = np.argsort(order)
+    best_val = float(np.cumsum(costs[:, np.sort(rank[list(x0.selected)])], axis=1)[:, -1].max())
     best_sol = x0.selected
 
     def visit(pos, taken, acc, chosen):
         nonlocal best_val, best_sol
-        if taken == p:
-            value = float(acc.max())
-            candidate = tuple(sorted(chosen))
-            if value < best_val or (value == best_val and candidate < best_sol):
-                best_val = value
-                best_sol = candidate
+        if float((acc + low[pos, p - taken]).max()) > best_val * margin:
             return
-        if n - pos < p - taken:
+        if taken == p - 1:
+            values = (acc[:, None] + costs[:, pos:]).max(axis=0)
+            for col in np.nonzero(values <= best_val)[0]:
+                value = float(values[col])
+                candidate = tuple(sorted(chosen + [int(order[pos + col])]))
+                if value < best_val or (value == best_val and candidate < best_sol):
+                    best_val = value
+                    best_sol = candidate
             return
-        # admissible completion bound; subsumes the plain running-max prune
-        bound = float((acc + (p - taken) * suffix_min[:, pos]).max())
-        if bound > best_val:
-            return
-        j = int(order[pos])
-        chosen.append(j)
+        chosen.append(int(order[pos]))
         visit(pos + 1, taken + 1, acc + costs[:, pos], chosen)
         chosen.pop()
         visit(pos + 1, taken, acc, chosen)
@@ -192,15 +212,11 @@ def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinaryS
 
 
 def _exact_paths(u: UncertaintySet, spec: ShortestPath) -> Tuple[float, BinarySolution]:
-    count = 0
-    for _ in enumerate_solutions(spec):
-        count += 1
+    best = None
+    for count, x in enumerate(enumerate_solutions(spec), start=1):
         if count > MAX_ENUMERATION:
             raise BudgetError(f"more than {MAX_ENUMERATION} s-t paths")
-    best = None
-    for x in enumerate_solutions(spec):
-        value = upper_bound(u, x)
-        key = (value, x.selected)
+        key = (upper_bound(u, x), x.selected)
         if best is None or key < best:
             best = key
     return best[0], BinarySolution(best[1])

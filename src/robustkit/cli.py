@@ -141,10 +141,7 @@ def _parse_grid_spec(arg: str, master_seed: int) -> ExperimentGrid:
     else:
         text = arg.replace(";", "\n")
     cells = []
-    count = 1000
-    ks = (1, 2, 3)
-    methods = ("mid", "lp", "mm", "opt")
-    exact_budget = 2_000_000
+    options = {}  # directives given; the rest keep the ExperimentGrid defaults
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -154,27 +151,20 @@ def _parse_grid_spec(arg: str, master_seed: int) -> ExperimentGrid:
             if toks[0] == "cell" and len(toks) == 4:
                 cells.append((int(toks[1]), int(toks[2]), int(toks[3])))
             elif toks[0] == "count" and len(toks) == 2:
-                count = int(toks[1])
+                options["instance_count"] = int(toks[1])
             elif toks[0] == "ks":
-                ks = tuple(int(t) for t in toks[1:])
+                options["ks"] = tuple(int(t) for t in toks[1:])
             elif toks[0] == "methods":
-                methods = tuple(toks[1:])
+                options["methods"] = tuple(toks[1:])
             elif toks[0] == "exact_budget" and len(toks) == 2:
-                exact_budget = int(toks[1])
+                options["exact_budget"] = int(toks[1])
             else:
                 raise ValueError(f"grid spec line {lineno}: unknown directive {line!r}")
         except ValueError as exc:
             raise ValueError(f"grid spec line {lineno}: {exc}") from exc
     if not cells:
         raise ValueError("grid spec declares no cells")
-    return ExperimentGrid(
-        cells=cells,
-        instance_count=count,
-        master_seed=master_seed,
-        ks=ks,
-        methods=methods,
-        exact_budget=exact_budget,
-    )
+    return ExperimentGrid(cells=cells, master_seed=master_seed, **options)
 
 
 def cmd_experiment(args) -> int:
@@ -190,10 +180,8 @@ def cmd_experiment(args) -> int:
     )
     text = emit_csv(result, include_runtime=args.with_runtimes)
     Path(args.out).write_text(text, encoding="utf-8")
-    total_failures = sum(result.failures.values())
-    if total_failures:
-        for cell, failed in sorted(result.failures.items()):
-            print(f"cell {cell}: {failed} failed instances excluded", file=sys.stderr)
+    for cell, instance_id, seed, message in result.errors:
+        print(f"cell {cell} instance {instance_id} seed {seed}: excluded, {message}", file=sys.stderr)
     print(f"wrote={args.out}")
     all_failed = not result.rows
     return EXIT_DOMAIN if all_failed else EXIT_OK

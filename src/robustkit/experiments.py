@@ -142,7 +142,8 @@ class AggregateRow:
 @dataclass
 class GridResult:
     rows: List[AggregateRow] = field(default_factory=list)
-    failures: Dict[Tuple[int, int, int], int] = field(default_factory=dict)
+    failures: Dict[Tuple[int, int, int], int] = field(default_factory=dict)  # per-cell counts
+    errors: List[Tuple[Tuple[int, int, int], int, int, str]] = field(default_factory=list)  # (cell, id, seed, message)
 
     def value(self, n, p, N, metric, method, k=None) -> float:
         for row in self.rows:
@@ -171,8 +172,10 @@ def _metric_order(ks: Tuple[int, ...]) -> List[MetricKey]:
 def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, float], Dict[str, float]]:
     """Compute every requested metric for one instance.
 
-    Returns (cell_index, instance_id, error, values, timings); on failure
-    the error message is set and the value dict is empty.
+    Returns (cell_index, instance_id, error, values, timings); on a domain
+    error the message is set and the value dict is empty. A broken
+    invariant is not a domain error: InvariantError propagates, naming the
+    cell, instance id and seed.
     """
     cell_index, instance_id, n, p, N, seed, ks, methods, exact_budget, dump_dir = task
     timings: Dict[str, float] = {}
@@ -234,6 +237,8 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
 
         _spot_check(out, ks_valid, N, mm_val, opt_val)
         return cell_index, instance_id, None, out, timings
+    except InvariantError as exc:
+        raise InvariantError(f"cell {(n, p, N)} instance {instance_id} seed {seed}: {exc}") from exc
     except Exception as exc:  # recorded and excluded, never aborts the grid
         return cell_index, instance_id, f"{type(exc).__name__}: {exc}", {}, timings
 
@@ -300,7 +305,8 @@ def run_grid(
 
     Instances are independent tasks; results are keyed by instance id and
     aggregated in id order, so the output is identical for any worker
-    count. Failed instances are excluded and counted per cell.
+    count. Instances with a domain error are excluded, counted per cell
+    and listed in errors; an InvariantError aborts the grid.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
@@ -334,9 +340,10 @@ def run_grid(
     result = GridResult()
     for cell_index, (n, p, N) in enumerate(grid.cells):
         cell_outcomes = [o for o in outcomes if o[0] == cell_index]
-        failures = sum(1 for o in cell_outcomes if o[2] is not None)
-        if failures:
-            result.failures[(n, p, N)] = failures
+        errors = [((n, p, N), o[1], derive_seed(grid.master_seed, n, p, N, o[1]), o[2]) for o in cell_outcomes if o[2] is not None]
+        if errors:
+            result.failures[(n, p, N)] = len(errors)
+            result.errors += errors
         good = [o for o in cell_outcomes if o[2] is None]
         family_time: Dict[str, float] = {}
         for o in good:

@@ -74,6 +74,8 @@ class LinearProgram:
         coeffs = np.asarray(coeffs, dtype=float)
         if coeffs.shape != (self.n_vars,):
             raise ValueError(f"constraint has {coeffs.shape} coefficients, expected ({self.n_vars},)")
+        if not np.isfinite(coeffs).all():
+            raise ValueError("coefficients must be finite")
         if rel not in (LE, EQ):
             raise ValueError(f"relation must be {LE!r} or {EQ!r}, got {rel!r}")
         rhs = float(rhs)

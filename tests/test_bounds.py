@@ -3,19 +3,48 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import robustkit as rk
+from robustkit import bounds as bounds_module
 from robustkit.bounds import BudgetError
 
 
 def brute_force_minmax(u, spec):
-    """No-pruning reference: evaluate every feasible subset."""
+    """No-pruning reference: evaluate every feasible subset.
+
+    Per-scenario sums are accumulated item by item in ascending midpoint
+    order (index breaking ties), the order exact_minmax documents, so the
+    values agree bit for bit with fractional costs too.
+    """
+    mid = u.costs.mean(axis=0)
     best = None
     for combo in itertools.combinations(range(spec.n), spec.p):
-        value = float(u.costs[:, combo].sum(axis=1).max())
+        ordered = sorted(combo, key=lambda j: (mid[j], j))
+        value = float(np.cumsum(u.costs[:, ordered], axis=1)[:, -1].max())
         if best is None or (value, combo) < best:
             best = (value, combo)
     return best
+
+
+def vectorized_brute_force(u, spec):
+    """Every subset at once; for integer costs, where summation order is exact."""
+    combos = np.array(list(itertools.combinations(range(spec.n), spec.p)))
+    acc = np.zeros((u.n_scenarios, combos.shape[0]))
+    for t in range(spec.p):
+        acc += u.costs[:, combos[:, t]]
+    values = acc.max(axis=0)
+    best = int(np.argmin(values))  # first minimum: combinations come in lexicographic order
+    return float(values[best]), tuple(int(j) for j in combos[best])
+
+
+def tie_heavy_selection(data):
+    n = data.draw(st.integers(1, 9), label="n")
+    p = data.draw(st.integers(1, n), label="p")
+    n_scen = data.draw(st.integers(1, 5), label="N")
+    flat = data.draw(st.lists(st.integers(0, 3), min_size=n * n_scen, max_size=n * n_scen), label="costs")
+    return np.array(flat, dtype=float).reshape(n_scen, n), rk.Selection(n=n, p=p)
 
 
 def simplex_grid(n_parts, steps):
@@ -197,10 +226,68 @@ class TestExactMinMax:
         assert opt == 2.0
         assert solution.selected == (0, 1)
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_tie_heavy_matches_brute_force(self, data):
+        costs, spec = tie_heavy_selection(data)
+        u = rk.UncertaintySet(costs)
+        opt, solution = rk.exact_minmax(u, spec)
+        assert (opt, solution.selected) == brute_force_minmax(u, spec)
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_fractional_costs_match_brute_force(self, data):
+        # sums of sevenths round differently in different orders, so the
+        # completion bound must not prune a completion that ties the incumbent
+        costs, spec = tie_heavy_selection(data)
+        u = rk.UncertaintySet(costs / 7)
+        opt, solution = rk.exact_minmax(u, spec)
+        ref_value, ref_combo = brute_force_minmax(u, spec)
+        assert opt == ref_value
+        assert solution.selected == ref_combo
+
+    def test_incumbent_valued_in_search_order(self):
+        # the midpoint incumbent (0, 1, 2, 3) is optimal; its sum in index
+        # order is one ulp below its sum in midpoint order
+        u = rk.UncertaintySet(
+            np.array([[3, 3, 3, 1, 3], [3, 0, 1, 2, 2], [2, 0, 1, 0, 3], [0, 1, 3, 2, 2], [1, 3, 2, 2, 1]]) / 7
+        )
+        spec = rk.Selection(n=5, p=4)
+        opt, solution = rk.exact_minmax(u, spec)
+        assert (opt, solution.selected) == brute_force_minmax(u, spec)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    def test_mid_pool_cell_matches_vectorized_brute_force(self, seed):
+        u, spec = rk.generate_instance(20, 6, 50, seed=seed)
+        opt, solution = rk.exact_minmax(u, spec)
+        assert (opt, solution.selected) == vectorized_brute_force(u, spec)
+
     def test_budget_refusal(self):
         u = rk.UncertaintySet(np.ones((1, 40)))
         with pytest.raises(BudgetError, match="exceed"):
             rk.exact_minmax(u, rk.Selection(n=40, p=20))
+
+    def test_path_budget_crossed_mid_walk(self, monkeypatch):
+        # four s-t paths; the cap of 2 is crossed at the third, after two evaluations
+        spec = rk.ShortestPath(
+            edges=((0, 1), (1, 3), (0, 2), (2, 3), (0, 3), (1, 2)), source=0, sink=3
+        )
+        u = rk.UncertaintySet(np.ones((1, 6)))
+        assert len(list(rk.enumerate_solutions(spec))) == 4
+        evaluated = []
+        real = bounds_module.upper_bound
+
+        def counting(u_, x):
+            evaluated.append(x.selected)
+            return real(u_, x)
+
+        monkeypatch.setattr(bounds_module, "upper_bound", counting)
+        monkeypatch.setattr(bounds_module, "MAX_ENUMERATION", 2)
+        with pytest.raises(BudgetError, match="more than 2"):
+            rk.exact_minmax(u, spec)
+        assert len(evaluated) == 2
+        monkeypatch.setattr(bounds_module, "MAX_ENUMERATION", 4)
+        assert rk.exact_minmax(u, spec) == (1.0, rk.BinarySolution((4,)))
 
     def test_shortest_path(self):
         spec = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 3), (0, 3)), source=0, sink=3)

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import robustkit as rk
-from robustkit.cli import main
+from robustkit.cli import _parse_grid_spec, main
 
 
 def run_cli(capsys, *argv):
@@ -185,6 +185,24 @@ class TestExperiment:
         )
         assert code == 0
         assert len(list(dump.glob("inst_*.txt"))) == 2
+
+    def test_grid_spec_defaults_come_from_the_dataclass(self):
+        assert _parse_grid_spec("cell 4 2 2", 5) == rk.ExperimentGrid(cells=[(4, 2, 2)], master_seed=5)
+        grid = _parse_grid_spec("cell 4 2 2; count 7; ks 1; methods mid; exact_budget 9", 5)
+        assert (grid.instance_count, grid.ks, grid.methods, grid.exact_budget) == (7, (1,), ("mid",), 9)
+
+    def test_failed_instance_reported_with_seed(self, capsys, tmp_path, monkeypatch):
+        def failing(u, c, k):
+            raise RuntimeError("synthetic failure")
+
+        monkeypatch.setattr("robustkit.experiments.fixed_scenario_guarantee", failing)
+        out_csv = tmp_path / "results.csv"
+        code, _, err = run_cli(
+            capsys, "experiment", "--grid-spec", "cell 4 2 2; count 1; methods mid", "--seed", "3", "--out", str(out_csv)
+        )
+        assert code == 1  # every instance failed
+        seed = rk.derive_seed(3, 4, 2, 2, 0)
+        assert f"cell (4, 2, 2) instance 0 seed {seed}: excluded, RuntimeError: synthetic failure" in err
 
     def test_empty_grid_spec_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "--grid-spec", "count 5", "--seed", "1", "--out", str(tmp_path / "x.csv"))

@@ -1,6 +1,7 @@
 import csv
 import io
 import math
+import multiprocessing
 import os
 import re
 import subprocess
@@ -147,7 +148,18 @@ class TestRunGrid:
         grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2)
         result = rk.run_grid(grid, workers=1)
         assert result.failures == {(5, 2, 2): 1}
+        assert result.errors == [((5, 2, 2), 0, derive_seed(2, 5, 2, 2, 0), "RuntimeError: synthetic failure")]
         assert all(r.instances == 2 for r in result.rows)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_invariant_error_fails_the_grid(self, monkeypatch, workers):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches pool workers only when they are forked")
+        monkeypatch.setattr("robustkit.experiments.upper_bound", lambda u, x: 0.0)
+        grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2, methods=("mid",))
+        seed = derive_seed(2, 5, 2, 2, 0)
+        with pytest.raises(InvariantError, match=rf"cell \(5, 2, 2\) instance 0 seed {seed}: lb <= ub violated"):
+            rk.run_grid(grid, workers=workers)
 
     def test_dump_dir_writes_parseable_instances(self, tmp_path):
         grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=2, master_seed=9, methods=("mid",))

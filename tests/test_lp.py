@@ -149,6 +149,16 @@ class TestSolveLpBasics:
         with pytest.raises(ValueError, match="coefficients"):
             rk.LinearProgram(objective=[1.0, 2.0], constraints=[(np.array([1.0]), rk.LE, 0.0)])
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_coefficients_rejected(self, bad):
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            rk.LinearProgram(objective=[1.0], constraints=[(np.array([bad]), rk.LE, 1.0)])
+        lp = rk.LinearProgram(objective=[1.0], upper=[2.0])
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            lp.add_constraint([bad], rk.LE, 1.0)
+        with pytest.raises(ValueError, match="coefficients must be finite"):
+            rk.solve_lp(lp, lambda x: (np.array([bad]), rk.LE, 1.0))
+
 
 class TestAgainstVertexEnumeration:
     def test_random_bounded_lps(self):
