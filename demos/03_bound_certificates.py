@@ -23,7 +23,7 @@ x_lp = rk.nominal_solve(spec, scen)
 lb_lp = rk.lower_bound(u, scen, lam, x_lp)
 ub_lp = rk.upper_bound(u, x_lp)
 
-mm = rk.maxmin_lower_bound(u, spec)
+mm = rk.maxmin_certificate(u, spec)[0]
 opt, x_opt = rk.exact_minmax(u, spec)
 
 print(f"instance: n={spec.n}, p={spec.p}, N={u.n_scenarios}\n")

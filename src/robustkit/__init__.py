@@ -47,7 +47,6 @@ from .bounds import (
     exact_minmax,
     lower_bound,
     maxmin_certificate,
-    maxmin_lower_bound,
     upper_bound,
 )
 from .experiments import (
@@ -97,7 +96,6 @@ __all__ = [
     "lower_bound",
     "max_solution_cardinality_bound",
     "maxmin_certificate",
-    "maxmin_lower_bound",
     "midpoint_scenario",
     "min_solution_cardinality",
     "nominal_solve",

@@ -129,11 +129,6 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     return float(sol.objective), ConvexWeights(sol.x[:n_scen])
 
 
-def maxmin_lower_bound(u: UncertaintySet, spec: ProblemSpec) -> float:
-    """The value of maxmin_certificate; at least as good as any single-scenario LB."""
-    return maxmin_certificate(u, spec)[0]
-
-
 def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySolution]:
     """Exact min-max optimum by exhaustive enumeration with pruning.
 
@@ -189,25 +184,24 @@ def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinaryS
     best_val = float(np.cumsum(costs[:, np.sort(rank[list(x0.selected)])], axis=1)[:, -1].max())
     best_sol = x0.selected
 
-    def visit(pos, taken, acc, chosen):
-        nonlocal best_val, best_sol
+    # explicit depth-first stack of (pos, taken, acc, chosen); the skip
+    # child is pushed before the take child, so taking is explored first
+    stack = [(0, 0, np.zeros(u.n_scenarios), ())]
+    while stack:
+        pos, taken, acc, chosen = stack.pop()
         if float((acc + low[pos, p - taken]).max()) > best_val * margin:
-            return
+            continue
         if taken == p - 1:
             values = (acc[:, None] + costs[:, pos:]).max(axis=0)
             for col in np.nonzero(values <= best_val)[0]:
                 value = float(values[col])
-                candidate = tuple(sorted(chosen + [int(order[pos + col])]))
+                candidate = tuple(sorted(chosen + (int(order[pos + col]),)))
                 if value < best_val or (value == best_val and candidate < best_sol):
                     best_val = value
                     best_sol = candidate
-            return
-        chosen.append(int(order[pos]))
-        visit(pos + 1, taken + 1, acc + costs[:, pos], chosen)
-        chosen.pop()
-        visit(pos + 1, taken, acc, chosen)
-
-    visit(0, 0, np.zeros(u.n_scenarios), [])
+            continue
+        stack.append((pos + 1, taken, acc, chosen))
+        stack.append((pos + 1, taken + 1, acc + costs[:, pos], chosen + (int(order[pos]),)))
     return best_val, BinarySolution(best_sol)
 
 

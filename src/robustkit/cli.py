@@ -20,7 +20,7 @@ from .bounds import (
     BudgetError,
     aposteriori_report,
     exact_minmax,
-    maxmin_lower_bound,
+    maxmin_certificate,
     upper_bound,
 )
 from .core import ConvexWeights, parse_instance, serialize_instance
@@ -126,7 +126,7 @@ def cmd_bounds(args) -> int:
         lines.append(f"ub={_num(report.ub)}")
         lines.append(f"aposteriori={_num(report.aposteriori)}")
     if args.with_maxmin:
-        lines.append(f"maxmin_lb={_num(maxmin_lower_bound(u, spec))}")
+        lines.append(f"maxmin_lb={_num(maxmin_certificate(u, spec)[0])}")
     if args.with_exact:
         opt, solution = exact_minmax(u, spec)
         lines.append(f"opt={_num(opt)}")

@@ -352,8 +352,6 @@ def run_grid(
         ks_valid = tuple(k for k in grid.ks if k <= p)
         order = _metric_order(ks_valid)
         families = ["opt" if method == "exact" else method for _, method, _ in order]
-        # family runtime is shared across that family's rows in the cell
-        family_rows = {family: families.count(family) for family in families}
         for (metric, method, k), family in zip(order, families):
             values = [o[3][(metric, method, k)] for o in good if (metric, method, k) in o[3]]
             if not values:
@@ -361,7 +359,7 @@ def run_grid(
             arr = np.array(values)
             mean = float(arr.mean())
             stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-            runtime_ms = 1000.0 * family_time.get(family, 0.0) / family_rows[family]
+            runtime_ms = 1000.0 * family_time.get(family, 0.0) / len(good)
             result.rows.append(
                 AggregateRow(n=n, p=p, N=N, metric=metric, method=method, k=k, value=mean, stderr=stderr, instances=len(values), runtime_ms=runtime_ms)
             )
@@ -381,7 +379,10 @@ def emit_csv(result: GridResult, include_runtime: bool = False) -> str:
     """Render aggregates as CSV, one row per (cell, metric, method, k).
 
     Rows follow grid order, then a fixed metric/method order. Values carry
-    6 significant digits. Runtimes are wall-clock and therefore not
+    6 significant digits. runtime_ms is the mean wall-clock milliseconds
+    per non-excluded instance of the cell spent in the row's method family
+    (mid, lp, mm or opt, the whole family's stage, all k included), so
+    every row of a family in a cell reads the same. Runtimes are not
     reproducible run to run; the column is left empty unless explicitly
     requested, keeping default output byte-identical for a fixed grid and
     seed regardless of worker count.

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-import math
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
@@ -222,27 +221,20 @@ def validate_k(spec: ProblemSpec, k: int) -> bool:
     return k <= min_solution_cardinality(spec)
 
 
-def enumerate_solutions(spec: ProblemSpec, limit: Optional[int] = None):
+def enumerate_solutions(spec: ProblemSpec):
     """Yield every feasible solution (exhaustive; intended for oracles and
-    exact solves at desk scale). Raises if a limit is given and exceeded."""
+    exact solves at desk scale)."""
     if isinstance(spec, Selection):
-        total = math.comb(spec.n, spec.p)
-        if limit is not None and total > limit:
-            raise ValueError(f"{total} solutions exceed limit {limit}")
         for combo in itertools.combinations(range(spec.n), spec.p):
             yield BinarySolution(combo)
         return
 
     out = _out_edges(spec)
-    count = 0
     # DFS over simple paths
     stack = [(spec.source, (), frozenset([spec.source]))]
     while stack:
         v, path, seen = stack.pop()
         if v == spec.sink:
-            count += 1
-            if limit is not None and count > limit:
-                raise ValueError(f"more than {limit} s-t paths")
             yield BinarySolution(path)
             continue
         for j, w in sorted(out.get(v, ()), reverse=True):

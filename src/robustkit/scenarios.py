@@ -15,7 +15,8 @@ separation oracle (for each scenario, the k items where c - t * c^i is
 smallest) finds the most violated row, and the LP is solved by
 warm-started row generation. The same constraint family with c held
 fixed gives a sharpened guarantee for any hull scenario (in particular
-the midpoint), computed here by bisection on t with that oracle.
+the midpoint): the smallest subset-sum ratio, found exactly by
+Dinkelbach's min-ratio iteration with that oracle.
 """
 
 from __future__ import annotations
@@ -28,8 +29,6 @@ import numpy as np
 from .core import EPS_CMP, EPS_CUT, ConvexWeights, Scenario, UncertaintySet
 from .lp import EQ, LE, LinearProgram, LpError, solve_lp
 from .problems import ProblemSpec, max_solution_cardinality_bound, validate_k
-
-SUPPORTED_K = (1, 2, 3)
 
 
 def midpoint_scenario(u: UncertaintySet) -> Scenario:
@@ -121,8 +120,6 @@ def construct_lp_scenario(u: UncertaintySet, spec: ProblemSpec, k: int) -> Tuple
     added one at a time, each the most violated one at the current
     optimum, until none is violated by more than EPS_CUT.
     """
-    if k not in SUPPORTED_K:
-        raise ValueError(f"k must be one of {SUPPORTED_K}, got {k}")
     if not validate_k(spec, k):
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
 
@@ -155,12 +152,17 @@ def fixed_scenario_guarantee(u: UncertaintySet, c, k: int) -> float:
     """Sharpened guarantee 1/t for a fixed scenario, keeping only t variable.
 
     t is the largest value satisfying t * sum_S c^i <= sum_S c for all
-    scenarios i and |S| = k, i.e. the smallest subset-sum ratio. Found by
-    bisection on [0, 1] with the k-smallest separation check (the cap at
-    1 is exact whenever c dominates no scenario strictly), then snapped to
-    the exact critical ratio. Returns +inf when some scenario has positive
-    cost on a subset where c has none. The scenario must lie in the convex
-    hull of u for the guarantee to be meaningful; that is the caller's
+    scenarios i and |S| = k, i.e. the smallest subset-sum ratio, capped
+    at 1 (exact whenever c dominates no scenario strictly). Dinkelbach's
+    iteration finds it: starting at t = 1, while the most violated
+    constraint at t is violated beyond a rounding tolerance, t moves to
+    that constraint's ratio sum_S c / sum_S c^i. A violated constraint has
+    a ratio strictly below t, so t runs down the finite set of subset
+    ratios and stops at the smallest one, usually within two or three
+    steps; a step that fails to lower t in floating point raises LpError
+    rather than loop. Returns +inf when some scenario has positive cost on
+    a subset where c has none. The scenario must lie in the convex hull
+    of u for the guarantee to be meaningful; that is the caller's
     responsibility (it holds for midpoint and LP scenarios).
     """
     if k < 1:
@@ -171,32 +173,17 @@ def fixed_scenario_guarantee(u: UncertaintySet, c, k: int) -> float:
     costs = u.costs
     tol = 1e-12 * max(1.0, float(values.max(initial=0.0)) * k)
 
-    def feasible(t):
-        violation, _, _ = _most_violated(costs, values, t, k)
-        return violation <= tol
-
-    if feasible(1.0):
-        return 1.0
-    lo, hi = 0.0, 1.0
-    for _ in range(48):
-        mid = 0.5 * (lo + hi)
-        if feasible(mid):
-            lo = mid
-        else:
-            hi = mid
-    # snap to the exact breakpoint: the critical constraint's subset-sum
-    # ratio lies in [lo, hi] and is optimal iff feasible
-    for _ in range(64):
-        _, i, subset = _most_violated(costs, values, hi, k)
-        den = float(costs[i, list(subset)].sum())
-        if den <= 0.0:
-            break
-        ratio = float(values[list(subset)].sum()) / den
-        if ratio <= 0.0:
+    t = 1.0
+    while True:
+        violation, i, subset = _most_violated(costs, values, t, k)
+        if violation <= tol:
+            return 1.0 / t
+        cols = list(subset)
+        # a violated row with a positive numerator has a positive denominator
+        num = float(values[cols].sum())
+        if num <= 0.0:
             return math.inf
-        if feasible(ratio):
-            return 1.0 / ratio
-        hi = ratio
-    if lo <= 0.0:
-        return math.inf
-    return 1.0 / lo
+        ratio = num / float(costs[i, cols].sum())
+        if not ratio < t:
+            raise LpError(f"min-ratio iteration stalled at t={t}: violation {violation} with ratio {ratio}")
+        t = ratio

@@ -151,7 +151,7 @@ def test_criterion_4_guarantee_properties():
             if not rk.upper_bound(u, x_wc) <= rk.worstcase_apriori_bound(u, spec) * opt + tol:
                 violations += 1
 
-            mm = rk.maxmin_lower_bound(u, spec)
+            mm = rk.maxmin_certificate(u, spec)[0]
             lb_mid = rk.lower_bound(u, mid, lam_mid, x_mid)
             if not lb_mid <= mm + rk.EPS_CMP:
                 violations += 1

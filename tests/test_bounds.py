@@ -146,7 +146,7 @@ class TestMaxMin:
         nominal_at_c2 = min(sum(c2[list(combo)]) for combo in itertools.combinations(range(4), 2))
         assert nominal_at_c2 == 10.0
         opt, _ = rk.exact_minmax(u, spec)
-        value = rk.maxmin_lower_bound(u, spec)
+        value = rk.maxmin_certificate(u, spec)[0]
         assert value == pytest.approx(10.0, abs=1e-9)
         assert value <= opt + 1e-9
 
@@ -154,7 +154,7 @@ class TestMaxMin:
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
         x = rk.nominal_solve(spec, u.scenario(0))
-        assert rk.maxmin_lower_bound(u, spec) == pytest.approx(x.cost(u.costs[0]))
+        assert rk.maxmin_certificate(u, spec)[0] == pytest.approx(x.cost(u.costs[0]))
 
     def test_against_grid_oracle(self):
         rng = np.random.default_rng(808)
@@ -165,7 +165,7 @@ class TestMaxMin:
             lam = np.array(comp) / 50.0
             values = lam @ u.costs
             grid_best = max(grid_best, float(np.sort(values)[:3].sum()))
-        value = rk.maxmin_lower_bound(u, spec)
+        value = rk.maxmin_certificate(u, spec)[0]
         opt, _ = rk.exact_minmax(u, spec)
         assert value >= grid_best - 1e-6  # grid is a lower bound on the LP optimum
         assert value <= opt + 1e-6
@@ -175,7 +175,7 @@ class TestMaxMin:
         for _ in range(10):
             u = rk.UncertaintySet(rng.integers(0, 101, size=(5, 7)).astype(float))
             spec = rk.Selection(n=7, p=3)
-            value = rk.maxmin_lower_bound(u, spec)
+            value = rk.maxmin_certificate(u, spec)[0]
             mid = rk.midpoint_scenario(u)
             xatmid = rk.nominal_solve(spec, mid)
             assert rk.lower_bound(u, mid, rk.ConvexWeights.uniform(5), xatmid) <= value + 1e-6
@@ -187,7 +187,7 @@ class TestMaxMin:
         spec = rk.ShortestPath(edges=((0, 1), (1, 2)), source=0, sink=2)
         u = rk.UncertaintySet(np.array([[1.0, 2.0]]))
         with pytest.raises(ValueError, match="selection"):
-            rk.maxmin_lower_bound(u, spec)
+            rk.maxmin_certificate(u, spec)
 
     def test_weights_certify_the_bound(self, table1):
         u, spec = table1
@@ -262,6 +262,17 @@ class TestExactMinMax:
         opt, solution = rk.exact_minmax(u, spec)
         assert (opt, solution.selected) == vectorized_brute_force(u, spec)
 
+    def test_deep_instances_need_no_recursion(self):
+        # the search stack grows with n, far beyond Python's recursion limit
+        assert rk.exact_minmax(rk.UncertaintySet(np.ones((2, 1500))), rk.Selection(1500, 2)) == (
+            2.0,
+            rk.BinarySolution((0, 1)),
+        )
+        assert rk.exact_minmax(rk.UncertaintySet(np.ones((2, 1500))), rk.Selection(1500, 1500)) == (
+            1500.0,
+            rk.BinarySolution(tuple(range(1500))),
+        )
+
     def test_budget_refusal(self):
         u = rk.UncertaintySet(np.ones((1, 40)))
         with pytest.raises(BudgetError, match="exceed"):
@@ -315,7 +326,7 @@ class TestSandwich:
             u = rk.UncertaintySet(rng.integers(0, 101, size=(n_scen, n)).astype(float))
             spec = rk.Selection(n=n, p=3)
             opt, _ = rk.exact_minmax(u, spec)
-            mm = rk.maxmin_lower_bound(u, spec)
+            mm = rk.maxmin_certificate(u, spec)[0]
 
             mid = rk.midpoint_scenario(u)
             lam_mid = rk.ConvexWeights.uniform(n_scen)

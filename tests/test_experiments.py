@@ -1,5 +1,6 @@
 import csv
 import io
+import itertools
 import math
 import multiprocessing
 import os
@@ -122,6 +123,22 @@ class TestRunGrid:
         keys = {(r.metric, r.method, r.k) for r in result.rows}
         assert ("apriori", "lp", 3) not in keys
         assert ("apriori", "lp", 2) in keys
+
+    def test_subset_size_above_three(self):
+        grid = rk.ExperimentGrid(cells=[(10, 5, 10)], instance_count=3, master_seed=4, ks=(4,))
+        result = rk.run_grid(grid)
+        assert result.failures == {}
+        assert result.rows and all(r.instances == 3 for r in result.rows)
+        assert result.value(10, 5, 10, "apriori", "lp", 4) <= result.value(10, 5, 10, "apriori", "mid", 4)
+
+    def test_runtime_is_mean_ms_per_instance_and_family(self, monkeypatch):
+        # every family stage reads the clock twice, so each lasts exactly 1 s
+        ticks = itertools.count(0.0)
+        monkeypatch.setattr("robustkit.experiments.time.perf_counter", lambda: next(ticks))
+        grid = rk.ExperimentGrid(cells=[(5, 2, 3)], instance_count=3, master_seed=31)
+        result = rk.run_grid(grid, workers=1)
+        assert result.rows
+        assert all(r.runtime_ms == 1000.0 for r in result.rows)
 
     def test_exact_budget_skips_opt(self):
         grid = rk.ExperimentGrid(cells=[(10, 3, 2)], instance_count=2, master_seed=5, exact_budget=10)

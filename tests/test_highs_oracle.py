@@ -42,6 +42,14 @@ def test_construction_t_star_matches_highs(k):
         assert abs(t_star - highs_max(eager_scenario_lp(u, k))) <= 1e-9
 
 
+def test_construction_t_star_beyond_k3_matches_highs():
+    n, p, N = 10, 5, 10
+    for i in range(3):
+        u, spec = rk.generate_instance(n, p, N, derive_seed(7, n, p, N, i))
+        t_star, _, _ = rk.construct_lp_scenario(u, spec, 4)
+        assert abs(t_star - highs_max(eager_scenario_lp(u, 4))) <= 1e-9
+
+
 def test_maxmin_certificate_matches_highs():
     for u, spec in cell_instances():
         value, lam = rk.maxmin_certificate(u, spec)

@@ -192,7 +192,7 @@ class TestConstructLpScenario:
         u, spec = table1
         with pytest.raises(ValueError, match="cardinality"):
             rk.construct_lp_scenario(u, spec, 3)  # exceeds p = 2
-        with pytest.raises(ValueError, match="one of"):
+        with pytest.raises(ValueError, match="cardinality"):
             rk.construct_lp_scenario(u, spec, 4)
 
     def test_scenario_is_hull_combination(self, table1):
@@ -273,3 +273,43 @@ class TestFixedScenarioGuarantee:
     @given(u=uncertainty_sets)
     def test_worstcase_always_one(self, u):
         assert rk.fixed_scenario_guarantee(u, rk.worstcase_scenario(u), 1) == 1.0
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_matches_enumeration_on_tie_heavy_hull_scenarios(self, data):
+        n = data.draw(st.integers(1, 7), label="n")
+        n_scen = data.draw(st.integers(1, 5), label="N")
+        rows = data.draw(
+            st.lists(st.lists(st.integers(0, 5), min_size=n, max_size=n), min_size=n_scen, max_size=n_scen),
+            label="costs",
+        )
+        costs = np.array(rows, dtype=float)
+        if data.draw(st.booleans(), label="fractional"):
+            costs = costs / 7
+        u = rk.UncertaintySet(costs)
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="weights seed"))
+        lam = rng.dirichlet(np.ones(n_scen))
+        if n_scen > 1 and data.draw(st.booleans(), label="on a face"):
+            lam[data.draw(st.integers(0, n_scen - 1), label="zeroed")] = 0.0
+            lam = lam / lam.sum()
+        values = lam @ u.costs
+        k = data.draw(st.integers(1, min(n, 4)), label="k")
+        ref = exhaustive_guarantee(u, values, k)
+        got = rk.fixed_scenario_guarantee(u, values, k)
+        if math.isinf(ref):
+            assert math.isinf(got)
+        else:
+            assert got == pytest.approx(ref, rel=1e-12)
+
+    def test_stalled_iteration_raises(self, table1, monkeypatch):
+        # an oracle that keeps reporting the same violated row would pin t
+        calls = itertools.count()
+
+        def stuck(costs, values, t, k):
+            assert next(calls) < 10, "the iteration did not stop"
+            return 1.0, 0, (0,)
+
+        monkeypatch.setattr("robustkit.scenarios._most_violated", stuck)
+        u, _ = table1
+        with pytest.raises(rk.LpError, match="stalled"):
+            rk.fixed_scenario_guarantee(u, rk.midpoint_scenario(u), 1)
