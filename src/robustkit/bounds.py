@@ -5,12 +5,13 @@ bounds from the nominal value of a scenario certified inside the convex
 hull of the set. The hull-wide best lower bound (max over hull scenarios
 of the nominal optimum) is computed compactly by dualizing the nominal
 LP, and an exhaustive enumerator provides exact optima for verification
-at desk scale. For selection it is a depth-first search that prunes a
-partial subset when, even adding in every scenario the sum of the r
-smallest remaining costs for its r missing items, the worst case exceeds
-the incumbent; the last missing item is evaluated for all candidates in
-one numpy step. Pruning is strict, so ties with the incumbent are still
-visited and resolve to the lexicographically smallest subset.
+at desk scale. For selection it is a depth-first search over blocks of
+sibling nodes, one numpy step per block: a partial subset is pruned when,
+even adding in every scenario the sum of the r smallest remaining costs
+for its r missing items, the worst case exceeds the incumbent. A beam
+dive seeds the incumbent, and the last missing item is evaluated for a
+whole block at once. Pruning is strict, so ties with the incumbent are
+still visited and resolve to the lexicographically smallest subset.
 """
 
 from __future__ import annotations
@@ -35,6 +36,8 @@ from .scenarios import fixed_scenario_guarantee
 
 # Hard cap on exhaustive enumeration (feasible solutions examined).
 MAX_ENUMERATION = 20_000_000
+# Floats per block expansion in the selection search (256 KiB per array).
+_BLOCK_CELLS = 1 << 15
 
 
 class BudgetError(RuntimeError):
@@ -138,18 +141,31 @@ def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySol
     exceeds MAX_ENUMERATION; s-t paths are enumerated in a single pass.
 
     Selection is a depth-first search over items in ascending midpoint
-    order, seeded with the midpoint solution as incumbent. A node holds
-    acc, the per-scenario costs of the items taken so far. Any completion
-    with r more items from the remaining positions adds, in every
-    scenario, at least the sum of the r smallest remaining costs, so the
-    node is pruned when acc plus that sum exceeds the incumbent in some
-    scenario. The comparison is strict, with a relative margin above the
-    rounding of the two sums, so a completion that ties the incumbent is
-    never pruned and the tie-break still sees it. When one item is
-    missing, all completions are evaluated in one numpy step and taken in
-    visiting order. A value is acc plus the item costs added in midpoint
-    order, the incumbent's included, so fractional costs give the same
-    bits on every path.
+    order. A node holds pos, the next position it may take, and acc, the
+    per-scenario costs of the items taken so far; every node of a stack
+    entry has the same number r of items missing. Any completion adds, in
+    every scenario, at least the sum of the r smallest costs from pos on,
+    so a node is pruned when acc plus that sum exceeds the incumbent in
+    some scenario. The comparison is strict, with a relative margin above
+    the rounding of the two sums, so a node below which a leaf ties the
+    incumbent is never pruned. The table of those sums keeps, per pos,
+    only the r a node there can have, at most min(p, n - p) + 1 of them.
+
+    A popped block is filtered with the current incumbent, then all its
+    children (item j >= pos taken, room left for r - 1 more) are valued
+    in one numpy step, and the survivors go back on the stack in blocks
+    of at most _BLOCK_CELLS // (n N) nodes, the first child on top. That
+    budget bounds the arrays of one step at max(_BLOCK_CELLS, n N)
+    floats, whatever C(n, p) is. At the last level the children are
+    leaves: the block's smallest value is taken, and among the leaves that
+    tie it, the smallest sorted index tuple. The incumbent is seeded by a
+    beam dive that keeps, level by level, the block budget's worth of
+    children with the smallest bound; when it never drops a child it has
+    seen every leaf and is the answer. The result is the lexicographic
+    minimum over all leaves whatever the visiting order, because every
+    leaf at or below the incumbent is reached and compared by the same
+    (value, tuple) rule. A value is acc plus the item costs added in
+    midpoint order, so fractional costs give the same bits on every path.
     """
     if isinstance(spec, Selection):
         return _exact_selection(u, spec)
@@ -164,44 +180,91 @@ def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinaryS
     if total > MAX_ENUMERATION:
         raise BudgetError(f"C({n},{p}) = {total} subsets exceed the enumeration cap {MAX_ENUMERATION}")
 
+    n_scen = u.n_scenarios
     mid = u.costs.mean(axis=0)
     order = np.lexsort((np.arange(n), mid))
-    costs = u.costs[:, order]
-    # low[pos, r]: per scenario, the sum of the r smallest costs among
-    # positions pos..n-1; inf where fewer than r remain
-    low = np.full((n + 1, p + 1, u.n_scenarios), np.inf)
-    low[:, 0] = 0.0
-    for pos in range(n):
-        tail = np.sort(costs[:, pos:], axis=1)[:, :p]
-        low[pos, 1 : tail.shape[1] + 1] = np.cumsum(tail, axis=1).T
+    costs = np.ascontiguousarray(u.costs[:, order].T)  # row j: item j's costs, midpoint order
+    rows = max(1, _BLOCK_CELLS // (n * n_scen))
+    # a node at pos with r items missing has max(0, p - pos) <= r <= min(p, n - pos);
+    # low[pos, r - base[pos]] holds, per scenario, the sum of the r smallest
+    # costs among positions pos..n-1, from the suffix recurrence
+    # S(pos, r) = min(S(pos + 1, r), costs[pos] + S(pos + 1, r - 1))
+    base = np.maximum(0, p - np.arange(n + 1))
+    width = min(p, n - p) + 1
+    low = np.full((n + 1, width, n_scen), np.inf)
+    suffix = np.full((p + 1, n_scen), np.inf)  # S(pos, 0..p)
+    suffix[0] = 0.0
+    low[n, 0] = 0.0
+    for pos in range(n - 1, -1, -1):
+        np.minimum(suffix[1:], costs[pos] + suffix[:-1], out=suffix[1:])
+        band = suffix[base[pos] : base[pos] + width]
+        low[pos, : len(band)] = band
     # the bound and a completion's value sum the same kind of nonnegative
     # terms in different orders; each is within a relative n*eps of exact
     margin = 1.0 + 4 * n * np.finfo(float).eps
 
-    # seed the incumbent with the midpoint solution, valued like the search
-    x0 = nominal_solve(spec, mid)
-    rank = np.argsort(order)
-    best_val = float(np.cumsum(costs[:, np.sort(rank[list(x0.selected)])], axis=1)[:, -1].max())
-    best_sol = x0.selected
+    def expand(pos, acc, r):
+        """Children of a block of nodes with r items missing, as an (F, J) grid.
 
-    # explicit depth-first stack of (pos, taken, acc, chosen); the skip
-    # child is pushed before the take child, so taking is explored first
-    stack = [(0, 0, np.zeros(u.n_scenarios), ())]
+        Column j - lo takes item j, for j from lo = min(pos) up to n - r,
+        which leaves room for the r - 1 items still missing. An entry is the
+        worst case of the child's acc plus, above the last level, its
+        completion bound; it is inf where j < pos[f].
+        """
+        lo = int(pos.min())
+        j = np.arange(lo, n - r + 1)
+        add = costs[j] if r == 1 else costs[j] + low[j + 1, r - 1 - base[j + 1]]
+        values = (acc[:, None, :] + add).max(axis=2)
+        values[j < pos[:, None]] = np.inf
+        return lo, values
+
+    def take(acc, chosen, f, j):
+        return j + 1, acc[f] + costs[j], np.column_stack((chosen[f], j))
+
+    def best_leaf(chosen, lo, values):
+        """Smallest leaf value and the smallest sorted index tuple among its ties."""
+        value = values.min()
+        f, j = np.nonzero(values == value)
+        tuples = np.sort(order[np.column_stack((chosen[f], j + lo))], axis=1)
+        first = np.lexsort(tuples.T[::-1])[0]
+        return float(value), tuple(int(i) for i in tuples[first])
+
+    root = (np.zeros(1, dtype=np.intp), np.zeros((1, n_scen)), np.zeros((1, 0), dtype=np.intp))
+
+    # seed the incumbent with a beam dive: the rows children of smallest
+    # bound at each level, then the best leaf below them
+    pos, acc, chosen = root
+    complete = True  # no child dropped: the dive has seen every leaf
+    for r in range(p, 1, -1):
+        lo, values = expand(pos, acc, r)
+        valid = int(np.isfinite(values).sum())
+        complete = complete and valid <= rows
+        f, j = np.divmod(np.argsort(values, axis=None, kind="stable")[: min(rows, valid)], values.shape[1])
+        pos, acc, chosen = take(acc, chosen, f, j + lo)
+    best_val, best_sol = best_leaf(chosen, *expand(pos, acc, 1))
+
+    # depth-first over blocks of sibling nodes (pos, acc, chosen positions),
+    # all with the same number of items missing
+    stack = [] if complete else [root]
     while stack:
-        pos, taken, acc, chosen = stack.pop()
-        if float((acc + low[pos, p - taken]).max()) > best_val * margin:
-            continue
-        if taken == p - 1:
-            values = (acc[:, None] + costs[:, pos:]).max(axis=0)
-            for col in np.nonzero(values <= best_val)[0]:
-                value = float(values[col])
-                candidate = tuple(sorted(chosen + (int(order[pos + col]),)))
+        pos, acc, chosen = stack.pop()
+        r = p - chosen.shape[1]
+        live = (acc + low[pos, r - base[pos]]).max(axis=1) <= best_val * margin
+        if not live.all():
+            pos, acc, chosen = pos[live], acc[live], chosen[live]
+            if not len(pos):
+                continue
+        lo, values = expand(pos, acc, r)
+        if r == 1:
+            if values.min() <= best_val:
+                value, candidate = best_leaf(chosen, lo, values)
                 if value < best_val or (value == best_val and candidate < best_sol):
-                    best_val = value
-                    best_sol = candidate
+                    best_val, best_sol = value, candidate
             continue
-        stack.append((pos + 1, taken, acc, chosen))
-        stack.append((pos + 1, taken + 1, acc + costs[:, pos], chosen + (int(order[pos]),)))
+        f, j = np.nonzero(values <= best_val * margin)
+        pos, acc, chosen = take(acc, chosen, f, j + lo)
+        for start in range((len(f) - 1) // rows * rows, -1, -rows):
+            stack.append((pos[start : start + rows], acc[start : start + rows], chosen[start : start + rows]))
     return best_val, BinarySolution(best_sol)
 
 

@@ -5,9 +5,12 @@ The generator is SplitMix64, a named counter-based 64-bit generator whose
 whole stream is pinned down by a handful of multiply-xor-shift constants,
 so a reimplementation in any language can match it bit for bit. Integers
 in range come from masked rejection sampling (never modulo): draw the low
-bits of the next output and reject values above the range. Per-instance
-seeds are derived from (master_seed, n, p, N, instance_id), which makes
-every instance independent of worker scheduling.
+bits of the next output and reject values above the range. Output k of
+the stream is mix64(seed + k * gamma), so generate_instance mixes whole
+batches of counters as uint64 arrays and keeps the accepted draws in
+order: the stream of SplitMix64.randint_upto, drawn in batches.
+Per-instance seeds are derived from (master_seed, n, p, N, instance_id),
+which makes every instance independent of worker scheduling.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ COST_MAX = 100  # item costs are drawn from {0, ..., COST_MAX}
 
 
 def _mix64(z: int) -> int:
-    """SplitMix64 finalizer (Steele, Lea & Flood's constants)."""
+    """SplitMix64 finalizer (Steele, Lea & Flood's constants), on an int or a uint64 array."""
     z &= _MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
@@ -81,12 +84,19 @@ def generate_instance(n: int, p: int, N: int, seed: int) -> Tuple[UncertaintySet
     spec = Selection(n=n, p=p)
     if N < 1:
         raise ValueError(f"N must be >= 1, got {N}")
-    rng = SplitMix64(seed)
-    costs = np.empty((N, n))
-    for i in range(N):
-        for j in range(n):
-            costs[i, j] = rng.randint_upto(COST_MAX)
-    return UncertaintySet(costs), spec
+    needed = N * n
+    mask = (1 << COST_MAX.bit_length()) - 1
+    kept = np.empty(0, dtype=np.uint64)
+    drawn = 0
+    while len(kept) < needed:
+        # expected draws for the missing values plus about three standard deviations
+        missing = needed - len(kept)
+        batch = missing * (mask + 1) // (COST_MAX + 1) + 4 * math.isqrt(missing) + 4
+        counters = np.arange(drawn + 1, drawn + batch + 1, dtype=np.uint64)
+        draws = _mix64((seed & _MASK64) + counters * _GOLDEN) & mask
+        kept = np.concatenate((kept, draws[draws <= COST_MAX]))
+        drawn += batch
+    return UncertaintySet(kept[:needed].reshape(N, n).astype(float)), spec
 
 
 # ---------------------------------------------------------------------------

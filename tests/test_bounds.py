@@ -1,5 +1,7 @@
 import itertools
 import math
+import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -272,6 +274,38 @@ class TestExactMinMax:
             1500.0,
             rk.BinarySolution(tuple(range(1500))),
         )
+
+    @pytest.mark.parametrize("n_scen", [2, 8])
+    def test_deep_instances_stay_small(self, n_scen):
+        # the bound table holds only the reachable band of missing counts,
+        # and every block stays within the block budget
+        u = rk.UncertaintySet(np.ones((n_scen, 1500)))
+        tracemalloc.start()
+        try:
+            for p in (2, 1500):
+                assert rk.exact_minmax(u, rk.Selection(1500, p))[0] == float(p)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 16 * 2**20
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data(), st.booleans())
+    def test_one_node_blocks_agree(self, data, fractional):
+        # with a budget of one cell every block is one node and the beam is
+        # one wide; ties must still resolve to the same subset
+        costs, spec = tie_heavy_selection(data)
+        u = rk.UncertaintySet(costs / 7 if fractional else costs)
+        opt, solution = rk.exact_minmax(u, spec)
+        with mock.patch.object(bounds_module, "_BLOCK_CELLS", 1):
+            assert rk.exact_minmax(u, spec) == (opt, solution)
+
+    @pytest.mark.parametrize("block_cells", [1, 1 << 12])
+    def test_mid_pool_cell_with_small_blocks(self, monkeypatch, block_cells):
+        monkeypatch.setattr(bounds_module, "_BLOCK_CELLS", block_cells)
+        u, spec = rk.generate_instance(20, 6, 50, seed=5)
+        opt, solution = rk.exact_minmax(u, spec)
+        assert (opt, solution.selected) == vectorized_brute_force(u, spec)
 
     def test_budget_refusal(self):
         u = rk.UncertaintySet(np.ones((1, 40)))

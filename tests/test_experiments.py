@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 import robustkit as rk
+from robustkit import experiments as experiments_module
 from robustkit.experiments import InvariantError, SplitMix64, _mix64, _spot_check, derive_seed
 
 
@@ -87,6 +88,40 @@ class TestGenerateInstance:
             total += u.costs.sum()
             count += u.costs.size
         assert 48.0 <= total / count <= 52.0
+
+    @staticmethod
+    def scalar_reference(n, N, seed):
+        rng = SplitMix64(seed)
+        costs = [[rng.randint_upto(experiments_module.COST_MAX) for _ in range(n)] for _ in range(N)]
+        return np.array(costs, dtype=float)
+
+    @pytest.mark.parametrize(
+        "n, p, N, seed",
+        [(1, 1, 1, 0), (4, 2, 3, 12), (10, 3, 10, 7), (20, 6, 50, 2**64 - 1), (30, 9, 100, 123456789)],
+    )
+    def test_batches_match_scalar_stream(self, n, p, N, seed):
+        u, spec = rk.generate_instance(n, p, N, seed)
+        assert (spec.n, spec.p) == (n, p)
+        assert np.array_equal(u.costs, self.scalar_reference(n, N, seed))
+
+    @pytest.mark.parametrize("cost_max", [0, 1, 64, 127])
+    def test_every_mask_and_the_top_up(self, monkeypatch, cost_max):
+        # one value per instance: at cost_max 64 about half the draws are
+        # rejected, so a few seeds in a thousand need a second batch
+        monkeypatch.setattr(experiments_module, "COST_MAX", cost_max)
+        mixes = []
+        real = experiments_module._mix64
+        monkeypatch.setattr(experiments_module, "_mix64", lambda z: mixes.append(1) or real(z))
+        topped_up = 0
+        for seed in range(1000):
+            mixes.clear()
+            u, _ = rk.generate_instance(1, 1, 1, seed)
+            topped_up += len(mixes) > 1
+            assert np.array_equal(u.costs, self.scalar_reference(1, 1, seed))
+        for seed in (5, 2**63):
+            u, _ = rk.generate_instance(7, 3, 6, seed)
+            assert np.array_equal(u.costs, self.scalar_reference(7, 6, seed))
+        assert (topped_up > 0) == (cost_max == 64)
 
 
 class TestRunGrid:
