@@ -1,17 +1,22 @@
 """Self-contained dense-tableau simplex solver.
 
 Two-phase method (no Big-M: large constants interact badly with cost
-magnitudes) with Bland's anti-cycling pivot rule, which also makes every
-solve deterministic: identical input yields the identical pivot sequence.
-Built for the desk-scale programs produced by scenario construction and
-the max-min bound; there is deliberately no sparse algebra or integer
-support.
+magnitudes). The entering column follows Dantzig's rule, the most
+negative reduced cost; after a streak of degenerate pivots it switches
+to Bland's rule until a pivot makes progress, which rules out cycling
+(Chvatal, *Linear Programming*, 1983, ch. 3). Every tie goes to the
+smallest index, so the solves are deterministic: identical input yields
+the identical pivot sequence. Built for the desk-scale programs produced
+by scenario construction and the max-min bound; there is deliberately no
+sparse algebra or integer support.
 
 Row generation is warm-started: `solve_lp(lp, row_source)` keeps the
 optimal tableau, appends each violated row written in the current basis
 with a fresh basic slack, and restores primal feasibility with dual
-simplex pivots, which keep the reduced costs optimal (Chvatal, *Linear
-Programming*, 1983, ch. 10). No solve restarts from scratch.
+simplex pivots, which keep the reduced costs optimal (Chvatal, ch. 10).
+The dual leaving row is the most infeasible one, with the same fallback
+to the smallest basic index (the dual Bland rule) after a streak of
+dual-degenerate pivots. No solve restarts from scratch.
 """
 
 from __future__ import annotations
@@ -28,6 +33,8 @@ LE = "<="
 EQ = "=="
 
 _PIVOT_TOL = 1e-9
+# Consecutive degenerate pivots after which pricing falls back to Bland's rule.
+_DEGENERATE_STREAK = 50
 
 
 class LpError(RuntimeError):
@@ -102,6 +109,7 @@ class LpSolution:
     x: Optional[np.ndarray] = None
     objective: Optional[float] = None
     iterations: int = 0  # primal plus dual simplex pivots over the whole call
+    rounds: int = 0  # rows the row source appended
 
 
 RowSource = Callable[[np.ndarray], Optional[Tuple[np.ndarray, str, float]]]
@@ -125,19 +133,28 @@ def _pivot_cap(T: np.ndarray) -> int:
 
 
 def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
-    """Pivot the tableau to optimality (max sense, z-c objective row)."""
+    """Pivot the tableau to optimality (max sense, z-c objective row).
+
+    The entering column has the most negative reduced cost, ties going to
+    the smallest column; after _DEGENERATE_STREAK consecutive degenerate
+    pivots it is the smallest improving column (Bland) until a pivot moves
+    the basic solution. The leaving row has the minimum ratio, ties going
+    to the smallest basic index.
+    """
     m = len(basis)
     iterations = 0
+    streak = 0  # consecutive degenerate pivots
     while True:
         obj = T[-1, :-1]
-        improving = np.nonzero(obj < -_PIVOT_TOL)[0]
-        if improving.size == 0:
+        col = int(np.argmin(obj))  # a NaN reduced cost is the argmin
+        if not obj[col] < -_PIVOT_TOL:
             # optimality certificate: no nonbasic variable has an improving
             # reduced cost beyond tolerance, and none is NaN
             if not np.all(np.isfinite(obj)):
                 raise LpError("non-finite reduced costs")
             return "optimal", iterations
-        col = int(improving[0])  # Bland: smallest improving index
+        if streak >= _DEGENERATE_STREAK:
+            col = int(np.argmax(obj < -_PIVOT_TOL))  # Bland: smallest improving index
         colvals = T[:m, col]
         positive = colvals > _PIVOT_TOL
         if not positive.any():
@@ -146,8 +163,9 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
         ratios[positive] = T[:m, -1][positive] / colvals[positive]
         best = ratios.min()
         ties = np.nonzero(ratios == best)[0]
-        row = int(min(ties, key=lambda r: basis[r]))  # Bland: smallest basic index leaves
+        row = int(min(ties, key=lambda r: basis[r]))  # smallest basic index leaves
         _pivot(T, basis, row, col)
+        streak = streak + 1 if best <= _PIVOT_TOL else 0
         iterations += 1
         if iterations > max_iter:
             raise LpError(f"simplex exceeded {max_iter} pivots")
@@ -156,17 +174,25 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
 def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
     """Pivot a tableau with optimal reduced costs back to primal feasibility.
 
-    The leaving row is the infeasible one (rhs below -_PIVOT_TOL) with the
-    smallest basic index. The entering column minimizes reduced cost over
-    minus the row's entry among the row's negative entries, ties going to
-    the smallest column, which keeps every reduced cost nonnegative. A
-    leaving row without a negative entry proves the rows infeasible.
+    The leaving row is the most infeasible one (rhs furthest below
+    -_PIVOT_TOL), ties going to the smallest basic index; after
+    _DEGENERATE_STREAK consecutive dual-degenerate pivots (entering ratio
+    0) it is the infeasible row with the smallest basic index (the dual
+    Bland rule) until a pivot moves the objective. The entering column
+    minimizes reduced cost over minus the row's entry among the row's
+    negative entries, ties going to the smallest column, which keeps every
+    reduced cost nonnegative. A leaving row without a negative entry
+    proves the rows infeasible.
     """
     iterations = 0
+    streak = 0  # consecutive dual-degenerate pivots
     while True:
-        infeasible = np.nonzero(T[:-1, -1] < -_PIVOT_TOL)[0]
+        rhs = T[:-1, -1]
+        infeasible = np.nonzero(rhs < -_PIVOT_TOL)[0]
         if infeasible.size == 0:
             return "optimal", iterations
+        if streak < _DEGENERATE_STREAK:
+            infeasible = infeasible[rhs[infeasible] == rhs[infeasible].min()]
         row = int(min(infeasible, key=lambda r: basis[r]))
         rowvals = T[row, :-1]
         negative = rowvals < -_PIVOT_TOL
@@ -175,6 +201,7 @@ def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, 
         ratios = np.full(rowvals.shape[0], np.inf)
         ratios[negative] = T[-1, :-1][negative] / -rowvals[negative]
         col = int(np.argmin(ratios))  # first minimum: smallest column
+        streak = streak + 1 if ratios[col] <= _PIVOT_TOL else 0
         _pivot(T, basis, row, col)
         iterations += 1
         if iterations > max_iter:
@@ -255,7 +282,8 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     every row the source returned (or "infeasible" if those rows exclude
     every point). The caller's LP is not modified. A source that returns
     a row the point satisfies, or more than _MAX_ROUNDS rows, raises
-    LpError. iterations counts every primal and dual pivot.
+    LpError. iterations counts every primal and dual pivot, rounds every
+    row the source returned.
     """
     std = _standardize(lp)
     if std is None:
@@ -352,33 +380,42 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
 
-    work = lp if row_source is None else lp.copy()  # base rows plus generated rows
+    # base rows plus generated rows, as arrays that grow by one row per round
+    A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(-1, lp.n_vars)
+    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
+    eq = np.array([rel == EQ for _, rel, _ in lp.constraints], dtype=bool)
+    amax = np.abs(A).max(axis=1, initial=0.0)
+    rounds = 0
     while True:
         x = offsets + P @ _primal(T, basis, n_std)
-        _check_feasible(work, x)
+        _check_feasible(x, lp.lower, lp.upper, A, b, eq, amax)
         source_row = None if row_source is None else row_source(x)
         if source_row is None:
-            return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), iterations=iterations)
-        if len(work.constraints) - len(lp.constraints) == _MAX_ROUNDS:
+            return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), iterations=iterations, rounds=rounds)
+        if rounds == _MAX_ROUNDS:
             raise LpError(f"row generation did not terminate within {_MAX_ROUNDS} rounds")
         coeffs, rel, rhs = source_row
         if rel != LE:
             raise ValueError(f"row_source must return {LE!r} rows, got {rel!r}")
-        work.add_constraint(coeffs, rel, rhs)
-        coeffs, _, rhs = work.constraints[-1]
+        coeffs, _, rhs = lp._check_row(coeffs, rel, rhs)
         if not float(coeffs @ x) > rhs:
             raise LpError("row_source returned a constraint the current point satisfies")
+        A = np.vstack([A, coeffs])
+        b = np.append(b, rhs)
+        eq = np.append(eq, False)
+        amax = np.append(amax, np.abs(coeffs).max())
+        rounds += 1
         T = _append_row(T, basis, coeffs @ P, rhs - float(coeffs @ offsets))
         max_iter = _pivot_cap(T)
         status, its = _dual_simplex(T, basis, max_iter)
         iterations += its
         if status == "infeasible":
-            return LpSolution(status="infeasible", iterations=iterations)
+            return LpSolution(status="infeasible", iterations=iterations, rounds=rounds)
         # the reduced costs stayed optimal; this certifies them (normally 0 pivots)
         status, its = _run_simplex(T, basis, max_iter)
         iterations += its
         if status == "unbounded":
-            return LpSolution(status="unbounded", iterations=iterations)
+            return LpSolution(status="unbounded", iterations=iterations, rounds=rounds)
 
 
 def _primal(T: np.ndarray, basis: List[int], n_std: int) -> np.ndarray:
@@ -388,12 +425,16 @@ def _primal(T: np.ndarray, basis: List[int], n_std: int) -> np.ndarray:
     return np.maximum(y[:n_std], 0.0)
 
 
-def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
-    """Surface accumulated round-off as an error instead of a wrong answer."""
+def _check_feasible(x, lo, up, A, b, eq, amax) -> None:
+    """Surface accumulated round-off as an error instead of a wrong answer.
+
+    x must lie within the bounds [lo, up] and satisfy the rows A x <= b
+    (A x == b where eq), up to EPS_FEAS scaled by the row's magnitude;
+    amax holds each row's largest absolute coefficient.
+    """
     if not np.all(np.isfinite(x)):
         raise LpError("solution has non-finite values")
     xmag = float(np.abs(x).max()) if x.size else 0.0
-    lo, up = lp.lower, lp.upper
     tol = EPS_FEAS * np.maximum(max(1.0, xmag), np.where(np.isfinite(lo), np.abs(lo), 1.0))
     below, above = np.nonzero(x < lo - tol)[0], np.nonzero(x > up + tol)[0]
     if below.size:
@@ -402,13 +443,8 @@ def _check_feasible(lp: LinearProgram, x: np.ndarray) -> None:
     if above.size:
         j = above[0]
         raise LpError(f"variable {j} violates its upper bound: {x[j]} > {up[j]}")
-    if not lp.constraints:
-        return
-    A = np.array([coeffs for coeffs, _, _ in lp.constraints])
-    b = np.array([rhs for _, _, rhs in lp.constraints])
-    eq = np.array([rel == EQ for _, rel, _ in lp.constraints])
     lhs = A @ x
-    scale = np.maximum(np.maximum(1.0, np.abs(b)), np.abs(A).max(axis=1) * max(1.0, xmag))
+    scale = np.maximum(np.maximum(1.0, np.abs(b)), amax * max(1.0, xmag))
     excess = np.where(eq, np.abs(lhs - b), lhs - b)
     violated = np.nonzero(excess > EPS_FEAS * scale)[0]
     if violated.size:

@@ -53,12 +53,16 @@ def _most_violated(costs: np.ndarray, values: np.ndarray, t: float, k: int):
     (c_j - t * c^i_j). Ties resolve to the smallest scenario index (argmax
     takes the first maximum), then the smallest item indices (the sort is
     stable). Returns (violation, i, S) with S sorted.
+
+    The violations sum each row's k smallest values in ascending order, so
+    a partial partition suffices; only the winning row is sorted for S.
     """
     vals = values - t * costs
-    idx = np.argsort(vals, axis=1, kind="stable")[:, :k]
-    violations = -np.take_along_axis(vals, idx, axis=1).sum(axis=1)
+    smallest = np.sort(np.partition(vals, k - 1, axis=1)[:, :k], axis=1)
+    violations = -smallest.sum(axis=1)
     i = int(np.argmax(violations))
-    return float(violations[i]), i, tuple(sorted(int(j) for j in idx[i]))
+    idx = np.argsort(vals[i], kind="stable")[:k]
+    return float(violations[i]), i, tuple(sorted(int(j) for j in idx))
 
 
 def separation_oracle(
@@ -74,6 +78,8 @@ def separation_oracle(
         raise ValueError(f"t must be positive, got {t}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
+    if k > u.n_items:
+        raise ValueError(f"k={k} exceeds the item count {u.n_items}")
     values = c.values if isinstance(c, Scenario) else np.asarray(c, dtype=float)
     violation, i, subset = _most_violated(u.costs, values, t, k)
     if violation > EPS_CUT:

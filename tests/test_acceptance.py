@@ -6,6 +6,7 @@ complete. The statistical criteria share one 1000-instance run of the
 different worker count.
 """
 
+import hashlib
 import math
 import time
 from contextlib import contextmanager
@@ -219,6 +220,24 @@ def test_criterion_5_lp_engine():
             t_eager = eager_t_star(u, k)
             t_lazy, _, _ = rk.construct_lp_scenario(u, spec, k)
             assert abs(t_eager - t_lazy) <= 1e-7
+
+
+# SHA-256 of the reference CSV lines whose values the LP and enumeration
+# define uniquely: every apriori row, every */mid row, lb/mm and opt/exact.
+# The LP scenario's ub/lb/aposteriori rows and ub/mm may move when a new
+# pivoting rule lands an LP on an alternate optimal vertex.
+UNIQUE_ROWS_SHA256 = "cf70e9adadbfa0c8e5637cd923756e2a9bc3c8a9a784169a6d39a3de3f22846a"
+
+
+def test_uniquely_defined_rows_are_pinned(reference_grid_run):
+    _, csv_text, _ = reference_grid_run
+    unique = []
+    for line in csv_text.splitlines()[1:]:
+        metric, method = line.split(",")[3:5]
+        if metric == "apriori" or method == "mid" or (metric, method) in {("lb", "mm"), ("opt", "exact")}:
+            unique.append(line + "\n")
+    assert len(unique) == 11
+    assert hashlib.sha256("".join(unique).encode()).hexdigest() == UNIQUE_ROWS_SHA256
 
 
 def test_criterion_6_worker_determinism(reference_grid_run):

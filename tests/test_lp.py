@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 import robustkit as rk
 from robustkit import lp as lp_module
 from robustkit.core import EPS_CUT
+from robustkit.experiments import derive_seed, generate_instance
 from robustkit.lp import LpError
 from robustkit.scenarios import scenario_lp
 
@@ -342,3 +343,94 @@ class TestRowGeneration:
 
         with pytest.raises(LpError, match="3 rounds"):
             rk.solve_lp(lp, endless)
+
+
+def beale_lp():
+    """Beale's LP, on which Dantzig pricing with these tie-breaks cycles."""
+    lp = rk.LinearProgram(objective=[0.75, -20.0, 0.5, -6.0])
+    lp.add_constraint([0.25, -8.0, -1.0, 9.0], rk.LE, 0.0)
+    lp.add_constraint([0.5, -12.0, -0.5, 3.0], rk.LE, 0.0)
+    lp.add_constraint([0.0, 0.0, 1.0, 0.0], rk.LE, 1.0)
+    return lp
+
+
+def beale_dual_tableau():
+    """The dual of Beale's LP, max -b.y s.t. -A^T y <= -c, from the slack basis.
+
+    Its reduced costs b are optimal and the rows of x1 and x3 infeasible,
+    so the dual simplex runs Beale's primal pivots in mirror image.
+    """
+    lp = beale_lp()
+    A = np.array([coeffs for coeffs, _, _ in lp.constraints])
+    b = np.array([rhs for _, _, rhs in lp.constraints])
+    m, n = A.shape
+    T = np.zeros((n + 1, m + n + 1))
+    T[:n, :m], T[:n, m : m + n], T[:n, -1] = -A.T, np.eye(n), -lp.objective
+    T[-1, :m] = b
+    return T, list(range(m, m + n))
+
+
+class TestAntiCycling:
+    def test_beale_lp_terminates(self):
+        sol = rk.solve_lp(beale_lp())
+        assert sol.status == "optimal"
+        assert sol.objective == pytest.approx(1.25, abs=1e-12)
+
+    def test_beale_lp_cycles_without_bland_fallback(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_DEGENERATE_STREAK", 10**9)
+        with pytest.raises(LpError, match="exceeded .* pivots"):
+            rk.solve_lp(beale_lp())
+
+    def test_dual_of_beale_terminates(self):
+        T, basis = beale_dual_tableau()
+        status, _ = lp_module._dual_simplex(T, basis, 1_000)
+        assert status == "optimal"
+        assert np.all(T[:-1, -1] >= -1e-9) and np.all(T[-1, :-1] >= -1e-9)
+        assert T[-1, -1] == pytest.approx(-1.25, abs=1e-12)
+
+    def test_dual_of_beale_cycles_without_dual_bland_fallback(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_DEGENERATE_STREAK", 10**9)
+        T, basis = beale_dual_tableau()
+        with pytest.raises(LpError, match="exceeded .* pivots"):
+            lp_module._dual_simplex(T, basis, 1_000)
+
+
+class TestPivotCounts:
+    """Pivot and round counts on fixed instances, summed over three ids.
+
+    The counts are deterministic, so a pricing regression shows here
+    whatever the timing noise. Ceilings sit about 10% (pivots) and 5%
+    (rounds) above the counts under Dantzig pricing with the Bland
+    fallback; Bland's rule alone took 238/285/346 and 377 max-min pivots
+    at (20,6,50), and 621/838/770 and 1361 at (30,9,100).
+    """
+
+    CEILINGS = {
+        # cell: (pivots for k = 1, 2, 3 and max-min, rounds for k = 1, 2, 3)
+        (20, 6, 50): ((215, 277, 318, 152), (48, 74, 83)),
+        (30, 9, 100): ((504, 787, 710, 341), (78, 131, 137)),
+    }
+
+    @pytest.mark.parametrize("cell", sorted(CEILINGS))
+    def test_counts_stay_below_ceilings(self, cell, monkeypatch):
+        solutions = []
+
+        def recording_solve_lp(lp, row_source=None):
+            solutions.append(rk.solve_lp(lp, row_source))
+            return solutions[-1]
+
+        monkeypatch.setattr("robustkit.scenarios.solve_lp", recording_solve_lp)
+        monkeypatch.setattr("robustkit.bounds.solve_lp", recording_solve_lp)
+        pivots, rounds = [0, 0, 0, 0], [0, 0, 0]
+        for instance_id in range(3):
+            u, spec = generate_instance(*cell, derive_seed(5, *cell, instance_id))
+            for k in (1, 2, 3):
+                rk.construct_lp_scenario(u, spec, k)
+                pivots[k - 1] += solutions[-1].iterations
+                rounds[k - 1] += solutions[-1].rounds
+            rk.maxmin_certificate(u, spec)
+            pivots[3] += solutions[-1].iterations
+            assert solutions[-1].rounds == 0
+        pivot_ceilings, round_ceilings = self.CEILINGS[cell]
+        assert all(got <= cap for got, cap in zip(pivots, pivot_ceilings)), pivots
+        assert all(got <= cap for got, cap in zip(rounds, round_ceilings)), rounds

@@ -118,6 +118,8 @@ class TestSeparationOracle:
             rk.separation_oracle(u, rk.midpoint_scenario(u), 0.0, 1)
         with pytest.raises(ValueError):
             rk.separation_oracle(u, rk.midpoint_scenario(u), 1.0, 0)
+        with pytest.raises(ValueError, match="item count"):
+            rk.separation_oracle(u, rk.midpoint_scenario(u), 1.0, u.n_items + 1)
 
     def test_vectorized_oracle_equals_per_scenario_loop_on_ties(self):
         from robustkit.scenarios import _most_violated
@@ -141,6 +143,36 @@ class TestSeparationOracle:
             t = float(rng.choice([0.25, 0.5, 1.0]))
             k = int(rng.integers(1, n + 1))
             assert _most_violated(costs, values, t, k) == loop_reference(costs, values, t, k)
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_partition_oracle_equals_full_argsort(self, data):
+        from robustkit.scenarios import _most_violated
+
+        def argsort_reference(costs, values, t, k):
+            vals = values - t * costs
+            idx = np.argsort(vals, axis=1, kind="stable")[:, :k]
+            violations = -np.take_along_axis(vals, idx, axis=1).sum(axis=1)
+            i = int(np.argmax(violations))
+            return float(violations[i]), i, tuple(sorted(int(j) for j in idx[i]))
+
+        n = data.draw(st.integers(1, 9), label="n")
+        n_scen = data.draw(st.integers(1, 6), label="N")
+        grid = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+        costs = np.array(data.draw(st.lists(grid, min_size=n_scen, max_size=n_scen), label="costs"), dtype=float)
+        values = np.array(data.draw(grid, label="values"), dtype=float)
+        if data.draw(st.booleans(), label="sevenths"):
+            costs, values = costs / 7, values / 7
+        if data.draw(st.booleans(), label="hull scenario"):
+            # inexact sums, where a different summation order shows
+            rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="weights seed"))
+            values = rng.dirichlet(np.ones(n_scen)) @ costs
+        t = data.draw(st.sampled_from([0.25, 0.5, 1.0]), label="t")
+        k = data.draw(st.integers(1, n), label="k")
+        violation, i, subset = _most_violated(costs, values, t, k)
+        ref_violation, ref_i, ref_subset = argsort_reference(costs, values, t, k)
+        assert violation.hex() == ref_violation.hex()
+        assert (i, subset) == (ref_i, ref_subset)
 
     @settings(max_examples=40, deadline=None)
     @given(u=uncertainty_sets, t=st.floats(min_value=0.05, max_value=1.0), k=st.integers(min_value=1, max_value=2))
