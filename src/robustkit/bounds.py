@@ -31,7 +31,7 @@ from .core import (
     ratio_or_inf,
 )
 from .lp import EQ, LE, LinearProgram, LpError, solve_lp
-from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions, nominal_solve
+from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions, nominal_solve, validate_k
 from .scenarios import fixed_scenario_guarantee
 
 # Hard cap on exhaustive enumeration (feasible solutions examined).
@@ -78,9 +78,13 @@ def aposteriori_report(
 
     The a-priori ratio is taken from the LP construction when given
     (apriori=1/t*), otherwise computed by fixing c in the guarantee LP
-    with subset size k (defaulting to the scenario's own k, then 1).
+    with subset size k (defaulting to the scenario's own k, then 1). A k
+    above the minimum solution cardinality, where no guarantee holds, is
+    refused with ValueError.
     """
     k_used = k if k is not None else (c.k if c.k is not None else 1)
+    if not validate_k(spec, k_used):
+        raise ValueError(f"k={k_used} exceeds the minimum solution cardinality of the problem")
     if apriori is None:
         apriori = fixed_scenario_guarantee(u, c, k_used)
     x = nominal_solve(spec, c)

@@ -25,7 +25,7 @@ from .bounds import (
 )
 from .core import ConvexWeights, parse_instance, serialize_instance
 from .experiments import ExperimentGrid, derive_seed, emit_csv, generate_instance, run_grid
-from .problems import nominal_solve
+from .problems import nominal_solve, validate_k
 from .scenarios import (
     construct_lp_scenario,
     fixed_scenario_guarantee,
@@ -82,6 +82,8 @@ def cmd_construct(args) -> int:
     u, spec = _read_instance(getattr(args, "in"))
     lines = [f"method={args.method}"]
     if args.method == "midpoint":
+        if not validate_k(spec, args.k):
+            raise ValueError(f"k={args.k} exceeds the minimum solution cardinality of the problem")
         scen = midpoint_scenario(u)
         lines.append(f"k={args.k}")
         lines.append(f"apriori={_num(fixed_scenario_guarantee(u, scen, args.k))}")

@@ -130,6 +130,8 @@ class ExperimentGrid:
                 raise ValueError(f"cell ({n},{p},{N}): N must be >= 1")
         if any(k < 1 for k in self.ks):
             raise ValueError("subset sizes must be >= 1")
+        if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
+            raise ValueError(f"subset sizes must be strictly increasing, got {self.ks}")
         unknown = set(self.methods) - set(METHOD_FAMILIES)
         if unknown:
             raise ValueError(f"unknown method families: {sorted(unknown)}")

@@ -1,22 +1,31 @@
 """Self-contained dense-tableau simplex solver.
 
-Two-phase method (no Big-M: large constants interact badly with cost
-magnitudes). The entering column follows Dantzig's rule, the most
-negative reduced cost; after a streak of degenerate pivots it switches
-to Bland's rule until a pivot makes progress, which rules out cycling
-(Chvatal, *Linear Programming*, 1983, ch. 3). Every tie goes to the
-smallest index, so the solves are deterministic: identical input yields
-the identical pivot sequence. Built for the desk-scale programs produced
-by scenario construction and the max-min bound; there is deliberately no
-sparse algebra or integer support.
+Every solve starts from the slack basis of the tableau [A | I | b]: each
+row is a <= row with its own basic slack, and an == row is written as
+two opposite <= rows. Phase 1 is the dual simplex under a zero
+objective, for which every basis is dual feasible, so it reaches a
+feasible basis or proves the rows infeasible (Chvatal, *Linear
+Programming*, 1983, ch. 10). The slacks of an == row can only be 0; each
+one that left the basis has its column cleared, which fixes it at 0.
+Phase 2 installs the objective and runs the primal simplex. There are no
+artificial variables and no Big-M constant.
+
+The primal entering column follows Dantzig's rule, the most negative
+reduced cost; after a streak of degenerate pivots it switches to Bland's
+rule until a pivot makes progress, which rules out cycling (Chvatal,
+ch. 3). The dual leaving row is the most infeasible one, with the same
+fallback to the smallest basic index (the dual Bland rule) after a
+streak of dual-degenerate pivots. Every tie goes to the smallest index,
+so the solves are deterministic: identical input yields the identical
+pivot sequence. Built for the desk-scale programs produced by scenario
+construction and the max-min bound; there is deliberately no sparse
+algebra or integer support.
 
 Row generation is warm-started: `solve_lp(lp, row_source)` keeps the
 optimal tableau, appends each violated row written in the current basis
-with a fresh basic slack, and restores primal feasibility with dual
-simplex pivots, which keep the reduced costs optimal (Chvatal, ch. 10).
-The dual leaving row is the most infeasible one, with the same fallback
-to the smallest basic index (the dual Bland rule) after a streak of
-dual-degenerate pivots. No solve restarts from scratch.
+with a fresh basic slack, and restores primal feasibility with the same
+dual simplex, which keeps the reduced costs optimal. No solve restarts
+from scratch.
 """
 
 from __future__ import annotations
@@ -27,7 +36,7 @@ from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CUT, EPS_FEAS
+from .core import EPS_FEAS
 
 LE = "<="
 EQ = "=="
@@ -272,7 +281,11 @@ def _standardize(lp: LinearProgram):
 
 
 def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
-    """Two-phase dense simplex; deterministic; raises LpError on numerical failure.
+    """Dense simplex; deterministic; raises LpError on numerical failure.
+
+    Dual simplex pivots under a zero objective, from the slack basis with
+    each == row split into two opposite <= rows, find the first feasible
+    basis; the primal simplex then optimizes from it.
 
     With row_source the LP is solved by row generation. After each optimum
     the source is called with the primal values and returns a "<=" row
@@ -290,87 +303,31 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
         return LpSolution(status="infeasible")
     c, rows, P, offsets = std
     n_std = c.shape[0]
-    m = len(rows)
 
-    # normalize rhs >= 0; classify rows
-    A = np.zeros((m, n_std))
-    b = np.zeros(m)
-    kinds = []  # 'le' (slack basic), 'ge' (surplus + artificial), 'eq' (artificial)
-    for i, (row, rel, rhs) in enumerate(rows):
-        if rhs < 0:
-            row, rhs = -row, -rhs
-            rel = {LE: "ge", EQ: "eq"}[rel]
-        else:
-            rel = {LE: "le", EQ: "eq"}[rel]
-        A[i] = row
-        b[i] = rhs
-        kinds.append(rel)
-
-    n_le = sum(1 for k in kinds if k == "le")
-    n_ge = sum(1 for k in kinds if k == "ge")
-    n_art = sum(1 for k in kinds if k in ("ge", "eq"))
-    total = n_std + n_le + n_ge + n_art
-
-    T = np.zeros((m + 1, total + 1))
-    T[:m, :n_std] = A
-    T[:m, -1] = b
-    basis = [0] * m
-    slack_at = n_std
-    art_at = n_std + n_le + n_ge
-    for i, kind in enumerate(kinds):
-        if kind == "le":
-            T[i, slack_at] = 1.0
-            basis[i] = slack_at
-            slack_at += 1
-        elif kind == "ge":
-            T[i, slack_at] = -1.0
-            slack_at += 1
-            T[i, art_at] = 1.0
-            basis[i] = art_at
-            art_at += 1
-        else:
-            T[i, art_at] = 1.0
-            basis[i] = art_at
-            art_at += 1
-
+    # [A | I | b]: every row a <= row with a basic slack; an == row is two
+    # opposite <= rows, whose slacks can only be 0
+    split = [(row, rhs, rel == EQ) for row, rel, rhs in rows]
+    split += [(-row, -rhs, True) for row, rel, rhs in rows if rel == EQ]
+    m = len(split)
+    T = np.zeros((m + 1, n_std + m + 1))
+    for i, (row, rhs, _) in enumerate(split):
+        T[i, :n_std] = row
+        T[i, -1] = rhs
+    T[:m, n_std:-1] = np.eye(m)
+    basis = list(range(n_std, n_std + m))
     max_iter = _pivot_cap(T)
-    iterations = 0
 
-    art_start = n_std + n_le + n_ge
-    if n_art:
-        # Phase 1: maximize -sum(artificials); z-c row has +1 on artificials
-        T[-1, :] = 0.0
-        T[-1, art_start:total] = 1.0
-        for i in range(m):
-            if basis[i] >= art_start:
-                T[-1] -= T[i]
-        status, its = _run_simplex(T, basis, max_iter)
-        iterations += its
-        if status != "optimal":  # the phase 1 objective is bounded by 0
-            raise LpError(f"phase 1 reported {status}")
-        scale = max(1.0, float(np.abs(b).max()))
-        if T[-1, -1] < -EPS_CUT * scale:
-            return LpSolution(status="infeasible", iterations=iterations)
-        # drive remaining artificials out of the basis, dropping redundant rows
-        keep = np.ones(m, dtype=bool)
-        for i in range(m):
-            if basis[i] >= art_start:
-                candidates = np.nonzero(np.abs(T[i, :art_start]) > _PIVOT_TOL)[0]
-                if candidates.size:
-                    _pivot(T, basis, i, int(candidates[0]))
-                else:
-                    keep[i] = False
-        if not keep.all():
-            T = np.vstack([T[:m][keep], T[-1:]])
-            basis = [bv for i, bv in enumerate(basis) if keep[i]]
-            m = len(basis)
-        T = np.delete(T, np.s_[art_start:total], axis=1)
-        total = art_start
+    # Phase 1: under a zero objective every basis is dual feasible, so the
+    # dual simplex reaches a feasible basis or proves the rows infeasible
+    status, iterations = _dual_simplex(T, basis, max_iter)
+    if status == "infeasible":
+        return LpSolution(status="infeasible", iterations=iterations)
+    # a nonbasic equality slack is 0; clearing its column keeps it out
+    fixed = [n_std + i for i, (_, _, is_eq) in enumerate(split) if is_eq and n_std + i not in basis]
+    T[:, fixed] = 0.0
 
-    # Phase 2 objective row
-    c_full = np.zeros(total + 1)
-    c_full[:n_std] = c
-    T[-1, :] = -c_full
+    # Phase 2 objective row, on the zero row phase 1 left
+    T[-1, :n_std] = -c
     for i in range(m):
         coef = T[-1, basis[i]]
         if coef != 0.0:

@@ -125,6 +125,11 @@ class TestAposterioriReport:
         report = rk.aposteriori_report(u, spec, u.scenario(0), rk.ConvexWeights.unit(1, 0), k=1)
         assert report.aposteriori == pytest.approx(1.0)
 
+    def test_k_above_solution_cardinality_refused(self, table1):
+        u, spec = table1  # p = 2
+        with pytest.raises(ValueError, match="cardinality"):
+            rk.aposteriori_report(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3), k=3)
+
     def test_aposteriori_never_exceeds_apriori(self):
         rng = np.random.default_rng(555)
         for _ in range(20):

@@ -93,6 +93,12 @@ class TestConstruct:
         assert code == 1
         assert "cardinality" in err
 
+    def test_midpoint_infeasible_k_exits_1(self, capsys, table1_file):
+        code, out, err = run_cli(capsys, "construct", "--in", table1_file, "--method", "midpoint", "--k", "3")
+        assert code == 1
+        assert "cardinality" in err
+        assert "apriori" not in out
+
     def test_missing_file_exits_1(self, capsys):
         code, _, err = run_cli(capsys, "construct", "--in", "/nonexistent", "--method", "midpoint")
         assert code == 1
@@ -115,6 +121,12 @@ class TestBounds:
         assert float(pairs["apriori"]) == pytest.approx(1.0, abs=1e-6)
         assert float(pairs["opt"]) == pytest.approx(10.0)
         assert pairs["opt_solution"] == "0,3"
+
+    def test_midpoint_infeasible_k_exits_1(self, capsys, table1_file):
+        code, out, err = run_cli(capsys, "bounds", "--in", table1_file, "--method", "midpoint", "--k", "3")
+        assert code == 1
+        assert "cardinality" in err
+        assert "apriori" not in out
 
     def test_with_maxmin(self, capsys, table1_file):
         code, out, _ = run_cli(capsys, "bounds", "--in", table1_file, "--method", "midpoint", "--with-maxmin")
@@ -203,6 +215,14 @@ class TestExperiment:
         assert code == 1  # every instance failed
         seed = rk.derive_seed(3, 4, 2, 2, 0)
         assert f"cell (4, 2, 2) instance 0 seed {seed}: excluded, RuntimeError: synthetic failure" in err
+
+    @pytest.mark.parametrize("ks", ["3 1", "1 1"])
+    def test_unordered_ks_exit_1(self, capsys, tmp_path, ks):
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "experiment", "--grid-spec", f"cell 10 3 10; count 3; ks {ks}", "--seed", "1", "--out", str(out_csv))
+        assert code == 1
+        assert "strictly increasing" in err
+        assert not out_csv.exists()
 
     def test_empty_grid_spec_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "--grid-spec", "count 5", "--seed", "1", "--out", str(tmp_path / "x.csv"))

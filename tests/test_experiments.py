@@ -282,6 +282,16 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="method"):
             rk.ExperimentGrid(cells=[(3, 2, 1)], methods=("bogus",))
 
+    def test_rejects_descending_ks(self):
+        # the spot check compares 1/t* across ascending k
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rk.ExperimentGrid(cells=[(10, 3, 10)], ks=(3, 1))
+
+    def test_rejects_repeated_ks(self):
+        # a repeated k would write each of its CSV rows twice
+        with pytest.raises(ValueError, match="strictly increasing"):
+            rk.ExperimentGrid(cells=[(10, 3, 10)], ks=(1, 1))
+
 
 class TestSpotCheck:
     @pytest.mark.parametrize(

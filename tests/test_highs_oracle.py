@@ -13,12 +13,12 @@ linprog = pytest.importorskip("scipy.optimize").linprog
 CELL = (20, 6, 50)
 
 
-def highs_max(lp):
-    """Optimal objective of a robustkit LinearProgram (max sense) by HiGHS."""
+def highs(lp):
+    """scipy's linprog result for a robustkit LinearProgram, as a minimization."""
     le = [(a, rhs) for a, rel, rhs in lp.constraints if rel == rk.LE]
     eq = [(a, rhs) for a, rel, rhs in lp.constraints if rel == rk.EQ]
-    res = linprog(
-        -lp.objective,
+    return linprog(
+        lp.objective if lp.sense == "min" else -lp.objective,
         A_ub=np.array([a for a, _ in le]) if le else None,
         b_ub=np.array([rhs for _, rhs in le]) if le else None,
         A_eq=np.array([a for a, _ in eq]) if eq else None,
@@ -26,8 +26,22 @@ def highs_max(lp):
         bounds=[(None if lo == -np.inf else lo, None if up == np.inf else up) for lo, up in zip(lp.lower, lp.upper)],
         method="highs",
     )
+
+
+def highs_max(lp):
+    """Optimal objective of a robustkit LinearProgram (max sense) by HiGHS."""
+    res = highs(lp)
     assert res.status == 0, res.message
     return -float(res.fun)
+
+
+def highs_status(lp):
+    """(status, objective) by HiGHS, in solve_lp's terms."""
+    res = highs(lp)
+    assert res.status in (0, 2, 3), res.message
+    if res.status == 0:
+        return "optimal", float(res.fun) if lp.sense == "min" else -float(res.fun)
+    return ("infeasible" if res.status == 2 else "unbounded"), None
 
 
 def cell_instances(count=2):
@@ -66,3 +80,47 @@ def test_maxmin_certificate_matches_highs():
         lp.add_constraint(np.concatenate([np.ones(n_scen), [0.0], np.zeros(n_items)]), rk.EQ, 1.0)
         reference = highs_max(lp)
         assert abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
+
+
+def random_general_lp(rng):
+    """An LP of the shapes that vertex enumeration cannot check.
+
+    Variables are nonnegative, free, upper-bounded free or boxed; rows are
+    <= or == with right-hand sides of either sign, some equalities repeat
+    an earlier one scaled (redundant) or shifted (contradictory).
+    """
+    n = int(rng.integers(1, 7))
+    kind = rng.integers(0, 4, n)  # 0: [0, inf), 1: free, 2: (-inf, up], 3: [lo, up]
+    lower = np.where(kind == 0, 0.0, np.where(kind == 3, rng.uniform(-3, 0, n), -np.inf))
+    upper = np.where(kind == 2, rng.uniform(-1, 3, n), np.where(kind == 3, lower + rng.uniform(0.5, 4, n), np.inf))
+    anchor = np.where(np.isfinite(lower), lower, np.minimum(upper, 0.0) - 1.0) + rng.uniform(0, 0.5, n)
+    lp = rk.LinearProgram(objective=rng.uniform(-2, 2, n), sense=str(rng.choice(["max", "min"])), lower=lower, upper=upper)
+    equalities = []
+    for _ in range(int(rng.integers(0, 9))):
+        coeffs = rng.normal(size=n)
+        draw = rng.random()
+        if draw < 0.3:
+            equalities.append((coeffs, float(coeffs @ anchor)))
+            lp.add_constraint(coeffs, rk.EQ, equalities[-1][1])
+        elif draw < 0.4 and equalities:
+            coeffs, rhs = equalities[int(rng.integers(len(equalities)))]
+            scale = rng.uniform(-3, 3)
+            shift = 0.0 if rng.random() < 0.7 else rng.uniform(0.5, 2)
+            lp.add_constraint(scale * coeffs, rk.EQ, scale * rhs + shift)
+        else:
+            lp.add_constraint(coeffs, rk.LE, float(coeffs @ anchor) + rng.normal())
+    return lp
+
+
+def test_general_lps_match_highs():
+    rng = np.random.default_rng(2024)
+    statuses = []
+    for _ in range(300):
+        lp = random_general_lp(rng)
+        sol = rk.solve_lp(lp)
+        status, reference = highs_status(lp)
+        assert sol.status == status
+        statuses.append(status)
+        if status == "optimal":
+            assert abs(sol.objective - reference) <= 1e-7 * max(1.0, abs(reference))
+    assert min(statuses.count(s) for s in ("optimal", "infeasible", "unbounded")) >= 20, statuses

@@ -411,8 +411,8 @@ class TestPivotCounts:
         (30, 9, 100): ((504, 787, 710, 341), (78, 131, 137)),
     }
 
-    @pytest.mark.parametrize("cell", sorted(CEILINGS))
-    def test_counts_stay_below_ceilings(self, cell, monkeypatch):
+    @staticmethod
+    def counts(cell, monkeypatch):
         solutions = []
 
         def recording_solve_lp(lp, row_source=None):
@@ -431,6 +431,17 @@ class TestPivotCounts:
             rk.maxmin_certificate(u, spec)
             pivots[3] += solutions[-1].iterations
             assert solutions[-1].rounds == 0
+        return pivots, rounds
+
+    @pytest.mark.parametrize("cell", sorted(CEILINGS))
+    def test_counts_stay_below_ceilings(self, cell, monkeypatch):
+        pivots, rounds = self.counts(cell, monkeypatch)
         pivot_ceilings, round_ceilings = self.CEILINGS[cell]
         assert all(got <= cap for got, cap in zip(pivots, pivot_ceilings)), pivots
         assert all(got <= cap for got, cap in zip(rounds, round_ceilings)), rounds
+
+    def test_equality_slacks_stay_fixed(self, monkeypatch):
+        # Phase 1 leaves the two slacks of the simplex row at 0; clearing the
+        # nonbasic one keeps it from re-entering in degenerate pivots, which
+        # without the clearing raise the pivots to 57/54/53/45.
+        assert self.counts((10, 3, 10), monkeypatch) == ([53, 51, 45, 42], [22, 23, 22])
