@@ -25,7 +25,8 @@ Row generation is warm-started: `solve_lp(lp, row_source)` keeps the
 optimal tableau, appends each violated row written in the current basis
 with a fresh basic slack, and restores primal feasibility with the same
 dual simplex, which keeps the reduced costs optimal. No solve restarts
-from scratch.
+from scratch. The tableau lives in a buffer that doubles when full, so
+each generated row is appended in place.
 """
 
 from __future__ import annotations
@@ -128,17 +129,22 @@ _MAX_ROUNDS = 100_000
 
 
 def _pivot(T: np.ndarray, basis: List[int], row: int, col: int) -> None:
-    T[row] /= T[row, col]
+    # the pivot column comes out exact: p / p = 1 and x - x * 1 = +0
+    prow = T[row]
+    prow /= prow[col]
     colv = T[:, col].copy()
     colv[row] = 0.0
-    T -= np.outer(colv, T[row])
-    T[:, col] = 0.0
-    T[row, col] = 1.0
+    T -= colv[:, None] * prow
     basis[row] = col
 
 
 def _pivot_cap(T: np.ndarray) -> int:
     return 10_000 + 200 * (T.shape[0] + T.shape[1] - 2)
+
+
+def _first_basic(rows: np.ndarray, basis: List[int]) -> int:
+    """The row of `rows` whose basic variable has the smallest index."""
+    return int(rows[0]) if rows.size == 1 else min(rows.tolist(), key=basis.__getitem__)
 
 
 def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
@@ -153,27 +159,27 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
     m = len(basis)
     iterations = 0
     streak = 0  # consecutive degenerate pivots
+    obj, rhs = T[-1, :-1], T[:m, -1]  # views that follow the pivots
     while True:
-        obj = T[-1, :-1]
-        col = int(np.argmin(obj))  # a NaN reduced cost is the argmin
+        col = int(obj.argmin())  # a NaN reduced cost is the argmin
         if not obj[col] < -_PIVOT_TOL:
             # optimality certificate: no nonbasic variable has an improving
             # reduced cost beyond tolerance, and none is NaN
-            if not np.all(np.isfinite(obj)):
+            if not np.isfinite(obj).all():
                 raise LpError("non-finite reduced costs")
+            if not np.isfinite(rhs).all():
+                raise LpError("non-finite right-hand side")
             return "optimal", iterations
         if streak >= _DEGENERATE_STREAK:
-            col = int(np.argmax(obj < -_PIVOT_TOL))  # Bland: smallest improving index
+            col = int((obj < -_PIVOT_TOL).argmax())  # Bland: smallest improving index
         colvals = T[:m, col]
-        positive = colvals > _PIVOT_TOL
-        if not positive.any():
+        ratios = np.divide(rhs, colvals, out=np.full(m, np.inf), where=colvals > _PIVOT_TOL)
+        best = ratios.min(initial=np.inf)  # NaN if a ratio is
+        if not -np.inf < best < np.inf:  # no positive entry, or a non-finite rhs
+            if not np.isfinite(rhs).all():
+                raise LpError("non-finite right-hand side")
             return "unbounded", iterations
-        ratios = np.full(m, np.inf)
-        ratios[positive] = T[:m, -1][positive] / colvals[positive]
-        best = ratios.min()
-        ties = np.nonzero(ratios == best)[0]
-        row = int(min(ties, key=lambda r: basis[r]))  # smallest basic index leaves
-        _pivot(T, basis, row, col)
+        _pivot(T, basis, _first_basic((ratios == best).nonzero()[0], basis), col)
         streak = streak + 1 if best <= _PIVOT_TOL else 0
         iterations += 1
         if iterations > max_iter:
@@ -195,21 +201,19 @@ def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, 
     """
     iterations = 0
     streak = 0  # consecutive dual-degenerate pivots
+    obj, rhs = T[-1, :-1], T[:-1, -1]  # views that follow the pivots
     while True:
-        rhs = T[:-1, -1]
-        infeasible = np.nonzero(rhs < -_PIVOT_TOL)[0]
-        if infeasible.size == 0:
+        low = rhs.min(initial=0.0)  # NaN if any rhs is
+        if not -np.inf < low < -_PIVOT_TOL:
+            if not np.isfinite(rhs).all():
+                raise LpError("non-finite right-hand side")
             return "optimal", iterations
-        if streak < _DEGENERATE_STREAK:
-            infeasible = infeasible[rhs[infeasible] == rhs[infeasible].min()]
-        row = int(min(infeasible, key=lambda r: basis[r]))
+        row = _first_basic((rhs == low if streak < _DEGENERATE_STREAK else rhs < -_PIVOT_TOL).nonzero()[0], basis)
         rowvals = T[row, :-1]
-        negative = rowvals < -_PIVOT_TOL
-        if not negative.any():
+        ratios = np.divide(obj, -rowvals, out=np.full(rowvals.shape[0], np.inf), where=rowvals < -_PIVOT_TOL)
+        col = int(ratios.argmin())  # first minimum: smallest column
+        if ratios[col] == np.inf:  # no negative entry
             return "infeasible", iterations
-        ratios = np.full(rowvals.shape[0], np.inf)
-        ratios[negative] = T[-1, :-1][negative] / -rowvals[negative]
-        col = int(np.argmin(ratios))  # first minimum: smallest column
         streak = streak + 1 if ratios[col] <= _PIVOT_TOL else 0
         _pivot(T, basis, row, col)
         iterations += 1
@@ -217,25 +221,35 @@ def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, 
             raise LpError(f"dual simplex exceeded {max_iter} pivots")
 
 
-def _append_row(T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np.ndarray:
+def _add_row(buf: np.ndarray, T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np.ndarray:
     """T plus the row `row . y + s = rhs` for a fresh slack s, made basic.
 
-    The row is written in the current basis by eliminating every basic
-    column, so it reads s = rhs - (nonbasic terms) and the reduced costs
-    are unchanged. Returns the grown tableau and appends s to basis.
+    T is buf[:m + 1, :width] and buf must have a spare row and column. The
+    objective row moves down a row and the rhs column right a column; the
+    new row and its slack take the freed row and column. The row is
+    written in the current basis by eliminating every basic column, so it
+    reads s = rhs - (nonbasic terms) and the reduced costs are unchanged.
+    Returns the grown view of buf and appends s to basis.
     """
     m, width = T.shape[0] - 1, T.shape[1]
-    out = np.zeros((m + 2, width + 1))
-    out[:m, : width - 1] = T[:m, :-1]
-    out[:m, -1] = T[:m, -1]
-    out[-1, : width - 1] = T[-1, :-1]
-    out[-1, -1] = T[-1, -1]
-    new = out[m]
+    buf[m + 1, :width] = buf[m, :width]
+    buf[: m + 2, width] = buf[: m + 2, width - 1]
+    buf[: m + 2, width - 1] = 0.0
+    new = buf[m, : width + 1]
     new[: row.shape[0]] = row
+    new[row.shape[0] :] = 0.0
     new[width - 1] = 1.0
-    new[-1] = rhs
-    new -= new[basis] @ out[:m]
+    new[width] = rhs
+    # over exactly the tableau's width: a wider product can round differently
+    new -= new[basis] @ buf[:m, : width + 1]
     basis.append(width - 1)
+    return buf[: m + 2, : width + 1]
+
+
+def _grown(a: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
+    """A zero array of the given shape holding a in its leading corner."""
+    out = np.zeros(shape, a.dtype)
+    out[tuple(map(slice, a.shape))] = a
     return out
 
 
@@ -309,7 +323,8 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     split = [(row, rhs, rel == EQ) for row, rel, rhs in rows]
     split += [(-row, -rhs, True) for row, rel, rhs in rows if rel == EQ]
     m = len(split)
-    T = np.zeros((m + 1, n_std + m + 1))
+    # T is a view of buf, which gains spare rows and columns when it is full
+    buf = T = np.zeros((m + 1, n_std + m + 1))
     for i, (row, rhs, _) in enumerate(split):
         T[i, :n_std] = row
         T[i, -1] = rhs
@@ -323,29 +338,34 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     if status == "infeasible":
         return LpSolution(status="infeasible", iterations=iterations)
     # a nonbasic equality slack is 0; clearing its column keeps it out
-    fixed = [n_std + i for i, (_, _, is_eq) in enumerate(split) if is_eq and n_std + i not in basis]
-    T[:, fixed] = 0.0
+    fixed = {n_std + i for i, (_, _, is_eq) in enumerate(split) if is_eq} - set(basis)
+    T[:, sorted(fixed)] = 0.0
 
-    # Phase 2 objective row, on the zero row phase 1 left
+    # Phase 2 objective row, on the zero row phase 1 left; the basic columns
+    # are unit columns, so no subtraction changes another basic coefficient
     T[-1, :n_std] = -c
-    for i in range(m):
-        coef = T[-1, basis[i]]
-        if coef != 0.0:
-            T[-1] -= coef * T[i]
+    coefs = T[-1, basis]
+    for i in np.flatnonzero(coefs):
+        T[-1] -= coefs[i] * T[i]
     status, its = _run_simplex(T, basis, max_iter)
     iterations += its
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
 
-    # base rows plus generated rows, as arrays that grow by one row per round
+    # base and generated rows and their constants; buf has more rows, so they grow with it
     A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(-1, lp.n_vars)
     b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
     eq = np.array([rel == EQ for _, rel, _ in lp.constraints], dtype=bool)
     amax = np.abs(A).max(axis=1, initial=0.0)
+    bscale = np.maximum(1.0, np.abs(b))
+    lo_scale = np.where(np.isfinite(lp.lower), np.abs(lp.lower), 1.0)
     rounds = 0
     while True:
-        x = offsets + P @ _primal(T, basis, n_std)
-        _check_feasible(x, lp.lower, lp.upper, A, b, eq, amax)
+        r = len(lp.constraints) + rounds
+        y = np.zeros(T.shape[1] - 1)  # the standardized variables, then the slacks
+        y[basis] = T[:-1, -1]
+        x = offsets + P @ np.maximum(y[:n_std], 0.0)
+        _check_feasible(x, lp.lower, lp.upper, lo_scale, A[:r], b[:r], eq[:r], amax[:r], bscale[:r])
         source_row = None if row_source is None else row_source(x)
         if source_row is None:
             return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), iterations=iterations, rounds=rounds)
@@ -357,12 +377,12 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
         coeffs, _, rhs = lp._check_row(coeffs, rel, rhs)
         if not float(coeffs @ x) > rhs:
             raise LpError("row_source returned a constraint the current point satisfies")
-        A = np.vstack([A, coeffs])
-        b = np.append(b, rhs)
-        eq = np.append(eq, False)
-        amax = np.append(amax, np.abs(coeffs).max())
+        if T.shape[0] == len(buf):  # full: twice the rows, a column per row
+            buf = _grown(buf, (2 * len(buf), buf.shape[1] + len(buf)))
+            A, b, eq, amax, bscale = (_grown(a, (len(buf),) + a.shape[1:]) for a in (A, b, eq, amax, bscale))
+        A[r], b[r], amax[r], bscale[r] = coeffs, rhs, np.abs(coeffs).max(), max(1.0, abs(rhs))
         rounds += 1
-        T = _append_row(T, basis, coeffs @ P, rhs - float(coeffs @ offsets))
+        T = _add_row(buf, T, basis, coeffs @ P, rhs - float(coeffs @ offsets))
         max_iter = _pivot_cap(T)
         status, its = _dual_simplex(T, basis, max_iter)
         iterations += its
@@ -375,24 +395,18 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
             return LpSolution(status="unbounded", iterations=iterations, rounds=rounds)
 
 
-def _primal(T: np.ndarray, basis: List[int], n_std: int) -> np.ndarray:
-    """Values of the standardized variables y at the tableau's basic solution."""
-    y = np.zeros(T.shape[1] - 1)
-    y[basis] = T[:-1, -1]
-    return np.maximum(y[:n_std], 0.0)
-
-
-def _check_feasible(x, lo, up, A, b, eq, amax) -> None:
+def _check_feasible(x, lo, up, lo_scale, A, b, eq, amax, bscale) -> None:
     """Surface accumulated round-off as an error instead of a wrong answer.
 
     x must lie within the bounds [lo, up] and satisfy the rows A x <= b
-    (A x == b where eq), up to EPS_FEAS scaled by the row's magnitude;
-    amax holds each row's largest absolute coefficient.
+    (A x == b where eq), up to EPS_FEAS scaled by the magnitudes: lo_scale
+    is |lo| where finite, else 1; amax and bscale hold each row's largest
+    absolute coefficient and max(1, |b|).
     """
     if not np.all(np.isfinite(x)):
         raise LpError("solution has non-finite values")
     xmag = float(np.abs(x).max()) if x.size else 0.0
-    tol = EPS_FEAS * np.maximum(max(1.0, xmag), np.where(np.isfinite(lo), np.abs(lo), 1.0))
+    tol = EPS_FEAS * np.maximum(max(1.0, xmag), lo_scale)
     below, above = np.nonzero(x < lo - tol)[0], np.nonzero(x > up + tol)[0]
     if below.size:
         j = below[0]
@@ -401,7 +415,7 @@ def _check_feasible(x, lo, up, A, b, eq, amax) -> None:
         j = above[0]
         raise LpError(f"variable {j} violates its upper bound: {x[j]} > {up[j]}")
     lhs = A @ x
-    scale = np.maximum(np.maximum(1.0, np.abs(b)), amax * max(1.0, xmag))
+    scale = np.maximum(bscale, amax * max(1.0, xmag))
     excess = np.where(eq, np.abs(lhs - b), lhs - b)
     violated = np.nonzero(excess > EPS_FEAS * scale)[0]
     if violated.size:

@@ -72,6 +72,32 @@ def eager_t_star(u, k):
     return float(sol.x[0])
 
 
+def slack_tableau(A, b, d):
+    """max -d.x s.t. A x + s = b from the slack basis: dual feasible when d >= 0."""
+    m, n = A.shape
+    T = np.zeros((m + 1, n + m + 1))
+    T[:m, :n], T[:m, n : n + m], T[:m, -1] = A, np.eye(m), b
+    T[-1, :n] = d
+    return T, list(range(n, n + m))
+
+
+def reference_append_row(T, basis, row, rhs):
+    """The reallocating row append that the in-place one must match bit for bit."""
+    m, width = T.shape[0] - 1, T.shape[1]
+    out = np.zeros((m + 2, width + 1))
+    out[:m, : width - 1] = T[:m, :-1]
+    out[:m, -1] = T[:m, -1]
+    out[-1, : width - 1] = T[-1, :-1]
+    out[-1, -1] = T[-1, -1]
+    new = out[m]
+    new[: row.shape[0]] = row
+    new[width - 1] = 1.0
+    new[-1] = rhs
+    new -= new[basis] @ out[:m]
+    basis.append(width - 1)
+    return out
+
+
 def random_bounded_lp(rng, max_vars=6, max_rows=8):
     n = int(rng.integers(1, max_vars + 1))
     lp = rk.LinearProgram(
@@ -293,10 +319,7 @@ class TestRowGeneration:
             A = rng.uniform(-2, 2, (m, n))
             b = rng.uniform(-3, 3, m)
             d = rng.uniform(0, 2, n)
-            T = np.zeros((m + 1, n + m + 1))
-            T[:m, :n], T[:m, n : n + m], T[:m, -1] = A, np.eye(m), b
-            T[-1, :n] = d
-            basis = list(range(n, n + m))
+            T, basis = slack_tableau(A, b, d)
             status, _ = lp_module._dual_simplex(T, basis, 10_000)
             lp = rk.LinearProgram(objective=-d)
             for i in range(m):
@@ -395,6 +418,41 @@ class TestAntiCycling:
             lp_module._dual_simplex(T, basis, 1_000)
 
 
+class TestTableauSteps:
+    def test_in_place_append_matches_reallocating_append(self):
+        # the buffer is wider than the tableau before every append but the
+        # last, so eliminating over its whole width would be caught here
+        rng = np.random.default_rng(47)
+        optimal = 0
+        while optimal < 100:
+            m, n = int(rng.integers(1, 16)), int(rng.integers(1, 40))
+            T, basis = slack_tableau(rng.uniform(-2, 2, (m, n)), rng.uniform(-3, 3, m), rng.uniform(0, 2, n))
+            if lp_module._dual_simplex(T, basis, 10_000)[0] != "optimal":
+                continue
+            optimal += 1
+            appends = int(rng.integers(1, 5))
+            buf = np.zeros((m + 1 + appends + int(rng.integers(0, 4)), T.shape[1] + appends + int(rng.integers(0, 4))))
+            buf[: m + 1, : T.shape[1]] = T
+            view, ref_basis = buf[: m + 1, : T.shape[1]], list(basis)
+            for _ in range(appends):
+                row, rhs = rng.uniform(-2, 2, n), float(rng.uniform(-3, 3))
+                T = reference_append_row(T, ref_basis, row, rhs)
+                view = lp_module._add_row(buf, view, basis, row, rhs)
+                assert view.shape == T.shape and view.tobytes() == T.tobytes()
+                assert basis == ref_basis
+
+    def test_primal_simplex_refuses_nan_rhs(self):
+        T = np.array([[1.0, 1.0, 0.0, np.nan], [1.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(LpError, match="non-finite right-hand side"):
+            lp_module._run_simplex(T, [1, 2], 1_000)
+
+    def test_dual_simplex_refuses_nan_rhs(self):
+        # the NaN row's basic variable is a slack, which no later check reads
+        T = np.array([[1.0, 1.0, 0.0, np.nan], [1.0, 0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0]])
+        with pytest.raises(LpError, match="non-finite right-hand side"):
+            lp_module._dual_simplex(T, [1, 2], 1_000)
+
+
 class TestPivotCounts:
     """Pivot and round counts on fixed instances, summed over three ids.
 
@@ -409,6 +467,12 @@ class TestPivotCounts:
         # cell: (pivots for k = 1, 2, 3 and max-min, rounds for k = 1, 2, 3)
         (20, 6, 50): ((215, 277, 318, 152), (48, 74, 83)),
         (30, 9, 100): ((504, 787, 710, 341), (78, 131, 137)),
+    }
+    # the exact counts there, whose solves outgrow the tableau buffer
+    # several times
+    EXACT = {
+        (20, 6, 50): ([195, 252, 289, 138], [46, 70, 79]),
+        (30, 9, 100): ([458, 715, 645, 310], [74, 125, 130]),
     }
 
     @staticmethod
@@ -439,6 +503,10 @@ class TestPivotCounts:
         pivot_ceilings, round_ceilings = self.CEILINGS[cell]
         assert all(got <= cap for got, cap in zip(pivots, pivot_ceilings)), pivots
         assert all(got <= cap for got, cap in zip(rounds, round_ceilings)), rounds
+
+    @pytest.mark.parametrize("cell", sorted(EXACT))
+    def test_exact_counts(self, cell, monkeypatch):
+        assert self.counts(cell, monkeypatch) == self.EXACT[cell]
 
     def test_equality_slacks_stay_fixed(self, monkeypatch):
         # Phase 1 leaves the two slacks of the simplex row at 0; clearing the
