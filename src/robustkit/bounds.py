@@ -28,6 +28,7 @@ from .core import (
     ConvexWeights,
     Scenario,
     UncertaintySet,
+    cost_vector,
     ratio_or_inf,
 )
 from .lp import EQ, LE, LinearProgram, LpError, solve_lp
@@ -57,7 +58,7 @@ def lower_bound(u: UncertaintySet, c, lam: ConvexWeights, x_c: BinarySolution) -
     The weights must certify c = sum_i lam_i c^i within EPS_CMP; scenarios
     outside the hull (e.g. the element-wise worst case) are rejected.
     """
-    values = c.values if isinstance(c, Scenario) else np.asarray(c, dtype=float)
+    values = cost_vector(c, u.n_items)
     gap = float(np.abs(values - lam.lam @ u.costs).max())
     if gap > EPS_CMP:
         raise ValueError(

@@ -78,27 +78,29 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _representative(u, spec, method: str, k: int):
+    """(scenario, hull weights, a-priori guarantee, t*); the worst case has no weights, only the LP has t*."""
+    if method == "worstcase":
+        return worstcase_scenario(u), None, worstcase_apriori_bound(u, spec), None
+    if method == "midpoint":
+        if not validate_k(spec, k):
+            raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
+        scen = midpoint_scenario(u)
+        return scen, ConvexWeights.uniform(u.n_scenarios), fixed_scenario_guarantee(u, scen, k), None
+    t_star, scen, lam = construct_lp_scenario(u, spec, k)
+    return scen, lam, 1.0 / t_star, t_star
+
+
 def cmd_construct(args) -> int:
     u, spec = _read_instance(getattr(args, "in"))
+    scen, lam, apriori, t_star = _representative(u, spec, args.method, args.k)
     lines = [f"method={args.method}"]
-    if args.method == "midpoint":
-        if not validate_k(spec, args.k):
-            raise ValueError(f"k={args.k} exceeds the minimum solution cardinality of the problem")
-        scen = midpoint_scenario(u)
+    if lam is not None:
         lines.append(f"k={args.k}")
-        lines.append(f"apriori={_num(fixed_scenario_guarantee(u, scen, args.k))}")
-        lines.append(f"scenario={_vec(scen.values)}")
-        lines.append(f"lambda={_vec(ConvexWeights.uniform(u.n_scenarios).lam)}")
-    elif args.method == "worstcase":
-        scen = worstcase_scenario(u)
-        lines.append(f"apriori={_num(worstcase_apriori_bound(u, spec))}")
-        lines.append(f"scenario={_vec(scen.values)}")
-    else:
-        t_star, scen, lam = construct_lp_scenario(u, spec, args.k)
-        lines.append(f"k={args.k}")
+    if t_star is not None:
         lines.append(f"t_star={_num(t_star)}")
-        lines.append(f"apriori={_num(1.0 / t_star)}")
-        lines.append(f"scenario={_vec(scen.values)}")
+    lines += [f"apriori={_num(apriori)}", f"scenario={_vec(scen.values)}"]
+    if lam is not None:
         lines.append(f"lambda={_vec(lam.lam)}")
     print("\n".join(lines))
     return EXIT_OK
@@ -106,27 +108,15 @@ def cmd_construct(args) -> int:
 
 def cmd_bounds(args) -> int:
     u, spec = _read_instance(getattr(args, "in"))
+    scen, lam, apriori, _ = _representative(u, spec, args.method, args.k)
     lines = [f"method={args.method}"]
-    if args.method == "worstcase":
-        # no hull certificate for the element-wise worst case, so no lower
-        # bound or a-posteriori ratio is reported for it
-        scen = worstcase_scenario(u)
-        x = nominal_solve(spec, scen)
-        lines.append(f"apriori={_num(worstcase_apriori_bound(u, spec))}")
-        lines.append(f"ub={_num(upper_bound(u, x))}")
+    if lam is None:
+        # no hull certificate, so no lower bound or a-posteriori ratio
+        lines += [f"apriori={_num(apriori)}", f"ub={_num(upper_bound(u, nominal_solve(spec, scen)))}"]
     else:
-        if args.method == "midpoint":
-            scen = midpoint_scenario(u)
-            lam = ConvexWeights.uniform(u.n_scenarios)
-            report = aposteriori_report(u, spec, scen, lam, k=args.k)
-        else:
-            t_star, scen, lam = construct_lp_scenario(u, spec, args.k)
-            report = aposteriori_report(u, spec, scen, lam, k=args.k, apriori=1.0 / t_star)
-        lines.append(f"k={report.k_used}")
-        lines.append(f"apriori={_num(report.apriori)}")
-        lines.append(f"lb={_num(report.lb)}")
-        lines.append(f"ub={_num(report.ub)}")
-        lines.append(f"aposteriori={_num(report.aposteriori)}")
+        report = aposteriori_report(u, spec, scen, lam, k=args.k, apriori=apriori)
+        lines += [f"k={report.k_used}", f"apriori={_num(report.apriori)}", f"lb={_num(report.lb)}"]
+        lines += [f"ub={_num(report.ub)}", f"aposteriori={_num(report.aposteriori)}"]
     if args.with_maxmin:
         lines.append(f"maxmin_lb={_num(maxmin_certificate(u, spec)[0])}")
     if args.with_exact:

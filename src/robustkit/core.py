@@ -172,6 +172,14 @@ class BoundReport:
             raise ValueError(f"a-posteriori ratio {self.aposteriori} inconsistent with ub/lb = {expected}")
 
 
+def cost_vector(c, n: int) -> np.ndarray:
+    """The values of a Scenario or a plain cost vector, refused unless it has n entries."""
+    values = c.values if isinstance(c, Scenario) else np.asarray(c, dtype=float)
+    if values.shape != (n,):
+        raise ValueError(f"cost vector has length {values.size}, expected {n}")
+    return values
+
+
 def ratio_or_inf(ub: float, lb: float) -> float:
     """ub/lb with the degenerate cases pinned: 1 when both are 0, inf when only lb is."""
     if lb > 0:
@@ -200,12 +208,8 @@ def parse_instance(text: str):
     """
     from . import problems  # deferred: problems imports core types
 
-    directives = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        directives.append((lineno, line.split()))
+    tokens = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    directives = [(lineno, toks) for lineno, toks in enumerate(tokens, start=1) if toks]
 
     def fail(msg, lineno=None):
         raise InstanceFormatError(msg, lineno)
@@ -219,19 +223,20 @@ def parse_instance(text: str):
     if not directives:
         fail("empty instance file")
     it = iter(directives)
-    lineno, toks = next(it)
-    if toks[0] != "problem" or len(toks) != 2:
-        fail("first directive must be 'problem selection' or 'problem shortestpath'", lineno)
-    kind = toks[1]
 
-    spec = None
-    n_items = None
+    def expect(key, usage, arity=2):
+        """The next directive; fails with `usage` at its line unless it is `key` with `arity` tokens."""
+        lineno, toks = next(it, (None, None))
+        if toks is None or toks[0] != key or (arity is not None and len(toks) != arity):
+            fail(usage, lineno)
+        return lineno, toks
+
+    lineno, toks = expect("problem", "first directive must be 'problem selection' or 'problem shortestpath'")
+    kind = toks[1]
     if kind == "selection":
         fields = {}
         for key in ("n", "p"):
-            lineno, toks = next(it, (None, None))
-            if toks is None or toks[0] != key or len(toks) != 2:
-                fail(f"expected '{key} <int>'", lineno)
+            lineno, toks = expect(key, f"expected '{key} <int>'")
             fields[key] = parse_int(toks[1], key, lineno)
         try:
             spec = problems.Selection(n=fields["n"], p=fields["p"])
@@ -239,15 +244,11 @@ def parse_instance(text: str):
             fail(str(e), lineno)
         n_items = fields["n"]
     elif kind == "shortestpath":
-        lineno, toks = next(it, (None, None))
-        if toks is None or toks[0] != "edges" or len(toks) != 2:
-            fail("expected 'edges <int>'", lineno)
+        lineno, toks = expect("edges", "expected 'edges <int>'")
         n_edges = parse_int(toks[1], "edge count", lineno)
         edges = [None] * n_edges
         for _ in range(n_edges):
-            lineno, toks = next(it, (None, None))
-            if toks is None or toks[0] != "edge" or len(toks) != 4:
-                fail("expected 'edge <idx> <from> <to>'", lineno)
+            lineno, toks = expect("edge", "expected 'edge <idx> <from> <to>'", 4)
             idx = parse_int(toks[1], "edge index", lineno)
             if not 0 <= idx < n_edges:
                 fail(f"edge index {idx} out of range [0, {n_edges})", lineno)
@@ -256,9 +257,7 @@ def parse_instance(text: str):
             edges[idx] = (parse_int(toks[2], "tail", lineno), parse_int(toks[3], "head", lineno))
         endpoints = {}
         for key in ("source", "sink"):
-            lineno, toks = next(it, (None, None))
-            if toks is None or toks[0] != key or len(toks) != 2:
-                fail(f"expected '{key} <vertex>'", lineno)
+            lineno, toks = expect(key, f"expected '{key} <vertex>'")
             endpoints[key] = parse_int(toks[1], key, lineno)
         try:
             spec = problems.ShortestPath(edges=tuple(edges), source=endpoints["source"], sink=endpoints["sink"])
@@ -268,18 +267,14 @@ def parse_instance(text: str):
     else:
         fail(f"unknown problem kind {kind!r}", lineno)
 
-    lineno, toks = next(it, (None, None))
-    if toks is None or toks[0] != "N" or len(toks) != 2:
-        fail("expected 'N <int>'", lineno)
+    lineno, toks = expect("N", "expected 'N <int>'")
     n_scen = parse_int(toks[1], "scenario count", lineno)
     if n_scen < 1:
         fail("N must be >= 1", lineno)
 
     rows = []
     for _ in range(n_scen):
-        lineno, toks = next(it, (None, None))
-        if toks is None or toks[0] != "c":
-            fail("expected a 'c <v1> ... <vn>' cost row", lineno)
+        lineno, toks = expect("c", "expected a 'c <v1> ... <vn>' cost row", None)
         if len(toks) - 1 != n_items:
             fail(f"cost row has {len(toks) - 1} entries, expected {n_items}", lineno)
         try:

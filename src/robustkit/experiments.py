@@ -15,6 +15,7 @@ which makes every instance independent of worker scheduling.
 
 from __future__ import annotations
 
+import contextlib
 import math
 import os
 import time
@@ -27,7 +28,7 @@ import numpy as np
 from .core import EPS_CMP, ConvexWeights, Scenario, UncertaintySet, ratio_or_inf, serialize_instance
 from .problems import Selection, nominal_solve
 from .scenarios import construct_lp_scenario, fixed_scenario_guarantee, midpoint_scenario
-from .bounds import BudgetError, exact_minmax, lower_bound, maxmin_certificate, upper_bound
+from .bounds import MAX_ENUMERATION, exact_minmax, lower_bound, maxmin_certificate, upper_bound
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -117,7 +118,7 @@ class ExperimentGrid:
     master_seed: int = 0
     ks: Tuple[int, ...] = (1, 2, 3)
     methods: Tuple[str, ...] = METHOD_FAMILIES
-    exact_budget: int = 2_000_000  # skip exact optima above this many subsets
+    exact_budget: int = 2_000_000  # skip exact optima above this many subsets (at most MAX_ENUMERATION)
 
     def __post_init__(self):
         if self.instance_count < 1:
@@ -135,6 +136,8 @@ class ExperimentGrid:
         unknown = set(self.methods) - set(METHOD_FAMILIES)
         if unknown:
             raise ValueError(f"unknown method families: {sorted(unknown)}")
+        if self.exact_budget > MAX_ENUMERATION:
+            raise ValueError(f"exact_budget {self.exact_budget} exceeds the enumeration cap {MAX_ENUMERATION}")
 
 
 @dataclass
@@ -189,7 +192,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
     invariant is not a domain error: InvariantError propagates, naming the
     cell, instance id and seed.
     """
-    cell_index, instance_id, n, p, N, seed, ks, methods, exact_budget, dump_dir = task
+    cell_index, instance_id, n, p, N, seed, ks_valid, methods, with_opt, dump_dir = task
     timings: Dict[str, float] = {}
     try:
         u, spec = generate_instance(n, p, N, seed)
@@ -198,7 +201,6 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
             with open(path, "w", encoding="utf-8") as fh:
                 fh.write(serialize_instance(u, spec))
 
-        ks_valid = tuple(k for k in ks if k <= p)
         out: Dict[MetricKey, float] = {}
 
         mid = midpoint_scenario(u)
@@ -241,7 +243,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
             out[("aposteriori", "mm", None)] = ratio_or_inf(out[("ub", "mm", None)], mm_val)
             timings["mm"] = time.perf_counter() - start
 
-        if "opt" in methods and math.comb(n, p) <= exact_budget:
+        if with_opt:
             start = time.perf_counter()
             opt_val, _ = exact_minmax(u, spec)
             out[("opt", "exact", None)] = opt_val
@@ -315,63 +317,56 @@ def run_grid(
 ) -> GridResult:
     """Run every cell of the grid and aggregate per-metric means.
 
-    Instances are independent tasks; results are keyed by instance id and
-    aggregated in id order, so the output is identical for any worker
-    count. Instances with a domain error are excluded, counted per cell
-    and listed in errors; an InvariantError aborts the grid.
+    Instances are independent tasks, run in process or on a pool of
+    workers; results come back in task order and are aggregated in id
+    order, so the output is identical for any worker count. Instances
+    with a domain error are excluded, counted per cell and listed in
+    errors; an InvariantError aborts the grid.
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
     if dump_dir is not None:
         os.makedirs(dump_dir, exist_ok=True)
 
-    tasks = []
+    tasks = []  # the valid k and whether opt runs are decided once per cell
     for cell_index, (n, p, N) in enumerate(grid.cells):
+        ks_valid = tuple(k for k in grid.ks if k <= p)
+        with_opt = "opt" in grid.methods and math.comb(n, p) <= grid.exact_budget
         for instance_id in range(grid.instance_count):
             seed = derive_seed(grid.master_seed, n, p, N, instance_id)
-            tasks.append(
-                (cell_index, instance_id, n, p, N, seed, tuple(grid.ks), tuple(grid.methods), grid.exact_budget, dump_dir)
-            )
+            tasks.append((cell_index, instance_id, n, p, N, seed, ks_valid, tuple(grid.methods), with_opt, dump_dir))
 
-    if workers == 1:
-        outcomes = []
-        for i, task in enumerate(tasks):
-            outcomes.append(_instance_metrics(task))
-            if progress and (i + 1) % 100 == 0:
-                progress(f"{i + 1}/{len(tasks)} instances")
-    else:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
-            outcomes = []
-            for i, outcome in enumerate(pool.map(_instance_metrics, tasks, chunksize=16)):
-                outcomes.append(outcome)
-                if progress and (i + 1) % 100 == 0:
-                    progress(f"{i + 1}/{len(tasks)} instances")
+    outcomes = []
+    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
+        results = pool.map(_instance_metrics, tasks, chunksize=16) if pool else map(_instance_metrics, tasks)
+        for outcome in results:
+            outcomes.append(outcome)
+            if progress and len(outcomes) % 100 == 0:
+                progress(f"{len(outcomes)}/{len(tasks)} instances")
 
-    outcomes.sort(key=lambda item: (item[0], item[1]))
-
+    # both maps yield in task order, and the tasks run cell by cell in
+    # ascending id, so each cell's outcomes are one slice in id order
     result = GridResult()
     for cell_index, (n, p, N) in enumerate(grid.cells):
-        cell_outcomes = [o for o in outcomes if o[0] == cell_index]
-        errors = [((n, p, N), o[1], derive_seed(grid.master_seed, n, p, N, o[1]), o[2]) for o in cell_outcomes if o[2] is not None]
+        cell = slice(cell_index * grid.instance_count, (cell_index + 1) * grid.instance_count)
+        ks_valid = tasks[cell.start][6]
+        errors = [((n, p, N), o[1], task[5], o[2]) for task, o in zip(tasks[cell], outcomes[cell]) if o[2] is not None]
         if errors:
             result.failures[(n, p, N)] = len(errors)
             result.errors += errors
-        good = [o for o in cell_outcomes if o[2] is None]
+        good = [o for o in outcomes[cell] if o[2] is None]
         family_time: Dict[str, float] = {}
         for o in good:
             for fam, secs in o[4].items():
                 family_time[fam] = family_time.get(fam, 0.0) + secs
-        ks_valid = tuple(k for k in grid.ks if k <= p)
-        order = _metric_order(ks_valid)
-        families = ["opt" if method == "exact" else method for _, method, _ in order]
-        for (metric, method, k), family in zip(order, families):
+        for metric, method, k in _metric_order(ks_valid):
             values = [o[3][(metric, method, k)] for o in good if (metric, method, k) in o[3]]
             if not values:
                 continue
             arr = np.array(values)
             mean = float(arr.mean())
             stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-            runtime_ms = 1000.0 * family_time.get(family, 0.0) / len(good)
+            runtime_ms = 1000.0 * family_time.get("opt" if method == "exact" else method, 0.0) / len(good)
             result.rows.append(
                 AggregateRow(n=n, p=p, N=N, metric=metric, method=method, k=k, value=mean, stderr=stderr, instances=len(values), runtime_ms=runtime_ms)
             )

@@ -11,12 +11,13 @@ from __future__ import annotations
 
 import heapq
 import itertools
+from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import BinarySolution, Scenario
+from .core import BinarySolution, cost_vector
 
 
 @dataclass(frozen=True)
@@ -80,10 +81,6 @@ def _min_hops(spec: ShortestPath) -> Optional[int]:
     return dist.get(spec.sink)
 
 
-def _values(c) -> np.ndarray:
-    return c.values if isinstance(c, Scenario) else np.asarray(c, dtype=float)
-
-
 def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
     """Minimize c.x over the feasible set; deterministic under cost ties.
 
@@ -92,9 +89,7 @@ def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
     type invariant) and prefers the smaller predecessor vertex, then the
     smaller edge index, on equal-cost ties.
     """
-    values = _values(c)
-    if values.shape[0] != dimension(spec):
-        raise ValueError(f"cost vector has length {values.shape[0]}, expected {dimension(spec)}")
+    values = cost_vector(c, dimension(spec))
     if np.any(values < 0):
         raise ValueError("costs must be nonnegative")
 
@@ -177,15 +172,15 @@ def max_solution_cardinality_bound(spec: ProblemSpec) -> int:
     if isinstance(spec, Selection):
         return spec.p
 
-    n = len(spec.edges)
-    order = _topological_order(spec)
+    out = _out_edges(spec)
+    order = _topological_order(spec, out)
     if order is None:
-        return n
+        return len(spec.edges)
     longest = {spec.source: 0}
     for v in order:
         if v not in longest:
             continue
-        for j, w in _out_edges(spec).get(v, ()):
+        for j, w in out.get(v, ()):
             cand = longest[v] + 1
             if cand > longest.get(w, -1):
                 longest[w] = cand
@@ -193,19 +188,18 @@ def max_solution_cardinality_bound(spec: ProblemSpec) -> int:
     return longest[spec.sink]
 
 
-def _topological_order(spec: ShortestPath):
-    """Kahn's algorithm; None if the graph has a cycle."""
+def _topological_order(spec: ShortestPath, out):
+    """Kahn's algorithm over the out-edge lists; None if the graph has a cycle."""
     vertices = {spec.source, spec.sink}
     indeg = {}
     for a, b in spec.edges:
         vertices.add(a)
         vertices.add(b)
         indeg[b] = indeg.get(b, 0) + 1
-    queue = sorted(v for v in vertices if indeg.get(v, 0) == 0)
-    out = _out_edges(spec)
+    queue = deque(sorted(v for v in vertices if indeg.get(v, 0) == 0))
     order = []
     while queue:
-        v = queue.pop(0)
+        v = queue.popleft()
         order.append(v)
         for _, w in out.get(v, ()):
             indeg[w] -= 1

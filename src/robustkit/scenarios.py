@@ -26,7 +26,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, EPS_CUT, ConvexWeights, Scenario, UncertaintySet
+from .core import EPS_CMP, EPS_CUT, ConvexWeights, Scenario, UncertaintySet, cost_vector
 from .lp import EQ, LE, LinearProgram, LpError, solve_lp
 from .problems import ProblemSpec, max_solution_cardinality_bound, validate_k
 
@@ -80,7 +80,7 @@ def separation_oracle(
         raise ValueError(f"k must be >= 1, got {k}")
     if k > u.n_items:
         raise ValueError(f"k={k} exceeds the item count {u.n_items}")
-    values = c.values if isinstance(c, Scenario) else np.asarray(c, dtype=float)
+    values = cost_vector(c, u.n_items)
     violation, i, subset = _most_violated(u.costs, values, t, k)
     if violation > EPS_CUT:
         return i, subset
@@ -173,9 +173,9 @@ def fixed_scenario_guarantee(u: UncertaintySet, c, k: int) -> float:
     """
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
-    values = c.values if isinstance(c, Scenario) else np.asarray(c, dtype=float)
-    if values.shape[0] < k:
-        raise ValueError(f"k={k} exceeds the item count {values.shape[0]}")
+    if k > u.n_items:
+        raise ValueError(f"k={k} exceeds the item count {u.n_items}")
+    values = cost_vector(c, u.n_items)
     costs = u.costs
     tol = 1e-12 * max(1.0, float(values.max(initial=0.0)) * k)
 

@@ -93,6 +93,11 @@ class TestLowerBound:
         lb = rk.lower_bound(u, c, rk.ConvexWeights.unit(1, 0), x)
         assert lb == 4.0  # 1 + 3
 
+    def test_rejects_cost_vector_of_wrong_length(self, table1):
+        u, _ = table1
+        with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
+            rk.lower_bound(u, [0.0], rk.ConvexWeights.uniform(3), rk.BinarySolution((0,)))
+
     def test_rejects_uncertified_scenario(self, table1):
         u, _ = table1
         wc = rk.worstcase_scenario(u)

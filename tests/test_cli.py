@@ -151,6 +151,24 @@ class TestBounds:
         assert "exceed" in err
 
 
+@pytest.mark.parametrize(
+    "command, method, keys",
+    [
+        ("construct", "midpoint", "method k apriori scenario lambda"),
+        ("construct", "worstcase", "method apriori scenario"),
+        ("construct", "lp", "method k t_star apriori scenario lambda"),
+        ("bounds", "midpoint", "method k apriori lb ub aposteriori maxmin_lb opt opt_solution"),
+        ("bounds", "worstcase", "method apriori ub maxmin_lb opt opt_solution"),
+        ("bounds", "lp", "method k apriori lb ub aposteriori maxmin_lb opt opt_solution"),
+    ],
+)
+def test_printed_keys_in_order(capsys, table1_file, command, method, keys):
+    extra = ("--with-maxmin", "--with-exact") if command == "bounds" else ()
+    code, out, _ = run_cli(capsys, command, "--in", table1_file, "--method", method, *extra)
+    assert code == 0
+    assert [line.partition("=")[0] for line in out.splitlines()] == keys.split()
+
+
 class TestExperiment:
     def test_single_cell_inline(self, capsys, tmp_path):
         out_csv = tmp_path / "results.csv"
@@ -202,6 +220,15 @@ class TestExperiment:
         assert _parse_grid_spec("cell 4 2 2", 5) == rk.ExperimentGrid(cells=[(4, 2, 2)], master_seed=5)
         grid = _parse_grid_spec("cell 4 2 2; count 7; ks 1; methods mid; exact_budget 9", 5)
         assert (grid.instance_count, grid.ks, grid.methods, grid.exact_budget) == (7, (1,), ("mid",), 9)
+
+    def test_exact_budget_above_the_enumeration_cap_exits_1(self, capsys, tmp_path):
+        out_csv = tmp_path / "results.csv"
+        code, _, err = run_cli(
+            capsys, "experiment", "--grid-spec", "cell 4 2 2; count 1; exact_budget 1000000000", "--out", str(out_csv)
+        )
+        assert code == 1
+        assert "exact_budget 1000000000 exceeds the enumeration cap" in err
+        assert not out_csv.exists()
 
     def test_failed_instance_reported_with_seed(self, capsys, tmp_path, monkeypatch):
         def failing(u, c, k):

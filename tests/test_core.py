@@ -171,6 +171,28 @@ class TestParseInstance:
         with pytest.raises(InstanceFormatError, match="no path"):
             rk.parse_instance(text)
 
+    @pytest.mark.parametrize(
+        "text, message, line",
+        [
+            ("# header\nproblem selection 4\nn 4\n", "first directive must be 'problem selection' or 'problem shortestpath'", 2),
+            ("problem selection\nm 4\n", "expected 'n <int>'", 2),
+            ("problem selection\nn 4\n\np 2 3\n", "expected 'p <int>'", 4),
+            ("problem shortestpath\nedges\n", "expected 'edges <int>'", 2),
+            ("problem shortestpath\nedges 2\nedge 0 0 1\nedge 1 1\n", "expected 'edge <idx> <from> <to>'", 4),
+            ("problem shortestpath\nedges 1\nedge 0 0 1\nsink 1\n", "expected 'source <vertex>'", 4),
+            ("problem shortestpath\nedges 1\nedge 0 0 1\nsource 0\nsink # end\n", "expected 'sink <vertex>'", 5),
+            ("problem shortestpath\nedges 1\nedge 0 0 1\nsource 0\n", "expected 'sink <vertex>'", None),
+            ("problem selection\nn 2\np 1\nc 1 2\n", "expected 'N <int>'", 4),
+            ("problem selection\nn 2\np 1\nN 2\nc 1 2\nN 2\n", "expected a 'c <v1> ... <vn>' cost row", 6),
+            ("problem selection\nn 2\np 1\nN 2\nc 1 2\n", "expected a 'c <v1> ... <vn>' cost row", None),
+        ],
+    )
+    def test_malformed_directive(self, text, message, line):
+        with pytest.raises(InstanceFormatError) as excinfo:
+            rk.parse_instance(text)
+        assert excinfo.value.line == line
+        assert str(excinfo.value) == (message if line is None else f"line {line}: {message}")
+
 
 class TestSerializeInstance:
     def test_table1_roundtrip(self, table1, table1_text):

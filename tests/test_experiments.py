@@ -186,7 +186,17 @@ class TestRunGrid:
         parallel = rk.emit_csv(rk.run_grid(grid, workers=2))
         assert serial == parallel
 
-    def test_failures_counted_and_excluded(self, monkeypatch):
+    def test_cells_match_one_cell_grids(self):
+        # a cell's rows depend on its own instances only, wherever it sits in the grid
+        cells = [(5, 2, 3), (6, 3, 4), (4, 2, 2)]
+        whole = rk.emit_csv(rk.run_grid(rk.ExperimentGrid(cells=cells, instance_count=4, master_seed=11)))
+        parts = [rk.emit_csv(rk.run_grid(rk.ExperimentGrid(cells=[cell], instance_count=4, master_seed=11))) for cell in cells]
+        assert whole == experiments_module.CSV_HEADER + "\n" + "".join(part.split("\n", 1)[1] for part in parts)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failures_counted_and_excluded(self, monkeypatch, workers):
+        if workers > 1 and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patch reaches pool workers only when they are forked")
         calls = {"count": 0}
         real = rk.scenarios.fixed_scenario_guarantee
 
@@ -198,7 +208,7 @@ class TestRunGrid:
 
         monkeypatch.setattr("robustkit.experiments.fixed_scenario_guarantee", flaky)
         grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2)
-        result = rk.run_grid(grid, workers=1)
+        result = rk.run_grid(grid, workers=workers)
         assert result.failures == {(5, 2, 2): 1}
         assert result.errors == [((5, 2, 2), 0, derive_seed(2, 5, 2, 2, 0), "RuntimeError: synthetic failure")]
         assert all(r.instances == 2 for r in result.rows)
@@ -291,6 +301,14 @@ class TestGridValidation:
         # a repeated k would write each of its CSV rows twice
         with pytest.raises(ValueError, match="strictly increasing"):
             rk.ExperimentGrid(cells=[(10, 3, 10)], ks=(1, 1))
+
+    def test_rejects_exact_budget_above_the_enumeration_cap(self):
+        # C(30, 15) is under this budget but over the cap, so the exact
+        # search would refuse every instance and drop all its other metrics
+        with pytest.raises(ValueError, match="exceeds the enumeration cap"):
+            rk.ExperimentGrid(cells=[(30, 15, 2)], instance_count=1, exact_budget=10**9)
+        grid = rk.ExperimentGrid(cells=[(4, 2, 2)], instance_count=1, exact_budget=rk.bounds.MAX_ENUMERATION)
+        assert rk.run_grid(grid).failures == {}
 
 
 class TestSpotCheck:

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkit as rk
+from robustkit import problems as problems_module
 from robustkit.experiments import SplitMix64
 
 
@@ -141,6 +142,17 @@ class TestCardinalities:
     def test_cyclic_graph_falls_back_to_edge_count(self):
         spec = rk.ShortestPath(edges=((0, 1), (1, 0), (1, 2)), source=0, sink=2)
         assert rk.max_solution_cardinality_bound(spec) == 3
+
+    @pytest.mark.parametrize("steps", [100, 20_000])
+    def test_longest_path_builds_adjacency_once(self, monkeypatch, steps):
+        # ladder DAG: edges i -> i+1 and i -> i+2; the longest path takes every unit step
+        edges = tuple((i, i + d) for i in range(steps) for d in (1, 2) if i + d <= steps)
+        spec = rk.ShortestPath(edges=edges, source=0, sink=steps)
+        real = problems_module._out_edges
+        calls = []
+        monkeypatch.setattr(problems_module, "_out_edges", lambda s: calls.append(1) or real(s))
+        assert rk.max_solution_cardinality_bound(spec) == steps
+        assert len(calls) == 1
 
     def test_min_le_max(self):
         rng = SplitMix64(99)

@@ -121,6 +121,11 @@ class TestSeparationOracle:
         with pytest.raises(ValueError, match="item count"):
             rk.separation_oracle(u, rk.midpoint_scenario(u), 1.0, u.n_items + 1)
 
+    def test_rejects_cost_vector_of_wrong_length(self, table1):
+        u, _ = table1
+        with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
+            rk.separation_oracle(u, [1.0], 1.0, 1)
+
     def test_vectorized_oracle_equals_per_scenario_loop_on_ties(self):
         from robustkit.scenarios import _most_violated
 
@@ -278,6 +283,11 @@ class TestFixedScenarioGuarantee:
         u = rk.UncertaintySet(np.array([[2.0, 3.0]]))
         assert rk.fixed_scenario_guarantee(u, u.scenario(0), 1) == 1.0
         assert rk.fixed_scenario_guarantee(u, u.scenario(0), 2) == 1.0
+
+    def test_rejects_cost_vector_of_wrong_length(self, table1):
+        u, _ = table1
+        with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
+            rk.fixed_scenario_guarantee(u, [50.0], 1)
 
     def test_infinite_when_scenario_misses_support(self):
         u = rk.UncertaintySet(np.array([[1.0, 5.0]]))
