@@ -60,7 +60,7 @@ def lower_bound(u: UncertaintySet, c, lam: ConvexWeights, x_c: BinarySolution) -
     """
     values = cost_vector(c, u.n_items)
     gap = float(np.abs(values - lam.lam @ u.costs).max())
-    if gap > EPS_CMP:
+    if not gap <= EPS_CMP:  # a NaN gap certifies nothing
         raise ValueError(
             f"scenario is not certified inside the convex hull: weights miss it by {gap}"
         )

@@ -106,6 +106,8 @@ class ConvexWeights:
         lam = np.asarray(self.lam, dtype=float)
         if lam.ndim != 1 or lam.shape[0] < 1:
             raise ValueError("weights must be a nonempty 1-d vector")
+        if not np.isfinite(lam).all():
+            raise ValueError("weights must be finite")
         if np.any(lam < -EPS_FEAS):
             raise ValueError(f"weights must be >= -{EPS_FEAS}, got min {lam.min()}")
         if abs(lam.sum() - 1.0) > EPS_FEAS:
@@ -161,14 +163,14 @@ class BoundReport:
     k_used: Optional[int] = None
 
     def __post_init__(self):
-        if self.lb < 0 or self.ub < 0:
-            raise ValueError("bounds must be nonnegative")
+        if not (0 <= self.lb < math.inf and 0 <= self.ub < math.inf):
+            raise ValueError(f"bounds must be finite and nonnegative, got lb={self.lb}, ub={self.ub}")
         if self.lb > self.ub + EPS_CMP:
             raise ValueError(f"lower bound {self.lb} exceeds upper bound {self.ub}")
         if not (self.apriori >= 1.0 - EPS_CMP):
             raise ValueError(f"a-priori ratio must be >= 1, got {self.apriori}")
         expected = ratio_or_inf(self.ub, self.lb)
-        if not (math.isinf(expected) and math.isinf(self.aposteriori)) and abs(expected - self.aposteriori) > EPS_CMP * max(1.0, expected):
+        if not (math.isinf(expected) and math.isinf(self.aposteriori)) and not abs(expected - self.aposteriori) <= EPS_CMP * max(1.0, expected):
             raise ValueError(f"a-posteriori ratio {self.aposteriori} inconsistent with ub/lb = {expected}")
 
 

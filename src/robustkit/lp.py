@@ -26,7 +26,10 @@ optimal tableau, appends each violated row written in the current basis
 with a fresh basic slack, and restores primal feasibility with the same
 dual simplex, which keeps the reduced costs optimal. No solve restarts
 from scratch. The tableau lives in a buffer that doubles when full, so
-each generated row is appended in place.
+each generated row is appended in place. A pivot updates whole buffer
+rows, which are contiguous: the spare columns right of the tableau hold
+zeros, pricing never reads them, and a column is set in full when a
+generated row brings it into the tableau.
 """
 
 from __future__ import annotations
@@ -129,7 +132,8 @@ _MAX_ROUNDS = 100_000
 
 
 def _pivot(T: np.ndarray, basis: List[int], row: int, col: int) -> None:
-    # the pivot column comes out exact: p / p = 1 and x - x * 1 = +0
+    # the pivot column comes out exact: p / p = 1 and x - x * 1 = +0; the
+    # update is elementwise, so spare columns in T change no tableau bit
     prow = T[row]
     prow /= prow[col]
     colv = T[:, col].copy()
@@ -138,8 +142,8 @@ def _pivot(T: np.ndarray, basis: List[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _pivot_cap(T: np.ndarray) -> int:
-    return 10_000 + 200 * (T.shape[0] + T.shape[1] - 2)
+def _pivot_cap(T: np.ndarray, width: int) -> int:
+    return 10_000 + 200 * (T.shape[0] + width - 2)
 
 
 def _first_basic(rows: np.ndarray, basis: List[int]) -> int:
@@ -147,8 +151,8 @@ def _first_basic(rows: np.ndarray, basis: List[int]) -> int:
     return int(rows[0]) if rows.size == 1 else min(rows.tolist(), key=basis.__getitem__)
 
 
-def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
-    """Pivot the tableau to optimality (max sense, z-c objective row).
+def _run_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) -> Tuple[str, int]:
+    """Pivot the tableau T[:, :width] to optimality (max sense, z-c objective row).
 
     The entering column has the most negative reduced cost, ties going to
     the smallest column; after _DEGENERATE_STREAK consecutive degenerate
@@ -159,7 +163,7 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
     m = len(basis)
     iterations = 0
     streak = 0  # consecutive degenerate pivots
-    obj, rhs = T[-1, :-1], T[:m, -1]  # views that follow the pivots
+    obj, rhs = T[-1, : width - 1], T[:m, width - 1]  # views that follow the pivots
     while True:
         col = int(obj.argmin())  # a NaN reduced cost is the argmin
         if not obj[col] < -_PIVOT_TOL:
@@ -186,8 +190,8 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
             raise LpError(f"simplex exceeded {max_iter} pivots")
 
 
-def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
-    """Pivot a tableau with optimal reduced costs back to primal feasibility.
+def _dual_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) -> Tuple[str, int]:
+    """Pivot a tableau T[:, :width] with optimal reduced costs back to primal feasibility.
 
     The leaving row is the most infeasible one (rhs furthest below
     -_PIVOT_TOL), ties going to the smallest basic index; after
@@ -201,7 +205,7 @@ def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, 
     """
     iterations = 0
     streak = 0  # consecutive dual-degenerate pivots
-    obj, rhs = T[-1, :-1], T[:-1, -1]  # views that follow the pivots
+    obj, rhs = T[-1, : width - 1], T[:-1, width - 1]  # views that follow the pivots
     while True:
         low = rhs.min(initial=0.0)  # NaN if any rhs is
         if not -np.inf < low < -_PIVOT_TOL:
@@ -209,7 +213,7 @@ def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, 
                 raise LpError("non-finite right-hand side")
             return "optimal", iterations
         row = _first_basic((rhs == low if streak < _DEGENERATE_STREAK else rhs < -_PIVOT_TOL).nonzero()[0], basis)
-        rowvals = T[row, :-1]
+        rowvals = T[row, : width - 1]
         ratios = np.divide(obj, -rowvals, out=np.full(rowvals.shape[0], np.inf), where=rowvals < -_PIVOT_TOL)
         col = int(ratios.argmin())  # first minimum: smallest column
         if ratios[col] == np.inf:  # no negative entry
@@ -221,17 +225,18 @@ def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, 
             raise LpError(f"dual simplex exceeded {max_iter} pivots")
 
 
-def _add_row(buf: np.ndarray, T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np.ndarray:
-    """T plus the row `row . y + s = rhs` for a fresh slack s, made basic.
+def _add_row(buf: np.ndarray, width: int, basis: List[int], row: np.ndarray, rhs: float) -> np.ndarray:
+    """Add the row `row . y + s = rhs` for a fresh slack s, made basic.
 
-    T is buf[:m + 1, :width] and buf must have a spare row and column. The
-    objective row moves down a row and the rhs column right a column; the
-    new row and its slack take the freed row and column. The row is
-    written in the current basis by eliminating every basic column, so it
-    reads s = rhs - (nonbasic terms) and the reduced costs are unchanged.
-    Returns the grown view of buf and appends s to basis.
+    The tableau is buf[:m + 1, :width] with m = len(basis), and buf must
+    have a spare row and column. The objective row moves down a row and
+    the rhs column right a column; the new row and its slack take the
+    freed row and column. The row is written in the current basis by
+    eliminating every basic column, so it reads s = rhs - (nonbasic terms)
+    and the reduced costs are unchanged. Appends s to basis and returns
+    buf[:m + 2], whose first width + 1 columns are the grown tableau.
     """
-    m, width = T.shape[0] - 1, T.shape[1]
+    m = len(basis)
     buf[m + 1, :width] = buf[m, :width]
     buf[: m + 2, width] = buf[: m + 2, width - 1]
     buf[: m + 2, width - 1] = 0.0
@@ -243,7 +248,7 @@ def _add_row(buf: np.ndarray, T: np.ndarray, basis: List[int], row: np.ndarray, 
     # over exactly the tableau's width: a wider product can round differently
     new -= new[basis] @ buf[:m, : width + 1]
     basis.append(width - 1)
-    return buf[: m + 2, : width + 1]
+    return buf[: m + 2]
 
 
 def _grown(a: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
@@ -256,42 +261,37 @@ def _grown(a: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
 def _standardize(lp: LinearProgram):
     """Rewrite as max c.y, A y rel b, y >= 0.
 
-    Returns (c, rows, P, offsets) with x = offsets + P @ y, where each
-    column of P holds one +-1, or None when the bounds alone are
-    infeasible. A row a.x rel r becomes (a @ P) y rel r - a.offsets.
+    Returns (c, rows, var, sign, offsets), or None when the bounds alone
+    are infeasible. Column i of y belongs to variable var[i] with sign
+    sign[i]: a variable with a finite lower bound has one column,
+    x = lo + y; one bounded only above has one mirrored column, x = up - y;
+    a free one has two, x = y+ - y-. So x is offsets plus the per-variable
+    sum of sign * y, and a row a.x rel r becomes (a[var] * sign) y rel
+    r - a.offsets; both are exact, as each column carries a single +-1.
     """
-    if np.any(lp.upper < lp.lower):
+    lo, up = lp.lower, lp.upper
+    if np.any(up < lo):
         return None
-    columns = []  # (variable, sign) of each y column
-    offsets = np.zeros(lp.n_vars)
-    extra_rows = []  # upper-bound rows in y space
-    for j in range(lp.n_vars):
-        lo, up = lp.lower[j], lp.upper[j]
-        if lo == -np.inf and up == np.inf:
-            columns += [(j, 1.0), (j, -1.0)]
-        elif lo == -np.inf:
-            # mirror: x = up - y
-            offsets[j] = up
-            columns.append((j, -1.0))
-        else:
-            offsets[j] = lo
-            if up != np.inf:
-                extra_rows.append((len(columns), up - lo))
-            columns.append((j, 1.0))
-    P = np.zeros((lp.n_vars, len(columns)))
-    for col, (j, sign) in enumerate(columns):
-        P[j, col] = sign
+    free = (lo == -np.inf) & (up == np.inf)
+    mirror = (lo == -np.inf) & ~free
+    boxed = (lo > -np.inf) & (up < np.inf)
+    var = np.repeat(np.arange(lp.n_vars), 1 + free)
+    first = np.arange(lp.n_vars) + np.cumsum(free) - free  # each variable's first column
+    sign = np.ones(var.shape[0])
+    sign[first[mirror]] = -1.0
+    sign[first[free] + 1] = -1.0
+    offsets = np.where(mirror, up, np.where(free, 0.0, lo))
 
-    rows = [(coeffs @ P, rel, rhs - float(coeffs @ offsets)) for coeffs, rel, rhs in lp.constraints]
-    for col, ub in extra_rows:
-        row = np.zeros(len(columns))
+    rows = [(coeffs[var] * sign, rel, rhs - float(coeffs @ offsets)) for coeffs, rel, rhs in lp.constraints]
+    for col, ub in zip(first[boxed], (up - lo)[boxed]):  # upper-bound rows in y space
+        row = np.zeros(var.shape[0])
         row[col] = 1.0
         rows.append((row, LE, ub))
 
-    c = lp.objective @ P
+    c = lp.objective[var] * sign
     if lp.sense == "min":
         c = -c
-    return c, rows, P, offsets
+    return c, rows, var, sign, offsets
 
 
 def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
@@ -315,7 +315,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     std = _standardize(lp)
     if std is None:
         return LpSolution(status="infeasible")
-    c, rows, P, offsets = std
+    c, rows, var, sign, offsets = std
     n_std = c.shape[0]
 
     # [A | I | b]: every row a <= row with a basic slack; an == row is two
@@ -323,18 +323,20 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     split = [(row, rhs, rel == EQ) for row, rel, rhs in rows]
     split += [(-row, -rhs, True) for row, rel, rhs in rows if rel == EQ]
     m = len(split)
-    # T is a view of buf, which gains spare rows and columns when it is full
+    # the tableau is T[:, :width], where T = buf[:m + 1] are whole rows of a
+    # buffer that gains spare rows and columns when it is full
     buf = T = np.zeros((m + 1, n_std + m + 1))
+    width = T.shape[1]
     for i, (row, rhs, _) in enumerate(split):
         T[i, :n_std] = row
         T[i, -1] = rhs
     T[:m, n_std:-1] = np.eye(m)
     basis = list(range(n_std, n_std + m))
-    max_iter = _pivot_cap(T)
+    max_iter = _pivot_cap(T, width)
 
     # Phase 1: under a zero objective every basis is dual feasible, so the
     # dual simplex reaches a feasible basis or proves the rows infeasible
-    status, iterations = _dual_simplex(T, basis, max_iter)
+    status, iterations = _dual_simplex(T, width, basis, max_iter)
     if status == "infeasible":
         return LpSolution(status="infeasible", iterations=iterations)
     # a nonbasic equality slack is 0; clearing its column keeps it out
@@ -347,7 +349,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     coefs = T[-1, basis]
     for i in np.flatnonzero(coefs):
         T[-1] -= coefs[i] * T[i]
-    status, its = _run_simplex(T, basis, max_iter)
+    status, its = _run_simplex(T, width, basis, max_iter)
     iterations += its
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
@@ -362,9 +364,9 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     rounds = 0
     while True:
         r = len(lp.constraints) + rounds
-        y = np.zeros(T.shape[1] - 1)  # the standardized variables, then the slacks
-        y[basis] = T[:-1, -1]
-        x = offsets + P @ np.maximum(y[:n_std], 0.0)
+        y = np.zeros(width - 1)  # the standardized variables, then the slacks
+        y[basis] = T[:-1, width - 1]
+        x = offsets + np.bincount(var, sign * np.maximum(y[:n_std], 0.0), lp.n_vars)
         _check_feasible(x, lp.lower, lp.upper, lo_scale, A[:r], b[:r], eq[:r], amax[:r], bscale[:r])
         source_row = None if row_source is None else row_source(x)
         if source_row is None:
@@ -382,14 +384,15 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
             A, b, eq, amax, bscale = (_grown(a, (len(buf),) + a.shape[1:]) for a in (A, b, eq, amax, bscale))
         A[r], b[r], amax[r], bscale[r] = coeffs, rhs, np.abs(coeffs).max(), max(1.0, abs(rhs))
         rounds += 1
-        T = _add_row(buf, T, basis, coeffs @ P, rhs - float(coeffs @ offsets))
-        max_iter = _pivot_cap(T)
-        status, its = _dual_simplex(T, basis, max_iter)
+        T = _add_row(buf, width, basis, coeffs[var] * sign, rhs - float(coeffs @ offsets))
+        width += 1
+        max_iter = _pivot_cap(T, width)
+        status, its = _dual_simplex(T, width, basis, max_iter)
         iterations += its
         if status == "infeasible":
             return LpSolution(status="infeasible", iterations=iterations, rounds=rounds)
         # the reduced costs stayed optimal; this certifies them (normally 0 pivots)
-        status, its = _run_simplex(T, basis, max_iter)
+        status, its = _run_simplex(T, width, basis, max_iter)
         iterations += its
         if status == "unbounded":
             return LpSolution(status="unbounded", iterations=iterations, rounds=rounds)
@@ -403,22 +406,23 @@ def _check_feasible(x, lo, up, lo_scale, A, b, eq, amax, bscale) -> None:
     is |lo| where finite, else 1; amax and bscale hold each row's largest
     absolute coefficient and max(1, |b|).
     """
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise LpError("solution has non-finite values")
-    xmag = float(np.abs(x).max()) if x.size else 0.0
-    tol = EPS_FEAS * np.maximum(max(1.0, xmag), lo_scale)
-    below, above = np.nonzero(x < lo - tol)[0], np.nonzero(x > up + tol)[0]
-    if below.size:
-        j = below[0]
+    xscale = max(1.0, float(np.abs(x).max()))
+    tol = EPS_FEAS * np.maximum(xscale, lo_scale)
+    below = x < lo - tol
+    if below.any():
+        j = below.argmax()
         raise LpError(f"variable {j} violates its lower bound: {x[j]} < {lo[j]}")
-    if above.size:
-        j = above[0]
+    above = x > up + tol
+    if above.any():
+        j = above.argmax()
         raise LpError(f"variable {j} violates its upper bound: {x[j]} > {up[j]}")
     lhs = A @ x
-    scale = np.maximum(bscale, amax * max(1.0, xmag))
-    excess = np.where(eq, np.abs(lhs - b), lhs - b)
-    violated = np.nonzero(excess > EPS_FEAS * scale)[0]
-    if violated.size:
-        idx = violated[0]
+    excess = lhs - b
+    np.abs(excess, out=excess, where=eq)
+    violated = excess > EPS_FEAS * np.maximum(bscale, amax * xscale)
+    if violated.any():
+        idx = violated.argmax()
         relation = "!=" if eq[idx] else ">"
         raise LpError(f"constraint {idx} violated: {lhs[idx]} {relation} {b[idx]}")

@@ -98,6 +98,12 @@ class TestLowerBound:
         with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
             rk.lower_bound(u, [0.0], rk.ConvexWeights.uniform(3), rk.BinarySolution((0,)))
 
+    def test_rejects_nan_scenario(self, table1):
+        # a NaN hull gap compares False against any tolerance
+        u, _ = table1
+        with pytest.raises(ValueError, match="convex hull"):
+            rk.lower_bound(u, [np.nan, 1.0, 1.0, 1.0], rk.ConvexWeights.uniform(3), rk.BinarySolution((1,)))
+
     def test_rejects_uncertified_scenario(self, table1):
         u, _ = table1
         wc = rk.worstcase_scenario(u)

@@ -69,6 +69,10 @@ class TestConvexWeights:
         with pytest.raises(ValueError):
             rk.ConvexWeights([1.1, -0.1])
 
+    def test_rejects_nan(self):
+        with pytest.raises(ValueError, match="finite"):
+            rk.ConvexWeights(np.array([np.nan, 1.0]))
+
     def test_tiny_negative_tolerated(self):
         lam = rk.ConvexWeights([1.0 + 5e-10, -5e-10])
         assert lam.lam.shape == (2,)
@@ -104,6 +108,14 @@ class TestBoundReport:
     def test_rejects_inconsistent_ratio(self):
         with pytest.raises(ValueError, match="inconsistent"):
             rk.BoundReport(apriori=2.0, lb=8.0, ub=12.0, aposteriori=1.2, scenario_provenance="custom")
+
+    @pytest.mark.parametrize(
+        "lb, ub, aposteriori",
+        [(math.nan, 1.0, math.inf), (1.0, math.nan, 1.0), (1.0, math.inf, math.inf), (1.0, 2.0, math.nan)],
+    )
+    def test_rejects_non_finite_bounds(self, lb, ub, aposteriori):
+        with pytest.raises(ValueError, match="finite|inconsistent"):
+            rk.BoundReport(apriori=1.0, lb=lb, ub=ub, aposteriori=aposteriori, scenario_provenance="custom")
 
     def test_inf_ratio_when_lb_zero(self):
         rep = rk.BoundReport(apriori=2.0, lb=0.0, ub=1.0, aposteriori=math.inf, scenario_provenance="custom")

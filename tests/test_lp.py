@@ -320,7 +320,7 @@ class TestRowGeneration:
             b = rng.uniform(-3, 3, m)
             d = rng.uniform(0, 2, n)
             T, basis = slack_tableau(A, b, d)
-            status, _ = lp_module._dual_simplex(T, basis, 10_000)
+            status, _ = lp_module._dual_simplex(T, T.shape[1], basis, 10_000)
             lp = rk.LinearProgram(objective=-d)
             for i in range(m):
                 lp.add_constraint(A[i], rk.LE, b[i])
@@ -406,7 +406,7 @@ class TestAntiCycling:
 
     def test_dual_of_beale_terminates(self):
         T, basis = beale_dual_tableau()
-        status, _ = lp_module._dual_simplex(T, basis, 1_000)
+        status, _ = lp_module._dual_simplex(T, T.shape[1], basis, 1_000)
         assert status == "optimal"
         assert np.all(T[:-1, -1] >= -1e-9) and np.all(T[-1, :-1] >= -1e-9)
         assert T[-1, -1] == pytest.approx(-1.25, abs=1e-12)
@@ -415,42 +415,49 @@ class TestAntiCycling:
         monkeypatch.setattr(lp_module, "_DEGENERATE_STREAK", 10**9)
         T, basis = beale_dual_tableau()
         with pytest.raises(LpError, match="exceeded .* pivots"):
-            lp_module._dual_simplex(T, basis, 1_000)
+            lp_module._dual_simplex(T, T.shape[1], basis, 1_000)
 
 
 class TestTableauSteps:
     def test_in_place_append_matches_reallocating_append(self):
         # the buffer is wider than the tableau before every append but the
-        # last, so eliminating over its whole width would be caught here
+        # last, so eliminating over its whole width would be caught here; the
+        # dual pivots after each append update whole buffer rows, so a spare
+        # column they touched (0 / -p = -0.0) and an append then failed to
+        # reset would show in the bytes
         rng = np.random.default_rng(47)
         optimal = 0
         while optimal < 100:
             m, n = int(rng.integers(1, 16)), int(rng.integers(1, 40))
             T, basis = slack_tableau(rng.uniform(-2, 2, (m, n)), rng.uniform(-3, 3, m), rng.uniform(0, 2, n))
-            if lp_module._dual_simplex(T, basis, 10_000)[0] != "optimal":
+            if lp_module._dual_simplex(T, T.shape[1], basis, 10_000)[0] != "optimal":
                 continue
             optimal += 1
             appends = int(rng.integers(1, 5))
             buf = np.zeros((m + 1 + appends + int(rng.integers(0, 4)), T.shape[1] + appends + int(rng.integers(0, 4))))
             buf[: m + 1, : T.shape[1]] = T
-            view, ref_basis = buf[: m + 1, : T.shape[1]], list(basis)
+            width, ref_basis = T.shape[1], list(basis)
             for _ in range(appends):
                 row, rhs = rng.uniform(-2, 2, n), float(rng.uniform(-3, 3))
                 T = reference_append_row(T, ref_basis, row, rhs)
-                view = lp_module._add_row(buf, view, basis, row, rhs)
-                assert view.shape == T.shape and view.tobytes() == T.tobytes()
+                rows = lp_module._add_row(buf, width, basis, row, rhs)
+                width += 1
+                assert rows.shape[0] == T.shape[0] and rows[:, :width].tobytes() == T.tobytes()
                 assert basis == ref_basis
+                expected = lp_module._dual_simplex(T, T.shape[1], ref_basis, 10_000)
+                assert lp_module._dual_simplex(rows, width, basis, 10_000) == expected
+                assert rows[:, :width].tobytes() == T.tobytes() and basis == ref_basis
 
     def test_primal_simplex_refuses_nan_rhs(self):
         T = np.array([[1.0, 1.0, 0.0, np.nan], [1.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(LpError, match="non-finite right-hand side"):
-            lp_module._run_simplex(T, [1, 2], 1_000)
+            lp_module._run_simplex(T, T.shape[1], [1, 2], 1_000)
 
     def test_dual_simplex_refuses_nan_rhs(self):
         # the NaN row's basic variable is a slack, which no later check reads
         T = np.array([[1.0, 1.0, 0.0, np.nan], [1.0, 0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(LpError, match="non-finite right-hand side"):
-            lp_module._dual_simplex(T, [1, 2], 1_000)
+            lp_module._dual_simplex(T, T.shape[1], [1, 2], 1_000)
 
 
 class TestPivotCounts:
