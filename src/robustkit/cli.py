@@ -14,8 +14,6 @@ import os
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from .bounds import (
     BudgetError,
     aposteriori_report,
@@ -146,8 +144,6 @@ def _parse_grid_spec(arg: str, master_seed: int) -> ExperimentGrid:
                 options["instance_count"] = int(toks[1])
             elif toks[0] == "ks":
                 options["ks"] = tuple(int(t) for t in toks[1:])
-            elif toks[0] == "methods":
-                options["methods"] = tuple(toks[1:])
             elif toks[0] == "exact_budget" and len(toks) == 2:
                 options["exact_budget"] = int(toks[1])
             else:
@@ -161,15 +157,7 @@ def _parse_grid_spec(arg: str, master_seed: int) -> ExperimentGrid:
 
 def cmd_experiment(args) -> int:
     grid = _parse_grid_spec(args.grid_spec, args.seed)
-    workers = args.workers
-    if workers is None:
-        workers = int(os.environ.get("ROBUSTKIT_WORKERS", "1"))
-    result = run_grid(
-        grid,
-        workers=workers,
-        dump_dir=args.dump_dir,
-        progress=lambda msg: print(msg, file=sys.stderr),
-    )
+    result = run_grid(grid, workers=args.workers, progress=lambda msg: print(msg, file=sys.stderr))
     text = emit_csv(result, include_runtime=args.with_runtimes)
     Path(args.out).write_text(text, encoding="utf-8")
     for cell, instance_id, seed, message in result.errors:
@@ -186,7 +174,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    gen = sub.add_parser("gen", help="write random selection instances")
+    gen = sub.add_parser("gen", help="write random selection instances (with an experiment's --seed, its cell's instances)")
     gen.add_argument("--n", type=_positive_int, required=True, help="item count")
     gen.add_argument("--p", type=_positive_int, required=True, help="items to select")
     gen.add_argument("--N", type=_positive_int, required=True, help="scenario count")
@@ -213,8 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
     experiment.add_argument("--grid-spec", required=True, help="grid file or inline spec ('cell 10 3 10; count 100')")
     experiment.add_argument("--seed", type=_nonnegative_int, default=0, help="master seed")
     experiment.add_argument("--out", required=True, help="CSV output path")
-    experiment.add_argument("--workers", type=_positive_int, default=None, help="parallel workers (default $ROBUSTKIT_WORKERS or 1)")
-    experiment.add_argument("--dump-dir", default=None, help="also write every generated instance here")
+    experiment.add_argument("--workers", type=_positive_int, default=1, help="parallel workers")
     experiment.add_argument("--with-runtimes", action="store_true", help="fill the runtime_ms column (not byte-reproducible)")
     experiment.set_defaults(func=cmd_experiment)
     return parser

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import contextlib
 import math
-import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
@@ -25,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, ConvexWeights, Scenario, UncertaintySet, ratio_or_inf, serialize_instance
+from .core import EPS_CMP, ConvexWeights, Scenario, UncertaintySet, ratio_or_inf
 from .problems import Selection, nominal_solve
 from .scenarios import construct_lp_scenario, fixed_scenario_guarantee, midpoint_scenario
 from .bounds import MAX_ENUMERATION, exact_minmax, lower_bound, maxmin_certificate, upper_bound
@@ -104,20 +103,17 @@ def generate_instance(n: int, p: int, N: int, seed: int) -> Tuple[UncertaintySet
 # Experiment grid
 # ---------------------------------------------------------------------------
 
-METHOD_FAMILIES = ("mid", "lp", "mm", "opt")
-
 MetricKey = Tuple[str, str, Optional[int]]  # (metric, method, k)
 
 
 @dataclass
 class ExperimentGrid:
-    """Which cells to run, how many instances per cell, and what to compute."""
+    """Which cells to run, how many instances per cell, and which k and exact optima to compute."""
 
     cells: List[Tuple[int, int, int]]  # (n, p, N)
     instance_count: int = 1000
     master_seed: int = 0
     ks: Tuple[int, ...] = (1, 2, 3)
-    methods: Tuple[str, ...] = METHOD_FAMILIES
     exact_budget: int = 2_000_000  # skip exact optima above this many subsets (at most MAX_ENUMERATION)
 
     def __post_init__(self):
@@ -133,9 +129,6 @@ class ExperimentGrid:
             raise ValueError("subset sizes must be >= 1")
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
             raise ValueError(f"subset sizes must be strictly increasing, got {self.ks}")
-        unknown = set(self.methods) - set(METHOD_FAMILIES)
-        if unknown:
-            raise ValueError(f"unknown method families: {sorted(unknown)}")
         if self.exact_budget > MAX_ENUMERATION:
             raise ValueError(f"exact_budget {self.exact_budget} exceeds the enumeration cap {MAX_ENUMERATION}")
 
@@ -184,72 +177,57 @@ def _metric_order(ks: Tuple[int, ...]) -> List[MetricKey]:
     return order
 
 
-def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, float], Dict[str, float]]:
-    """Compute every requested metric for one instance.
+def _record(out, method, k, ub, lb) -> None:
+    out[("ub", method, k)] = ub
+    out[("lb", method, k)] = lb
+    out[("aposteriori", method, k)] = ratio_or_inf(ub, lb)
 
-    Returns (cell_index, instance_id, error, values, timings); on a domain
-    error the message is set and the value dict is empty. A broken
+
+def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, float], Dict[str, float]]:
+    """Compute every metric of one instance.
+
+    Runs the midpoint, the LP scenario at each valid k and the max-min
+    lower bound, then the exact optimum when with_opt is set, and checks
+    the results against _spot_check. Returns (cell_index, instance_id,
+    error, values, timings), timings in seconds per method family; on a
+    domain error the message is set and the value dict is empty. A broken
     invariant is not a domain error: InvariantError propagates, naming the
     cell, instance id and seed.
     """
-    cell_index, instance_id, n, p, N, seed, ks_valid, methods, with_opt, dump_dir = task
+    cell_index, instance_id, n, p, N, seed, ks_valid, with_opt = task
     timings: Dict[str, float] = {}
     try:
         u, spec = generate_instance(n, p, N, seed)
-        if dump_dir is not None:
-            path = os.path.join(dump_dir, f"inst_n{n}_p{p}_N{N}_{instance_id:04d}.txt")
-            with open(path, "w", encoding="utf-8") as fh:
-                fh.write(serialize_instance(u, spec))
-
         out: Dict[MetricKey, float] = {}
 
+        start = time.perf_counter()
         mid = midpoint_scenario(u)
-        lam_mid = ConvexWeights.uniform(N)
-        mm_val = None
-        opt_val = None
+        for k in ks_valid:
+            out[("apriori", "mid", k)] = fixed_scenario_guarantee(u, mid, k)
+        x = nominal_solve(spec, mid)
+        _record(out, "mid", None, upper_bound(u, x), lower_bound(u, mid, ConvexWeights.uniform(N), x))
+        timings["mid"] = time.perf_counter() - start
 
-        if "mid" in methods:
-            start = time.perf_counter()
-            for k in ks_valid:
-                out[("apriori", "mid", k)] = fixed_scenario_guarantee(u, mid, k)
-            x = nominal_solve(spec, mid)
-            ub = upper_bound(u, x)
-            lb = lower_bound(u, mid, lam_mid, x)
-            out[("ub", "mid", None)] = ub
-            out[("lb", "mid", None)] = lb
-            out[("aposteriori", "mid", None)] = ratio_or_inf(ub, lb)
-            timings["mid"] = time.perf_counter() - start
+        start = time.perf_counter()
+        for k in ks_valid:
+            t_star, scen, lam = construct_lp_scenario(u, spec, k)
+            out[("apriori", "lp", k)] = 1.0 / t_star
+            x = nominal_solve(spec, scen)
+            _record(out, "lp", k, upper_bound(u, x), lower_bound(u, scen, lam, x))
+        timings["lp"] = time.perf_counter() - start
 
-        if "lp" in methods:
-            start = time.perf_counter()
-            for k in ks_valid:
-                t_star, scen, lam = construct_lp_scenario(u, spec, k)
-                out[("apriori", "lp", k)] = 1.0 / t_star
-                x = nominal_solve(spec, scen)
-                ub = upper_bound(u, x)
-                lb = lower_bound(u, scen, lam, x)
-                out[("ub", "lp", k)] = ub
-                out[("lb", "lp", k)] = lb
-                out[("aposteriori", "lp", k)] = ratio_or_inf(ub, lb)
-            timings["lp"] = time.perf_counter() - start
-
-        if "mm" in methods:
-            start = time.perf_counter()
-            mm_val, lam_mm = maxmin_certificate(u, spec)
-            c_mm = Scenario(lam_mm.combine(u), provenance="custom")
-            x = nominal_solve(spec, c_mm)
-            out[("ub", "mm", None)] = upper_bound(u, x)
-            out[("lb", "mm", None)] = mm_val
-            out[("aposteriori", "mm", None)] = ratio_or_inf(out[("ub", "mm", None)], mm_val)
-            timings["mm"] = time.perf_counter() - start
+        start = time.perf_counter()
+        mm_val, lam_mm = maxmin_certificate(u, spec)
+        x = nominal_solve(spec, Scenario(lam_mm.combine(u), provenance="custom"))
+        _record(out, "mm", None, upper_bound(u, x), mm_val)
+        timings["mm"] = time.perf_counter() - start
 
         if with_opt:
             start = time.perf_counter()
-            opt_val, _ = exact_minmax(u, spec)
-            out[("opt", "exact", None)] = opt_val
+            out[("opt", "exact", None)] = exact_minmax(u, spec)[0]
             timings["opt"] = time.perf_counter() - start
 
-        _spot_check(out, ks_valid, N, mm_val, opt_val)
+        _spot_check(out, ks_valid, N)
         return cell_index, instance_id, None, out, timings
     except InvariantError as exc:
         raise InvariantError(f"cell {(n, p, N)} instance {instance_id} seed {seed}: {exc}") from exc
@@ -266,53 +244,44 @@ def _require(holds: bool, invariant: str, detail: str) -> None:
         raise InvariantError(f"{invariant} violated: {detail}")
 
 
-def _spot_check(out, ks_valid, N, mm_val, opt_val):
-    """Ordering invariants; cheap enough to keep on for every instance.
+def _spot_check(out, ks_valid, N):
+    """Ordering invariants over every family; cheap enough to run on every instance.
 
-    Raises InvariantError naming the broken invariant; plain raises, so
-    the checks also run under python -O.
+    For the midpoint, the LP scenario at each k and the max-min scenario:
+    lb <= ub and lb <= mm, and lb <= opt <= ub when the exact optimum was
+    computed. The a-priori guarantee 1/t* is at most the midpoint's and N,
+    and non-increasing in k. out must hold every metric of the instance; a
+    missing one raises KeyError rather than skip its checks. Raises
+    InvariantError naming the broken invariant; plain raises, so the
+    checks also run under python -O.
     """
     tol = EPS_CMP
-    for family in ("mid", "lp"):
-        lb = out.get(("lb", family, None))
-        ub = out.get(("ub", family, None))
-        if lb is not None and ub is not None:
-            _require(lb <= ub + tol, "lb <= ub", f"{family} lb={lb} ub={ub}")
-        if lb is not None and mm_val is not None:
-            _require(lb <= mm_val + tol, "lb <= mm", f"{family} lb={lb} mm={mm_val}")
+    mm = out[("lb", "mm", None)]
+    opt = out.get(("opt", "exact", None))
+    scale = tol * max(1.0, opt or 0.0)
+    for method, k in [("mid", None)] + [("lp", k) for k in ks_valid] + [("mm", None)]:
+        lb, ub = out[("lb", method, k)], out[("ub", method, k)]
+        _require(lb <= ub + tol, "lb <= ub", f"{method} k={k} lb={lb} ub={ub}")
+        _require(lb <= mm + tol, "lb <= mm", f"{method} k={k} lb={lb} mm={mm}")
+        if opt is not None:
+            _require(lb <= opt + scale, "lb <= opt", f"{method} k={k} lb={lb} opt={opt}")
+            _require(ub >= opt - scale, "opt <= ub", f"{method} k={k} ub={ub} opt={opt}")
     prev = None
     for k in ks_valid:
-        pre_lp = out.get(("apriori", "lp", k))
-        pre_mid = out.get(("apriori", "mid", k))
-        if pre_lp is not None and pre_mid is not None:
-            _require(
-                pre_lp <= pre_mid + tol and pre_lp <= N + tol,
-                "1/t* <= min(midpoint guarantee, N)",
-                f"k={k} 1/t*={pre_lp} midpoint={pre_mid} N={N}",
-            )
-        if pre_lp is not None and prev is not None:
+        pre_lp, pre_mid = out[("apriori", "lp", k)], out[("apriori", "mid", k)]
+        _require(
+            pre_lp <= pre_mid + tol and pre_lp <= N + tol,
+            "1/t* <= min(midpoint guarantee, N)",
+            f"k={k} 1/t*={pre_lp} midpoint={pre_mid} N={N}",
+        )
+        if prev is not None:
             _require(pre_lp <= prev + tol, "1/t* non-increasing in k", f"k={k} 1/t*={pre_lp} > {prev}")
         prev = pre_lp
-        lbk = out.get(("lb", "lp", k))
-        if lbk is not None and mm_val is not None:
-            _require(lbk <= mm_val + tol, "lb <= mm", f"lp k={k} lb={lbk} mm={mm_val}")
-    if opt_val is not None:
-        scale = tol * max(1.0, opt_val)
-        if mm_val is not None:
-            _require(mm_val <= opt_val + scale, "mm <= opt", f"mm={mm_val} opt={opt_val}")
-        for family, k in [("mid", None)] + [("lp", k) for k in ks_valid]:
-            ub = out.get(("ub", family, k))
-            lb = out.get(("lb", family, k))
-            if ub is not None:
-                _require(ub >= opt_val - scale, "opt <= ub", f"{family} k={k} ub={ub} opt={opt_val}")
-            if lb is not None:
-                _require(lb <= opt_val + scale, "lb <= opt", f"{family} k={k} lb={lb} opt={opt_val}")
 
 
 def run_grid(
     grid: ExperimentGrid,
     workers: int = 1,
-    dump_dir: Optional[str] = None,
     progress: Optional[Callable[[str], None]] = None,
 ) -> GridResult:
     """Run every cell of the grid and aggregate per-metric means.
@@ -325,16 +294,15 @@ def run_grid(
     """
     if workers < 1:
         raise ValueError("workers must be >= 1")
-    if dump_dir is not None:
-        os.makedirs(dump_dir, exist_ok=True)
 
-    tasks = []  # the valid k and whether opt runs are decided once per cell
+    # the valid k (for the tasks and the aggregation) and whether opt runs are decided once per cell
+    ks_valid = [tuple(k for k in grid.ks if k <= p) for n, p, N in grid.cells]
+    tasks = []
     for cell_index, (n, p, N) in enumerate(grid.cells):
-        ks_valid = tuple(k for k in grid.ks if k <= p)
-        with_opt = "opt" in grid.methods and math.comb(n, p) <= grid.exact_budget
+        with_opt = math.comb(n, p) <= grid.exact_budget
         for instance_id in range(grid.instance_count):
             seed = derive_seed(grid.master_seed, n, p, N, instance_id)
-            tasks.append((cell_index, instance_id, n, p, N, seed, ks_valid, tuple(grid.methods), with_opt, dump_dir))
+            tasks.append((cell_index, instance_id, n, p, N, seed, ks_valid[cell_index], with_opt))
 
     outcomes = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
@@ -349,7 +317,6 @@ def run_grid(
     result = GridResult()
     for cell_index, (n, p, N) in enumerate(grid.cells):
         cell = slice(cell_index * grid.instance_count, (cell_index + 1) * grid.instance_count)
-        ks_valid = tasks[cell.start][6]
         errors = [((n, p, N), o[1], task[5], o[2]) for task, o in zip(tasks[cell], outcomes[cell]) if o[2] is not None]
         if errors:
             result.failures[(n, p, N)] = len(errors)
@@ -359,7 +326,7 @@ def run_grid(
         for o in good:
             for fam, secs in o[4].items():
                 family_time[fam] = family_time.get(fam, 0.0) + secs
-        for metric, method, k in _metric_order(ks_valid):
+        for metric, method, k in _metric_order(ks_valid[cell_index]):
             values = [o[3][(metric, method, k)] for o in good if (metric, method, k) in o[3]]
             if not values:
                 continue

@@ -130,10 +130,8 @@ def construct_lp_scenario(u: UncertaintySet, spec: ProblemSpec, k: int) -> Tuple
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
 
     def row_source(x):
-        violation, i, subset = _most_violated(u.costs, np.maximum(x[1:] @ u.costs, 0.0), x[0], k)
-        if violation > EPS_CUT:
-            return _subset_row(u, i, subset), LE, 0.0
-        return None
+        cut = separation_oracle(u, np.maximum(x[1:] @ u.costs, 0.0), x[0], k)
+        return None if cut is None else (_subset_row(u, *cut), LE, 0.0)
 
     sol = solve_lp(scenario_lp(u), row_source)
     if sol.status != "optimal":

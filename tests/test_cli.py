@@ -49,6 +49,18 @@ class TestGen:
         assert (spec.n, spec.p) == (10, 3)
         assert u.n_scenarios == 5
 
+    def test_writes_the_instances_of_the_grid_cell_with_that_seed(self, capsys, tmp_path):
+        # an experiment with --seed 9 runs exactly these instances in its cell (5, 2, 2)
+        code, _, _ = run_cli(capsys, "gen", "--n", "5", "--p", "2", "--N", "2", "--seed", "9", "--count", "2", "--out-dir", str(tmp_path))
+        assert code == 0
+        files = sorted(tmp_path.glob("inst_*.txt"))
+        assert len(files) == 2
+        for i, f in enumerate(files):
+            u, spec = rk.parse_instance(f.read_text())
+            expected, expected_spec = rk.generate_instance(5, 2, 2, rk.derive_seed(9, 5, 2, 2, i))
+            assert np.array_equal(u.costs, expected.costs)
+            assert spec == expected_spec
+
     def test_zero_n_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--n", "0", "--p", "1", "--N", "1", "--out-dir", str(tmp_path)])
@@ -193,33 +205,22 @@ class TestExperiment:
             assert code == 0
         assert a.read_bytes() == b.read_bytes()
 
-    def test_grid_file_and_workers_env(self, capsys, tmp_path, monkeypatch):
+    def test_grid_file_and_worker_counts(self, capsys, tmp_path):
         grid_file = tmp_path / "grid.txt"
         grid_file.write_text("# tiny grid\ncount 2\nks 1\ncell 5 2 2\n")
-        out_csv = tmp_path / "r.csv"
-        monkeypatch.setenv("ROBUSTKIT_WORKERS", "2")
-        code, _, _ = run_cli(capsys, "experiment", "--grid-spec", str(grid_file), "--seed", "8", "--out", str(out_csv))
-        assert code == 0
-        monkeypatch.setenv("ROBUSTKIT_WORKERS", "1")
-        out_csv2 = tmp_path / "r2.csv"
-        code, _, _ = run_cli(capsys, "experiment", "--grid-spec", str(grid_file), "--seed", "8", "--out", str(out_csv2))
-        assert code == 0
-        assert out_csv.read_bytes() == out_csv2.read_bytes()
-
-    def test_dump_dir(self, capsys, tmp_path):
-        out_csv = tmp_path / "results.csv"
-        dump = tmp_path / "dump"
-        code, _, _ = run_cli(
-            capsys, "experiment", "--grid-spec", "cell 4 2 2; count 2; methods mid", "--seed", "3",
-            "--out", str(out_csv), "--dump-dir", str(dump),
-        )
-        assert code == 0
-        assert len(list(dump.glob("inst_*.txt"))) == 2
+        csvs = []
+        for workers in ("1", "2"):
+            csvs.append(tmp_path / f"r{workers}.csv")
+            code, _, _ = run_cli(capsys, "experiment", "--grid-spec", str(grid_file), "--seed", "8", "--workers", workers, "--out", str(csvs[-1]))
+            assert code == 0
+        assert csvs[0].read_bytes() == csvs[1].read_bytes()
 
     def test_grid_spec_defaults_come_from_the_dataclass(self):
         assert _parse_grid_spec("cell 4 2 2", 5) == rk.ExperimentGrid(cells=[(4, 2, 2)], master_seed=5)
-        grid = _parse_grid_spec("cell 4 2 2; count 7; ks 1; methods mid; exact_budget 9", 5)
-        assert (grid.instance_count, grid.ks, grid.methods, grid.exact_budget) == (7, (1,), ("mid",), 9)
+        grid = _parse_grid_spec("cell 4 2 2; count 7; ks 1; exact_budget 9", 5)
+        assert (grid.instance_count, grid.ks, grid.exact_budget) == (7, (1,), 9)
+        with pytest.raises(ValueError, match="unknown directive 'methods mid'"):
+            _parse_grid_spec("cell 4 2 2; methods mid", 5)
 
     def test_exact_budget_above_the_enumeration_cap_exits_1(self, capsys, tmp_path):
         out_csv = tmp_path / "results.csv"
@@ -237,7 +238,7 @@ class TestExperiment:
         monkeypatch.setattr("robustkit.experiments.fixed_scenario_guarantee", failing)
         out_csv = tmp_path / "results.csv"
         code, _, err = run_cli(
-            capsys, "experiment", "--grid-spec", "cell 4 2 2; count 1; methods mid", "--seed", "3", "--out", str(out_csv)
+            capsys, "experiment", "--grid-spec", "cell 4 2 2; count 1", "--seed", "3", "--out", str(out_csv)
         )
         assert code == 1  # every instance failed
         seed = rk.derive_seed(3, 4, 2, 2, 0)

@@ -218,19 +218,10 @@ class TestRunGrid:
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches pool workers only when they are forked")
         monkeypatch.setattr("robustkit.experiments.upper_bound", lambda u, x: 0.0)
-        grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2, methods=("mid",))
+        grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2)
         seed = derive_seed(2, 5, 2, 2, 0)
         with pytest.raises(InvariantError, match=rf"cell \(5, 2, 2\) instance 0 seed {seed}: lb <= ub violated"):
             rk.run_grid(grid, workers=workers)
-
-    def test_dump_dir_writes_parseable_instances(self, tmp_path):
-        grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=2, master_seed=9, methods=("mid",))
-        rk.run_grid(grid, dump_dir=str(tmp_path))
-        files = sorted(tmp_path.glob("inst_*.txt"))
-        assert len(files) == 2
-        u, spec = rk.parse_instance(files[0].read_text())
-        expected, _ = rk.generate_instance(5, 2, 2, seed=derive_seed(9, 5, 2, 2, 0))
-        assert np.array_equal(u.costs, expected.costs)
 
 
 class TestEmitCsv:
@@ -289,8 +280,6 @@ class TestGridValidation:
     def test_rejects_bad_counts(self):
         with pytest.raises(ValueError):
             rk.ExperimentGrid(cells=[(3, 2, 1)], instance_count=0)
-        with pytest.raises(ValueError, match="method"):
-            rk.ExperimentGrid(cells=[(3, 2, 1)], methods=("bogus",))
 
     def test_rejects_descending_ks(self):
         # the spot check compares 1/t* across ascending k
@@ -311,35 +300,73 @@ class TestGridValidation:
         assert rk.run_grid(grid).failures == {}
 
 
+# every metric of one instance at ks (1, 2) and N = 10, mutually consistent
+CONSISTENT = {
+    ("apriori", "mid", 1): 2.0,
+    ("apriori", "mid", 2): 1.8,
+    ("apriori", "lp", 1): 1.5,
+    ("apriori", "lp", 2): 1.4,
+    ("aposteriori", "mid", None): 2.2,
+    ("aposteriori", "lp", 1): 2.0 / 1.2,
+    ("aposteriori", "lp", 2): 2.1 / 1.3,
+    ("aposteriori", "mm", None): 1.9 / 1.5,
+    ("ub", "mid", None): 2.2,
+    ("ub", "lp", 1): 2.0,
+    ("ub", "lp", 2): 2.1,
+    ("ub", "mm", None): 1.9,
+    ("lb", "mid", None): 1.0,
+    ("lb", "lp", 1): 1.2,
+    ("lb", "lp", 2): 1.3,
+    ("lb", "mm", None): 1.5,
+    ("opt", "exact", None): 1.8,
+}
+WITHOUT_OPT = {key: v for key, v in CONSISTENT.items() if key[0] != "opt"}
+
+
 class TestSpotCheck:
     @pytest.mark.parametrize(
-        "out, mm, opt, invariant",
+        "key, value, invariant",
         [
-            ({("lb", "mid", None): 2.0, ("ub", "mid", None): 1.0}, None, None, "lb <= ub"),
-            ({("lb", "mid", None): 2.0}, 1.0, None, "lb <= mm"),
-            ({("lb", "lp", 1): 2.0}, 1.0, None, "lb <= mm"),
-            ({("apriori", "lp", 1): 3.0, ("apriori", "mid", 1): 2.0}, None, None, "1/t* <= min(midpoint guarantee, N)"),
-            ({("apriori", "lp", 1): 1.5, ("apriori", "lp", 2): 2.0}, None, None, "1/t* non-increasing in k"),
-            ({}, 2.0, 1.0, "mm <= opt"),
-            ({("ub", "lp", 2): 1.0}, None, 2.0, "opt <= ub"),
-            ({("lb", "mid", None): 3.0}, None, 2.0, "lb <= opt"),
+            (("lb", "mid", None), 3.0, "lb <= ub"),
+            (("lb", "mid", None), 1.6, "lb <= mm"),
+            (("lb", "lp", 1), 1.6, "lb <= mm"),
+            (("apriori", "lp", 1), 2.5, "1/t* <= min(midpoint guarantee, N)"),
+            (("apriori", "lp", 2), 1.6, "1/t* non-increasing in k"),
+            (("lb", "mm", None), 1.9, "lb <= opt"),  # mm <= opt
+            (("ub", "lp", 2), 1.7, "opt <= ub"),
+            (("opt", "exact", None), 0.9, "lb <= opt"),
+            # each family is held to its own ub, and mm's ub to opt
+            (("ub", "lp", 1), 1.1, "lb <= ub"),
+            (("ub", "mm", None), 1.4, "lb <= ub"),
+            (("ub", "mm", None), 1.7, "opt <= ub"),
         ],
     )
-    def test_each_invariant_is_named(self, out, mm, opt, invariant):
+    def test_each_invariant_is_named(self, key, value, invariant):
         with pytest.raises(InvariantError, match="^" + re.escape(f"{invariant} violated")):
-            _spot_check(out, (1, 2), 10, mm, opt)
+            _spot_check({**CONSISTENT, key: value}, (1, 2), 10)
+
+    def test_lp_lb_above_its_ub_without_opt(self):
+        # below mm and with no exact optimum, only lb <= ub itself catches it
+        with pytest.raises(InvariantError, match=r"^lb <= ub violated: lp k=1"):
+            _spot_check({**WITHOUT_OPT, ("ub", "lp", 1): 1.1}, (1, 2), 10)
 
     def test_consistent_values_pass(self):
-        out = {("lb", "mid", None): 1.0, ("ub", "mid", None): 2.0, ("apriori", "lp", 1): 1.5, ("apriori", "mid", 1): 2.0}
-        _spot_check(out, (1,), 10, 1.5, 1.8)
+        _spot_check(CONSISTENT, (1, 2), 10)
+        _spot_check(WITHOUT_OPT, (1, 2), 10)
+
+    @pytest.mark.parametrize("key", [key for key in CONSISTENT if key[0] in ("apriori", "ub", "lb")])
+    def test_missing_metric_raises(self, key):
+        with pytest.raises(KeyError):
+            _spot_check({k: v for k, v in CONSISTENT.items() if k != key}, (1, 2), 10)
 
     def test_raises_under_python_optimize(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
+        bad = {**CONSISTENT, ("lb", "mid", None): 3.0}
         code = (
             "import sys\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "from robustkit.experiments import _spot_check\n"
-            "_spot_check({('lb', 'mid', None): 2.0, ('ub', 'mid', None): 1.0}, (), 3, None, None)\n"
+            f"_spot_check({bad!r}, (1, 2), 10)\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
