@@ -32,7 +32,7 @@ from .core import (
     ratio_or_inf,
 )
 from .lp import EQ, LE, LinearProgram, LpError, solve_lp
-from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions, nominal_solve, validate_k
+from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions, nominal_solve, require_dimension, validate_k
 from .scenarios import fixed_scenario_guarantee
 
 # Hard cap on exhaustive enumeration (feasible solutions examined).
@@ -109,24 +109,24 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
         max p*mu - sum_j nu_j
         s.t. mu - nu_j <= sum_i lam_i c^i_j  for all j,
              lam on the simplex, nu >= 0, mu free.
+    The LP solver takes only nonnegative variables, so mu is written as
+    mu+ - mu-, two columns at mu's position: [lam, mu+, mu-, nu].
     """
     if not isinstance(spec, Selection):
         raise ValueError("the max-min lower bound is only supported for selection problems")
+    require_dimension(u, spec)
     n_scen, n_items = u.costs.shape
-    if spec.n != n_items:
-        raise ValueError(f"spec has n={spec.n} but uncertainty set has {n_items} items")
-    n_vars = n_scen + 1 + n_items  # lam, mu, nu
+    mu = n_scen  # the columns of mu+ and mu-, then nu
+    n_vars = n_scen + 2 + n_items
     objective = np.zeros(n_vars)
-    objective[n_scen] = float(spec.p)
-    objective[n_scen + 1 :] = -1.0
-    lower = np.zeros(n_vars)
-    lower[n_scen] = -np.inf
-    lp = LinearProgram(objective=objective, sense="max", lower=lower)
+    objective[mu : mu + 2] = float(spec.p), -float(spec.p)
+    objective[mu + 2 :] = -1.0
+    lp = LinearProgram(objective=objective)
     for j in range(n_items):
         row = np.zeros(n_vars)
         row[:n_scen] = -u.costs[:, j]
-        row[n_scen] = 1.0
-        row[n_scen + 1 + j] = -1.0
+        row[mu : mu + 2] = 1.0, -1.0
+        row[mu + 2 + j] = -1.0
         lp.add_constraint(row, LE, 0.0)
     simplex_row = np.zeros(n_vars)
     simplex_row[:n_scen] = 1.0
@@ -172,6 +172,7 @@ def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySol
     (value, tuple) rule. A value is acc plus the item costs added in
     midpoint order, so fractional costs give the same bits on every path.
     """
+    require_dimension(u, spec)
     if isinstance(spec, Selection):
         return _exact_selection(u, spec)
     return _exact_paths(u, spec)
@@ -179,8 +180,6 @@ def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySol
 
 def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinarySolution]:
     n, p = spec.n, spec.p
-    if u.n_items != n:
-        raise ValueError(f"spec has n={n} but uncertainty set has {u.n_items} items")
     total = math.comb(n, p)
     if total > MAX_ENUMERATION:
         raise BudgetError(f"C({n},{p}) = {total} subsets exceed the enumeration cap {MAX_ENUMERATION}")

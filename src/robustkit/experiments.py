@@ -125,6 +125,8 @@ class ExperimentGrid:
             Selection(n=n, p=p)  # validates 1 <= p <= n
             if N < 1:
                 raise ValueError(f"cell ({n},{p},{N}): N must be >= 1")
+        if not self.ks:  # the LP family runs at each k, so no k would drop it
+            raise ValueError("need at least one subset size k")
         if any(k < 1 for k in self.ks):
             raise ValueError("subset sizes must be >= 1")
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):

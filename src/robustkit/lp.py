@@ -1,5 +1,9 @@
 """Self-contained dense-tableau simplex solver.
 
+It solves the textbook standard form, max c . x subject to x >= 0 and
+rows A x <= b or A x == b; a caller writes an upper limit as a row and a
+free variable as the difference of two nonnegative columns.
+
 Every solve starts from the slack basis of the tableau [A | I | b]: each
 row is a <= row with its own basic slack, and an == row is written as
 two opposite <= rows. Phase 1 is the dual simplex under a zero
@@ -56,35 +60,16 @@ class LpError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """max (or min) objective . x subject to rows of <= / == constraints.
-
-    Default variable bounds are [0, +inf); lower bounds may be any finite
-    value or -inf, upper bounds any finite value or +inf.
-    """
+    """max objective . x subject to x >= 0 and rows of <= / == constraints."""
 
     objective: np.ndarray
-    sense: str = "max"
     constraints: List[Tuple[np.ndarray, str, float]] = field(default_factory=list)
-    lower: Optional[np.ndarray] = None
-    upper: Optional[np.ndarray] = None
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size < 1:
             raise ValueError("objective must be a nonempty vector")
-        if self.sense not in ("max", "min"):
-            raise ValueError(f"sense must be 'max' or 'min', got {self.sense!r}")
-        n = self.n_vars
-        self.lower = np.zeros(n) if self.lower is None else np.asarray(self.lower, dtype=float)
-        self.upper = np.full(n, np.inf) if self.upper is None else np.asarray(self.upper, dtype=float)
-        if self.lower.shape != (n,) or self.upper.shape != (n,):
-            raise ValueError("bound vectors must match the variable count")
-        if np.any(np.isnan(self.lower)) or np.any(np.isnan(self.upper)) or np.any(self.lower == np.inf) or np.any(self.upper == -np.inf):
-            raise ValueError("bounds must be finite, -inf (lower) or +inf (upper)")
-        normalized = []
-        for coeffs, rel, rhs in self.constraints:
-            normalized.append(self._check_row(coeffs, rel, rhs))
-        self.constraints = normalized
+        self.constraints = [self._check_row(*row) for row in self.constraints]
 
     @property
     def n_vars(self) -> int:
@@ -105,15 +90,6 @@ class LinearProgram:
 
     def add_constraint(self, coeffs, rel: str, rhs: float) -> None:
         self.constraints.append(self._check_row(coeffs, rel, rhs))
-
-    def copy(self) -> "LinearProgram":
-        return LinearProgram(
-            objective=self.objective.copy(),
-            sense=self.sense,
-            constraints=[(a.copy(), rel, rhs) for a, rel, rhs in self.constraints],
-            lower=self.lower.copy(),
-            upper=self.upper.copy(),
-        )
 
 
 @dataclass
@@ -258,42 +234,6 @@ def _grown(a: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
     return out
 
 
-def _standardize(lp: LinearProgram):
-    """Rewrite as max c.y, A y rel b, y >= 0.
-
-    Returns (c, rows, var, sign, offsets), or None when the bounds alone
-    are infeasible. Column i of y belongs to variable var[i] with sign
-    sign[i]: a variable with a finite lower bound has one column,
-    x = lo + y; one bounded only above has one mirrored column, x = up - y;
-    a free one has two, x = y+ - y-. So x is offsets plus the per-variable
-    sum of sign * y, and a row a.x rel r becomes (a[var] * sign) y rel
-    r - a.offsets; both are exact, as each column carries a single +-1.
-    """
-    lo, up = lp.lower, lp.upper
-    if np.any(up < lo):
-        return None
-    free = (lo == -np.inf) & (up == np.inf)
-    mirror = (lo == -np.inf) & ~free
-    boxed = (lo > -np.inf) & (up < np.inf)
-    var = np.repeat(np.arange(lp.n_vars), 1 + free)
-    first = np.arange(lp.n_vars) + np.cumsum(free) - free  # each variable's first column
-    sign = np.ones(var.shape[0])
-    sign[first[mirror]] = -1.0
-    sign[first[free] + 1] = -1.0
-    offsets = np.where(mirror, up, np.where(free, 0.0, lo))
-
-    rows = [(coeffs[var] * sign, rel, rhs - float(coeffs @ offsets)) for coeffs, rel, rhs in lp.constraints]
-    for col, ub in zip(first[boxed], (up - lo)[boxed]):  # upper-bound rows in y space
-        row = np.zeros(var.shape[0])
-        row[col] = 1.0
-        rows.append((row, LE, ub))
-
-    c = lp.objective[var] * sign
-    if lp.sense == "min":
-        c = -c
-    return c, rows, var, sign, offsets
-
-
 def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
     """Dense simplex; deterministic; raises LpError on numerical failure.
 
@@ -312,26 +252,24 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     LpError. iterations counts every primal and dual pivot, rounds every
     row the source returned.
     """
-    std = _standardize(lp)
-    if std is None:
-        return LpSolution(status="infeasible")
-    c, rows, var, sign, offsets = std
-    n_std = c.shape[0]
+    n = lp.n_vars
+    # base and generated rows and their constants; buf has more rows, so they grow with it
+    A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(-1, n)
+    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
+    eq = np.array([rel == EQ for _, rel, _ in lp.constraints], dtype=bool)
+    base = len(b)
 
     # [A | I | b]: every row a <= row with a basic slack; an == row is two
-    # opposite <= rows, whose slacks can only be 0
-    split = [(row, rhs, rel == EQ) for row, rel, rhs in rows]
-    split += [(-row, -rhs, True) for row, rel, rhs in rows if rel == EQ]
-    m = len(split)
+    # opposite <= rows, whose slacks can only be 0, negated ones last
+    m = base + int(eq.sum())
     # the tableau is T[:, :width], where T = buf[:m + 1] are whole rows of a
     # buffer that gains spare rows and columns when it is full
-    buf = T = np.zeros((m + 1, n_std + m + 1))
+    buf = T = np.zeros((m + 1, n + m + 1))
     width = T.shape[1]
-    for i, (row, rhs, _) in enumerate(split):
-        T[i, :n_std] = row
-        T[i, -1] = rhs
-    T[:m, n_std:-1] = np.eye(m)
-    basis = list(range(n_std, n_std + m))
+    T[:base, :n], T[base:m, :n] = A, -A[eq]
+    T[:base, -1], T[base:m, -1] = b, -b[eq]
+    T[:m, n:-1] = np.eye(m)
+    basis = list(range(n, n + m))
     max_iter = _pivot_cap(T, width)
 
     # Phase 1: under a zero objective every basis is dual feasible, so the
@@ -340,12 +278,12 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     if status == "infeasible":
         return LpSolution(status="infeasible", iterations=iterations)
     # a nonbasic equality slack is 0; clearing its column keeps it out
-    fixed = {n_std + i for i, (_, _, is_eq) in enumerate(split) if is_eq} - set(basis)
-    T[:, sorted(fixed)] = 0.0
+    fixed = set((n + np.flatnonzero(eq)).tolist()) | set(range(n + base, n + m))
+    T[:, sorted(fixed - set(basis))] = 0.0
 
     # Phase 2 objective row, on the zero row phase 1 left; the basic columns
     # are unit columns, so no subtraction changes another basic coefficient
-    T[-1, :n_std] = -c
+    T[-1, :n] = -lp.objective
     coefs = T[-1, basis]
     for i in np.flatnonzero(coefs):
         T[-1] -= coefs[i] * T[i]
@@ -354,20 +292,15 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     if status == "unbounded":
         return LpSolution(status="unbounded", iterations=iterations)
 
-    # base and generated rows and their constants; buf has more rows, so they grow with it
-    A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(-1, lp.n_vars)
-    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
-    eq = np.array([rel == EQ for _, rel, _ in lp.constraints], dtype=bool)
     amax = np.abs(A).max(axis=1, initial=0.0)
     bscale = np.maximum(1.0, np.abs(b))
-    lo_scale = np.where(np.isfinite(lp.lower), np.abs(lp.lower), 1.0)
     rounds = 0
     while True:
-        r = len(lp.constraints) + rounds
-        y = np.zeros(width - 1)  # the standardized variables, then the slacks
+        r = base + rounds
+        y = np.zeros(width - 1)  # the variables, then the slacks
         y[basis] = T[:-1, width - 1]
-        x = offsets + np.bincount(var, sign * np.maximum(y[:n_std], 0.0), lp.n_vars)
-        _check_feasible(x, lp.lower, lp.upper, lo_scale, A[:r], b[:r], eq[:r], amax[:r], bscale[:r])
+        x = np.maximum(y[:n], 0.0)
+        _check_feasible(x, A[:r], b[:r], eq[:r], amax[:r], bscale[:r])
         source_row = None if row_source is None else row_source(x)
         if source_row is None:
             return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), iterations=iterations, rounds=rounds)
@@ -384,7 +317,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
             A, b, eq, amax, bscale = (_grown(a, (len(buf),) + a.shape[1:]) for a in (A, b, eq, amax, bscale))
         A[r], b[r], amax[r], bscale[r] = coeffs, rhs, np.abs(coeffs).max(), max(1.0, abs(rhs))
         rounds += 1
-        T = _add_row(buf, width, basis, coeffs[var] * sign, rhs - float(coeffs @ offsets))
+        T = _add_row(buf, width, basis, coeffs, rhs)
         width += 1
         max_iter = _pivot_cap(T, width)
         status, its = _dual_simplex(T, width, basis, max_iter)
@@ -398,26 +331,16 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
             return LpSolution(status="unbounded", iterations=iterations, rounds=rounds)
 
 
-def _check_feasible(x, lo, up, lo_scale, A, b, eq, amax, bscale) -> None:
+def _check_feasible(x, A, b, eq, amax, bscale) -> None:
     """Surface accumulated round-off as an error instead of a wrong answer.
 
-    x must lie within the bounds [lo, up] and satisfy the rows A x <= b
-    (A x == b where eq), up to EPS_FEAS scaled by the magnitudes: lo_scale
-    is |lo| where finite, else 1; amax and bscale hold each row's largest
-    absolute coefficient and max(1, |b|).
+    x must satisfy the rows A x <= b (A x == b where eq) up to EPS_FEAS
+    scaled by the magnitudes: amax and bscale hold each row's largest
+    absolute coefficient and max(1, |b|). x >= 0 holds by construction.
     """
     if not np.isfinite(x).all():
         raise LpError("solution has non-finite values")
     xscale = max(1.0, float(np.abs(x).max()))
-    tol = EPS_FEAS * np.maximum(xscale, lo_scale)
-    below = x < lo - tol
-    if below.any():
-        j = below.argmax()
-        raise LpError(f"variable {j} violates its lower bound: {x[j]} < {lo[j]}")
-    above = x > up + tol
-    if above.any():
-        j = above.argmax()
-        raise LpError(f"variable {j} violates its upper bound: {x[j]} > {up[j]}")
     lhs = A @ x
     excess = lhs - b
     np.abs(excess, out=excess, where=eq)

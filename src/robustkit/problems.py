@@ -17,7 +17,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import BinarySolution, cost_vector
+from .core import BinarySolution, UncertaintySet, cost_vector
 
 
 @dataclass(frozen=True)
@@ -57,6 +57,12 @@ ProblemSpec = Union[Selection, ShortestPath]
 def dimension(spec: ProblemSpec) -> int:
     """Number of 0/1 items (selection items or edges)."""
     return spec.n if isinstance(spec, Selection) else len(spec.edges)
+
+
+def require_dimension(u: UncertaintySet, spec: ProblemSpec) -> None:
+    """Refuse an uncertainty set whose item count is not the spec's dimension."""
+    if u.n_items != dimension(spec):
+        raise ValueError(f"spec has n={dimension(spec)} but uncertainty set has {u.n_items} items")
 
 
 def _out_edges(spec: ShortestPath):

@@ -28,7 +28,7 @@ import numpy as np
 
 from .core import EPS_CMP, EPS_CUT, ConvexWeights, Scenario, UncertaintySet, cost_vector
 from .lp import EQ, LE, LinearProgram, LpError, solve_lp
-from .problems import ProblemSpec, max_solution_cardinality_bound, validate_k
+from .problems import ProblemSpec, max_solution_cardinality_bound, require_dimension, validate_k
 
 
 def midpoint_scenario(u: UncertaintySet) -> Scenario:
@@ -43,6 +43,7 @@ def worstcase_scenario(u: UncertaintySet) -> Scenario:
 
 def worstcase_apriori_bound(u: UncertaintySet, spec: ProblemSpec) -> int:
     """Guarantee for the element-wise worst-case solution: min(N, |X|)."""
+    require_dimension(u, spec)
     return min(u.n_scenarios, max_solution_cardinality_bound(spec))
 
 
@@ -88,26 +89,18 @@ def separation_oracle(
 
 
 def scenario_lp(u: UncertaintySet) -> LinearProgram:
-    """The base guarantee LP over variables [t, lam_1..lam_N], maximizing t.
+    """The base guarantee LP over variables [t, lam_1..lam_N] >= 0, maximizing t.
 
     The hull scenario c = sum_i lam_i c^i is substituted away, leaving
     t * a(i, S) <= sum_m lam_m a(m, S) with a(m, S) the subset sums. Only
-    the simplex row is materialized; the subset rows are generated by the
-    separation oracle. t is capped at 1, which is tight whenever any
-    subset of any scenario has positive cost and pins the degenerate
-    all-zero case.
+    the simplex row and, after it, the row t <= 1 are materialized; the
+    subset rows are generated by the separation oracle. The cap t <= 1 is
+    tight whenever any subset of any scenario has positive cost and pins
+    the degenerate all-zero case.
     """
-    n_scen = u.n_scenarios
-    objective = np.zeros(1 + n_scen)
-    objective[0] = 1.0
-    lower = np.zeros(1 + n_scen)
-    upper = np.full(1 + n_scen, np.inf)
-    upper[0] = 1.0
-    lp = LinearProgram(objective=objective, sense="max", lower=lower, upper=upper)
-    simplex_row = np.zeros(1 + n_scen)
-    simplex_row[1:] = 1.0
-    lp.add_constraint(simplex_row, EQ, 1.0)
-    return lp
+    t_row = np.zeros(1 + u.n_scenarios)
+    t_row[0] = 1.0
+    return LinearProgram(objective=t_row, constraints=[(1.0 - t_row, EQ, 1.0), (t_row.copy(), LE, 1.0)])
 
 
 def _subset_row(u: UncertaintySet, i: int, subset) -> np.ndarray:
@@ -126,6 +119,7 @@ def construct_lp_scenario(u: UncertaintySet, spec: ProblemSpec, k: int) -> Tuple
     added one at a time, each the most violated one at the current
     optimum, until none is violated by more than EPS_CUT.
     """
+    require_dimension(u, spec)
     if not validate_k(spec, k):
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
 

@@ -188,7 +188,7 @@ def test_criterion_5_lp_engine():
         rng = np.random.default_rng(515151)
         solved = 0
         for _ in range(200):
-            lp = random_bounded_lp(rng, max_vars=6, max_rows=8)
+            lp, _ = random_bounded_lp(rng, max_vars=6, max_rows=8)
             sol = rk.solve_lp(lp)
             ref = brute_force_vertex_max(lp)
             if ref is None:

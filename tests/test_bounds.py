@@ -399,3 +399,19 @@ class TestSandwich:
             assert ub_lp <= (1.0 / t_star) * opt + eps * max(1.0, opt)
             x_wc = rk.nominal_solve(spec, rk.worstcase_scenario(u))
             assert rk.upper_bound(u, x_wc) <= rk.worstcase_apriori_bound(u, spec) * opt + eps * max(1.0, opt)
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, spec: rk.construct_lp_scenario(u, spec, 2),
+        rk.worstcase_apriori_bound,
+        rk.maxmin_certificate,
+        rk.exact_minmax,
+    ],
+    ids=["construct_lp_scenario", "worstcase_apriori_bound", "maxmin_certificate", "exact_minmax"],
+)
+def test_spec_of_the_wrong_size_is_refused(call):
+    u, _ = rk.generate_instance(10, 3, 4, seed=1)
+    with pytest.raises(ValueError, match="spec has n=4 but uncertainty set has 10 items"):
+        call(u, rk.Selection(4, 2))

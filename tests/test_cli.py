@@ -252,6 +252,13 @@ class TestExperiment:
         assert "strictly increasing" in err
         assert not out_csv.exists()
 
+    def test_empty_ks_exits_1(self, capsys, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "experiment", "--grid-spec", "cell 10 3 10; count 3; ks", "--seed", "1", "--out", str(out_csv))
+        assert code == 1
+        assert "at least one subset size" in err
+        assert not out_csv.exists()
+
     def test_empty_grid_spec_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "--grid-spec", "count 5", "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 1

@@ -291,6 +291,11 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="strictly increasing"):
             rk.ExperimentGrid(cells=[(10, 3, 10)], ks=(1, 1))
 
+    def test_rejects_empty_ks(self):
+        # with no k the grid would write no lp rows at all
+        with pytest.raises(ValueError, match="at least one subset size"):
+            rk.ExperimentGrid(cells=[(10, 3, 10)], ks=())
+
     def test_rejects_exact_budget_above_the_enumeration_cap(self):
         # C(30, 15) is under this budget but over the cap, so the exact
         # search would refuse every instance and drop all its other metrics

@@ -16,9 +16,9 @@ from robustkit.scenarios import scenario_lp
 def brute_force_vertex_max(lp):
     """Reference optimum by enumerating basic solutions.
 
-    Intersects every n-subset of the constraint/bound hyperplanes; valid
-    whenever the feasible region is a polytope (all bounds finite).
-    Returns None when no vertex is feasible.
+    Intersects every n-subset of the constraint hyperplanes and those of
+    x_j >= 0; valid whenever the feasible region is a polytope. Returns
+    None when no vertex is feasible.
     """
     n = lp.n_vars
     A, b, is_eq = [], [], []
@@ -27,13 +27,8 @@ def brute_force_vertex_max(lp):
         b.append(rhs)
         is_eq.append(rel == rk.EQ)
     for j in range(n):
-        e = np.zeros(n)
-        e[j] = 1.0
-        A.append(e)
-        b.append(lp.upper[j])
-        is_eq.append(False)
-        A.append(-e)
-        b.append(-lp.lower[j])
+        A.append(-np.eye(n)[j])
+        b.append(0.0)
         is_eq.append(False)
     A = np.array(A)
     b = np.array(b)
@@ -98,22 +93,30 @@ def reference_append_row(T, basis, row, rhs):
     return out
 
 
+def upper_rows(upper):
+    """The rows x_j <= upper_j."""
+    return [(row, rk.LE, float(up)) for row, up in zip(np.eye(len(upper)), upper)]
+
+
 def random_bounded_lp(rng, max_vars=6, max_rows=8):
+    """A random LP inside the box 0 <= x <= upper, and upper.
+
+    Its first n rows are the box's upper rows; the rest are random rows
+    that the box point upper / 2, or a random point of the box, satisfies.
+    """
     n = int(rng.integers(1, max_vars + 1))
-    lp = rk.LinearProgram(
-        objective=rng.uniform(-2, 2, n),
-        lower=np.zeros(n),
-        upper=rng.uniform(0.5, 4.0, n),
-    )
+    objective = rng.uniform(-2, 2, n)
+    upper = rng.uniform(0.5, 4.0, n)
+    lp = rk.LinearProgram(objective=objective, constraints=upper_rows(upper))
     for _ in range(int(rng.integers(0, max_rows - 1))):
         coeffs = rng.uniform(-2, 2, n)
         if rng.random() < 0.25:
-            anchor = rng.uniform(0, 1, n) * lp.upper
+            anchor = rng.uniform(0, 1, n) * upper
             lp.add_constraint(coeffs, rk.EQ, float(coeffs @ anchor))
         else:
             slackroom = abs(float(rng.normal()))
-            lp.add_constraint(coeffs, rk.LE, float(coeffs @ (lp.upper * 0.5)) + slackroom)
-    return lp
+            lp.add_constraint(coeffs, rk.LE, float(coeffs @ (upper * 0.5)) + slackroom)
+    return lp, upper
 
 
 class TestSolveLpBasics:
@@ -125,28 +128,13 @@ class TestSolveLpBasics:
         assert sol.objective == pytest.approx(5.0, abs=1e-9)
 
     def test_infeasible_via_bounds(self):
-        lp = rk.LinearProgram(objective=[1.0], lower=[2.0])
+        lp = rk.LinearProgram(objective=[1.0])
+        lp.add_constraint([-1.0], rk.LE, -2.0)  # x >= 2
         lp.add_constraint([1.0], rk.LE, 1.0)
         assert rk.solve_lp(lp).status == "infeasible"
 
     def test_unbounded(self):
         assert rk.solve_lp(rk.LinearProgram(objective=[1.0])).status == "unbounded"
-
-    def test_min_sense(self):
-        lp = rk.LinearProgram(objective=[1.0, 1.0], sense="min", lower=[1.0, 2.0])
-        sol = rk.solve_lp(lp)
-        assert sol.objective == pytest.approx(3.0, abs=1e-9)
-
-    def test_free_variable(self):
-        lp = rk.LinearProgram(objective=[1.0], lower=[-np.inf])
-        lp.add_constraint([1.0], rk.LE, -7.5)
-        sol = rk.solve_lp(lp)
-        assert sol.x[0] == pytest.approx(-7.5, abs=1e-9)
-
-    def test_upper_bounded_free_variable(self):
-        lp = rk.LinearProgram(objective=[1.0], lower=[-np.inf], upper=[3.0])
-        sol = rk.solve_lp(lp)
-        assert sol.objective == pytest.approx(3.0, abs=1e-9)
 
     def test_degenerate_equalities(self):
         lp = rk.LinearProgram(objective=[1.0, 1.0])
@@ -180,7 +168,7 @@ class TestSolveLpBasics:
     def test_non_finite_coefficients_rejected(self, bad):
         with pytest.raises(ValueError, match="coefficients must be finite"):
             rk.LinearProgram(objective=[1.0], constraints=[(np.array([bad]), rk.LE, 1.0)])
-        lp = rk.LinearProgram(objective=[1.0], upper=[2.0])
+        lp = rk.LinearProgram(objective=[1.0], constraints=upper_rows([2.0]))
         with pytest.raises(ValueError, match="coefficients must be finite"):
             lp.add_constraint([bad], rk.LE, 1.0)
         with pytest.raises(ValueError, match="coefficients must be finite"):
@@ -192,7 +180,7 @@ class TestAgainstVertexEnumeration:
         rng = np.random.default_rng(4242)
         checked = 0
         for _ in range(60):
-            lp = random_bounded_lp(rng, max_vars=4, max_rows=6)
+            lp, _ = random_bounded_lp(rng, max_vars=4, max_rows=6)
             sol = rk.solve_lp(lp)
             ref = brute_force_vertex_max(lp)
             if ref is None:
@@ -206,10 +194,10 @@ class TestAgainstVertexEnumeration:
 
 class TestDeterminism:
     def test_identical_runs(self):
-        rng = np.random.default_rng(11)
-        lp = random_bounded_lp(rng)
+        lp, _ = random_bounded_lp(np.random.default_rng(11))
+        twin, _ = random_bounded_lp(np.random.default_rng(11))  # built apart from lp
         a = rk.solve_lp(lp)
-        b = rk.solve_lp(lp.copy())
+        b = rk.solve_lp(twin)
         assert a.status == b.status
         assert a.iterations == b.iterations
         if a.status == "optimal":
@@ -247,7 +235,7 @@ def first_violated_source(rows):
 class TestRowGeneration:
     def test_silent_source_equals_plain_solve(self):
         rng = np.random.default_rng(5)
-        lp = random_bounded_lp(rng)
+        lp, _ = random_bounded_lp(rng)
         plain = rk.solve_lp(lp)
         lazy = rk.solve_lp(lp, lambda x: None)
         assert plain.status == lazy.status
@@ -293,14 +281,12 @@ class TestRowGeneration:
         rng = np.random.default_rng(9090)
         statuses = set()
         for _ in range(80):
-            lp = random_bounded_lp(rng, max_vars=5, max_rows=5)
+            lp, upper = random_bounded_lp(rng, max_vars=5, max_rows=5)
             hidden = []
             for _ in range(int(rng.integers(1, 6))):
                 coeffs = rng.uniform(-2, 2, lp.n_vars)
-                hidden.append((coeffs, rk.LE, float(coeffs @ (lp.upper * rng.uniform(0, 1, lp.n_vars)))))
-            full = lp.copy()
-            for row in hidden:
-                full.add_constraint(*row)
+                hidden.append((coeffs, rk.LE, float(coeffs @ (upper * rng.uniform(0, 1, lp.n_vars)))))
+            full = rk.LinearProgram(lp.objective, lp.constraints + hidden)
             plain = rk.solve_lp(full)
             warm = rk.solve_lp(lp, first_violated_source(hidden))
             assert warm.status == plain.status
@@ -333,18 +319,16 @@ class TestRowGeneration:
         assert outcomes == {"optimal", "infeasible"}
 
     def test_infeasible_source_row(self):
-        lp = rk.LinearProgram(objective=[1.0, 1.0], upper=[2.0, 2.0])
+        lp = rk.LinearProgram(objective=[1.0, 1.0], constraints=upper_rows([2.0, 2.0]))
         lp.add_constraint([1.0, 1.0], rk.LE, 3.0)
         cut = (np.array([-1.0, -1.0]), rk.LE, -5.0)  # x0 + x1 >= 5
-        full = lp.copy()
-        full.add_constraint(*cut)
-        assert rk.solve_lp(full).status == "infeasible"
+        assert rk.solve_lp(rk.LinearProgram(lp.objective, lp.constraints + [cut])).status == "infeasible"
         sol = rk.solve_lp(lp, first_violated_source([cut]))
         assert sol.status == "infeasible"
-        assert len(lp.constraints) == 1  # the caller's LP is left alone
+        assert len(lp.constraints) == 3  # the caller's LP is left alone
 
     def test_stalling_source_raises(self):
-        lp = rk.LinearProgram(objective=[1.0], upper=[1.0])
+        lp = rk.LinearProgram(objective=[1.0], constraints=upper_rows([1.0]))
 
         def satisfied_row(_x):
             return np.array([1.0]), rk.LE, 5.0  # never violated
@@ -353,13 +337,13 @@ class TestRowGeneration:
             rk.solve_lp(lp, satisfied_row)
 
     def test_equality_source_row_rejected(self):
-        lp = rk.LinearProgram(objective=[1.0], upper=[1.0])
+        lp = rk.LinearProgram(objective=[1.0], constraints=upper_rows([1.0]))
         with pytest.raises(ValueError, match="<="):
             rk.solve_lp(lp, lambda x: (np.array([1.0]), rk.EQ, 0.5))
 
     def test_round_cap_raises(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_MAX_ROUNDS", 3)
-        lp = rk.LinearProgram(objective=[1.0], upper=[10.0])
+        lp = rk.LinearProgram(objective=[1.0], constraints=upper_rows([10.0]))
 
         def endless(x):
             return np.array([1.0]), rk.LE, float(x[0]) - 1.0
