@@ -131,6 +131,11 @@ class ExperimentGrid:
             raise ValueError("subset sizes must be >= 1")
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
             raise ValueError(f"subset sizes must be strictly increasing, got {self.ks}")
+        for n, p, N in self.cells:  # the LP family runs only at k <= p
+            if p < self.ks[0]:
+                raise ValueError(f"cell ({n},{p},{N}): p={p} is below every subset size in ks {self.ks}")
+        if self.exact_budget < 0:
+            raise ValueError(f"exact_budget must be >= 0, got {self.exact_budget}")
         if self.exact_budget > MAX_ENUMERATION:
             raise ValueError(f"exact_budget {self.exact_budget} exceeds the enumeration cap {MAX_ENUMERATION}")
 
@@ -211,8 +216,10 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         timings["mid"] = time.perf_counter() - start
 
         start = time.perf_counter()
+        prev = None  # each k's LP starts from the rows binding at the previous k's optimum
         for k in ks_valid:
-            t_star, scen, lam = construct_lp_scenario(u, spec, k)
+            t_star, scen, lam = construct_lp_scenario(u, spec, k, start=prev)
+            prev = t_star, scen
             out[("apriori", "lp", k)] = 1.0 / t_star
             x = nominal_solve(spec, scen)
             _record(out, "lp", k, upper_bound(u, x), lower_bound(u, scen, lam, x))

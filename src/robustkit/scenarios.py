@@ -13,7 +13,12 @@ Three ways to compress a scenario set into a single cost vector:
 The N * C(n, k) subset rows are never materialized: one vectorized
 separation oracle (for each scenario, the k items where c - t * c^i is
 smallest) finds the most violated row, and the LP is solved by
-warm-started row generation. The same constraint family with c held
+warm-started row generation. A construction at a larger k can start
+from one at a smaller k, as the experiment grid's do: the rows that
+bind at the smaller k's optimum, each grown by the items where
+c - t * c^i is smallest, go into the base LP. They are rows of the
+larger LP, so t* is the same and only the rounds fall; the optimal
+vertex may differ. The same constraint family with c held
 fixed gives a sharpened guarantee for any hull scenario (in particular
 the midpoint): the smallest subset-sum ratio, found exactly by
 Dinkelbach's min-ratio iteration with that oracle.
@@ -26,7 +31,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, EPS_CUT, ConvexWeights, Scenario, UncertaintySet, cost_vector
+from .core import EPS_CMP, EPS_CUT, EPS_FEAS, ConvexWeights, Scenario, UncertaintySet, cost_vector
 from .lp import EQ, LE, LinearProgram, LpError, solve_lp
 from .problems import ProblemSpec, max_solution_cardinality_bound, require_dimension, validate_k
 
@@ -111,23 +116,75 @@ def _subset_row(u: UncertaintySet, i: int, subset) -> np.ndarray:
     return row
 
 
-def construct_lp_scenario(u: UncertaintySet, spec: ProblemSpec, k: int) -> Tuple[float, Scenario, ConvexWeights]:
+def _tight_rows(u: UncertaintySet, rows, values: np.ndarray, t: float):
+    """The (i, S) of rows, all of one size, that bind at t and values.
+
+    A row binds when sum_S c - t * sum_S c^i is at most
+    EPS_FEAS * max(1, max c).
+    """
+    if not rows:
+        return ()
+    scen = np.array([i for i, _ in rows])
+    sub = np.array([subset for _, subset in rows])
+    slack = values[sub].sum(axis=1) - t * u.costs[scen[:, None], sub].sum(axis=1)
+    tol = EPS_FEAS * max(1.0, float(values.max()))
+    return tuple(row for row, s in zip(rows, slack) if s <= tol)
+
+
+def _extended_rows(u: UncertaintySet, t: float, scenario: Scenario, k: int):
+    """The binding rows of a smaller-k optimum, each grown to size k.
+
+    Row (i, S) gains the k - |S| items outside S with the smallest
+    c_j - t * c^i_j at that optimum, ties going to the smallest item: the
+    most violated size-k row of scenario i that contains S.
+    """
+    if scenario.k is None or scenario.k >= k:
+        raise ValueError(f"a start must come from a construction at k < {k}, got k={scenario.k}")
+    if not scenario.rows:
+        return []
+    scen = np.array([i for i, _ in scenario.rows])
+    sub = np.array([subset for _, subset in scenario.rows])
+    vals = scenario.values - t * u.costs[scen]
+    np.put_along_axis(vals, sub, np.inf, axis=1)
+    extra = np.argsort(vals, axis=1, kind="stable")[:, : k - scenario.k]
+    grown = np.sort(np.concatenate((sub, extra), axis=1), axis=1)
+    return list(dict.fromkeys((int(i), tuple(S.tolist())) for i, S in zip(scen, grown)))
+
+
+def construct_lp_scenario(
+    u: UncertaintySet, spec: ProblemSpec, k: int, start: Optional[Tuple[float, Scenario]] = None
+) -> Tuple[float, Scenario, ConvexWeights]:
     """Solve the guarantee LP and return (t_star, scenario, hull weights).
 
     The returned solution's nominal optimizer is a 1/t_star-approximation
     for the min-max problem; 1/t_star <= N always. The subset rows are
     added one at a time, each the most violated one at the current
-    optimum, until none is violated by more than EPS_CUT.
+    optimum, until none is violated by more than EPS_CUT. The scenario's
+    rows are the subset rows that bind at the optimum.
+
+    start, the (t_star, scenario) of a construction of the same instance
+    at a smaller k, seeds the base LP with that optimum's binding rows,
+    each grown to size k (_extended_rows). They are rows of this LP, so
+    t_star is the same as unseeded; the optimal vertex, and with it the
+    scenario, may differ.
     """
     require_dimension(u, spec)
     if not validate_k(spec, k):
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
 
+    lp = scenario_lp(u)
+    rows = [] if start is None else _extended_rows(u, *start, k)
+    for row in rows:
+        lp.add_constraint(_subset_row(u, *row), LE, 0.0)
+
     def row_source(x):
         cut = separation_oracle(u, np.maximum(x[1:] @ u.costs, 0.0), x[0], k)
-        return None if cut is None else (_subset_row(u, *cut), LE, 0.0)
+        if cut is None:
+            return None
+        rows.append(cut)
+        return _subset_row(u, *cut), LE, 0.0
 
-    sol = solve_lp(scenario_lp(u), row_source)
+    sol = solve_lp(lp, row_source)
     if sol.status != "optimal":
         raise LpError(f"scenario construction LP reported {sol.status}")
 
@@ -135,7 +192,8 @@ def construct_lp_scenario(u: UncertaintySet, spec: ProblemSpec, k: int) -> Tuple
     if t_star <= 0.0:
         raise LpError(f"scenario construction LP returned t*={t_star} <= 0")
     lam = ConvexWeights(sol.x[1:])
-    scenario = Scenario(lam.combine(u), provenance="lp", k=k)
+    values = lam.combine(u)
+    scenario = Scenario(values, provenance="lp", k=k, rows=_tight_rows(u, rows, values, t_star))
 
     # never return a silently invalid guarantee
     violation, _, _ = _most_violated(u.costs, scenario.values, t_star, k)

@@ -259,6 +259,22 @@ class TestExperiment:
         assert "at least one subset size" in err
         assert not out_csv.exists()
 
+    def test_cell_with_p_below_every_k_exits_1(self, capsys, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run_cli(capsys, "experiment", "--grid-spec", "cell 10 3 10; count 3; ks 4 5", "--seed", "1", "--out", str(out_csv))
+        assert code == 1
+        assert "cell (10,3,10): p=3 is below every subset size in ks (4, 5)" in err
+        assert not out_csv.exists()
+
+    def test_negative_exact_budget_exits_1(self, capsys, tmp_path):
+        out_csv = tmp_path / "x.csv"
+        code, _, err = run_cli(
+            capsys, "experiment", "--grid-spec", "cell 10 3 10; count 3; exact_budget -1", "--seed", "1", "--out", str(out_csv)
+        )
+        assert code == 1
+        assert "exact_budget must be >= 0, got -1" in err
+        assert not out_csv.exists()
+
     def test_empty_grid_spec_exits_1(self, capsys, tmp_path):
         code, _, err = run_cli(capsys, "experiment", "--grid-spec", "count 5", "--seed", "1", "--out", str(tmp_path / "x.csv"))
         assert code == 1

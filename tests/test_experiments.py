@@ -159,6 +159,22 @@ class TestRunGrid:
         assert ("apriori", "lp", 3) not in keys
         assert ("apriori", "lp", 2) in keys
 
+    def test_each_k_starts_from_the_previous_k_with_unseeded_t_star(self, monkeypatch):
+        calls = []
+        real = rk.scenarios.construct_lp_scenario
+
+        def recording(u, spec, k, start=None):
+            calls.append((k, None if start is None else start[1].k))
+            return real(u, spec, k, start=start)
+
+        monkeypatch.setattr("robustkit.experiments.construct_lp_scenario", recording)
+        grid = rk.ExperimentGrid(cells=[(12, 4, 8)], instance_count=4, master_seed=9, ks=(1, 3, 4))
+        result = rk.run_grid(grid)
+        assert calls == [(1, None), (3, 1), (4, 3)] * 4
+        for k in grid.ks:
+            unseeded = [1.0 / real(*rk.generate_instance(12, 4, 8, derive_seed(9, 12, 4, 8, i)), k)[0] for i in range(4)]
+            assert result.value(12, 4, 8, "apriori", "lp", k) == pytest.approx(float(np.mean(unseeded)), rel=1e-9, abs=0)
+
     def test_subset_size_above_three(self):
         grid = rk.ExperimentGrid(cells=[(10, 5, 10)], instance_count=3, master_seed=4, ks=(4,))
         result = rk.run_grid(grid)
@@ -295,6 +311,17 @@ class TestGridValidation:
         # with no k the grid would write no lp rows at all
         with pytest.raises(ValueError, match="at least one subset size"):
             rk.ExperimentGrid(cells=[(10, 3, 10)], ks=())
+
+    def test_rejects_cell_with_p_below_every_k(self):
+        # that cell's grid would write no lp and no apriori rows at all
+        with pytest.raises(ValueError, match=r"cell \(10,3,10\): p=3 is below every subset size"):
+            rk.ExperimentGrid(cells=[(20, 6, 50), (10, 3, 10)], ks=(4, 5))
+        assert rk.ExperimentGrid(cells=[(10, 3, 10)], ks=(3, 4)).ks == (3, 4)
+
+    def test_rejects_negative_exact_budget(self):
+        # no subset count is below it, so every opt row would be dropped
+        with pytest.raises(ValueError, match="exact_budget must be >= 0, got -1"):
+            rk.ExperimentGrid(cells=[(10, 3, 10)], exact_budget=-1)
 
     def test_rejects_exact_budget_above_the_enumeration_cap(self):
         # C(30, 15) is under this budget but over the cap, so the exact

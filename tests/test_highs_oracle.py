@@ -9,6 +9,7 @@ from robustkit.experiments import derive_seed
 from test_lp import eager_scenario_lp
 
 linprog = pytest.importorskip("scipy.optimize").linprog
+sparse = pytest.importorskip("scipy.sparse")
 
 CELL = (20, 6, 50)
 
@@ -66,6 +67,60 @@ def test_construction_t_star_beyond_k3_matches_highs():
         u, spec = rk.generate_instance(n, p, N, derive_seed(7, n, p, N, i))
         t_star, _, _ = rk.construct_lp_scenario(u, spec, 4)
         assert abs(t_star - highs_max(eager_scenario_lp(u, 4))) <= 1e-9
+
+
+def compact_t_star(u, k):
+    """t* of the guarantee LP by HiGHS, in a compact form that needs no subset rows.
+
+    The k smallest values of v = c - t * c^i sum to at least 0 exactly
+    when some free mu_i and nu_ij >= 0 satisfy mu_i - nu_ij <= v_j and
+    k * mu_i - sum_j nu_ij >= 0 (LP duality). The variables are
+    [t, lam, mu, nu], one row per (i, j), per i, and the simplex row.
+    """
+    N, n = u.costs.shape
+    head = np.zeros((N * n, 1 + 2 * N))  # row i * n + j, over [t, lam, mu]
+    head[:, 0] = u.costs.ravel()
+    head[:, 1 : 1 + N] = -np.tile(u.costs.T, (N, 1))
+    head[:, 1 + N :] = np.repeat(np.eye(N), n, axis=0)
+    pair = sparse.hstack([sparse.csr_matrix(head), -sparse.identity(N * n)])
+    total = sparse.hstack([sparse.csr_matrix((N, 1 + N)), -k * sparse.identity(N), sparse.kron(sparse.identity(N), np.ones((1, n)))])
+    width = 1 + 2 * N + N * n
+    res = linprog(
+        -np.eye(width)[0],
+        A_ub=sparse.vstack([pair, total]).tocsr(),
+        b_ub=np.zeros(N * n + N),
+        A_eq=np.concatenate([[0.0], np.ones(N), np.zeros(width - 1 - N)])[None, :],
+        b_eq=[1.0],
+        bounds=[(0, 1)] + [(0, None)] * N + [(None, None)] * N + [(0, None)] * (N * n),
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return -float(res.fun)
+
+
+def test_compact_t_star_matches_the_eager_lp():
+    for u, _ in cell_instances(1):
+        for k in (1, 2):
+            assert abs(compact_t_star(u, k) - highs_max(eager_scenario_lp(u, k))) <= 1e-9
+
+
+# the paper cells, both shapes with n > N + 1, and a gap in ks
+@pytest.mark.parametrize(
+    "cell, ks",
+    [((10, 3, 10), (1, 2, 3)), ((20, 6, 50), (1, 2, 3)), ((30, 9, 100), (1, 2, 3)), ((400, 5, 9), (1, 2, 3)), ((40, 3, 5), (1, 2, 3)), ((20, 6, 50), (1, 3))],
+)
+def test_seeded_construction_t_star_matches_unseeded_and_highs(cell, ks):
+    for i in range(2):
+        u, spec = rk.generate_instance(*cell, derive_seed(7, *cell, i))
+        start = None
+        for k in ks:
+            if start is not None:
+                assert start[1].rows  # the solve at k is seeded
+            t_star, scenario, _ = rk.construct_lp_scenario(u, spec, k, start=start)
+            start = t_star, scenario
+            assert all(len(subset) == k for _, subset in scenario.rows)
+            assert t_star == pytest.approx(rk.construct_lp_scenario(u, spec, k)[0], rel=1e-9, abs=0)
+            assert abs(t_star - compact_t_star(u, k)) <= 1e-9
 
 
 def test_maxmin_certificate_matches_highs():

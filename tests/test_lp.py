@@ -466,8 +466,15 @@ class TestPivotCounts:
         (30, 9, 100): ([458, 715, 645, 310], [74, 125, 130]),
     }
 
+    # the grid's path, where each k starts from the previous k's binding
+    # rows; k = 1 and max-min are the unseeded solves
+    EXACT_SEEDED = {
+        (20, 6, 50): ([195, 199, 232, 138], [46, 31, 45]),
+        (30, 9, 100): ([458, 439, 319, 310], [74, 47, 50]),
+    }
+
     @staticmethod
-    def counts(cell, monkeypatch):
+    def counts(cell, monkeypatch, seeded=False):
         solutions = []
 
         def recording_solve_lp(lp, row_source=None):
@@ -479,8 +486,10 @@ class TestPivotCounts:
         pivots, rounds = [0, 0, 0, 0], [0, 0, 0]
         for instance_id in range(3):
             u, spec = generate_instance(*cell, derive_seed(5, *cell, instance_id))
+            start = None
             for k in (1, 2, 3):
-                rk.construct_lp_scenario(u, spec, k)
+                t_star, scenario, _ = rk.construct_lp_scenario(u, spec, k, start=start)
+                start = (t_star, scenario) if seeded else None
                 pivots[k - 1] += solutions[-1].iterations
                 rounds[k - 1] += solutions[-1].rounds
             rk.maxmin_certificate(u, spec)
@@ -498,6 +507,10 @@ class TestPivotCounts:
     @pytest.mark.parametrize("cell", sorted(EXACT))
     def test_exact_counts(self, cell, monkeypatch):
         assert self.counts(cell, monkeypatch) == self.EXACT[cell]
+
+    @pytest.mark.parametrize("cell", sorted(EXACT_SEEDED))
+    def test_exact_seeded_counts(self, cell, monkeypatch):
+        assert self.counts(cell, monkeypatch, seeded=True) == self.EXACT_SEEDED[cell]
 
     def test_equality_slacks_stay_fixed(self, monkeypatch):
         # Phase 1 leaves the two slacks of the simplex row at 0; clearing the

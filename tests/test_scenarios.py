@@ -232,6 +232,40 @@ class TestConstructLpScenario:
         with pytest.raises(ValueError, match="cardinality"):
             rk.construct_lp_scenario(u, spec, 4)
 
+    def test_start_from_k_or_above_is_refused(self, table1):
+        u, spec = table1
+        start = rk.construct_lp_scenario(u, spec, 2)[:2]
+        for k in (1, 2):
+            with pytest.raises(ValueError, match=f"construction at k < {k}, got k=2"):
+                rk.construct_lp_scenario(u, spec, k, start=start)
+        with pytest.raises(ValueError, match="got k=None"):  # not a construction
+            rk.construct_lp_scenario(u, spec, 2, start=(1.0, rk.midpoint_scenario(u)))
+
+    def test_start_seeds_its_binding_rows_grown_to_k(self, monkeypatch):
+        u, spec = rk.generate_instance(8, 4, 5, 11)
+        t1, scen1, _ = rk.construct_lp_scenario(u, spec, 1)
+        unseeded = rk.construct_lp_scenario(u, spec, 3)[0]
+        assert scen1.rows
+        for i, subset in scen1.rows:
+            cols = list(subset)
+            assert t1 * u.costs[i, cols].sum() == pytest.approx(scen1.values[cols].sum(), abs=1e-9)
+        built, seeded = [], []
+        subset_row, solve_lp = rk.scenarios._subset_row, rk.scenarios.solve_lp
+        monkeypatch.setattr("robustkit.scenarios._subset_row", lambda u, i, subset: built.append((i, subset)) or subset_row(u, i, subset))
+        monkeypatch.setattr("robustkit.scenarios.solve_lp", lambda lp, source: seeded.extend(built) or solve_lp(lp, source))
+        t3, scen3, _ = rk.construct_lp_scenario(u, spec, 3, start=(t1, scen1))
+        assert t3 == pytest.approx(unseeded, rel=1e-9)
+        assert len(seeded) == len(set(seeded)) <= len(scen1.rows)
+        # each binding row (i, S) becomes the most violated 3-row of scenario i containing S
+        vals = scen1.values - t1 * u.costs
+        for i, subset in scen1.rows:
+            grown = [row for row in seeded if row[0] == i and set(subset) < set(row[1])]
+            assert len(grown) == 1 and len(grown[0][1]) == 3
+            rest = sorted(set(range(8)) - set(subset))
+            best = min(vals[i, list(extra)].sum() for extra in itertools.combinations(rest, 2))
+            assert vals[i, list(set(grown[0][1]) - set(subset))].sum() == best
+        assert scen3.rows and all(len(subset) == 3 for _, subset in scen3.rows)
+
     def test_scenario_is_hull_combination(self, table1):
         u, spec = table1
         for k in (1, 2):
