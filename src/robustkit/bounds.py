@@ -58,7 +58,7 @@ def lower_bound(u: UncertaintySet, c, lam: ConvexWeights, x_c: BinarySolution) -
     The weights must certify c = sum_i lam_i c^i within EPS_CMP; scenarios
     outside the hull (e.g. the element-wise worst case) are rejected.
     """
-    values = cost_vector(c, u.n_items)
+    values = cost_vector(c, u.n_items, finite=False)  # a non-finite entry fails the hull check
     gap = float(np.abs(values - lam.lam @ u.costs).max())
     if not gap <= EPS_CMP:  # a NaN gap certifies nothing
         raise ValueError(
@@ -121,17 +121,12 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     objective = np.zeros(n_vars)
     objective[mu : mu + 2] = float(spec.p), -float(spec.p)
     objective[mu + 2 :] = -1.0
-    lp = LinearProgram(objective=objective)
-    for j in range(n_items):
-        row = np.zeros(n_vars)
-        row[:n_scen] = -u.costs[:, j]
-        row[mu : mu + 2] = 1.0, -1.0
-        row[mu + 2 + j] = -1.0
-        lp.add_constraint(row, LE, 0.0)
-    simplex_row = np.zeros(n_vars)
-    simplex_row[:n_scen] = 1.0
-    lp.add_constraint(simplex_row, EQ, 1.0)
-    sol = solve_lp(lp)
+    rows = np.zeros((n_items + 1, n_vars))  # the item rows, then the simplex row
+    rows[:n_items, :n_scen] = -u.costs.T
+    rows[:n_items, mu : mu + 2] = 1.0, -1.0
+    rows[:n_items, mu + 2 :] -= np.eye(n_items)  # -= keeps the zeros +0.0
+    rows[n_items, :n_scen] = 1.0
+    sol = solve_lp(LinearProgram(objective, [(row, LE, 0.0) for row in rows[:-1]] + [(rows[-1], EQ, 1.0)]))
     if sol.status != "optimal":
         raise LpError(f"max-min LP reported {sol.status}")
     return float(sol.objective), ConvexWeights(sol.x[:n_scen])

@@ -119,21 +119,21 @@ class ExperimentGrid:
     def __post_init__(self):
         if self.instance_count < 1:
             raise ValueError("instance_count must be >= 1")
-        if not self.cells:
-            self.cells = []
-        for n, p, N in self.cells:
-            Selection(n=n, p=p)  # validates 1 <= p <= n
-            if N < 1:
-                raise ValueError(f"cell ({n},{p},{N}): N must be >= 1")
+        self.cells = [tuple(cell) for cell in self.cells or ()]
         if not self.ks:  # the LP family runs at each k, so no k would drop it
             raise ValueError("need at least one subset size k")
         if any(k < 1 for k in self.ks):
             raise ValueError("subset sizes must be >= 1")
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
             raise ValueError(f"subset sizes must be strictly increasing, got {self.ks}")
-        for n, p, N in self.cells:  # the LP family runs only at k <= p
-            if p < self.ks[0]:
+        for i, (n, p, N) in enumerate(self.cells):
+            Selection(n=n, p=p)  # validates 1 <= p <= n
+            if N < 1:
+                raise ValueError(f"cell ({n},{p},{N}): N must be >= 1")
+            if p < self.ks[0]:  # the LP family runs only at k <= p
                 raise ValueError(f"cell ({n},{p},{N}): p={p} is below every subset size in ks {self.ks}")
+            if (n, p, N) in self.cells[:i]:  # it would write each of its CSV rows twice
+                raise ValueError(f"cell ({n},{p},{N}) is repeated")
         if self.exact_budget < 0:
             raise ValueError(f"exact_budget must be >= 0, got {self.exact_budget}")
         if self.exact_budget > MAX_ENUMERATION:
@@ -167,21 +167,14 @@ class GridResult:
         raise KeyError(f"no aggregate for {(n, p, N, metric, method, k)}")
 
 
-def _metric_order(ks: Tuple[int, ...]) -> List[MetricKey]:
-    order: List[MetricKey] = []
-    order += [("apriori", "mid", k) for k in ks]
-    order += [("apriori", "lp", k) for k in ks]
-    order += [("aposteriori", "mid", None)]
-    order += [("aposteriori", "lp", k) for k in ks]
-    order += [("aposteriori", "mm", None)]
-    order += [("ub", "mid", None)]
-    order += [("ub", "lp", k) for k in ks]
-    order += [("ub", "mm", None)]
-    order += [("lb", "mid", None)]
-    order += [("lb", "lp", k) for k in ks]
-    order += [("lb", "mm", None)]
-    order += [("opt", "exact", None)]
-    return order
+METRICS = ("apriori", "aposteriori", "ub", "lb", "opt")
+METHODS = ("mid", "lp", "mm", "exact")  # the method families, each timed as one stage
+
+
+def _row_rank(key: MetricKey) -> Tuple[int, int, int]:
+    """A cell's CSV rows run by metric, then method, then k (None when a family has one row)."""
+    metric, method, k = key
+    return METRICS.index(metric), METHODS.index(method), k or 0
 
 
 def _record(out, method, k, ub, lb) -> None:
@@ -196,10 +189,10 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
     Runs the midpoint, the LP scenario at each valid k and the max-min
     lower bound, then the exact optimum when with_opt is set, and checks
     the results against _spot_check. Returns (cell_index, instance_id,
-    error, values, timings), timings in seconds per method family; on a
-    domain error the message is set and the value dict is empty. A broken
-    invariant is not a domain error: InvariantError propagates, naming the
-    cell, instance id and seed.
+    error, values, timings), timings in seconds per method family (mid,
+    lp, mm and exact); on a domain error the message is set and the value
+    dict is empty. A broken invariant is not a domain error: InvariantError
+    propagates, naming the cell, instance id and seed.
     """
     cell_index, instance_id, n, p, N, seed, ks_valid, with_opt = task
     timings: Dict[str, float] = {}
@@ -234,7 +227,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         if with_opt:
             start = time.perf_counter()
             out[("opt", "exact", None)] = exact_minmax(u, spec)[0]
-            timings["opt"] = time.perf_counter() - start
+            timings["exact"] = time.perf_counter() - start
 
         _spot_check(out, ks_valid, N)
         return cell_index, instance_id, None, out, timings
@@ -304,14 +297,14 @@ def run_grid(
     if workers < 1:
         raise ValueError("workers must be >= 1")
 
-    # the valid k (for the tasks and the aggregation) and whether opt runs are decided once per cell
-    ks_valid = [tuple(k for k in grid.ks if k <= p) for n, p, N in grid.cells]
     tasks = []
     for cell_index, (n, p, N) in enumerate(grid.cells):
+        # the valid k and whether opt runs are decided once per cell
+        ks_valid = tuple(k for k in grid.ks if k <= p)
         with_opt = math.comb(n, p) <= grid.exact_budget
         for instance_id in range(grid.instance_count):
             seed = derive_seed(grid.master_seed, n, p, N, instance_id)
-            tasks.append((cell_index, instance_id, n, p, N, seed, ks_valid[cell_index], with_opt))
+            tasks.append((cell_index, instance_id, n, p, N, seed, ks_valid, with_opt))
 
     outcomes = []
     with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
@@ -335,16 +328,14 @@ def run_grid(
         for o in good:
             for fam, secs in o[4].items():
                 family_time[fam] = family_time.get(fam, 0.0) + secs
-        for metric, method, k in _metric_order(ks_valid[cell_index]):
-            values = [o[3][(metric, method, k)] for o in good if (metric, method, k) in o[3]]
-            if not values:
-                continue
-            arr = np.array(values)
+        # every good instance records the same keys: _spot_check raises on a missing one
+        for metric, method, k in sorted(good[0][3] if good else (), key=_row_rank):
+            arr = np.array([o[3][(metric, method, k)] for o in good])
             mean = float(arr.mean())
             stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
-            runtime_ms = 1000.0 * family_time.get("opt" if method == "exact" else method, 0.0) / len(good)
+            runtime_ms = 1000.0 * family_time[method] / len(good)
             result.rows.append(
-                AggregateRow(n=n, p=p, N=N, metric=metric, method=method, k=k, value=mean, stderr=stderr, instances=len(values), runtime_ms=runtime_ms)
+                AggregateRow(n=n, p=p, N=N, metric=metric, method=method, k=k, value=mean, stderr=stderr, instances=len(good), runtime_ms=runtime_ms)
             )
     return result
 
@@ -361,10 +352,10 @@ def _fmt6(v: float) -> str:
 def emit_csv(result: GridResult, include_runtime: bool = False) -> str:
     """Render aggregates as CSV, one row per (cell, metric, method, k).
 
-    Rows follow grid order, then a fixed metric/method order. Values carry
-    6 significant digits. runtime_ms is the mean wall-clock milliseconds
+    Rows follow grid order, then metric, method and k (_row_rank). Values
+    carry 6 significant digits. runtime_ms is the mean wall-clock milliseconds
     per non-excluded instance of the cell spent in the row's method family
-    (mid, lp, mm or opt, the whole family's stage, all k included), so
+    (mid, lp, mm or exact, the whole family's stage, all k included), so
     every row of a family in a cell reads the same. Runtimes are not
     reproducible run to run; the column is left empty unless explicitly
     requested, keeping default output byte-identical for a fixed grid and

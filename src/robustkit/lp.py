@@ -287,15 +287,17 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     coefs = T[-1, basis]
     for i in np.flatnonzero(coefs):
         T[-1] -= coefs[i] * T[i]
-    status, its = _run_simplex(T, width, basis, max_iter)
-    iterations += its
-    if status == "unbounded":
-        return LpSolution(status="unbounded", iterations=iterations)
 
     amax = np.abs(A).max(axis=1, initial=0.0)
     bscale = np.maximum(1.0, np.abs(b))
     rounds = 0
     while True:
+        # phase 2; after an appended row the reduced costs stayed optimal,
+        # and this certifies them (normally 0 pivots)
+        status, its = _run_simplex(T, width, basis, max_iter)
+        iterations += its
+        if status == "unbounded":
+            return LpSolution(status="unbounded", iterations=iterations, rounds=rounds)
         r = base + rounds
         y = np.zeros(width - 1)  # the variables, then the slacks
         y[basis] = T[:-1, width - 1]
@@ -324,11 +326,6 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
         iterations += its
         if status == "infeasible":
             return LpSolution(status="infeasible", iterations=iterations, rounds=rounds)
-        # the reduced costs stayed optimal; this certifies them (normally 0 pivots)
-        status, its = _run_simplex(T, width, basis, max_iter)
-        iterations += its
-        if status == "unbounded":
-            return LpSolution(status="unbounded", iterations=iterations, rounds=rounds)
 
 
 def _check_feasible(x, A, b, eq, amax, bscale) -> None:

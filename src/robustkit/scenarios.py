@@ -80,8 +80,8 @@ def separation_oracle(
     EPS_CUT, else None. None is equivalent to an exhaustive check of all
     N * C(n, k) constraints finding no violation beyond EPS_CUT.
     """
-    if t <= 0:
-        raise ValueError(f"t must be positive, got {t}")
+    if not 0 < t < math.inf:
+        raise ValueError(f"t must be positive and finite, got {t}")
     if k < 1:
         raise ValueError(f"k must be >= 1, got {k}")
     if k > u.n_items:

@@ -159,6 +159,29 @@ class TestRunGrid:
         assert ("apriori", "lp", 3) not in keys
         assert ("apriori", "lp", 2) in keys
 
+    def test_row_sequence_is_pinned(self):
+        # metric, then method (mid, lp, mm, exact), then k: the CSV's row order
+        with_opt = rk.run_grid(rk.ExperimentGrid(cells=[(6, 3, 3)], instance_count=2, master_seed=7))
+        assert [(r.metric, r.method, r.k) for r in with_opt.rows] == [
+            ("apriori", "mid", 1), ("apriori", "mid", 2), ("apriori", "mid", 3),
+            ("apriori", "lp", 1), ("apriori", "lp", 2), ("apriori", "lp", 3),
+            ("aposteriori", "mid", None),
+            ("aposteriori", "lp", 1), ("aposteriori", "lp", 2), ("aposteriori", "lp", 3),
+            ("aposteriori", "mm", None),
+            ("ub", "mid", None), ("ub", "lp", 1), ("ub", "lp", 2), ("ub", "lp", 3), ("ub", "mm", None),
+            ("lb", "mid", None), ("lb", "lp", 1), ("lb", "lp", 2), ("lb", "lp", 3), ("lb", "mm", None),
+            ("opt", "exact", None),
+        ]
+        grid = rk.ExperimentGrid(cells=[(10, 3, 4)], instance_count=2, master_seed=7, ks=(1, 3), exact_budget=100)
+        assert math.comb(10, 3) > grid.exact_budget
+        without_opt = rk.run_grid(grid)
+        assert [(r.metric, r.method, r.k) for r in without_opt.rows] == [
+            ("apriori", "mid", 1), ("apriori", "mid", 3), ("apriori", "lp", 1), ("apriori", "lp", 3),
+            ("aposteriori", "mid", None), ("aposteriori", "lp", 1), ("aposteriori", "lp", 3), ("aposteriori", "mm", None),
+            ("ub", "mid", None), ("ub", "lp", 1), ("ub", "lp", 3), ("ub", "mm", None),
+            ("lb", "mid", None), ("lb", "lp", 1), ("lb", "lp", 3), ("lb", "mm", None),
+        ]
+
     def test_each_k_starts_from_the_previous_k_with_unseeded_t_star(self, monkeypatch):
         calls = []
         real = rk.scenarios.construct_lp_scenario
@@ -306,6 +329,11 @@ class TestGridValidation:
         # a repeated k would write each of its CSV rows twice
         with pytest.raises(ValueError, match="strictly increasing"):
             rk.ExperimentGrid(cells=[(10, 3, 10)], ks=(1, 1))
+
+    def test_rejects_repeated_cell(self):
+        # a repeated cell would write each of its CSV rows twice, and its failure count once
+        with pytest.raises(ValueError, match=r"cell \(6,2,3\) is repeated"):
+            rk.ExperimentGrid(cells=[(6, 2, 3), (10, 3, 10), (6, 2, 3)])
 
     def test_rejects_empty_ks(self):
         # with no k the grid would write no lp rows at all

@@ -65,6 +65,11 @@ class TestNominalSolveSelection:
         with pytest.raises(ValueError, match="length"):
             rk.nominal_solve(rk.Selection(n=3, p=1), rk.Scenario([1.0, 2.0]))
 
+    def test_rejects_non_finite_cost_vector(self):
+        # NaN sorts last, so the p cheapest items would skip it silently
+        with pytest.raises(ValueError, match="cost vector must be finite"):
+            rk.nominal_solve(rk.Selection(n=4, p=2), [np.nan, 1.0, 2.0, 3.0])
+
 
 @settings(max_examples=40, deadline=None)
 @given(

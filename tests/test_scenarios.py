@@ -126,6 +126,16 @@ class TestSeparationOracle:
         with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
             rk.separation_oracle(u, [1.0], 1.0, 1)
 
+    def test_rejects_non_finite_cost_or_t(self, table1):
+        # a NaN violation compares False against EPS_CUT, which would read as "no violated row"
+        u, _ = table1
+        c = rk.midpoint_scenario(u)
+        with pytest.raises(ValueError, match="cost vector must be finite"):
+            rk.separation_oracle(u, [np.nan, 1.0, 1.0, 1.0], 1.0, 2)
+        for t in (np.nan, np.inf, -1.0):
+            with pytest.raises(ValueError, match="t must be positive and finite"):
+                rk.separation_oracle(u, c, t, 2)
+
     def test_vectorized_oracle_equals_per_scenario_loop_on_ties(self):
         from robustkit.scenarios import _most_violated
 
@@ -322,6 +332,12 @@ class TestFixedScenarioGuarantee:
         u, _ = table1
         with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
             rk.fixed_scenario_guarantee(u, [50.0], 1)
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_cost_vector(self, table1, bad):
+        u, _ = table1
+        with pytest.raises(ValueError, match="cost vector must be finite"):
+            rk.fixed_scenario_guarantee(u, [bad, 1.0, 1.0, 1.0], 2)
 
     def test_infinite_when_scenario_misses_support(self):
         u = rk.UncertaintySet(np.array([[1.0, 5.0]]))
