@@ -32,7 +32,7 @@ from .problems import (
     nominal_solve,
     validate_k,
 )
-from .lp import EQ, LE, LinearProgram, LpError, LpSolution, solve_lp
+from .lp import LinearProgram, LpError, LpSolution, solve_lp
 from .scenarios import (
     construct_lp_scenario,
     fixed_scenario_guarantee,
@@ -69,11 +69,9 @@ __all__ = [
     "EPS_CMP",
     "EPS_CUT",
     "EPS_FEAS",
-    "EQ",
     "ExperimentGrid",
     "GridResult",
     "InstanceFormatError",
-    "LE",
     "LinearProgram",
     "LpError",
     "LpSolution",

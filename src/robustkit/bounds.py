@@ -31,7 +31,7 @@ from .core import (
     cost_vector,
     ratio_or_inf,
 )
-from .lp import EQ, LE, LinearProgram, LpError, solve_lp
+from .lp import LinearProgram, LpError, solve_lp
 from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions, nominal_solve, require_dimension, validate_k
 from .scenarios import fixed_scenario_guarantee
 
@@ -126,7 +126,8 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     rows[:n_items, mu : mu + 2] = 1.0, -1.0
     rows[:n_items, mu + 2 :] -= np.eye(n_items)  # -= keeps the zeros +0.0
     rows[n_items, :n_scen] = 1.0
-    sol = solve_lp(LinearProgram(objective, [(row, LE, 0.0) for row in rows[:-1]] + [(rows[-1], EQ, 1.0)]))
+    simplex = np.arange(n_items + 1) == n_items  # the one == row, with rhs 1
+    sol = solve_lp(LinearProgram(objective, rows, simplex.astype(float), simplex))
     if sol.status != "optimal":
         raise LpError(f"max-min LP reported {sol.status}")
     return float(sol.objective), ConvexWeights(sol.x[:n_scen])

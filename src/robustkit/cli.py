@@ -140,14 +140,18 @@ def _parse_grid_spec(arg: str, master_seed: int) -> ExperimentGrid:
         try:
             if toks[0] == "cell" and len(toks) == 4:
                 cells.append((int(toks[1]), int(toks[2]), int(toks[3])))
-            elif toks[0] == "count" and len(toks) == 2:
-                options["instance_count"] = int(toks[1])
+                continue
+            if toks[0] == "count" and len(toks) == 2:
+                key, value = "instance_count", int(toks[1])
             elif toks[0] == "ks":
-                options["ks"] = tuple(int(t) for t in toks[1:])
+                key, value = "ks", tuple(int(t) for t in toks[1:])
             elif toks[0] == "exact_budget" and len(toks) == 2:
-                options["exact_budget"] = int(toks[1])
+                key, value = "exact_budget", int(toks[1])
             else:
-                raise ValueError(f"grid spec line {lineno}: unknown directive {line!r}")
+                raise ValueError(f"unknown directive {line!r}")
+            if key in options:
+                raise ValueError(f"repeated directive {toks[0]!r}")
+            options[key] = value
         except ValueError as exc:
             raise ValueError(f"grid spec line {lineno}: {exc}") from exc
     if not cells:
@@ -157,9 +161,12 @@ def _parse_grid_spec(arg: str, master_seed: int) -> ExperimentGrid:
 
 def cmd_experiment(args) -> int:
     grid = _parse_grid_spec(args.grid_spec, args.seed)
+    out = Path(args.out)
+    if out.is_dir() or not os.access(out.parent, os.W_OK):
+        raise ValueError(f"cannot write --out {out}: it is a directory, or {out.parent} is not a writable directory")
     result = run_grid(grid, workers=args.workers, progress=lambda msg: print(msg, file=sys.stderr))
     text = emit_csv(result, include_runtime=args.with_runtimes)
-    Path(args.out).write_text(text, encoding="utf-8")
+    out.write_text(text, encoding="utf-8")
     for cell, instance_id, seed, message in result.errors:
         print(f"cell {cell} instance {instance_id} seed {seed}: excluded, {message}", file=sys.stderr)
     print(f"wrote={args.out}")

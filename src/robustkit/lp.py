@@ -1,8 +1,9 @@
 """Self-contained dense-tableau simplex solver.
 
 It solves the textbook standard form, max c . x subject to x >= 0 and
-rows A x <= b or A x == b; a caller writes an upper limit as a row and a
-free variable as the difference of two nonnegative columns.
+A x <= b, with == on the rows of a mask eq; A is one (m, n) matrix, b and
+eq are (m,) vectors. A caller writes an upper limit as a row and a free
+variable as the difference of two nonnegative columns.
 
 Every solve starts from the slack basis of the tableau [A | I | b]: each
 row is a <= row with its own basic slack, and an == row is written as
@@ -39,15 +40,12 @@ generated row brings it into the tableau.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from .core import EPS_FEAS
-
-LE = "<="
-EQ = "=="
 
 _PIVOT_TOL = 1e-9
 # Consecutive degenerate pivots after which pricing falls back to Bland's rule.
@@ -60,36 +58,28 @@ class LpError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """max objective . x subject to x >= 0 and rows of <= / == constraints."""
+    """max objective . x subject to x >= 0 and constraints @ x <= rhs, with == on the rows where eq."""
 
     objective: np.ndarray
-    constraints: List[Tuple[np.ndarray, str, float]] = field(default_factory=list)
+    constraints: np.ndarray  # (m, n_vars)
+    rhs: np.ndarray  # (m,)
+    eq: Optional[np.ndarray] = None  # (m,) bool; None: no equality rows
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size < 1:
             raise ValueError("objective must be a nonempty vector")
-        self.constraints = [self._check_row(*row) for row in self.constraints]
+        self.constraints, self.rhs = np.asarray(self.constraints, dtype=float), np.asarray(self.rhs, dtype=float)
+        self.eq = np.zeros(self.rhs.shape, bool) if self.eq is None else np.asarray(self.eq, dtype=bool)
+        shapes, m = (self.constraints.shape, self.rhs.shape, self.eq.shape), self.rhs.size
+        if shapes != ((m, self.n_vars), (m,), (m,)):
+            raise ValueError(f"constraints, rhs and eq have shapes {shapes}, expected {((m, self.n_vars), (m,), (m,))}")
+        if not (np.isfinite(self.constraints).all() and np.isfinite(self.rhs).all()):
+            raise ValueError("coefficients and rhs must be finite")
 
     @property
     def n_vars(self) -> int:
         return self.objective.shape[0]
-
-    def _check_row(self, coeffs, rel, rhs):
-        coeffs = np.asarray(coeffs, dtype=float)
-        if coeffs.shape != (self.n_vars,):
-            raise ValueError(f"constraint has {coeffs.shape} coefficients, expected ({self.n_vars},)")
-        if not np.isfinite(coeffs).all():
-            raise ValueError("coefficients must be finite")
-        if rel not in (LE, EQ):
-            raise ValueError(f"relation must be {LE!r} or {EQ!r}, got {rel!r}")
-        rhs = float(rhs)
-        if not math.isfinite(rhs):
-            raise ValueError("rhs must be finite")
-        return coeffs, rel, rhs
-
-    def add_constraint(self, coeffs, rel: str, rhs: float) -> None:
-        self.constraints.append(self._check_row(coeffs, rel, rhs))
 
 
 @dataclass
@@ -101,7 +91,7 @@ class LpSolution:
     rounds: int = 0  # rows the row source appended
 
 
-RowSource = Callable[[np.ndarray], Optional[Tuple[np.ndarray, str, float]]]
+RowSource = Callable[[np.ndarray], Optional[Tuple[np.ndarray, float]]]  # (coeffs, rhs): coeffs . x <= rhs
 
 # Row generation gives up after this many appended rows.
 _MAX_ROUNDS = 100_000
@@ -242,21 +232,20 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     basis; the primal simplex then optimizes from it.
 
     With row_source the LP is solved by row generation. After each optimum
-    the source is called with the primal values and returns a "<=" row
-    the point violates, or None when all of its implicit rows hold. The
-    row is appended to the optimal tableau and dual simplex pivots restore
-    feasibility, so the result is the optimum over the LP's rows plus
-    every row the source returned (or "infeasible" if those rows exclude
-    every point). The caller's LP is not modified. A source that returns
-    a row the point satisfies, or more than _MAX_ROUNDS rows, raises
-    LpError. iterations counts every primal and dual pivot, rounds every
-    row the source returned.
+    the source is called with the primal values and returns a row
+    (coeffs, rhs), meaning coeffs . x <= rhs, that the point violates, or
+    None when all of its implicit rows hold. The row is appended to the
+    optimal tableau and dual simplex pivots restore feasibility, so the
+    result is the optimum over the LP's rows plus every row the source
+    returned (or "infeasible" if those rows exclude every point). The
+    caller's LP is not modified. A source that returns a row the point
+    satisfies, or more than _MAX_ROUNDS rows, raises LpError. iterations
+    counts every primal and dual pivot, rounds every row the source
+    returned.
     """
     n = lp.n_vars
-    # base and generated rows and their constants; buf has more rows, so they grow with it
-    A = np.array([coeffs for coeffs, _, _ in lp.constraints]).reshape(-1, n)
-    b = np.array([rhs for _, _, rhs in lp.constraints], dtype=float)
-    eq = np.array([rel == EQ for _, rel, _ in lp.constraints], dtype=bool)
+    # base and generated rows; they grow with buf, into copies: the first generated row finds it full
+    A, b, eq = lp.constraints, lp.rhs, lp.eq
     base = len(b)
 
     # [A | I | b]: every row a <= row with a basic slack; an == row is two
@@ -308,10 +297,9 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
             return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), iterations=iterations, rounds=rounds)
         if rounds == _MAX_ROUNDS:
             raise LpError(f"row generation did not terminate within {_MAX_ROUNDS} rounds")
-        coeffs, rel, rhs = source_row
-        if rel != LE:
-            raise ValueError(f"row_source must return {LE!r} rows, got {rel!r}")
-        coeffs, _, rhs = lp._check_row(coeffs, rel, rhs)
+        coeffs, rhs = np.asarray(source_row[0], dtype=float), float(source_row[1])
+        if coeffs.shape != (n,) or not (np.isfinite(coeffs).all() and math.isfinite(rhs)):
+            raise ValueError(f"row_source must return ({n},) finite coefficients and a finite rhs, got {coeffs.shape}")
         if not float(coeffs @ x) > rhs:
             raise LpError("row_source returned a constraint the current point satisfies")
         if T.shape[0] == len(buf):  # full: twice the rows, a column per row

@@ -32,7 +32,7 @@ from typing import Optional, Tuple
 import numpy as np
 
 from .core import EPS_CMP, EPS_CUT, EPS_FEAS, ConvexWeights, Scenario, UncertaintySet, cost_vector
-from .lp import EQ, LE, LinearProgram, LpError, solve_lp
+from .lp import LinearProgram, LpError, solve_lp
 from .problems import ProblemSpec, max_solution_cardinality_bound, require_dimension, validate_k
 
 
@@ -93,27 +93,29 @@ def separation_oracle(
     return None
 
 
-def scenario_lp(u: UncertaintySet) -> LinearProgram:
-    """The base guarantee LP over variables [t, lam_1..lam_N] >= 0, maximizing t.
+def scenario_lp(u: UncertaintySet, rows=()) -> LinearProgram:
+    """The guarantee LP over variables [t, lam_1..lam_N] >= 0, maximizing t.
 
     The hull scenario c = sum_i lam_i c^i is substituted away, leaving
     t * a(i, S) <= sum_m lam_m a(m, S) with a(m, S) the subset sums. Only
-    the simplex row and, after it, the row t <= 1 are materialized; the
-    subset rows are generated by the separation oracle. The cap t <= 1 is
-    tight whenever any subset of any scenario has positive cost and pins
-    the degenerate all-zero case.
+    the simplex row, the row t <= 1 and the subset rows of the (i, S) in
+    rows are materialized, in that order; the others are generated by the
+    separation oracle. The cap t <= 1 is tight whenever any subset of any
+    scenario has positive cost and pins the degenerate all-zero case.
     """
-    t_row = np.zeros(1 + u.n_scenarios)
-    t_row[0] = 1.0
-    return LinearProgram(objective=t_row, constraints=[(1.0 - t_row, EQ, 1.0), (t_row.copy(), LE, 1.0)])
+    A = np.concatenate((np.zeros((2, 1 + u.n_scenarios)), _subset_rows(u, rows)))
+    A[0, 1:] = A[1, 0] = 1.0
+    return LinearProgram(A[1].copy(), A, np.repeat([1.0, 0.0], [2, len(rows)]), eq=np.arange(len(A)) == 0)
 
 
-def _subset_row(u: UncertaintySet, i: int, subset) -> np.ndarray:
-    sums = u.costs[:, list(subset)].sum(axis=1)
-    row = np.zeros(1 + u.n_scenarios)
-    row[0] = sums[i]
-    row[1:] = -sums
-    return row
+def _subset_rows(u: UncertaintySet, rows) -> np.ndarray:
+    """The subset rows t * a(i, S) - sum_m lam_m a(m, S) <= 0 of the (i, S) in rows, all S of one size."""
+    out = np.zeros((len(rows), 1 + u.n_scenarios))
+    if rows:
+        sums = u.costs[:, np.array([subset for _, subset in rows])].sum(axis=2).T
+        out[:, 0] = sums[np.arange(len(rows)), [i for i, _ in rows]]
+        out[:, 1:] = -sums
+    return out
 
 
 def _tight_rows(u: UncertaintySet, rows, values: np.ndarray, t: float):
@@ -172,17 +174,15 @@ def construct_lp_scenario(
     if not validate_k(spec, k):
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
 
-    lp = scenario_lp(u)
     rows = [] if start is None else _extended_rows(u, *start, k)
-    for row in rows:
-        lp.add_constraint(_subset_row(u, *row), LE, 0.0)
+    lp = scenario_lp(u, rows)
 
     def row_source(x):
         cut = separation_oracle(u, np.maximum(x[1:] @ u.costs, 0.0), x[0], k)
         if cut is None:
             return None
         rows.append(cut)
-        return _subset_row(u, *cut), LE, 0.0
+        return _subset_rows(u, [cut])[0], 0.0
 
     sol = solve_lp(lp, row_source)
     if sol.status != "optimal":

@@ -202,13 +202,10 @@ def test_criterion_5_lp_engine():
         # statuses on LPs that are infeasible or unbounded by construction
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            infeasible = rk.LinearProgram(objective=rng.uniform(-1, 1, n))
-            coeffs = np.zeros(n)
-            coeffs[0] = 1.0
-            infeasible.add_constraint(coeffs, rk.LE, -1.0)  # x0 <= -1 with x0 >= 0
+            infeasible = rk.LinearProgram(rng.uniform(-1, 1, n), np.eye(1, n), [-1.0])  # x0 <= -1 with x0 >= 0
             assert rk.solve_lp(infeasible).status == "infeasible"
 
-            unbounded = rk.LinearProgram(objective=np.abs(rng.uniform(0.1, 1, n)))
+            unbounded = rk.LinearProgram(np.abs(rng.uniform(0.1, 1, n)), np.zeros((0, n)), [])
             assert rk.solve_lp(unbounded).status == "unbounded"
 
         # row generation vs one solve of the fully materialized program

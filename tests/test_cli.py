@@ -259,6 +259,24 @@ class TestExperiment:
         assert "cell (6,2,3) is repeated" in err
         assert not out_csv.exists()
 
+    @pytest.mark.parametrize("directive", ["count 3", "ks 1 2", "exact_budget 100"])
+    def test_repeated_directive_exits_1(self, capsys, tmp_path, directive):
+        out_csv = tmp_path / "x.csv"
+        spec = f"cell 6 2 3; {directive}; {directive}"
+        code, _, err = run_cli(capsys, "experiment", "--grid-spec", spec, "--seed", "1", "--out", str(out_csv))
+        assert code == 1
+        assert f"error: grid spec line 3: repeated directive {directive.split()[0]!r}" in err
+        assert not out_csv.exists()
+
+    @pytest.mark.parametrize("where", ["missing/x.csv", "."])
+    def test_unusable_out_exits_1_before_any_instance(self, capsys, tmp_path, where):
+        out = tmp_path / where
+        code, out_text, err = run_cli(capsys, "experiment", "--grid-spec", "cell 10 3 10; count 100", "--seed", "1", "--out", str(out))
+        assert code == 1
+        assert err.startswith("error: cannot write --out") and err.count("\n") == 1  # no progress line
+        assert out_text == ""
+        assert list(tmp_path.iterdir()) == []
+
     def test_empty_ks_exits_1(self, capsys, tmp_path):
         out_csv = tmp_path / "x.csv"
         code, _, err = run_cli(capsys, "experiment", "--grid-spec", "cell 10 3 10; count 3; ks", "--seed", "1", "--out", str(out_csv))

@@ -20,14 +20,13 @@ def highs(lp, bounds=(0, None)):
     The variables are nonnegative, as in solve_lp, unless `bounds` (in
     linprog's terms) says otherwise.
     """
-    le = [(a, rhs) for a, rel, rhs in lp.constraints if rel == rk.LE]
-    eq = [(a, rhs) for a, rel, rhs in lp.constraints if rel == rk.EQ]
+    le, eq = ~lp.eq, lp.eq
     return linprog(
         -lp.objective,
-        A_ub=np.array([a for a, _ in le]) if le else None,
-        b_ub=np.array([rhs for _, rhs in le]) if le else None,
-        A_eq=np.array([a for a, _ in eq]) if eq else None,
-        b_eq=np.array([rhs for _, rhs in eq]) if eq else None,
+        A_ub=lp.constraints[le] if le.any() else None,
+        b_ub=lp.rhs[le] if le.any() else None,
+        A_eq=lp.constraints[eq] if eq.any() else None,
+        b_eq=lp.rhs[eq] if eq.any() else None,
         bounds=bounds,
         method="highs",
     )
@@ -131,10 +130,10 @@ def test_maxmin_certificate_matches_highs():
         n_scen, n_items = u.costs.shape
         # max p*mu - sum nu  s.t.  mu - nu_j <= sum_i lam_i c^i_j, lam in the simplex;
         # mu is one free column here, where robustkit splits it in two
-        lp = rk.LinearProgram(objective=np.concatenate([np.zeros(n_scen), [float(spec.p)], -np.ones(n_items)]))
-        for j in range(n_items):
-            lp.add_constraint(np.concatenate([-u.costs[:, j], [1.0], -np.eye(n_items)[j]]), rk.LE, 0.0)
-        lp.add_constraint(np.concatenate([np.ones(n_scen), [0.0], np.zeros(n_items)]), rk.EQ, 1.0)
+        rows = [np.concatenate([-u.costs[:, j], [1.0], -np.eye(n_items)[j]]) for j in range(n_items)]
+        rows.append(np.concatenate([np.ones(n_scen), [0.0], np.zeros(n_items)]))  # the simplex row, == 1
+        simplex = np.arange(n_items + 1) == n_items
+        lp = rk.LinearProgram(np.concatenate([np.zeros(n_scen), [float(spec.p)], -np.ones(n_items)]), rows, simplex.astype(float), simplex)
         reference = highs_max(lp, [(0, None)] * n_scen + [(None, None)] + [(0, None)] * n_items)
         assert abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
 
@@ -162,10 +161,12 @@ def random_general_lp(rng):
         columns += [e, -e] if kind[j] == 1 else [-e if kind[j] == 2 else e]
     M = np.array(columns).T
     offset = np.where(kind == 2, upper, np.where(kind == 3, lower, 0.0))
-    lp = rk.LinearProgram(objective=objective @ M)
+    rows, bounds, eq = [], [], []
 
-    def add(coeffs, rel, rhs):  # the row coeffs . x rel rhs, over y
-        lp.add_constraint(coeffs @ M, rel, rhs - float(coeffs @ offset))
+    def add(coeffs, bound, is_eq):  # the row coeffs . x <= bound (== if is_eq), over y
+        rows.append(coeffs @ M)
+        bounds.append(bound - float(coeffs @ offset))
+        eq.append(is_eq)
 
     equalities = []
     for _ in range(int(rng.integers(0, 9))):
@@ -173,17 +174,19 @@ def random_general_lp(rng):
         draw = rng.random()
         if draw < 0.3:
             equalities.append((coeffs, float(coeffs @ anchor)))
-            add(coeffs, rk.EQ, equalities[-1][1])
+            add(coeffs, equalities[-1][1], True)
         elif draw < 0.4 and equalities:
             coeffs, rhs = equalities[int(rng.integers(len(equalities)))]
             scale = rng.uniform(-3, 3)
             shift = 0.0 if rng.random() < 0.7 else rng.uniform(0.5, 2)
-            add(scale * coeffs, rk.EQ, scale * rhs + shift)
+            add(scale * coeffs, scale * rhs + shift, True)
         else:
-            add(coeffs, rk.LE, float(coeffs @ anchor) + rng.normal())
-    for j in np.flatnonzero(kind == 3):
-        lp.add_constraint(M[j], rk.LE, upper[j] - lower[j])
-    return lp
+            add(coeffs, float(coeffs @ anchor) + rng.normal(), False)
+    for j in np.flatnonzero(kind == 3):  # y_j <= up - lo, a row over y already
+        rows.append(M[j])
+        bounds.append(upper[j] - lower[j])
+        eq.append(False)
+    return rk.LinearProgram(objective @ M, np.reshape(rows, (-1, M.shape[1])), bounds, eq)
 
 
 def test_general_lps_match_highs():

@@ -21,18 +21,9 @@ def brute_force_vertex_max(lp):
     None when no vertex is feasible.
     """
     n = lp.n_vars
-    A, b, is_eq = [], [], []
-    for coeffs, rel, rhs in lp.constraints:
-        A.append(np.asarray(coeffs, dtype=float))
-        b.append(rhs)
-        is_eq.append(rel == rk.EQ)
-    for j in range(n):
-        A.append(-np.eye(n)[j])
-        b.append(0.0)
-        is_eq.append(False)
-    A = np.array(A)
-    b = np.array(b)
-    is_eq = np.array(is_eq)
+    A = np.vstack([lp.constraints, -np.eye(n)])
+    b = np.concatenate([lp.rhs, np.zeros(n)])
+    is_eq = np.concatenate([lp.eq, np.zeros(n, dtype=bool)])
     best = None
     for combo in itertools.combinations(range(len(b)), n):
         sub = A[list(combo)]
@@ -47,17 +38,27 @@ def brute_force_vertex_max(lp):
     return best
 
 
+def with_rows(lp, rows):
+    """lp with the rows (coeffs, rhs), each coeffs . x <= rhs, appended."""
+    return rk.LinearProgram(
+        lp.objective,
+        np.vstack([lp.constraints] + [coeffs for coeffs, _ in rows]),
+        np.concatenate([lp.rhs, [rhs for _, rhs in rows]]),
+        np.concatenate([lp.eq, np.zeros(len(rows), dtype=bool)]),
+    )
+
+
 def eager_scenario_lp(u, k):
     """The guarantee LP with all N * C(n, k) subset rows materialized."""
-    lp = scenario_lp(u)
+    rows = []
     for subset in itertools.combinations(range(u.n_items), k):
         sums = u.costs[:, subset].sum(axis=1)
         for i in range(u.n_scenarios):
             row = np.zeros(1 + u.n_scenarios)
             row[0] = sums[i]
             row[1:] = -sums
-            lp.add_constraint(row, rk.LE, 0.0)
-    return lp
+            rows.append((row, 0.0))
+    return with_rows(scenario_lp(u), rows)
 
 
 def eager_t_star(u, k):
@@ -93,11 +94,6 @@ def reference_append_row(T, basis, row, rhs):
     return out
 
 
-def upper_rows(upper):
-    """The rows x_j <= upper_j."""
-    return [(row, rk.LE, float(up)) for row, up in zip(np.eye(len(upper)), upper)]
-
-
 def random_bounded_lp(rng, max_vars=6, max_rows=8):
     """A random LP inside the box 0 <= x <= upper, and upper.
 
@@ -107,47 +103,41 @@ def random_bounded_lp(rng, max_vars=6, max_rows=8):
     n = int(rng.integers(1, max_vars + 1))
     objective = rng.uniform(-2, 2, n)
     upper = rng.uniform(0.5, 4.0, n)
-    lp = rk.LinearProgram(objective=objective, constraints=upper_rows(upper))
+    rows, rhs, eq = list(np.eye(n)), list(upper), [False] * n
     for _ in range(int(rng.integers(0, max_rows - 1))):
         coeffs = rng.uniform(-2, 2, n)
-        if rng.random() < 0.25:
+        rows.append(coeffs)
+        eq.append(rng.random() < 0.25)
+        if eq[-1]:
             anchor = rng.uniform(0, 1, n) * upper
-            lp.add_constraint(coeffs, rk.EQ, float(coeffs @ anchor))
+            rhs.append(float(coeffs @ anchor))
         else:
             slackroom = abs(float(rng.normal()))
-            lp.add_constraint(coeffs, rk.LE, float(coeffs @ (upper * 0.5)) + slackroom)
-    return lp, upper
+            rhs.append(float(coeffs @ (upper * 0.5)) + slackroom)
+    return rk.LinearProgram(objective, np.array(rows), rhs, eq), upper
 
 
 class TestSolveLpBasics:
     def test_single_upper_constraint(self):
-        lp = rk.LinearProgram(objective=[1.0])
-        lp.add_constraint([1.0], rk.LE, 5.0)
-        sol = rk.solve_lp(lp)
+        sol = rk.solve_lp(rk.LinearProgram([1.0], [[1.0]], [5.0]))
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(5.0, abs=1e-9)
 
     def test_infeasible_via_bounds(self):
-        lp = rk.LinearProgram(objective=[1.0])
-        lp.add_constraint([-1.0], rk.LE, -2.0)  # x >= 2
-        lp.add_constraint([1.0], rk.LE, 1.0)
+        lp = rk.LinearProgram([1.0], [[-1.0], [1.0]], [-2.0, 1.0])  # x >= 2 and x <= 1
         assert rk.solve_lp(lp).status == "infeasible"
 
     def test_unbounded(self):
-        assert rk.solve_lp(rk.LinearProgram(objective=[1.0])).status == "unbounded"
+        assert rk.solve_lp(rk.LinearProgram([1.0], np.zeros((0, 1)), [])).status == "unbounded"
 
     def test_degenerate_equalities(self):
-        lp = rk.LinearProgram(objective=[1.0, 1.0])
-        lp.add_constraint([1.0, 1.0], rk.EQ, 1.0)
-        lp.add_constraint([2.0, 2.0], rk.EQ, 2.0)  # redundant row
+        lp = rk.LinearProgram([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], eq=[True, True])  # a redundant row
         sol = rk.solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_contradictory_equalities(self):
-        lp = rk.LinearProgram(objective=[1.0, 1.0])
-        lp.add_constraint([1.0, 1.0], rk.EQ, 1.0)
-        lp.add_constraint([1.0, 1.0], rk.EQ, 2.0)
+        lp = rk.LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], eq=[True, True])
         assert rk.solve_lp(lp).status == "infeasible"
 
     def test_table1_scenario_lp(self, table1):
@@ -157,22 +147,29 @@ class TestSolveLpBasics:
         assert 1.0 / sol.objective == pytest.approx(4.0 / 3.0, abs=0.01)
 
     def test_validation(self):
-        with pytest.raises(ValueError, match="relation"):
-            rk.LinearProgram(objective=[1.0], constraints=[(np.array([1.0]), ">=", 0.0)])
-        with pytest.raises(ValueError, match="rhs"):
-            rk.LinearProgram(objective=[1.0], constraints=[(np.array([1.0]), rk.LE, np.inf)])
-        with pytest.raises(ValueError, match="coefficients"):
-            rk.LinearProgram(objective=[1.0, 2.0], constraints=[(np.array([1.0]), rk.LE, 0.0)])
+        with pytest.raises(ValueError, match="shapes"):  # an rhs too short
+            rk.LinearProgram([1.0], [[1.0], [2.0]], [0.0])
+        with pytest.raises(ValueError, match="shapes"):  # an eq too long
+            rk.LinearProgram([1.0], [[1.0]], [0.0], eq=[True, False])
+        with pytest.raises(ValueError, match="shapes"):  # rows too narrow
+            rk.LinearProgram([1.0, 2.0], [[1.0]], [0.0])
+        with pytest.raises(ValueError, match="shapes"):  # a row that is not a matrix
+            rk.LinearProgram([1.0], [1.0], [0.0])
+        lp = rk.LinearProgram([1.0, 1.0], np.eye(2), [1.0, 1.0])
+        with pytest.raises(ValueError, match=r"\(2,\) finite coefficients"):
+            rk.solve_lp(lp, lambda x: (np.array([1.0]), 0.0))
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficients_rejected(self, bad):
-        with pytest.raises(ValueError, match="coefficients must be finite"):
-            rk.LinearProgram(objective=[1.0], constraints=[(np.array([bad]), rk.LE, 1.0)])
-        lp = rk.LinearProgram(objective=[1.0], constraints=upper_rows([2.0]))
-        with pytest.raises(ValueError, match="coefficients must be finite"):
-            lp.add_constraint([bad], rk.LE, 1.0)
-        with pytest.raises(ValueError, match="coefficients must be finite"):
-            rk.solve_lp(lp, lambda x: (np.array([bad]), rk.LE, 1.0))
+        with pytest.raises(ValueError, match="coefficients and rhs must be finite"):
+            rk.LinearProgram([1.0], [[bad]], [1.0])
+        with pytest.raises(ValueError, match="coefficients and rhs must be finite"):
+            rk.LinearProgram([1.0], [[1.0]], [bad])
+        lp = rk.LinearProgram([1.0], np.eye(1), [2.0])
+        with pytest.raises(ValueError, match="finite coefficients and a finite rhs"):
+            rk.solve_lp(lp, lambda x: (np.array([bad]), 1.0))
+        with pytest.raises(ValueError, match="finite coefficients and a finite rhs"):
+            rk.solve_lp(lp, lambda x: (np.array([1.0]), bad))
 
 
 class TestAgainstVertexEnumeration:
@@ -211,12 +208,9 @@ class TestFeasibilityOfReportedOptimum:
             lp = eager_scenario_lp(u, k)
             sol = rk.solve_lp(lp)
             x = sol.x
-            for coeffs, rel, rhs in lp.constraints:
-                lhs = float(coeffs @ x)
-                if rel == rk.LE:
-                    assert lhs <= rhs + 1e-9
-                else:
-                    assert abs(lhs - rhs) <= 1e-9
+            lhs = lp.constraints @ x
+            assert np.all(lhs[~lp.eq] <= lp.rhs[~lp.eq] + 1e-9)
+            assert np.all(np.abs(lhs[lp.eq] - lp.rhs[lp.eq]) <= 1e-9)
             assert abs(float(lp.objective @ x) - sol.objective) <= 1e-9 * (1 + abs(sol.objective))
 
 
@@ -224,9 +218,9 @@ def first_violated_source(rows):
     """Row source returning the first of rows that x violates by more than 1e-9."""
 
     def source(x):
-        for coeffs, rel, rhs in rows:
+        for coeffs, rhs in rows:
             if float(coeffs @ x) > rhs + 1e-9:
-                return coeffs, rel, rhs
+                return coeffs, rhs
         return None
 
     return source
@@ -285,8 +279,8 @@ class TestRowGeneration:
             hidden = []
             for _ in range(int(rng.integers(1, 6))):
                 coeffs = rng.uniform(-2, 2, lp.n_vars)
-                hidden.append((coeffs, rk.LE, float(coeffs @ (upper * rng.uniform(0, 1, lp.n_vars)))))
-            full = rk.LinearProgram(lp.objective, lp.constraints + hidden)
+                hidden.append((coeffs, float(coeffs @ (upper * rng.uniform(0, 1, lp.n_vars)))))
+            full = with_rows(lp, hidden)
             plain = rk.solve_lp(full)
             warm = rk.solve_lp(lp, first_violated_source(hidden))
             assert warm.status == plain.status
@@ -307,10 +301,7 @@ class TestRowGeneration:
             d = rng.uniform(0, 2, n)
             T, basis = slack_tableau(A, b, d)
             status, _ = lp_module._dual_simplex(T, T.shape[1], basis, 10_000)
-            lp = rk.LinearProgram(objective=-d)
-            for i in range(m):
-                lp.add_constraint(A[i], rk.LE, b[i])
-            plain = rk.solve_lp(lp)
+            plain = rk.solve_lp(rk.LinearProgram(-d, A, b))
             assert status == plain.status
             outcomes.add(status)
             if status == "optimal":
@@ -319,34 +310,31 @@ class TestRowGeneration:
         assert outcomes == {"optimal", "infeasible"}
 
     def test_infeasible_source_row(self):
-        lp = rk.LinearProgram(objective=[1.0, 1.0], constraints=upper_rows([2.0, 2.0]))
-        lp.add_constraint([1.0, 1.0], rk.LE, 3.0)
-        cut = (np.array([-1.0, -1.0]), rk.LE, -5.0)  # x0 + x1 >= 5
-        assert rk.solve_lp(rk.LinearProgram(lp.objective, lp.constraints + [cut])).status == "infeasible"
+        lp = rk.LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [2.0, 2.0, 3.0])
+        before = [a.copy() for a in (lp.constraints, lp.rhs, lp.eq)]
+        cut = (np.array([-1.0, -1.0]), -5.0)  # x0 + x1 >= 5
+        assert rk.solve_lp(with_rows(lp, [cut])).status == "infeasible"
         sol = rk.solve_lp(lp, first_violated_source([cut]))
-        assert sol.status == "infeasible"
-        assert len(lp.constraints) == 3  # the caller's LP is left alone
+        assert sol.status == "infeasible" and sol.rounds == 1
+        # the caller's LP is left alone, value for value
+        for got, want in zip((lp.constraints, lp.rhs, lp.eq), before):
+            assert got.dtype == want.dtype and got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_stalling_source_raises(self):
-        lp = rk.LinearProgram(objective=[1.0], constraints=upper_rows([1.0]))
+        lp = rk.LinearProgram([1.0], np.eye(1), [1.0])
 
         def satisfied_row(_x):
-            return np.array([1.0]), rk.LE, 5.0  # never violated
+            return np.array([1.0]), 5.0  # never violated
 
         with pytest.raises(LpError, match="satisfies"):
             rk.solve_lp(lp, satisfied_row)
 
-    def test_equality_source_row_rejected(self):
-        lp = rk.LinearProgram(objective=[1.0], constraints=upper_rows([1.0]))
-        with pytest.raises(ValueError, match="<="):
-            rk.solve_lp(lp, lambda x: (np.array([1.0]), rk.EQ, 0.5))
-
     def test_round_cap_raises(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_MAX_ROUNDS", 3)
-        lp = rk.LinearProgram(objective=[1.0], constraints=upper_rows([10.0]))
+        lp = rk.LinearProgram([1.0], np.eye(1), [10.0])
 
         def endless(x):
-            return np.array([1.0]), rk.LE, float(x[0]) - 1.0
+            return np.array([1.0]), float(x[0]) - 1.0
 
         with pytest.raises(LpError, match="3 rounds"):
             rk.solve_lp(lp, endless)
@@ -354,11 +342,8 @@ class TestRowGeneration:
 
 def beale_lp():
     """Beale's LP, on which Dantzig pricing with these tie-breaks cycles."""
-    lp = rk.LinearProgram(objective=[0.75, -20.0, 0.5, -6.0])
-    lp.add_constraint([0.25, -8.0, -1.0, 9.0], rk.LE, 0.0)
-    lp.add_constraint([0.5, -12.0, -0.5, 3.0], rk.LE, 0.0)
-    lp.add_constraint([0.0, 0.0, 1.0, 0.0], rk.LE, 1.0)
-    return lp
+    A = [[0.25, -8.0, -1.0, 9.0], [0.5, -12.0, -0.5, 3.0], [0.0, 0.0, 1.0, 0.0]]
+    return rk.LinearProgram([0.75, -20.0, 0.5, -6.0], A, [0.0, 0.0, 1.0])
 
 
 def beale_dual_tableau():
@@ -368,8 +353,7 @@ def beale_dual_tableau():
     so the dual simplex runs Beale's primal pivots in mirror image.
     """
     lp = beale_lp()
-    A = np.array([coeffs for coeffs, _, _ in lp.constraints])
-    b = np.array([rhs for _, _, rhs in lp.constraints])
+    A, b = lp.constraints, lp.rhs
     m, n = A.shape
     T = np.zeros((n + 1, m + n + 1))
     T[:n, :m], T[:n, m : m + n], T[:n, -1] = -A.T, np.eye(n), -lp.objective

@@ -260,8 +260,8 @@ class TestConstructLpScenario:
             cols = list(subset)
             assert t1 * u.costs[i, cols].sum() == pytest.approx(scen1.values[cols].sum(), abs=1e-9)
         built, seeded = [], []
-        subset_row, solve_lp = rk.scenarios._subset_row, rk.scenarios.solve_lp
-        monkeypatch.setattr("robustkit.scenarios._subset_row", lambda u, i, subset: built.append((i, subset)) or subset_row(u, i, subset))
+        subset_rows, solve_lp = rk.scenarios._subset_rows, rk.scenarios.solve_lp
+        monkeypatch.setattr("robustkit.scenarios._subset_rows", lambda u, rows: built.extend(rows) or subset_rows(u, rows))
         monkeypatch.setattr("robustkit.scenarios.solve_lp", lambda lp, source: seeded.extend(built) or solve_lp(lp, source))
         t3, scen3, _ = rk.construct_lp_scenario(u, spec, 3, start=(t1, scen1))
         assert t3 == pytest.approx(unseeded, rel=1e-9)
@@ -275,6 +275,20 @@ class TestConstructLpScenario:
             best = min(vals[i, list(extra)].sum() for extra in itertools.combinations(rest, 2))
             assert vals[i, list(set(grown[0][1]) - set(subset))].sum() == best
         assert scen3.rows and all(len(subset) == 3 for _, subset in scen3.rows)
+
+    @pytest.mark.parametrize("k", [1, 3, 9, 12])
+    def test_subset_rows_equal_the_per_row_sums(self, k):
+        # k >= 8 reaches numpy's pairwise summation; each row must still be
+        # the bits of its own sum, as a lone generated row is
+        rng = np.random.default_rng(k)
+        u = rk.UncertaintySet(rng.uniform(0, 100, (7, 15)) / 7)
+        rows = [(int(rng.integers(7)), tuple(sorted(rng.choice(15, k, replace=False).tolist()))) for _ in range(6)]
+        got = rk.scenarios._subset_rows(u, rows)
+        for row, (i, subset) in zip(got, rows):
+            sums = u.costs[:, list(subset)].sum(axis=1)
+            assert row.tobytes() == np.concatenate(([sums[i]], -sums)).tobytes()
+            assert row.tobytes() == rk.scenarios._subset_rows(u, [(i, subset)])[0].tobytes()
+        assert rk.scenarios._subset_rows(u, []).shape == (0, 8)
 
     def test_scenario_is_hull_combination(self, table1):
         u, spec = table1
