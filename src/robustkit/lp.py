@@ -130,6 +130,8 @@ def _run_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) -> 
     iterations = 0
     streak = 0  # consecutive degenerate pivots
     obj, rhs = T[-1, : width - 1], T[:m, width - 1]  # views that follow the pivots
+    ratios = np.full(m + 1, np.inf)  # the last entry stays inf: no leaving row means unbounded
+    row_ratios = ratios[:m]
     while True:
         col = int(obj.argmin())  # a NaN reduced cost is the argmin
         if not obj[col] < -_PIVOT_TOL:
@@ -143,13 +145,14 @@ def _run_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) -> 
         if streak >= _DEGENERATE_STREAK:
             col = int((obj < -_PIVOT_TOL).argmax())  # Bland: smallest improving index
         colvals = T[:m, col]
-        ratios = np.divide(rhs, colvals, out=np.full(m, np.inf), where=colvals > _PIVOT_TOL)
-        best = ratios.min(initial=np.inf)  # NaN if a ratio is
+        row_ratios.fill(np.inf)
+        np.divide(rhs, colvals, out=row_ratios, where=colvals > _PIVOT_TOL)
+        best = ratios[ratios.argmin()]  # NaN if a ratio is
         if not -np.inf < best < np.inf:  # no positive entry, or a non-finite rhs
             if not np.isfinite(rhs).all():
                 raise LpError("non-finite right-hand side")
             return "unbounded", iterations
-        _pivot(T, basis, _first_basic((ratios == best).nonzero()[0], basis), col)
+        _pivot(T, basis, _first_basic((row_ratios == best).nonzero()[0], basis), col)
         streak = streak + 1 if best <= _PIVOT_TOL else 0
         iterations += 1
         if iterations > max_iter:
@@ -166,12 +169,14 @@ def _dual_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) ->
     Bland rule) until a pivot moves the objective. The entering column
     minimizes reduced cost over minus the row's entry among the row's
     negative entries, ties going to the smallest column, which keeps every
-    reduced cost nonnegative. A leaving row without a negative entry
-    proves the rows infeasible.
+    reduced cost nonnegative; it is found as the first maximum of reduced
+    cost over the entry, since x / -y is exactly -(x / y). A leaving row
+    without a negative entry proves the rows infeasible.
     """
     iterations = 0
     streak = 0  # consecutive dual-degenerate pivots
     obj, rhs = T[-1, : width - 1], T[:-1, width - 1]  # views that follow the pivots
+    ratios = np.empty(width - 1)
     while True:
         low = rhs.min(initial=0.0)  # NaN if any rhs is
         if not -np.inf < low < -_PIVOT_TOL:
@@ -180,11 +185,12 @@ def _dual_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) ->
             return "optimal", iterations
         row = _first_basic((rhs == low if streak < _DEGENERATE_STREAK else rhs < -_PIVOT_TOL).nonzero()[0], basis)
         rowvals = T[row, : width - 1]
-        ratios = np.divide(obj, -rowvals, out=np.full(rowvals.shape[0], np.inf), where=rowvals < -_PIVOT_TOL)
-        col = int(ratios.argmin())  # first minimum: smallest column
-        if ratios[col] == np.inf:  # no negative entry
+        ratios.fill(-np.inf)
+        np.divide(obj, rowvals, out=ratios, where=rowvals < -_PIVOT_TOL)
+        col = int(ratios.argmax())  # first maximum: smallest column
+        if ratios[col] == -np.inf:  # no negative entry
             return "infeasible", iterations
-        streak = streak + 1 if ratios[col] <= _PIVOT_TOL else 0
+        streak = streak + 1 if ratios[col] >= -_PIVOT_TOL else 0
         _pivot(T, basis, row, col)
         iterations += 1
         if iterations > max_iter:

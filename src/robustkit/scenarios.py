@@ -182,7 +182,9 @@ def construct_lp_scenario(
         if cut is None:
             return None
         rows.append(cut)
-        return _subset_rows(u, [cut])[0], 0.0
+        i, subset = cut
+        sums = u.costs[:, list(subset)].sum(axis=1)
+        return np.concatenate(([sums[i]], -sums)), 0.0
 
     sol = solve_lp(lp, row_source)
     if sol.status != "optimal":

@@ -290,6 +290,30 @@ class TestConstructLpScenario:
             assert row.tobytes() == rk.scenarios._subset_rows(u, [(i, subset)])[0].tobytes()
         assert rk.scenarios._subset_rows(u, []).shape == (0, 8)
 
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_generated_rows_equal_subset_rows(self, k, monkeypatch):
+        # the row source sums the cut's columns itself; its rows must be the
+        # bits _subset_rows gives the same (i, S)
+        u, spec = rk.generate_instance(20, 9, 12, 3)
+        generated, solve_lp = [], rk.scenarios.solve_lp
+
+        def recording_solve_lp(lp, source):
+            def recording_source(x):
+                row = source(x)
+                if row is not None:
+                    generated.append(row[0])
+                return row
+
+            return solve_lp(lp, recording_source)
+
+        monkeypatch.setattr("robustkit.scenarios.solve_lp", recording_solve_lp)
+        cuts, oracle = [], rk.scenarios.separation_oracle
+        monkeypatch.setattr("robustkit.scenarios.separation_oracle", lambda *a: cuts.append(oracle(*a)) or cuts[-1])
+        rk.construct_lp_scenario(u, spec, k)
+        assert generated and len(generated) == len(cuts) - 1 and cuts[-1] is None
+        for row, cut in zip(generated, cuts):
+            assert row.tobytes() == rk.scenarios._subset_rows(u, [cut])[0].tobytes()
+
     def test_scenario_is_hull_combination(self, table1):
         u, spec = table1
         for k in (1, 2):
