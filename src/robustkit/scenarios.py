@@ -13,15 +13,19 @@ Three ways to compress a scenario set into a single cost vector:
 The N * C(n, k) subset rows are never materialized: one vectorized
 separation oracle (for each scenario, the k items where c - t * c^i is
 smallest) finds the most violated row, and the LP is solved by
-warm-started row generation. A construction at a larger k can start
-from one at a smaller k, as the experiment grid's do: the rows that
-bind at the smaller k's optimum, each grown by the items where
-c - t * c^i is smallest, go into the base LP. They are rows of the
-larger LP, so t* is the same and only the rounds fall; the optimal
-vertex may differ. The same constraint family with c held
-fixed gives a sharpened guarantee for any hull scenario (in particular
-the midpoint): the smallest subset-sum ratio, found exactly by
-Dinkelbach's min-ratio iteration with that oracle.
+warm-started row generation. At k = 1 the rows are known in advance:
+item j's row for the scenario of largest c^i_j implies its others. The
+base LP starts from these dominating rows, at most N + 1 of them (the
+most a vertex over [t, lam] needs; a dense n-row start loses when
+n >> N), so with n <= N + 1 the oracle only certifies the optimum. A
+construction at a larger k can start from one at a smaller k, as the
+experiment grid's do: the rows that bind at the smaller k's optimum,
+each grown by the items where c - t * c^i is smallest, go into the base
+LP. Seeded rows are rows of the LP, so t* is the same and only the
+rounds fall; the optimal vertex may differ. The same constraint family
+with c held fixed gives a sharpened guarantee for any hull scenario (in
+particular the midpoint): the smallest subset-sum ratio, found exactly
+by Dinkelbach's min-ratio iteration with that oracle.
 """
 
 from __future__ import annotations
@@ -133,6 +137,25 @@ def _tight_rows(u: UncertaintySet, rows, values: np.ndarray, t: float):
     return tuple(row for row, s in zip(rows, slack) if s <= tol)
 
 
+def _dominating_rows(u: UncertaintySet):
+    """The k = 1 rows (argmax_i c^i_j, (j,)) that imply all the others, at most N + 1 of them.
+
+    Row (i, {j}) reads t * c^i_j <= c_j, so the element-wise worst case
+    w_j = max_i c^i_j gives the strongest row of item j, ties going to the
+    smallest scenario. Items with w_j = 0 give rows that never bind and
+    are left out. A vertex of the LP over [t, lam] needs at most N + 1
+    rows, so of more items only the N + 1 with the smallest mid_j / w_j
+    (the rows tightest at uniform weights; ties to the smallest item) are
+    kept, in item order.
+    """
+    worst = u.costs.max(axis=0)
+    items = np.flatnonzero(worst > 0.0)
+    if len(items) > u.n_scenarios + 1:
+        ratio = u.costs.mean(axis=0)[items] / worst[items]
+        items = np.sort(items[np.argsort(ratio, kind="stable")[: u.n_scenarios + 1]])
+    return [(int(i), (int(j),)) for i, j in zip(u.costs[:, items].argmax(axis=0), items)]
+
+
 def _extended_rows(u: UncertaintySet, t: float, scenario: Scenario, k: int):
     """The binding rows of a smaller-k optimum, each grown to size k.
 
@@ -164,6 +187,11 @@ def construct_lp_scenario(
     optimum, until none is violated by more than EPS_CUT. The scenario's
     rows are the subset rows that bind at the optimum.
 
+    At k = 1 without a start, the base LP holds each item's dominating
+    row, at most N + 1 of them (_dominating_rows): a vertex needs no
+    more, and a longer start slows every pivot. They are rows of this
+    LP, so t_star is unchanged.
+
     start, the (t_star, scenario) of a construction of the same instance
     at a smaller k, seeds the base LP with that optimum's binding rows,
     each grown to size k (_extended_rows). They are rows of this LP, so
@@ -174,7 +202,10 @@ def construct_lp_scenario(
     if not validate_k(spec, k):
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
 
-    rows = [] if start is None else _extended_rows(u, *start, k)
+    if start is not None:
+        rows = _extended_rows(u, *start, k)
+    else:
+        rows = _dominating_rows(u) if k == 1 else []
     lp = scenario_lp(u, rows)
 
     def row_source(x):

@@ -444,17 +444,18 @@ class TestPivotCounts:
         (30, 9, 100): ((504, 787, 710, 341), (78, 131, 137)),
     }
     # the exact counts there, whose solves outgrow the tableau buffer
-    # several times
+    # several times; k = 1 starts from its dominating rows (n <= N + 1
+    # here, so all of them) and needs no generated row
     EXACT = {
-        (20, 6, 50): ([195, 252, 289, 138], [46, 70, 79]),
-        (30, 9, 100): ([458, 715, 645, 310], [74, 125, 130]),
+        (20, 6, 50): ([112, 252, 289, 138], [0, 70, 79]),
+        (30, 9, 100): ([307, 715, 645, 310], [0, 125, 130]),
     }
 
-    # the grid's path, where each k starts from the previous k's binding
-    # rows; k = 1 and max-min are the unseeded solves
+    # the grid's path, where each k >= 2 starts from the previous k's
+    # binding rows; k = 1 and max-min are solved as above
     EXACT_SEEDED = {
-        (20, 6, 50): ([195, 199, 232, 138], [46, 31, 45]),
-        (30, 9, 100): ([458, 439, 319, 310], [74, 47, 50]),
+        (20, 6, 50): ([112, 224, 221, 138], [0, 33, 44]),
+        (30, 9, 100): ([307, 405, 326, 310], [0, 48, 50]),
     }
 
     @staticmethod
@@ -499,5 +500,5 @@ class TestPivotCounts:
     def test_equality_slacks_stay_fixed(self, monkeypatch):
         # Phase 1 leaves the two slacks of the simplex row at 0; clearing the
         # nonbasic one keeps it from re-entering in degenerate pivots, which
-        # without the clearing raise the pivots to 57/54/53/45.
-        assert self.counts((10, 3, 10), monkeypatch) == ([53, 51, 45, 42], [22, 23, 22])
+        # without the clearing raise the pivots to 35/54/53/45.
+        assert self.counts((10, 3, 10), monkeypatch) == ([32, 51, 45, 42], [0, 23, 22])

@@ -276,6 +276,43 @@ class TestConstructLpScenario:
             assert vals[i, list(set(grown[0][1]) - set(subset))].sum() == best
         assert scen3.rows and all(len(subset) == 3 for _, subset in scen3.rows)
 
+    @staticmethod
+    def k1_seed(u, spec, monkeypatch):
+        """The rows a k = 1 construction puts into its base LP, and the construction."""
+        seeds, scenario_lp = [], rk.scenarios.scenario_lp
+        monkeypatch.setattr("robustkit.scenarios.scenario_lp", lambda u, rows: seeds.append(list(rows)) or scenario_lp(u, rows))
+        result = rk.construct_lp_scenario(u, spec, 1)
+        return seeds[0], result
+
+    @pytest.mark.parametrize("cell", [(10, 3, 10), (20, 6, 50), (30, 9, 100)])
+    def test_k1_seed_needs_no_generated_row_when_n_is_at_most_n_scenarios_plus_1(self, cell, monkeypatch):
+        rounds, solve_lp = [], rk.scenarios.solve_lp
+        monkeypatch.setattr("robustkit.scenarios.solve_lp", lambda lp, source: rounds.append(solve_lp(lp, source)) or rounds[-1])
+        for instance_id in range(3):
+            u, spec = rk.generate_instance(*cell, rk.derive_seed(5, *cell, instance_id))
+            t_star, scen, _ = rk.construct_lp_scenario(u, spec, 1)
+            assert rounds[-1].rounds == 0
+            assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, scen, 1), rel=1e-9)
+
+    @pytest.mark.parametrize("cell", [(400, 5, 9), (40, 3, 5)])
+    def test_k1_seed_keeps_the_n_scenarios_plus_1_smallest_ratios_in_item_order(self, cell, monkeypatch):
+        n, _, N = cell
+        for instance_id in range(3):
+            u, spec = rk.generate_instance(*cell, rk.derive_seed(5, *cell, instance_id))
+            seed, _ = self.k1_seed(u, spec, monkeypatch)
+            worst, mid = u.costs.max(axis=0), u.costs.mean(axis=0)
+            ranked = sorted((j for j in range(n) if worst[j] > 0), key=lambda j: (mid[j] / worst[j], j))
+            assert len(ranked) > N + 1
+            assert seed == [(int(np.argmax(u.costs[:, j])), (j,)) for j in sorted(ranked[: N + 1])]
+
+    def test_k1_seed_leaves_out_items_without_cost(self, monkeypatch):
+        costs = np.array([[3.0, 0.0, 5.0, 0.0], [4.0, 0.0, 5.0, 1.0], [1.0, 0.0, 2.0, 0.0]])
+        u, spec = rk.UncertaintySet(costs), rk.Selection(n=4, p=2)
+        seed, (t_star, scen, _) = self.k1_seed(u, spec, monkeypatch)
+        # item 2 ties between scenarios 0 and 1: the smallest one
+        assert seed == [(1, (0,)), (0, (2,)), (1, (3,))]
+        assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, scen, 1), rel=1e-9)
+
     @pytest.mark.parametrize("k", [1, 3, 9, 12])
     def test_subset_rows_equal_the_per_row_sums(self, k):
         # k >= 8 reaches numpy's pairwise summation; each row must still be
