@@ -26,7 +26,6 @@ from .problems import (
     ShortestPath,
     dimension,
     enumerate_solutions,
-    is_feasible,
     max_solution_cardinality_bound,
     min_solution_cardinality,
     nominal_solve,
@@ -52,7 +51,6 @@ from .bounds import (
 from .experiments import (
     ExperimentGrid,
     GridResult,
-    SplitMix64,
     derive_seed,
     emit_csv,
     generate_instance,
@@ -79,7 +77,6 @@ __all__ = [
     "Scenario",
     "Selection",
     "ShortestPath",
-    "SplitMix64",
     "UncertaintySet",
     "aposteriori_report",
     "construct_lp_scenario",
@@ -90,7 +87,6 @@ __all__ = [
     "exact_minmax",
     "fixed_scenario_guarantee",
     "generate_instance",
-    "is_feasible",
     "lower_bound",
     "max_solution_cardinality_bound",
     "maxmin_certificate",

@@ -26,7 +26,6 @@ from .core import (
     BinarySolution,
     BoundReport,
     ConvexWeights,
-    Scenario,
     UncertaintySet,
     cost_vector,
     ratio_or_inf,
@@ -70,35 +69,27 @@ def lower_bound(u: UncertaintySet, c, lam: ConvexWeights, x_c: BinarySolution) -
 def aposteriori_report(
     u: UncertaintySet,
     spec: ProblemSpec,
-    c: Scenario,
+    c,
     lam: ConvexWeights,
-    k: Optional[int] = None,
+    k: int,
     apriori: Optional[float] = None,
 ) -> BoundReport:
     """Solve the nominal problem for c once and certify both bound kinds.
 
-    The a-priori ratio is taken from the LP construction when given
+    c is a Scenario or a plain cost vector, certified inside the hull by
+    lam. The a-priori ratio is taken from the LP construction when given
     (apriori=1/t*), otherwise computed by fixing c in the guarantee LP
-    with subset size k (defaulting to the scenario's own k, then 1). A k
-    above the minimum solution cardinality, where no guarantee holds, is
-    refused with ValueError.
+    with subset size k. A k above the minimum solution cardinality, where
+    no guarantee holds, is refused with ValueError.
     """
-    k_used = k if k is not None else (c.k if c.k is not None else 1)
-    if not validate_k(spec, k_used):
-        raise ValueError(f"k={k_used} exceeds the minimum solution cardinality of the problem")
+    if not validate_k(spec, k):
+        raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
     if apriori is None:
-        apriori = fixed_scenario_guarantee(u, c, k_used)
+        apriori = fixed_scenario_guarantee(u, c, k)
     x = nominal_solve(spec, c)
     ub = upper_bound(u, x)
     lb = lower_bound(u, c, lam, x)
-    return BoundReport(
-        apriori=apriori,
-        lb=lb,
-        ub=ub,
-        aposteriori=ratio_or_inf(ub, lb),
-        scenario_provenance=c.provenance,
-        k_used=k_used,
-    )
+    return BoundReport(apriori=apriori, lb=lb, ub=ub, aposteriori=ratio_or_inf(ub, lb), k_used=k)
 
 
 def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, ConvexWeights]:

@@ -65,10 +65,10 @@ def _read_instance(path: str):
 
 
 def cmd_gen(args) -> int:
-    os.makedirs(args.out_dir, exist_ok=True)
     for instance_id in range(args.count):
         seed = derive_seed(args.seed, args.n, args.p, args.N, instance_id)
         u, spec = generate_instance(args.n, args.p, args.N, seed)
+        os.makedirs(args.out_dir, exist_ok=True)  # after generate_instance has refused bad parameters
         path = os.path.join(args.out_dir, f"inst_{instance_id:03d}.txt")
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(serialize_instance(u, spec))

@@ -22,8 +22,6 @@ EPS_CMP = 1e-6
 # Violation threshold below which a constraint row is not worth adding.
 EPS_CUT = 1e-7
 
-PROVENANCE_TAGS = ("given", "midpoint", "worstcase", "lp", "custom")
-
 
 class InstanceFormatError(ValueError):
     """Malformed instance file. Carries the 1-based line number when known."""
@@ -67,17 +65,12 @@ class UncertaintySet:
     def n_items(self) -> int:
         return self.costs.shape[1]
 
-    def scenario(self, i: int) -> "Scenario":
-        """Row i of the set as a Scenario with provenance 'given'."""
-        return Scenario(self.costs[i], provenance="given")
-
 
 @dataclass(frozen=True)
 class Scenario:
     """A single cost vector, not necessarily one of the given scenarios."""
 
     values: np.ndarray  # length n, nonnegative, read-only
-    provenance: str = "custom"
     k: Optional[int] = None  # subset size used by the LP construction, if any
     # the LP construction's (scenario i, subset S) rows that bind at its optimum
     rows: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
@@ -90,8 +83,6 @@ class Scenario:
             raise ValueError("scenario values must be finite")
         if np.any(values < 0):
             raise ValueError("scenario values must be nonnegative")
-        if self.provenance not in PROVENANCE_TAGS:
-            raise ValueError(f"unknown provenance {self.provenance!r}")
         object.__setattr__(self, "values", _readonly(values))
 
     def __len__(self) -> int:
@@ -119,12 +110,6 @@ class ConvexWeights:
     @classmethod
     def uniform(cls, n_scenarios: int) -> "ConvexWeights":
         return cls(np.full(n_scenarios, 1.0 / n_scenarios))
-
-    @classmethod
-    def unit(cls, n_scenarios: int, i: int) -> "ConvexWeights":
-        lam = np.zeros(n_scenarios)
-        lam[i] = 1.0
-        return cls(lam)
 
     def combine(self, u: UncertaintySet) -> np.ndarray:
         """The convex combination sum_i lam_i c^i, clipped at 0 against round-off."""
@@ -161,7 +146,6 @@ class BoundReport:
     lb: float
     ub: float
     aposteriori: float  # ub/lb, >= 1 or inf
-    scenario_provenance: str
     k_used: Optional[int] = None
 
     def __post_init__(self):

@@ -6,9 +6,11 @@ whole stream is pinned down by a handful of multiply-xor-shift constants,
 so a reimplementation in any language can match it bit for bit. Integers
 in range come from masked rejection sampling (never modulo): draw the low
 bits of the next output and reject values above the range. Output k of
-the stream is mix64(seed + k * gamma), so generate_instance mixes whole
+the stream is _mix64(seed + k * gamma), so generate_instance mixes whole
 batches of counters as uint64 arrays and keeps the accepted draws in
-order: the stream of SplitMix64.randint_upto, drawn in batches.
+order. _mix64 and this batched stream define the generator; the tests
+hold a scalar SplitMix64, one draw at a time, as the reference the
+batches must match.
 Per-instance seeds are derived from (master_seed, n, p, N, instance_id),
 which makes every instance independent of worker scheduling.
 """
@@ -24,7 +26,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, ConvexWeights, Scenario, UncertaintySet, ratio_or_inf
+from .core import EPS_CMP, ConvexWeights, UncertaintySet, ratio_or_inf
 from .problems import Selection, nominal_solve
 from .scenarios import construct_lp_scenario, fixed_scenario_guarantee, midpoint_scenario
 from .bounds import MAX_ENUMERATION, exact_minmax, lower_bound, maxmin_certificate, upper_bound
@@ -40,27 +42,6 @@ def _mix64(z: int) -> int:
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & _MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & _MASK64
     return z ^ (z >> 31)
-
-
-class SplitMix64:
-    """Counter-based PRNG: state advances by the golden gamma, output is mixed."""
-
-    def __init__(self, seed: int):
-        self._state = seed & _MASK64
-
-    def next_u64(self) -> int:
-        self._state = (self._state + _GOLDEN) & _MASK64
-        return _mix64(self._state)
-
-    def randint_upto(self, bound: int) -> int:
-        """Uniform integer in {0, ..., bound} by masked rejection sampling."""
-        if bound < 0:
-            raise ValueError("bound must be >= 0")
-        mask = (1 << bound.bit_length()) - 1
-        while True:
-            r = self.next_u64() & mask
-            if r <= bound:
-                return r
 
 
 def derive_seed(master_seed: int, *fields: int) -> int:
@@ -220,7 +201,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
 
         start = time.perf_counter()
         mm_val, lam_mm = maxmin_certificate(u, spec)
-        x = nominal_solve(spec, Scenario(lam_mm.combine(u), provenance="custom"))
+        x = nominal_solve(spec, lam_mm.combine(u))
         _record(out, "mm", None, upper_bound(u, x), mm_val)
         timings["mm"] = time.perf_counter() - start
 

@@ -10,7 +10,6 @@ whether a subset-size parameter k is valid for the guarantee machinery.
 from __future__ import annotations
 
 import heapq
-import itertools
 from collections import deque
 from dataclasses import dataclass
 from typing import Optional, Tuple, Union
@@ -132,35 +131,6 @@ def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
     return BinarySolution(tuple(path))
 
 
-def is_feasible(spec: ProblemSpec, x: BinarySolution) -> bool:
-    """True iff x encodes a feasible solution of spec."""
-    n = dimension(spec)
-    if any(j >= n for j in x.selected):
-        return False
-    if isinstance(spec, Selection):
-        return len(x) == spec.p
-    # the selected edges must form a simple source->sink path
-    out = {}
-    for j in x.selected:
-        a, _ = spec.edges[j]
-        if a in out:
-            return False
-        out[a] = j
-    v = spec.source
-    seen = {v}
-    used = 0
-    while v != spec.sink:
-        if v not in out:
-            return False
-        j = out[v]
-        v = spec.edges[j][1]
-        if v in seen:
-            return False
-        seen.add(v)
-        used += 1
-    return used == len(x)
-
-
 def min_solution_cardinality(spec: ProblemSpec) -> int:
     """Largest k with k <= |x| for every feasible x (exact for both kinds)."""
     if isinstance(spec, Selection):
@@ -221,14 +191,9 @@ def validate_k(spec: ProblemSpec, k: int) -> bool:
     return k <= min_solution_cardinality(spec)
 
 
-def enumerate_solutions(spec: ProblemSpec):
-    """Yield every feasible solution (exhaustive; intended for oracles and
-    exact solves at desk scale)."""
-    if isinstance(spec, Selection):
-        for combo in itertools.combinations(range(spec.n), spec.p):
-            yield BinarySolution(combo)
-        return
-
+def enumerate_solutions(spec: ShortestPath):
+    """Yield every simple source-sink path (exhaustive; intended for oracles
+    and exact solves at desk scale)."""
     out = _out_edges(spec)
     # DFS over simple paths
     stack = [(spec.source, (), frozenset([spec.source]))]

@@ -42,12 +42,12 @@ from .problems import ProblemSpec, max_solution_cardinality_bound, require_dimen
 
 def midpoint_scenario(u: UncertaintySet) -> Scenario:
     """Component-wise average of all scenarios."""
-    return Scenario(u.costs.mean(axis=0), provenance="midpoint")
+    return Scenario(u.costs.mean(axis=0))
 
 
 def worstcase_scenario(u: UncertaintySet) -> Scenario:
     """Component-wise maximum over all scenarios."""
-    return Scenario(u.costs.max(axis=0), provenance="worstcase")
+    return Scenario(u.costs.max(axis=0))
 
 
 def worstcase_apriori_bound(u: UncertaintySet, spec: ProblemSpec) -> int:
@@ -226,7 +226,7 @@ def construct_lp_scenario(
         raise LpError(f"scenario construction LP returned t*={t_star} <= 0")
     lam = ConvexWeights(sol.x[1:])
     values = lam.combine(u)
-    scenario = Scenario(values, provenance="lp", k=k, rows=_tight_rows(u, rows, values, t_star))
+    scenario = Scenario(values, k=k, rows=_tight_rows(u, rows, values, t_star))
 
     # never return a silently invalid guarantee
     violation, _, _ = _most_violated(u.costs, scenario.values, t_star, k)

@@ -16,6 +16,7 @@ import pytest
 
 import robustkit as rk
 from robustkit.experiments import derive_seed
+from splitmix64 import SplitMix64
 from test_lp import brute_force_vertex_max, eager_t_star, random_bounded_lp
 
 pytestmark = pytest.mark.acceptance
@@ -128,7 +129,7 @@ def test_criterion_3_posterior_reproduction(reference_grid_run):
 
 def test_criterion_4_guarantee_properties():
     with criterion("4 (guarantee property suite, 500 instances)"):
-        rng = rk.SplitMix64(20240817)
+        rng = SplitMix64(20240817)
         violations = 0
         for trial in range(500):
             n = 4 + rng.randint_upto(8)  # 4..12

@@ -88,9 +88,9 @@ class TestLowerBound:
     def test_single_scenario_equals_nominal_optimum(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
-        c = u.scenario(0)
+        c = rk.Scenario(u.costs[0])
         x = rk.nominal_solve(spec, c)
-        lb = rk.lower_bound(u, c, rk.ConvexWeights.unit(1, 0), x)
+        lb = rk.lower_bound(u, c, rk.ConvexWeights([1.0]), x)
         assert lb == 4.0  # 1 + 3
 
     def test_rejects_cost_vector_of_wrong_length(self, table1):
@@ -120,12 +120,11 @@ class TestAposterioriReport:
         assert report.ub == pytest.approx(12.0)
         assert report.aposteriori == pytest.approx(1.50, abs=1e-9)
         assert report.apriori == pytest.approx(27 / 13, abs=1e-6)
-        assert report.scenario_provenance == "midpoint"
 
     def test_table1_lp_k1(self, table1):
         u, spec = table1
         t_star, scen, lam = rk.construct_lp_scenario(u, spec, 1)
-        report = rk.aposteriori_report(u, spec, scen, lam, apriori=1.0 / t_star)
+        report = rk.aposteriori_report(u, spec, scen, lam, k=1, apriori=1.0 / t_star)
         assert report.aposteriori == pytest.approx(10.0 / 9.25, abs=0.001)
         assert report.aposteriori == pytest.approx(1.08, abs=0.01)
         assert report.k_used == 1
@@ -133,8 +132,17 @@ class TestAposterioriReport:
     def test_single_scenario_ratio_is_one(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
-        report = rk.aposteriori_report(u, spec, u.scenario(0), rk.ConvexWeights.unit(1, 0), k=1)
+        report = rk.aposteriori_report(u, spec, rk.Scenario(u.costs[0]), rk.ConvexWeights([1.0]), k=1)
         assert report.aposteriori == pytest.approx(1.0)
+
+    def test_plain_vector_reports_as_its_scenario(self, table1):
+        u, spec = table1
+        lam = rk.ConvexWeights.uniform(3)
+        mid = rk.midpoint_scenario(u)
+        assert rk.aposteriori_report(u, spec, mid.values, lam, k=1) == rk.aposteriori_report(u, spec, mid, lam, k=1)
+        t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
+        by_vector = rk.aposteriori_report(u, spec, scen.values, lam, k=2, apriori=1.0 / t_star)
+        assert by_vector == rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)
 
     def test_k_above_solution_cardinality_refused(self, table1):
         u, spec = table1  # p = 2
@@ -151,7 +159,7 @@ class TestAposterioriReport:
             mid_report = rk.aposteriori_report(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(n_scen), k=2)
             assert mid_report.aposteriori <= mid_report.apriori + rk.EPS_CMP
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
-            lp_report = rk.aposteriori_report(u, spec, scen, lam, apriori=1.0 / t_star)
+            lp_report = rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)
             assert lp_report.aposteriori <= lp_report.apriori + rk.EPS_CMP
 
 
@@ -171,7 +179,7 @@ class TestMaxMin:
     def test_single_scenario(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
-        x = rk.nominal_solve(spec, u.scenario(0))
+        x = rk.nominal_solve(spec, u.costs[0])
         assert rk.maxmin_certificate(u, spec)[0] == pytest.approx(x.cost(u.costs[0]))
 
     def test_against_grid_oracle(self):
@@ -226,7 +234,7 @@ class TestExactMinMax:
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
         opt, solution = rk.exact_minmax(u, spec)
-        x = rk.nominal_solve(spec, u.scenario(0))
+        x = rk.nominal_solve(spec, u.costs[0])
         assert opt == x.cost(u.costs[0])
         assert solution == x
 

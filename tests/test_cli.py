@@ -61,6 +61,13 @@ class TestGen:
             assert np.array_equal(u.costs, expected.costs)
             assert spec == expected_spec
 
+    def test_refused_parameters_create_no_directory(self, capsys, tmp_path):
+        out_dir = tmp_path / "d"
+        code, out, err = run_cli(capsys, "gen", "--n", "3", "--p", "5", "--N", "2", "--out-dir", str(out_dir))
+        assert code == 1
+        assert out == "" and "p must be in [1, n=3]" in err
+        assert not out_dir.exists()
+
     def test_zero_n_is_usage_error(self, capsys, tmp_path):
         with pytest.raises(SystemExit) as excinfo:
             main(["gen", "--n", "0", "--p", "1", "--N", "1", "--out-dir", str(tmp_path)])

@@ -1,3 +1,5 @@
+import ast
+import inspect
 import math
 
 import numpy as np
@@ -7,6 +9,18 @@ from hypothesis import strategies as st
 
 import robustkit as rk
 from robustkit.core import InstanceFormatError
+
+
+class TestPublicSurface:
+    def test_all_is_exactly_the_public_imports(self):
+        tree = ast.parse(inspect.getsource(rk))
+        imported = [a.asname or a.name for node in tree.body if isinstance(node, ast.ImportFrom) for a in node.names]
+        assert sorted(rk.__all__) == sorted(name for name in imported if not name.startswith("_"))
+
+    def test_star_import_binds_every_name(self):
+        namespace = {}
+        exec("from robustkit import *", namespace)
+        assert set(namespace) - {"__builtins__"} == set(rk.__all__)
 
 
 class TestUncertaintySet:
@@ -32,21 +46,11 @@ class TestUncertaintySet:
         with pytest.raises(ValueError):
             u.costs[0, 0] = 99.0
 
-    def test_scenario_row_accessor(self, table1):
-        u, _ = table1
-        row = u.scenario(1)
-        assert row.provenance == "given"
-        assert np.array_equal(row.values, [3, 8, 9, 7])
-
 
 class TestScenario:
     def test_rejects_negative(self):
         with pytest.raises(ValueError):
             rk.Scenario([1.0, -1.0])
-
-    def test_rejects_unknown_provenance(self):
-        with pytest.raises(ValueError, match="provenance"):
-            rk.Scenario([1.0], provenance="mystery")
 
     def test_length(self):
         assert len(rk.Scenario([1.0, 2.0, 3.0])) == 3
@@ -56,10 +60,6 @@ class TestConvexWeights:
     def test_uniform(self):
         lam = rk.ConvexWeights.uniform(4)
         assert np.allclose(lam.lam, 0.25)
-
-    def test_unit(self):
-        lam = rk.ConvexWeights.unit(3, 1)
-        assert np.array_equal(lam.lam, [0, 1, 0])
 
     def test_rejects_bad_sum(self):
         with pytest.raises(ValueError, match="sum to 1"):
@@ -98,16 +98,16 @@ class TestBinarySolution:
 
 class TestBoundReport:
     def test_consistent_report(self):
-        rep = rk.BoundReport(apriori=3.0, lb=8.0, ub=12.0, aposteriori=1.5, scenario_provenance="midpoint")
+        rep = rk.BoundReport(apriori=3.0, lb=8.0, ub=12.0, aposteriori=1.5)
         assert rep.k_used is None
 
     def test_rejects_crossed_bounds(self):
         with pytest.raises(ValueError, match="exceeds upper"):
-            rk.BoundReport(apriori=1.0, lb=2.0, ub=1.0, aposteriori=1.0, scenario_provenance="custom")
+            rk.BoundReport(apriori=1.0, lb=2.0, ub=1.0, aposteriori=1.0)
 
     def test_rejects_inconsistent_ratio(self):
         with pytest.raises(ValueError, match="inconsistent"):
-            rk.BoundReport(apriori=2.0, lb=8.0, ub=12.0, aposteriori=1.2, scenario_provenance="custom")
+            rk.BoundReport(apriori=2.0, lb=8.0, ub=12.0, aposteriori=1.2)
 
     @pytest.mark.parametrize(
         "lb, ub, aposteriori",
@@ -115,10 +115,10 @@ class TestBoundReport:
     )
     def test_rejects_non_finite_bounds(self, lb, ub, aposteriori):
         with pytest.raises(ValueError, match="finite|inconsistent"):
-            rk.BoundReport(apriori=1.0, lb=lb, ub=ub, aposteriori=aposteriori, scenario_provenance="custom")
+            rk.BoundReport(apriori=1.0, lb=lb, ub=ub, aposteriori=aposteriori)
 
     def test_inf_ratio_when_lb_zero(self):
-        rep = rk.BoundReport(apriori=2.0, lb=0.0, ub=1.0, aposteriori=math.inf, scenario_provenance="custom")
+        rep = rk.BoundReport(apriori=2.0, lb=0.0, ub=1.0, aposteriori=math.inf)
         assert math.isinf(rep.aposteriori)
 
     def test_ratio_or_inf(self):

@@ -14,7 +14,8 @@ import pytest
 
 import robustkit as rk
 from robustkit import experiments as experiments_module
-from robustkit.experiments import InvariantError, SplitMix64, _mix64, _spot_check, derive_seed
+from robustkit.experiments import InvariantError, _mix64, _spot_check, derive_seed
+from splitmix64 import SplitMix64
 
 
 class TestSplitMix64:

@@ -45,7 +45,6 @@ class TestMidpoint:
         u, _ = table1
         mid = rk.midpoint_scenario(u)
         assert np.allclose(mid.values, [11 / 3, 5.0, 13 / 3, 16 / 3], atol=1e-9)
-        assert mid.provenance == "midpoint"
 
     def test_single_scenario_identity(self):
         u = rk.UncertaintySet(np.array([[4.0, 0.0, 2.0]]))
@@ -64,7 +63,6 @@ class TestWorstCase:
         wc = rk.worstcase_scenario(u)
         assert np.array_equal(wc.values, ref)
         assert np.array_equal(wc.values, [5.0, 8.0, 9.0, 7.0])
-        assert wc.provenance == "worstcase"
 
     def test_single_scenario_identity(self):
         u = rk.UncertaintySet(np.array([[4.0, 0.0, 2.0]]))
@@ -110,7 +108,7 @@ class TestSeparationOracle:
         # oracle: all 6 pairs per scenario, consistent with t* = 1 at k = 2
         violation, _, _ = exhaustive_most_violated(u, u.costs[1], 1.0, 2)
         assert violation <= 0
-        assert rk.separation_oracle(u, u.scenario(1), 1.0, 2) is None
+        assert rk.separation_oracle(u, u.costs[1], 1.0, 2) is None
 
     def test_rejects_bad_arguments(self, table1):
         u, _ = table1
@@ -400,8 +398,8 @@ class TestFixedScenarioGuarantee:
 
     def test_single_scenario_identity(self):
         u = rk.UncertaintySet(np.array([[2.0, 3.0]]))
-        assert rk.fixed_scenario_guarantee(u, u.scenario(0), 1) == 1.0
-        assert rk.fixed_scenario_guarantee(u, u.scenario(0), 2) == 1.0
+        assert rk.fixed_scenario_guarantee(u, u.costs[0], 1) == 1.0
+        assert rk.fixed_scenario_guarantee(u, u.costs[0], 2) == 1.0
 
     def test_rejects_cost_vector_of_wrong_length(self, table1):
         u, _ = table1
