@@ -30,11 +30,8 @@ Row generation is warm-started: `solve_lp(lp, row_source)` keeps the
 optimal tableau, appends each violated row written in the current basis
 with a fresh basic slack, and restores primal feasibility with the same
 dual simplex, which keeps the reduced costs optimal. No solve restarts
-from scratch. The tableau lives in a buffer that doubles when full, so
-each generated row is appended in place. A pivot updates whole buffer
-rows, which are contiguous: the spare columns right of the tableau hold
-zeros, pricing never reads them, and a column is set in full when a
-generated row brings it into the tableau.
+from scratch. The tableau is always exactly (rows + 1) x (columns + 1):
+a generated row is copied into a tableau one row and one column larger.
 """
 
 from __future__ import annotations
@@ -98,8 +95,7 @@ _MAX_ROUNDS = 100_000
 
 
 def _pivot(T: np.ndarray, basis: List[int], row: int, col: int) -> None:
-    # the pivot column comes out exact: p / p = 1 and x - x * 1 = +0; the
-    # update is elementwise, so spare columns in T change no tableau bit
+    # the pivot column comes out exact: p / p = 1 and x - x * 1 = +0
     prow = T[row]
     prow /= prow[col]
     colv = T[:, col].copy()
@@ -108,8 +104,8 @@ def _pivot(T: np.ndarray, basis: List[int], row: int, col: int) -> None:
     basis[row] = col
 
 
-def _pivot_cap(T: np.ndarray, width: int) -> int:
-    return 10_000 + 200 * (T.shape[0] + width - 2)
+def _pivot_cap(T: np.ndarray) -> int:
+    return 10_000 + 200 * (sum(T.shape) - 2)
 
 
 def _first_basic(rows: np.ndarray, basis: List[int]) -> int:
@@ -117,8 +113,8 @@ def _first_basic(rows: np.ndarray, basis: List[int]) -> int:
     return int(rows[0]) if rows.size == 1 else min(rows.tolist(), key=basis.__getitem__)
 
 
-def _run_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) -> Tuple[str, int]:
-    """Pivot the tableau T[:, :width] to optimality (max sense, z-c objective row).
+def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
+    """Pivot the tableau T to optimality (max sense, z-c objective row).
 
     The entering column has the most negative reduced cost, ties going to
     the smallest column; after _DEGENERATE_STREAK consecutive degenerate
@@ -129,7 +125,7 @@ def _run_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) -> 
     m = len(basis)
     iterations = 0
     streak = 0  # consecutive degenerate pivots
-    obj, rhs = T[-1, : width - 1], T[:m, width - 1]  # views that follow the pivots
+    obj, rhs = T[-1, :-1], T[:m, -1]  # views that follow the pivots
     ratios = np.full(m + 1, np.inf)  # the last entry stays inf: no leaving row means unbounded
     row_ratios = ratios[:m]
     while True:
@@ -159,8 +155,8 @@ def _run_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) -> 
             raise LpError(f"simplex exceeded {max_iter} pivots")
 
 
-def _dual_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) -> Tuple[str, int]:
-    """Pivot a tableau T[:, :width] with optimal reduced costs back to primal feasibility.
+def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
+    """Pivot a tableau T with optimal reduced costs back to primal feasibility.
 
     The leaving row is the most infeasible one (rhs furthest below
     -_PIVOT_TOL), ties going to the smallest basic index; after
@@ -175,8 +171,8 @@ def _dual_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) ->
     """
     iterations = 0
     streak = 0  # consecutive dual-degenerate pivots
-    obj, rhs = T[-1, : width - 1], T[:-1, width - 1]  # views that follow the pivots
-    ratios = np.empty(width - 1)
+    obj, rhs = T[-1, :-1], T[:-1, -1]  # views that follow the pivots
+    ratios = np.empty(T.shape[1] - 1)
     while True:
         low = rhs.min(initial=0.0)  # NaN if any rhs is
         if not -np.inf < low < -_PIVOT_TOL:
@@ -184,7 +180,7 @@ def _dual_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) ->
                 raise LpError("non-finite right-hand side")
             return "optimal", iterations
         row = _first_basic((rhs == low if streak < _DEGENERATE_STREAK else rhs < -_PIVOT_TOL).nonzero()[0], basis)
-        rowvals = T[row, : width - 1]
+        rowvals = T[row, :-1]
         ratios.fill(-np.inf)
         np.divide(obj, rowvals, out=ratios, where=rowvals < -_PIVOT_TOL)
         col = int(ratios.argmax())  # first maximum: smallest column
@@ -197,36 +193,30 @@ def _dual_simplex(T: np.ndarray, width: int, basis: List[int], max_iter: int) ->
             raise LpError(f"dual simplex exceeded {max_iter} pivots")
 
 
-def _add_row(buf: np.ndarray, width: int, basis: List[int], row: np.ndarray, rhs: float) -> np.ndarray:
-    """Add the row `row . y + s = rhs` for a fresh slack s, made basic.
+def _add_row(T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np.ndarray:
+    """T grown by the row `row . y + s = rhs` for a fresh slack s, made basic.
 
-    The tableau is buf[:m + 1, :width] with m = len(basis), and buf must
-    have a spare row and column. The objective row moves down a row and
-    the rhs column right a column; the new row and its slack take the
-    freed row and column. The row is written in the current basis by
-    eliminating every basic column, so it reads s = rhs - (nonbasic terms)
-    and the reduced costs are unchanged. Appends s to basis and returns
-    buf[:m + 2], whose first width + 1 columns are the grown tableau.
+    The new row goes above the objective row and the column of s left of
+    the rhs column. The row is written in the current basis by eliminating
+    every basic column, so it reads s = rhs - (nonbasic terms) and the
+    reduced costs are unchanged. Appends s to basis.
     """
-    m = len(basis)
-    buf[m + 1, :width] = buf[m, :width]
-    buf[: m + 2, width] = buf[: m + 2, width - 1]
-    buf[: m + 2, width - 1] = 0.0
-    new = buf[m, : width + 1]
+    m, width = len(basis), T.shape[1]
+    out = np.zeros((m + 2, width + 1))
+    out[:m, : width - 1], out[:m, -1] = T[:m, :-1], T[:m, -1]
+    out[-1, : width - 1], out[-1, -1] = T[-1, :-1], T[-1, -1]
+    new = out[m]
     new[: row.shape[0]] = row
-    new[row.shape[0] :] = 0.0
-    new[width - 1] = 1.0
-    new[width] = rhs
-    # over exactly the tableau's width: a wider product can round differently
-    new -= new[basis] @ buf[:m, : width + 1]
+    new[-2:] = 1.0, rhs
+    new -= new[basis] @ out[:m]
     basis.append(width - 1)
-    return buf[: m + 2]
+    return out
 
 
-def _grown(a: np.ndarray, shape: Tuple[int, ...]) -> np.ndarray:
-    """A zero array of the given shape holding a in its leading corner."""
-    out = np.zeros(shape, a.dtype)
-    out[tuple(map(slice, a.shape))] = a
+def _grown(a: np.ndarray, length: int) -> np.ndarray:
+    """A zero array of the given length along axis 0 holding a in its first rows."""
+    out = np.zeros((length,) + a.shape[1:], a.dtype)
+    out[: len(a)] = a
     return out
 
 
@@ -250,26 +240,24 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     returned.
     """
     n = lp.n_vars
-    # base and generated rows; they grow with buf, into copies: the first generated row finds it full
+    # base and generated rows, for the feasibility check; they double into
+    # copies when full, which the first generated row finds them
     A, b, eq = lp.constraints, lp.rhs, lp.eq
     base = len(b)
 
     # [A | I | b]: every row a <= row with a basic slack; an == row is two
     # opposite <= rows, whose slacks can only be 0, negated ones last
     m = base + int(eq.sum())
-    # the tableau is T[:, :width], where T = buf[:m + 1] are whole rows of a
-    # buffer that gains spare rows and columns when it is full
-    buf = T = np.zeros((m + 1, n + m + 1))
-    width = T.shape[1]
+    T = np.zeros((m + 1, n + m + 1))
     T[:base, :n], T[base:m, :n] = A, -A[eq]
     T[:base, -1], T[base:m, -1] = b, -b[eq]
     T[:m, n:-1] = np.eye(m)
     basis = list(range(n, n + m))
-    max_iter = _pivot_cap(T, width)
+    max_iter = _pivot_cap(T)
 
     # Phase 1: under a zero objective every basis is dual feasible, so the
     # dual simplex reaches a feasible basis or proves the rows infeasible
-    status, iterations = _dual_simplex(T, width, basis, max_iter)
+    status, iterations = _dual_simplex(T, basis, max_iter)
     if status == "infeasible":
         return LpSolution(status="infeasible", iterations=iterations)
     # a nonbasic equality slack is 0; clearing its column keeps it out
@@ -289,13 +277,13 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     while True:
         # phase 2; after an appended row the reduced costs stayed optimal,
         # and this certifies them (normally 0 pivots)
-        status, its = _run_simplex(T, width, basis, max_iter)
+        status, its = _run_simplex(T, basis, max_iter)
         iterations += its
         if status == "unbounded":
             return LpSolution(status="unbounded", iterations=iterations, rounds=rounds)
         r = base + rounds
-        y = np.zeros(width - 1)  # the variables, then the slacks
-        y[basis] = T[:-1, width - 1]
+        y = np.zeros(T.shape[1] - 1)  # the variables, then the slacks
+        y[basis] = T[:-1, -1]
         x = np.maximum(y[:n], 0.0)
         _check_feasible(x, A[:r], b[:r], eq[:r], amax[:r], bscale[:r])
         source_row = None if row_source is None else row_source(x)
@@ -308,15 +296,13 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
             raise ValueError(f"row_source must return ({n},) finite coefficients and a finite rhs, got {coeffs.shape}")
         if not float(coeffs @ x) > rhs:
             raise LpError("row_source returned a constraint the current point satisfies")
-        if T.shape[0] == len(buf):  # full: twice the rows, a column per row
-            buf = _grown(buf, (2 * len(buf), buf.shape[1] + len(buf)))
-            A, b, eq, amax, bscale = (_grown(a, (len(buf),) + a.shape[1:]) for a in (A, b, eq, amax, bscale))
+        if r == len(b):
+            A, b, eq, amax, bscale = (_grown(a, 2 * r + 1) for a in (A, b, eq, amax, bscale))
         A[r], b[r], amax[r], bscale[r] = coeffs, rhs, np.abs(coeffs).max(), max(1.0, abs(rhs))
         rounds += 1
-        T = _add_row(buf, width, basis, coeffs, rhs)
-        width += 1
-        max_iter = _pivot_cap(T, width)
-        status, its = _dual_simplex(T, width, basis, max_iter)
+        T = _add_row(T, basis, coeffs, rhs)
+        max_iter = _pivot_cap(T)
+        status, its = _dual_simplex(T, basis, max_iter)
         iterations += its
         if status == "infeasible":
             return LpSolution(status="infeasible", iterations=iterations, rounds=rounds)
