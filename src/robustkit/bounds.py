@@ -99,26 +99,30 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     integral and dualizes to the compact program
         max p*mu - sum_j nu_j
         s.t. mu - nu_j <= sum_i lam_i c^i_j  for all j,
-             lam on the simplex, nu >= 0, mu free.
-    The LP solver takes only nonnegative variables, so mu is written as
-    mu+ - mu-, two columns at mu's position: [lam, mu+, mu-, nu].
+             lam on the simplex, nu >= 0.
+    The dual leaves mu free, but costs are nonnegative, so the optimal mu
+    (the p-th smallest entry of the hull scenario sum_i lam_i c^i) is
+    >= 0 and mu is one nonnegative column: [lam, mu, nu]. The simplex row
+    sum_i lam_i = 1 is written as the two rows sum_i lam_i <= 1 and
+    -sum_i lam_i <= -1, after the item rows.
     """
     if not isinstance(spec, Selection):
         raise ValueError("the max-min lower bound is only supported for selection problems")
     require_dimension(u, spec)
     n_scen, n_items = u.costs.shape
-    mu = n_scen  # the columns of mu+ and mu-, then nu
-    n_vars = n_scen + 2 + n_items
+    mu = n_scen  # the column of mu, then nu
+    n_vars = n_scen + 1 + n_items
     objective = np.zeros(n_vars)
-    objective[mu : mu + 2] = float(spec.p), -float(spec.p)
-    objective[mu + 2 :] = -1.0
-    rows = np.zeros((n_items + 1, n_vars))  # the item rows, then the simplex row
+    objective[mu] = float(spec.p)
+    objective[mu + 1 :] = -1.0
+    rows = np.zeros((n_items + 2, n_vars))  # the item rows, then the simplex rows
     rows[:n_items, :n_scen] = -u.costs.T
-    rows[:n_items, mu : mu + 2] = 1.0, -1.0
-    rows[:n_items, mu + 2 :] -= np.eye(n_items)  # -= keeps the zeros +0.0
-    rows[n_items, :n_scen] = 1.0
-    simplex = np.arange(n_items + 1) == n_items  # the one == row, with rhs 1
-    sol = solve_lp(LinearProgram(objective, rows, simplex.astype(float), simplex))
+    rows[:n_items, mu] = 1.0
+    rows[:n_items, mu + 1 :] -= np.eye(n_items)  # -= keeps the zeros +0.0
+    rows[n_items, :n_scen], rows[n_items + 1, :n_scen] = 1.0, -1.0
+    rhs = np.zeros(n_items + 2)
+    rhs[n_items:] = 1.0, -1.0
+    sol = solve_lp(LinearProgram(objective, rows, rhs))
     if sol.status != "optimal":
         raise LpError(f"max-min LP reported {sol.status}")
     return float(sol.objective), ConvexWeights(sol.x[:n_scen])

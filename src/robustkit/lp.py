@@ -1,19 +1,17 @@
 """Self-contained dense-tableau simplex solver.
 
 It solves the textbook standard form, max c . x subject to x >= 0 and
-A x <= b, with == on the rows of a mask eq; A is one (m, n) matrix, b and
-eq are (m,) vectors. A caller writes an upper limit as a row and a free
-variable as the difference of two nonnegative columns.
+A x <= b; A is one (m, n) matrix and b an (m,) vector. Every row is a
+<= row: a caller writes an equality as two opposite rows, an upper limit
+as a row and a free variable as the difference of two nonnegative
+columns.
 
-Every solve starts from the slack basis of the tableau [A | I | b]: each
-row is a <= row with its own basic slack, and an == row is written as
-two opposite <= rows. Phase 1 is the dual simplex under a zero
-objective, for which every basis is dual feasible, so it reaches a
+Every solve starts from the slack basis of the tableau [A | I | b], where
+each row has its own basic slack. Phase 1 is the dual simplex under a
+zero objective, for which every basis is dual feasible, so it reaches a
 feasible basis or proves the rows infeasible (Chvatal, *Linear
-Programming*, 1983, ch. 10). The slacks of an == row can only be 0; each
-one that left the basis has its column cleared, which fixes it at 0.
-Phase 2 installs the objective and runs the primal simplex. There are no
-artificial variables and no Big-M constant.
+Programming*, 1983, ch. 10). Phase 2 installs the objective and runs the
+primal simplex. There are no artificial variables and no Big-M constant.
 
 The primal entering column follows Dantzig's rule, the most negative
 reduced cost; after a streak of degenerate pivots it switches to Bland's
@@ -55,22 +53,20 @@ class LpError(RuntimeError):
 
 @dataclass
 class LinearProgram:
-    """max objective . x subject to x >= 0 and constraints @ x <= rhs, with == on the rows where eq."""
+    """max objective . x subject to x >= 0 and constraints @ x <= rhs; an equality is two opposite rows."""
 
     objective: np.ndarray
     constraints: np.ndarray  # (m, n_vars)
     rhs: np.ndarray  # (m,)
-    eq: Optional[np.ndarray] = None  # (m,) bool; None: no equality rows
 
     def __post_init__(self):
         self.objective = np.asarray(self.objective, dtype=float)
         if self.objective.ndim != 1 or self.objective.size < 1:
             raise ValueError("objective must be a nonempty vector")
         self.constraints, self.rhs = np.asarray(self.constraints, dtype=float), np.asarray(self.rhs, dtype=float)
-        self.eq = np.zeros(self.rhs.shape, bool) if self.eq is None else np.asarray(self.eq, dtype=bool)
-        shapes, m = (self.constraints.shape, self.rhs.shape, self.eq.shape), self.rhs.size
-        if shapes != ((m, self.n_vars), (m,), (m,)):
-            raise ValueError(f"constraints, rhs and eq have shapes {shapes}, expected {((m, self.n_vars), (m,), (m,))}")
+        shapes, m = (self.constraints.shape, self.rhs.shape), self.rhs.size
+        if shapes != ((m, self.n_vars), (m,)):
+            raise ValueError(f"constraints and rhs have shapes {shapes}, expected {((m, self.n_vars), (m,))}")
         if not (np.isfinite(self.constraints).all() and np.isfinite(self.rhs).all()):
             raise ValueError("coefficients and rhs must be finite")
 
@@ -223,9 +219,9 @@ def _grown(a: np.ndarray, length: int) -> np.ndarray:
 def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
     """Dense simplex; deterministic; raises LpError on numerical failure.
 
-    Dual simplex pivots under a zero objective, from the slack basis with
-    each == row split into two opposite <= rows, find the first feasible
-    basis; the primal simplex then optimizes from it.
+    Dual simplex pivots under a zero objective, from the slack basis,
+    find the first feasible basis; the primal simplex then optimizes from
+    it.
 
     With row_source the LP is solved by row generation. After each optimum
     the source is called with the primal values and returns a row
@@ -240,19 +236,15 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     returned.
     """
     n = lp.n_vars
-    # base and generated rows, for the feasibility check; they double into
-    # copies when full, which the first generated row finds them
-    A, b, eq = lp.constraints, lp.rhs, lp.eq
+    # base and generated rows, for the feasibility check; the first
+    # generated row copies them into arrays that double when full
+    A, b = lp.constraints, lp.rhs
     base = len(b)
 
-    # [A | I | b]: every row a <= row with a basic slack; an == row is two
-    # opposite <= rows, whose slacks can only be 0, negated ones last
-    m = base + int(eq.sum())
-    T = np.zeros((m + 1, n + m + 1))
-    T[:base, :n], T[base:m, :n] = A, -A[eq]
-    T[:base, -1], T[base:m, -1] = b, -b[eq]
-    T[:m, n:-1] = np.eye(m)
-    basis = list(range(n, n + m))
+    # [A | I | b]: every row has a basic slack
+    T = np.zeros((base + 1, n + base + 1))
+    T[:base, :n], T[:base, n:-1], T[:base, -1] = A, np.eye(base), b
+    basis = list(range(n, n + base))
     max_iter = _pivot_cap(T)
 
     # Phase 1: under a zero objective every basis is dual feasible, so the
@@ -260,9 +252,6 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     status, iterations = _dual_simplex(T, basis, max_iter)
     if status == "infeasible":
         return LpSolution(status="infeasible", iterations=iterations)
-    # a nonbasic equality slack is 0; clearing its column keeps it out
-    fixed = set((n + np.flatnonzero(eq)).tolist()) | set(range(n + base, n + m))
-    T[:, sorted(fixed - set(basis))] = 0.0
 
     # Phase 2 objective row, on the zero row phase 1 left; the basic columns
     # are unit columns, so no subtraction changes another basic coefficient
@@ -285,7 +274,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
         y = np.zeros(T.shape[1] - 1)  # the variables, then the slacks
         y[basis] = T[:-1, -1]
         x = np.maximum(y[:n], 0.0)
-        _check_feasible(x, A[:r], b[:r], eq[:r], amax[:r], bscale[:r])
+        _check_feasible(x, A[:r], b[:r], amax[:r], bscale[:r])
         source_row = None if row_source is None else row_source(x)
         if source_row is None:
             return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), iterations=iterations, rounds=rounds)
@@ -297,7 +286,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
         if not float(coeffs @ x) > rhs:
             raise LpError("row_source returned a constraint the current point satisfies")
         if r == len(b):
-            A, b, eq, amax, bscale = (_grown(a, 2 * r + 1) for a in (A, b, eq, amax, bscale))
+            A, b, amax, bscale = (_grown(a, 2 * r + 1) for a in (A, b, amax, bscale))
         A[r], b[r], amax[r], bscale[r] = coeffs, rhs, np.abs(coeffs).max(), max(1.0, abs(rhs))
         rounds += 1
         T = _add_row(T, basis, coeffs, rhs)
@@ -308,21 +297,18 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
             return LpSolution(status="infeasible", iterations=iterations, rounds=rounds)
 
 
-def _check_feasible(x, A, b, eq, amax, bscale) -> None:
+def _check_feasible(x, A, b, amax, bscale) -> None:
     """Surface accumulated round-off as an error instead of a wrong answer.
 
-    x must satisfy the rows A x <= b (A x == b where eq) up to EPS_FEAS
-    scaled by the magnitudes: amax and bscale hold each row's largest
-    absolute coefficient and max(1, |b|). x >= 0 holds by construction.
+    x must satisfy the rows A x <= b up to EPS_FEAS scaled by the
+    magnitudes: amax and bscale hold each row's largest absolute
+    coefficient and max(1, |b|). x >= 0 holds by construction.
     """
     if not np.isfinite(x).all():
         raise LpError("solution has non-finite values")
     xscale = max(1.0, float(np.abs(x).max()))
     lhs = A @ x
-    excess = lhs - b
-    np.abs(excess, out=excess, where=eq)
-    violated = excess > EPS_FEAS * np.maximum(bscale, amax * xscale)
+    violated = lhs - b > EPS_FEAS * np.maximum(bscale, amax * xscale)
     if violated.any():
         idx = violated.argmax()
-        relation = "!=" if eq[idx] else ">"
-        raise LpError(f"constraint {idx} violated: {lhs[idx]} {relation} {b[idx]}")
+        raise LpError(f"constraint {idx} violated: {lhs[idx]} > {b[idx]}")

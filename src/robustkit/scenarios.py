@@ -102,14 +102,16 @@ def scenario_lp(u: UncertaintySet, rows=()) -> LinearProgram:
 
     The hull scenario c = sum_i lam_i c^i is substituted away, leaving
     t * a(i, S) <= sum_m lam_m a(m, S) with a(m, S) the subset sums. Only
-    the simplex row, the row t <= 1 and the subset rows of the (i, S) in
-    rows are materialized, in that order; the others are generated by the
-    separation oracle. The cap t <= 1 is tight whenever any subset of any
-    scenario has positive cost and pins the degenerate all-zero case.
+    the simplex row sum_i lam_i = 1, written as the two rows
+    sum_i lam_i <= 1 and -sum_i lam_i <= -1, the row t <= 1 and the subset
+    rows of the (i, S) in rows are materialized, in that order; the others
+    are generated by the separation oracle. The cap t <= 1 is tight
+    whenever any subset of any scenario has positive cost and pins the
+    degenerate all-zero case.
     """
-    A = np.concatenate((np.zeros((2, 1 + u.n_scenarios)), _subset_rows(u, rows)))
-    A[0, 1:] = A[1, 0] = 1.0
-    return LinearProgram(A[1].copy(), A, np.repeat([1.0, 0.0], [2, len(rows)]), eq=np.arange(len(A)) == 0)
+    A = np.concatenate((np.zeros((3, 1 + u.n_scenarios)), _subset_rows(u, rows)))
+    A[0, 1:], A[1, 1:], A[2, 0] = 1.0, -1.0, 1.0
+    return LinearProgram(A[2].copy(), A, np.concatenate(([1.0, -1.0, 1.0], np.zeros(len(rows)))))
 
 
 def _subset_rows(u: UncertaintySet, rows) -> np.ndarray:

@@ -20,13 +20,11 @@ def highs(lp, bounds=(0, None)):
     The variables are nonnegative, as in solve_lp, unless `bounds` (in
     linprog's terms) says otherwise.
     """
-    le, eq = ~lp.eq, lp.eq
+    rows = len(lp.rhs) > 0
     return linprog(
         -lp.objective,
-        A_ub=lp.constraints[le] if le.any() else None,
-        b_ub=lp.rhs[le] if le.any() else None,
-        A_eq=lp.constraints[eq] if eq.any() else None,
-        b_eq=lp.rhs[eq] if eq.any() else None,
+        A_ub=lp.constraints if rows else None,
+        b_ub=lp.rhs if rows else None,
         bounds=bounds,
         method="highs",
     )
@@ -129,11 +127,12 @@ def test_maxmin_certificate_matches_highs():
         assert np.sort(lam.combine(u))[: spec.p].sum() == pytest.approx(value, rel=1e-9)
         n_scen, n_items = u.costs.shape
         # max p*mu - sum nu  s.t.  mu - nu_j <= sum_i lam_i c^i_j, lam in the simplex;
-        # mu is one free column here, where robustkit splits it in two
+        # mu is free here, where robustkit keeps it nonnegative
         rows = [np.concatenate([-u.costs[:, j], [1.0], -np.eye(n_items)[j]]) for j in range(n_items)]
-        rows.append(np.concatenate([np.ones(n_scen), [0.0], np.zeros(n_items)]))  # the simplex row, == 1
-        simplex = np.arange(n_items + 1) == n_items
-        lp = rk.LinearProgram(np.concatenate([np.zeros(n_scen), [float(spec.p)], -np.ones(n_items)]), rows, simplex.astype(float), simplex)
+        simplex = np.concatenate([np.ones(n_scen), [0.0], np.zeros(n_items)])
+        rows += [simplex, -simplex]  # sum lam == 1, as two opposite rows
+        rhs = np.concatenate([np.zeros(n_items), [1.0, -1.0]])
+        lp = rk.LinearProgram(np.concatenate([np.zeros(n_scen), [float(spec.p)], -np.ones(n_items)]), rows, rhs)
         reference = highs_max(lp, [(0, None)] * n_scen + [(None, None)] + [(0, None)] * n_items)
         assert abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
 
@@ -145,8 +144,9 @@ def random_general_lp(rng):
     only or boxed, and written in solve_lp's standard form over y >= 0:
     x = y, x = y+ - y- (two columns), x = up - y, or x = lo + y with the
     row y <= up - lo. Rows are <= or == with right-hand sides of either
-    sign; some equalities repeat an earlier one scaled (redundant) or
-    shifted (contradictory). A "min" draw negates the objective.
+    sign, an == row written as two opposite <= rows; some equalities
+    repeat an earlier one scaled (redundant) or shifted (contradictory). A
+    "min" draw negates the objective.
     """
     n = int(rng.integers(1, 7))
     kind = rng.integers(0, 4, n)  # 0: [0, inf), 1: free, 2: (-inf, up], 3: [lo, up]
@@ -161,12 +161,14 @@ def random_general_lp(rng):
         columns += [e, -e] if kind[j] == 1 else [-e if kind[j] == 2 else e]
     M = np.array(columns).T
     offset = np.where(kind == 2, upper, np.where(kind == 3, lower, 0.0))
-    rows, bounds, eq = [], [], []
+    rows, bounds = [], []
 
     def add(coeffs, bound, is_eq):  # the row coeffs . x <= bound (== if is_eq), over y
         rows.append(coeffs @ M)
         bounds.append(bound - float(coeffs @ offset))
-        eq.append(is_eq)
+        if is_eq:
+            rows.append(-rows[-1])
+            bounds.append(-bounds[-1])
 
     equalities = []
     for _ in range(int(rng.integers(0, 9))):
@@ -185,8 +187,7 @@ def random_general_lp(rng):
     for j in np.flatnonzero(kind == 3):  # y_j <= up - lo, a row over y already
         rows.append(M[j])
         bounds.append(upper[j] - lower[j])
-        eq.append(False)
-    return rk.LinearProgram(objective @ M, np.reshape(rows, (-1, M.shape[1])), bounds, eq)
+    return rk.LinearProgram(objective @ M, np.reshape(rows, (-1, M.shape[1])), bounds)
 
 
 def test_general_lps_match_highs():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 
 import numpy as np
@@ -23,7 +24,6 @@ def brute_force_vertex_max(lp):
     n = lp.n_vars
     A = np.vstack([lp.constraints, -np.eye(n)])
     b = np.concatenate([lp.rhs, np.zeros(n)])
-    is_eq = np.concatenate([lp.eq, np.zeros(n, dtype=bool)])
     best = None
     for combo in itertools.combinations(range(len(b)), n):
         sub = A[list(combo)]
@@ -31,7 +31,7 @@ def brute_force_vertex_max(lp):
             continue
         x = np.linalg.solve(sub, b[list(combo)])
         lhs = A @ x
-        if np.all(lhs <= b + 1e-7) and np.all(np.abs(lhs[is_eq] - b[is_eq]) <= 1e-7):
+        if np.all(lhs <= b + 1e-7):
             value = float(lp.objective @ x)
             if best is None or value > best:
                 best = value
@@ -44,7 +44,6 @@ def with_rows(lp, rows):
         lp.objective,
         np.vstack([lp.constraints] + [coeffs for coeffs, _ in rows]),
         np.concatenate([lp.rhs, [rhs for _, rhs in rows]]),
-        np.concatenate([lp.eq, np.zeros(len(rows), dtype=bool)]),
     )
 
 
@@ -98,23 +97,24 @@ def random_bounded_lp(rng, max_vars=6, max_rows=8):
     """A random LP inside the box 0 <= x <= upper, and upper.
 
     Its first n rows are the box's upper rows; the rest are random rows
-    that the box point upper / 2, or a random point of the box, satisfies.
+    that the box point upper / 2 satisfies, or equalities through a random
+    point of the box, each written as two opposite rows.
     """
     n = int(rng.integers(1, max_vars + 1))
     objective = rng.uniform(-2, 2, n)
     upper = rng.uniform(0.5, 4.0, n)
-    rows, rhs, eq = list(np.eye(n)), list(upper), [False] * n
+    rows, rhs = list(np.eye(n)), list(upper)
     for _ in range(int(rng.integers(0, max_rows - 1))):
         coeffs = rng.uniform(-2, 2, n)
-        rows.append(coeffs)
-        eq.append(rng.random() < 0.25)
-        if eq[-1]:
+        if rng.random() < 0.25:
             anchor = rng.uniform(0, 1, n) * upper
-            rhs.append(float(coeffs @ anchor))
+            rows += [coeffs, -coeffs]
+            rhs += [float(coeffs @ anchor), -float(coeffs @ anchor)]
         else:
             slackroom = abs(float(rng.normal()))
+            rows.append(coeffs)
             rhs.append(float(coeffs @ (upper * 0.5)) + slackroom)
-    return rk.LinearProgram(objective, np.array(rows), rhs, eq), upper
+    return rk.LinearProgram(objective, np.array(rows), rhs), upper
 
 
 class TestSolveLpBasics:
@@ -131,13 +131,15 @@ class TestSolveLpBasics:
         assert rk.solve_lp(rk.LinearProgram([1.0], np.zeros((0, 1)), [])).status == "unbounded"
 
     def test_degenerate_equalities(self):
-        lp = rk.LinearProgram([1.0, 1.0], [[1.0, 1.0], [2.0, 2.0]], [1.0, 2.0], eq=[True, True])  # a redundant row
+        # x0 + x1 == 1 and the redundant 2 x0 + 2 x1 == 2, each as two opposite rows
+        lp = rk.LinearProgram([1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]], [1.0, -1.0, 2.0, -2.0])
         sol = rk.solve_lp(lp)
         assert sol.status == "optimal"
         assert sol.objective == pytest.approx(1.0, abs=1e-9)
 
     def test_contradictory_equalities(self):
-        lp = rk.LinearProgram([1.0, 1.0], [[1.0, 1.0], [1.0, 1.0]], [1.0, 2.0], eq=[True, True])
+        # x0 + x1 == 1 and x0 + x1 == 2, each as two opposite rows
+        lp = rk.LinearProgram([1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0, 2.0, -2.0])
         assert rk.solve_lp(lp).status == "infeasible"
 
     def test_table1_scenario_lp(self, table1):
@@ -149,8 +151,9 @@ class TestSolveLpBasics:
     def test_validation(self):
         with pytest.raises(ValueError, match="shapes"):  # an rhs too short
             rk.LinearProgram([1.0], [[1.0], [2.0]], [0.0])
-        with pytest.raises(ValueError, match="shapes"):  # an eq too long
-            rk.LinearProgram([1.0], [[1.0]], [0.0], eq=[True, False])
+        with pytest.raises(ValueError, match="shapes"):  # an rhs too long
+            rk.LinearProgram([1.0], [[1.0]], [0.0, 1.0])
+        assert [f.name for f in dataclasses.fields(rk.LinearProgram)] == ["objective", "constraints", "rhs"]
         with pytest.raises(ValueError, match="shapes"):  # rows too narrow
             rk.LinearProgram([1.0, 2.0], [[1.0]], [0.0])
         with pytest.raises(ValueError, match="shapes"):  # a row that is not a matrix
@@ -208,9 +211,7 @@ class TestFeasibilityOfReportedOptimum:
             lp = eager_scenario_lp(u, k)
             sol = rk.solve_lp(lp)
             x = sol.x
-            lhs = lp.constraints @ x
-            assert np.all(lhs[~lp.eq] <= lp.rhs[~lp.eq] + 1e-9)
-            assert np.all(np.abs(lhs[lp.eq] - lp.rhs[lp.eq]) <= 1e-9)
+            assert np.all(lp.constraints @ x <= lp.rhs + 1e-9)
             assert abs(float(lp.objective @ x) - sol.objective) <= 1e-9 * (1 + abs(sol.objective))
 
 
@@ -311,13 +312,13 @@ class TestRowGeneration:
 
     def test_infeasible_source_row(self):
         lp = rk.LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [2.0, 2.0, 3.0])
-        before = [a.copy() for a in (lp.constraints, lp.rhs, lp.eq)]
+        before = [a.copy() for a in (lp.constraints, lp.rhs)]
         cut = (np.array([-1.0, -1.0]), -5.0)  # x0 + x1 >= 5
         assert rk.solve_lp(with_rows(lp, [cut])).status == "infeasible"
         sol = rk.solve_lp(lp, first_violated_source([cut]))
         assert sol.status == "infeasible" and sol.rounds == 1
         # the caller's LP is left alone, value for value
-        for got, want in zip((lp.constraints, lp.rhs, lp.eq), before):
+        for got, want in zip((lp.constraints, lp.rhs), before):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes() and got.shape == want.shape
 
     def test_stalling_source_raises(self):
@@ -437,18 +438,20 @@ class TestPivotCounts:
         (20, 6, 50): ((215, 277, 318, 152), (48, 74, 83)),
         (30, 9, 100): ((504, 787, 710, 341), (78, 131, 137)),
     }
-    # the exact counts there; k = 1 starts from its dominating rows
-    # (n <= N + 1 here, so all of them) and needs no generated row
+    # the exact counts there and at (10,3,10); k = 1 starts from its
+    # dominating rows (n <= N + 1 here, so all of them) and needs no
+    # generated row
     EXACT = {
-        (20, 6, 50): ([112, 252, 289, 138], [0, 70, 79]),
-        (30, 9, 100): ([307, 715, 645, 310], [0, 125, 130]),
+        (10, 3, 10): ([35, 54, 53, 45], [0, 23, 22]),
+        (20, 6, 50): ([115, 262, 304, 141], [0, 70, 79]),
+        (30, 9, 100): ([310, 724, 653, 313], [0, 125, 130]),
     }
 
     # the grid's path, where each k >= 2 starts from the previous k's
     # binding rows; k = 1 and max-min are solved as above
     EXACT_SEEDED = {
-        (20, 6, 50): ([112, 224, 221, 138], [0, 33, 44]),
-        (30, 9, 100): ([307, 405, 326, 310], [0, 48, 50]),
+        (20, 6, 50): ([115, 226, 235, 141], [0, 32, 45]),
+        (30, 9, 100): ([310, 408, 335, 313], [0, 48, 53]),
     }
 
     @staticmethod
@@ -489,9 +492,3 @@ class TestPivotCounts:
     @pytest.mark.parametrize("cell", sorted(EXACT_SEEDED))
     def test_exact_seeded_counts(self, cell, monkeypatch):
         assert self.counts(cell, monkeypatch, seeded=True) == self.EXACT_SEEDED[cell]
-
-    def test_equality_slacks_stay_fixed(self, monkeypatch):
-        # Phase 1 leaves the two slacks of the simplex row at 0; clearing the
-        # nonbasic one keeps it from re-entering in degenerate pivots, which
-        # without the clearing raise the pivots to 35/54/53/45.
-        assert self.counts((10, 3, 10), monkeypatch) == ([32, 51, 45, 42], [0, 23, 22])
