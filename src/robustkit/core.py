@@ -146,7 +146,7 @@ class BoundReport:
     lb: float
     ub: float
     aposteriori: float  # ub/lb, >= 1 or inf
-    k_used: Optional[int] = None
+    k_used: int  # the subset size of the a-priori guarantee
 
     def __post_init__(self):
         if not (0 <= self.lb < math.inf and 0 <= self.ub < math.inf):
