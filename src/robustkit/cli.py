@@ -77,15 +77,22 @@ def cmd_gen(args) -> int:
 
 
 def _representative(u, spec, method: str, k: int):
-    """(scenario, hull weights, a-priori guarantee, t*); the worst case has no weights, only the LP has t*."""
+    """(scenario, hull weights, a-priori guarantee, t*); the worst case has no weights, only the LP has t*.
+
+    The LP at k is solved as the experiment grid solves it: at 1, ..., k,
+    each started from the one before, so an (instance, k) has one answer.
+    """
     if method == "worstcase":
         return worstcase_scenario(u), None, worstcase_apriori_bound(u, spec), None
+    if not validate_k(spec, k):
+        raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
     if method == "midpoint":
-        if not validate_k(spec, k):
-            raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
         scen = midpoint_scenario(u)
         return scen, ConvexWeights.uniform(u.n_scenarios), fixed_scenario_guarantee(u, scen, k), None
-    t_star, scen, lam = construct_lp_scenario(u, spec, k)
+    start = None
+    for j in range(1, k + 1):
+        t_star, scen, lam = construct_lp_scenario(u, spec, j, start=start)
+        start = t_star, scen
     return scen, lam, 1.0 / t_star, t_star
 
 

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 import robustkit as rk
-from robustkit.cli import _parse_grid_spec, main
+from robustkit.cli import _num, _parse_grid_spec, _vec, main
 
 
 def run_cli(capsys, *argv):
@@ -107,10 +107,32 @@ class TestConstruct:
         assert float(pairs["apriori"]) == 2.0
         assert "lambda" not in pairs
 
-    def test_infeasible_k_exits_1(self, capsys, table1_file):
+    def test_infeasible_k_exits_1(self, capsys, table1_file, monkeypatch):
+        solves = []
+        monkeypatch.setattr("robustkit.scenarios.solve_lp", lambda *args: solves.append(args))
         code, _, err = run_cli(capsys, "construct", "--in", table1_file, "--method", "lp", "--k", "3")
         assert code == 1
         assert "cardinality" in err
+        assert solves == []  # refused before any LP runs
+
+    def test_lp_k2_prints_the_chained_scenario(self, capsys, tmp_path):
+        # construct and bounds at k = 2 report the LP started from k = 1, as
+        # the grid solves it; on this instance the unseeded k = 2 scenario
+        # differs by about 1e-12, enough to move the nominal solution and ub
+        u, spec = rk.generate_instance(20, 6, 50, rk.derive_seed(1, 20, 6, 50, 19))
+        path = tmp_path / "inst.txt"
+        path.write_text(rk.serialize_instance(u, spec))
+        t1, s1, _ = rk.construct_lp_scenario(u, spec, 1)
+        t2, s2, lam2 = rk.construct_lp_scenario(u, spec, 2, start=(t1, s1))
+        code, out, _ = run_cli(capsys, "construct", "--in", str(path), "--method", "lp", "--k", "2")
+        assert code == 0
+        pairs = kv(out)
+        assert (pairs["t_star"], pairs["scenario"], pairs["lambda"]) == (_num(t2), _vec(s2.values), _vec(lam2.lam))
+        code, out, _ = run_cli(capsys, "bounds", "--in", str(path), "--method", "lp", "--k", "2")
+        assert code == 0
+        ub = rk.upper_bound(u, rk.nominal_solve(spec, s2))
+        assert kv(out)["ub"] == _num(ub)
+        assert rk.upper_bound(u, rk.nominal_solve(spec, rk.construct_lp_scenario(u, spec, 2)[1])) != ub
 
     def test_midpoint_infeasible_k_exits_1(self, capsys, table1_file):
         code, out, err = run_cli(capsys, "construct", "--in", table1_file, "--method", "midpoint", "--k", "3")
