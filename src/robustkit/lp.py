@@ -209,13 +209,6 @@ def _add_row(T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np
     return out
 
 
-def _grown(a: np.ndarray, length: int) -> np.ndarray:
-    """A zero array of the given length along axis 0 holding a in its first rows."""
-    out = np.zeros((length,) + a.shape[1:], a.dtype)
-    out[: len(a)] = a
-    return out
-
-
 def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
     """Dense simplex; deterministic; raises LpError on numerical failure.
 
@@ -286,7 +279,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
         if not float(coeffs @ x) > rhs:
             raise LpError("row_source returned a constraint the current point satisfies")
         if r == len(b):
-            A, b, amax, bscale = (_grown(a, 2 * r + 1) for a in (A, b, amax, bscale))
+            A, b, amax, bscale = (np.concatenate((a, np.zeros((r + 1,) + a.shape[1:]))) for a in (A, b, amax, bscale))
         A[r], b[r], amax[r], bscale[r] = coeffs, rhs, np.abs(coeffs).max(), max(1.0, abs(rhs))
         rounds += 1
         T = _add_row(T, basis, coeffs, rhs)
