@@ -31,7 +31,7 @@ x_mid = rk.nominal_solve(spec, mid)
 print("its nominal solution picks items:", x_mid.selected)
 
 lam_mid = rk.ConvexWeights.uniform(u.n_scenarios)
-report = rk.aposteriori_report(u, spec, mid, lam_mid, k=1)
+report = rk.aposteriori_report(u, spec, mid, lam_mid, k=1, apriori=rk.fixed_scenario_guarantee(u, mid, 1))
 print(f"bounds from the midpoint: LB={report.lb:g}  UB={report.ub:g}  ratio={report.aposteriori:.2f}")
 print(f"a-priori guarantee with k=1 (before solving): {report.apriori:.3f}")
 

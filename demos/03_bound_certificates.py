@@ -38,7 +38,7 @@ assert lb_mid <= mm + 1e-6 and lb_lp <= mm + 1e-6
 assert mm <= opt + 1e-6 <= min(ub_mid, ub_lp) + 1e-6
 
 # The ratio view: what each method can promise vs what it delivered here.
-mid_report = rk.aposteriori_report(u, spec, mid, lam_mid, k=2)
+mid_report = rk.aposteriori_report(u, spec, mid, lam_mid, k=2, apriori=rk.fixed_scenario_guarantee(u, mid, 2))
 lp_report = rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)
 print(f"\nmidpoint:    promised <= {mid_report.apriori:.3f} x optimum, delivered {mid_report.aposteriori:.3f}")
 print(f"LP scenario: promised <= {lp_report.apriori:.3f} x optimum, delivered {lp_report.aposteriori:.3f}")

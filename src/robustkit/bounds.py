@@ -17,7 +17,7 @@ still visited and resolve to the lexicographically smallest subset.
 from __future__ import annotations
 
 import math
-from typing import Optional, Tuple
+from typing import Tuple
 
 import numpy as np
 
@@ -30,9 +30,8 @@ from .core import (
     cost_vector,
     ratio_or_inf,
 )
-from .lp import LinearProgram, LpError, solve_lp
+from .lp import LinearProgram, solve_lp
 from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions, nominal_solve, require_dimension, validate_k
-from .scenarios import fixed_scenario_guarantee
 
 # Hard cap on exhaustive enumeration (feasible solutions examined).
 MAX_ENUMERATION = 20_000_000
@@ -57,7 +56,7 @@ def lower_bound(u: UncertaintySet, c, lam: ConvexWeights, x_c: BinarySolution) -
     The weights must certify c = sum_i lam_i c^i within EPS_CMP; scenarios
     outside the hull (e.g. the element-wise worst case) are rejected.
     """
-    values = cost_vector(c, u.n_items, finite=False)  # a non-finite entry fails the hull check
+    values = cost_vector(c, u.n_items)
     gap = float(np.abs(values - lam.lam @ u.costs).max())
     if not gap <= EPS_CMP:  # a NaN gap certifies nothing
         raise ValueError(
@@ -72,20 +71,18 @@ def aposteriori_report(
     c,
     lam: ConvexWeights,
     k: int,
-    apriori: Optional[float] = None,
+    apriori: float,
 ) -> BoundReport:
     """Solve the nominal problem for c once and certify both bound kinds.
 
     c is a Scenario or a plain cost vector, certified inside the hull by
-    lam. The a-priori ratio is taken from the LP construction when given
-    (apriori=1/t*), otherwise computed by fixing c in the guarantee LP
-    with subset size k. A k above the minimum solution cardinality, where
-    no guarantee holds, is refused with ValueError.
+    lam. apriori is c's guarantee at subset size k: 1/t* from the LP
+    construction, or fixed_scenario_guarantee(u, c, k) for any other
+    scenario. A k above the minimum solution cardinality, where no
+    guarantee holds, is refused with ValueError.
     """
     if not validate_k(spec, k):
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
-    if apriori is None:
-        apriori = fixed_scenario_guarantee(u, c, k)
     x = nominal_solve(spec, c)
     ub = upper_bound(u, x)
     lb = lower_bound(u, c, lam, x)
@@ -123,8 +120,6 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     rhs = np.zeros(n_items + 2)
     rhs[n_items:] = 1.0, -1.0
     sol = solve_lp(LinearProgram(objective, rows, rhs))
-    if sol.status != "optimal":
-        raise LpError(f"max-min LP reported {sol.status}")
     return float(sol.objective), ConvexWeights(sol.x[:n_scen])
 
 

@@ -160,12 +160,12 @@ class BoundReport:
             raise ValueError(f"a-posteriori ratio {self.aposteriori} inconsistent with ub/lb = {expected}")
 
 
-def cost_vector(c, n: int, finite: bool = True) -> np.ndarray:
-    """The values of a Scenario or a plain cost vector, refused unless it has n entries, all finite when finite is set."""
+def cost_vector(c, n: int) -> np.ndarray:
+    """The values of a Scenario or a plain cost vector, refused unless it has n entries, all finite."""
     values = c.values if isinstance(c, Scenario) else np.asarray(c, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"cost vector has length {values.size}, expected {n}")
-    if finite and not np.isfinite(values).all():
+    if not np.isfinite(values).all():
         raise ValueError("cost vector must be finite")
     return values
 

@@ -30,6 +30,12 @@ with a fresh basic slack, and restores primal feasibility with the same
 dual simplex, which keeps the reduced costs optimal. No solve restarts
 from scratch. The tableau is always exactly (rows + 1) x (columns + 1):
 a generated row is copied into a tableau one row and one column larger.
+
+A solve ends one of two ways: it returns the optimum, or it raises
+LpError, whose message names the outcome: "infeasible" when a dual
+leaving row has no negative entry, "unbounded" when a primal entering
+column has no positive entry, or the numerical failure (a pivot cap, a
+non-finite value, a violated row) that stopped it.
 """
 
 from __future__ import annotations
@@ -48,7 +54,7 @@ _DEGENERATE_STREAK = 50
 
 
 class LpError(RuntimeError):
-    """Numerical failure inside the solver; never a silent wrong answer."""
+    """A solve without an optimum: infeasible, unbounded or a numerical failure; never a silent wrong answer."""
 
 
 @dataclass
@@ -77,11 +83,10 @@ class LinearProgram:
 
 @dataclass
 class LpSolution:
-    status: str  # optimal | infeasible | unbounded
-    x: Optional[np.ndarray] = None
-    objective: Optional[float] = None
-    iterations: int = 0  # primal plus dual simplex pivots over the whole call
-    rounds: int = 0  # rows the row source appended
+    x: np.ndarray
+    objective: float
+    iterations: int  # primal plus dual simplex pivots over the whole call
+    rounds: int  # rows the row source appended
 
 
 RowSource = Callable[[np.ndarray], Optional[Tuple[np.ndarray, float]]]  # (coeffs, rhs): coeffs . x <= rhs
@@ -109,17 +114,18 @@ def _first_basic(rows: np.ndarray, basis: List[int]) -> int:
     return int(rows[0]) if rows.size == 1 else min(rows.tolist(), key=basis.__getitem__)
 
 
-def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
-    """Pivot the tableau T to optimality (max sense, z-c objective row).
+def _run_simplex(T: np.ndarray, basis: List[int]) -> int:
+    """Pivot the tableau T to optimality (max sense, z-c objective row); returns the pivot count.
 
     The entering column has the most negative reduced cost, ties going to
     the smallest column; after _DEGENERATE_STREAK consecutive degenerate
     pivots it is the smallest improving column (Bland) until a pivot moves
     the basic solution. The leaving row has the minimum ratio, ties going
-    to the smallest basic index.
+    to the smallest basic index. An entering column without a positive
+    entry proves the LP unbounded.
     """
     m = len(basis)
-    iterations = 0
+    iterations, cap = 0, _pivot_cap(T)
     streak = 0  # consecutive degenerate pivots
     obj, rhs = T[-1, :-1], T[:m, -1]  # views that follow the pivots
     ratios = np.full(m + 1, np.inf)  # the last entry stays inf: no leaving row means unbounded
@@ -133,7 +139,7 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
                 raise LpError("non-finite reduced costs")
             if not np.isfinite(rhs).all():
                 raise LpError("non-finite right-hand side")
-            return "optimal", iterations
+            return iterations
         if streak >= _DEGENERATE_STREAK:
             col = int((obj < -_PIVOT_TOL).argmax())  # Bland: smallest improving index
         colvals = T[:m, col]
@@ -143,16 +149,16 @@ def _run_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, i
         if not -np.inf < best < np.inf:  # no positive entry, or a non-finite rhs
             if not np.isfinite(rhs).all():
                 raise LpError("non-finite right-hand side")
-            return "unbounded", iterations
+            raise LpError(f"unbounded: entering column {col} has no positive entry")
         _pivot(T, basis, _first_basic((row_ratios == best).nonzero()[0], basis), col)
         streak = streak + 1 if best <= _PIVOT_TOL else 0
         iterations += 1
-        if iterations > max_iter:
-            raise LpError(f"simplex exceeded {max_iter} pivots")
+        if iterations > cap:
+            raise LpError(f"simplex exceeded {cap} pivots")
 
 
-def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, int]:
-    """Pivot a tableau T with optimal reduced costs back to primal feasibility.
+def _dual_simplex(T: np.ndarray, basis: List[int]) -> int:
+    """Pivot a tableau T with optimal reduced costs back to primal feasibility; returns the pivot count.
 
     The leaving row is the most infeasible one (rhs furthest below
     -_PIVOT_TOL), ties going to the smallest basic index; after
@@ -165,7 +171,7 @@ def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, 
     cost over the entry, since x / -y is exactly -(x / y). A leaving row
     without a negative entry proves the rows infeasible.
     """
-    iterations = 0
+    iterations, cap = 0, _pivot_cap(T)
     streak = 0  # consecutive dual-degenerate pivots
     obj, rhs = T[-1, :-1], T[:-1, -1]  # views that follow the pivots
     ratios = np.empty(T.shape[1] - 1)
@@ -174,19 +180,19 @@ def _dual_simplex(T: np.ndarray, basis: List[int], max_iter: int) -> Tuple[str, 
         if not -np.inf < low < -_PIVOT_TOL:
             if not np.isfinite(rhs).all():
                 raise LpError("non-finite right-hand side")
-            return "optimal", iterations
+            return iterations
         row = _first_basic((rhs == low if streak < _DEGENERATE_STREAK else rhs < -_PIVOT_TOL).nonzero()[0], basis)
         rowvals = T[row, :-1]
         ratios.fill(-np.inf)
         np.divide(obj, rowvals, out=ratios, where=rowvals < -_PIVOT_TOL)
         col = int(ratios.argmax())  # first maximum: smallest column
         if ratios[col] == -np.inf:  # no negative entry
-            return "infeasible", iterations
+            raise LpError(f"infeasible: leaving row {row} has no negative entry")
         streak = streak + 1 if ratios[col] >= -_PIVOT_TOL else 0
         _pivot(T, basis, row, col)
         iterations += 1
-        if iterations > max_iter:
-            raise LpError(f"dual simplex exceeded {max_iter} pivots")
+        if iterations > cap:
+            raise LpError(f"dual simplex exceeded {cap} pivots")
 
 
 def _add_row(T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np.ndarray:
@@ -210,11 +216,12 @@ def _add_row(T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np
 
 
 def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
-    """Dense simplex; deterministic; raises LpError on numerical failure.
+    """Dense simplex; deterministic; returns the optimum or raises LpError.
 
     Dual simplex pivots under a zero objective, from the slack basis,
     find the first feasible basis; the primal simplex then optimizes from
-    it.
+    it. An LP without an optimum raises LpError, whose message starts with
+    "infeasible" or "unbounded"; a numerical failure raises LpError too.
 
     With row_source the LP is solved by row generation. After each optimum
     the source is called with the primal values and returns a row
@@ -222,7 +229,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     None when all of its implicit rows hold. The row is appended to the
     optimal tableau and dual simplex pivots restore feasibility, so the
     result is the optimum over the LP's rows plus every row the source
-    returned (or "infeasible" if those rows exclude every point). The
+    returned (LpError "infeasible" if those rows exclude every point). The
     caller's LP is not modified. A source that returns a row the point
     satisfies, or more than _MAX_ROUNDS rows, raises LpError. iterations
     counts every primal and dual pivot, rounds every row the source
@@ -238,13 +245,10 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     T = np.zeros((base + 1, n + base + 1))
     T[:base, :n], T[:base, n:-1], T[:base, -1] = A, np.eye(base), b
     basis = list(range(n, n + base))
-    max_iter = _pivot_cap(T)
 
     # Phase 1: under a zero objective every basis is dual feasible, so the
     # dual simplex reaches a feasible basis or proves the rows infeasible
-    status, iterations = _dual_simplex(T, basis, max_iter)
-    if status == "infeasible":
-        return LpSolution(status="infeasible", iterations=iterations)
+    iterations = _dual_simplex(T, basis)
 
     # Phase 2 objective row, on the zero row phase 1 left; the basic columns
     # are unit columns, so no subtraction changes another basic coefficient
@@ -259,10 +263,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     while True:
         # phase 2; after an appended row the reduced costs stayed optimal,
         # and this certifies them (normally 0 pivots)
-        status, its = _run_simplex(T, basis, max_iter)
-        iterations += its
-        if status == "unbounded":
-            return LpSolution(status="unbounded", iterations=iterations, rounds=rounds)
+        iterations += _run_simplex(T, basis)
         r = base + rounds
         y = np.zeros(T.shape[1] - 1)  # the variables, then the slacks
         y[basis] = T[:-1, -1]
@@ -270,7 +271,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
         _check_feasible(x, A[:r], b[:r], amax[:r], bscale[:r])
         source_row = None if row_source is None else row_source(x)
         if source_row is None:
-            return LpSolution(status="optimal", x=x, objective=float(lp.objective @ x), iterations=iterations, rounds=rounds)
+            return LpSolution(x, float(lp.objective @ x), iterations, rounds)
         if rounds == _MAX_ROUNDS:
             raise LpError(f"row generation did not terminate within {_MAX_ROUNDS} rounds")
         coeffs, rhs = np.asarray(source_row[0], dtype=float), float(source_row[1])
@@ -283,11 +284,7 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
         A[r], b[r], amax[r], bscale[r] = coeffs, rhs, np.abs(coeffs).max(), max(1.0, abs(rhs))
         rounds += 1
         T = _add_row(T, basis, coeffs, rhs)
-        max_iter = _pivot_cap(T)
-        status, its = _dual_simplex(T, basis, max_iter)
-        iterations += its
-        if status == "infeasible":
-            return LpSolution(status="infeasible", iterations=iterations, rounds=rounds)
+        iterations += _dual_simplex(T, basis)
 
 
 def _check_feasible(x, A, b, amax, bscale) -> None:

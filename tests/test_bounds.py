@@ -99,9 +99,9 @@ class TestLowerBound:
             rk.lower_bound(u, [0.0], rk.ConvexWeights.uniform(3), rk.BinarySolution((0,)))
 
     def test_rejects_nan_scenario(self, table1):
-        # a NaN hull gap compares False against any tolerance
+        # refused as a cost vector, before the hull check reads it
         u, _ = table1
-        with pytest.raises(ValueError, match="convex hull"):
+        with pytest.raises(ValueError, match="finite"):
             rk.lower_bound(u, [np.nan, 1.0, 1.0, 1.0], rk.ConvexWeights.uniform(3), rk.BinarySolution((1,)))
 
     def test_rejects_uncertified_scenario(self, table1):
@@ -115,7 +115,8 @@ class TestLowerBound:
 class TestAposterioriReport:
     def test_table1_midpoint(self, table1):
         u, spec = table1
-        report = rk.aposteriori_report(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3), k=1)
+        mid = rk.midpoint_scenario(u)
+        report = rk.aposteriori_report(u, spec, mid, rk.ConvexWeights.uniform(3), k=1, apriori=rk.fixed_scenario_guarantee(u, mid, 1))
         assert report.lb == pytest.approx(8.0)
         assert report.ub == pytest.approx(12.0)
         assert report.aposteriori == pytest.approx(1.50, abs=1e-9)
@@ -132,14 +133,16 @@ class TestAposterioriReport:
     def test_single_scenario_ratio_is_one(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
-        report = rk.aposteriori_report(u, spec, rk.Scenario(u.costs[0]), rk.ConvexWeights([1.0]), k=1)
+        c = rk.Scenario(u.costs[0])
+        report = rk.aposteriori_report(u, spec, c, rk.ConvexWeights([1.0]), k=1, apriori=rk.fixed_scenario_guarantee(u, c, 1))
         assert report.aposteriori == pytest.approx(1.0)
 
     def test_plain_vector_reports_as_its_scenario(self, table1):
         u, spec = table1
         lam = rk.ConvexWeights.uniform(3)
         mid = rk.midpoint_scenario(u)
-        assert rk.aposteriori_report(u, spec, mid.values, lam, k=1) == rk.aposteriori_report(u, spec, mid, lam, k=1)
+        by_vector = rk.aposteriori_report(u, spec, mid.values, lam, k=1, apriori=rk.fixed_scenario_guarantee(u, mid.values, 1))
+        assert by_vector == rk.aposteriori_report(u, spec, mid, lam, k=1, apriori=rk.fixed_scenario_guarantee(u, mid, 1))
         t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
         by_vector = rk.aposteriori_report(u, spec, scen.values, lam, k=2, apriori=1.0 / t_star)
         assert by_vector == rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)
@@ -147,7 +150,7 @@ class TestAposterioriReport:
     def test_k_above_solution_cardinality_refused(self, table1):
         u, spec = table1  # p = 2
         with pytest.raises(ValueError, match="cardinality"):
-            rk.aposteriori_report(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3), k=3)
+            rk.aposteriori_report(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3), k=3, apriori=1.0)
 
     def test_aposteriori_never_exceeds_apriori(self):
         rng = np.random.default_rng(555)
@@ -156,7 +159,8 @@ class TestAposterioriReport:
             n_scen = int(rng.integers(2, 6))
             u = rk.UncertaintySet(rng.integers(0, 101, size=(n_scen, n)).astype(float))
             spec = rk.Selection(n=n, p=3)
-            mid_report = rk.aposteriori_report(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(n_scen), k=2)
+            mid = rk.midpoint_scenario(u)
+            mid_report = rk.aposteriori_report(u, spec, mid, rk.ConvexWeights.uniform(n_scen), k=2, apriori=rk.fixed_scenario_guarantee(u, mid, 2))
             assert mid_report.aposteriori <= mid_report.apriori + rk.EPS_CMP
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
             lp_report = rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)

@@ -62,9 +62,19 @@ def eager_scenario_lp(u, k):
 
 def eager_t_star(u, k):
     """Reference t*: one plain solve of the fully materialized LP."""
-    sol = rk.solve_lp(eager_scenario_lp(u, k))
-    assert sol.status == "optimal"
-    return float(sol.x[0])
+    return float(rk.solve_lp(eager_scenario_lp(u, k)).x[0])
+
+
+def outcome(lp, row_source=None):
+    """"optimal" if solve_lp returns, else the outcome its LpError names: "infeasible" or "unbounded"."""
+    try:
+        rk.solve_lp(lp, row_source)
+    except LpError as exc:
+        word = str(exc).partition(":")[0]
+        if word not in ("infeasible", "unbounded"):
+            raise
+        return word
+    return "optimal"
 
 
 def slack_tableau(A, b, d):
@@ -120,32 +130,28 @@ def random_bounded_lp(rng, max_vars=6, max_rows=8):
 class TestSolveLpBasics:
     def test_single_upper_constraint(self):
         sol = rk.solve_lp(rk.LinearProgram([1.0], [[1.0]], [5.0]))
-        assert sol.status == "optimal"
         assert sol.objective == pytest.approx(5.0, abs=1e-9)
 
     def test_infeasible_via_bounds(self):
         lp = rk.LinearProgram([1.0], [[-1.0], [1.0]], [-2.0, 1.0])  # x >= 2 and x <= 1
-        assert rk.solve_lp(lp).status == "infeasible"
+        assert outcome(lp) == "infeasible"
 
     def test_unbounded(self):
-        assert rk.solve_lp(rk.LinearProgram([1.0], np.zeros((0, 1)), [])).status == "unbounded"
+        assert outcome(rk.LinearProgram([1.0], np.zeros((0, 1)), [])) == "unbounded"
 
     def test_degenerate_equalities(self):
         # x0 + x1 == 1 and the redundant 2 x0 + 2 x1 == 2, each as two opposite rows
         lp = rk.LinearProgram([1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0], [2.0, 2.0], [-2.0, -2.0]], [1.0, -1.0, 2.0, -2.0])
-        sol = rk.solve_lp(lp)
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(1.0, abs=1e-9)
+        assert rk.solve_lp(lp).objective == pytest.approx(1.0, abs=1e-9)
 
     def test_contradictory_equalities(self):
         # x0 + x1 == 1 and x0 + x1 == 2, each as two opposite rows
         lp = rk.LinearProgram([1.0, 1.0], [[1.0, 1.0], [-1.0, -1.0], [1.0, 1.0], [-1.0, -1.0]], [1.0, -1.0, 2.0, -2.0])
-        assert rk.solve_lp(lp).status == "infeasible"
+        assert outcome(lp) == "infeasible"
 
     def test_table1_scenario_lp(self, table1):
         u, _ = table1
         sol = rk.solve_lp(eager_scenario_lp(u, 1))
-        assert sol.status == "optimal"
         assert 1.0 / sol.objective == pytest.approx(4.0 / 3.0, abs=0.01)
 
     def test_validation(self):
@@ -161,6 +167,12 @@ class TestSolveLpBasics:
         lp = rk.LinearProgram([1.0, 1.0], np.eye(2), [1.0, 1.0])
         with pytest.raises(ValueError, match=r"\(2,\) finite coefficients"):
             rk.solve_lp(lp, lambda x: (np.array([1.0]), 0.0))
+
+    def test_solution_is_an_optimum(self):
+        # a solve returns an optimum or raises, so every field is required
+        fields = dataclasses.fields(rk.LpSolution)
+        assert [f.name for f in fields] == ["x", "objective", "iterations", "rounds"]
+        assert all(f.default is dataclasses.MISSING and f.default_factory is dataclasses.MISSING for f in fields)
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
     def test_non_finite_coefficients_rejected(self, bad):
@@ -181,13 +193,13 @@ class TestAgainstVertexEnumeration:
         checked = 0
         for _ in range(60):
             lp, _ = random_bounded_lp(rng, max_vars=4, max_rows=6)
-            sol = rk.solve_lp(lp)
+            got = outcome(lp)
             ref = brute_force_vertex_max(lp)
             if ref is None:
-                assert sol.status == "infeasible"
+                assert got == "infeasible"
                 continue
-            assert sol.status == "optimal"
-            assert sol.objective == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
+            assert got == "optimal"
+            assert rk.solve_lp(lp).objective == pytest.approx(ref, abs=1e-7 * max(1.0, abs(ref)))
             checked += 1
         assert checked >= 30
 
@@ -198,10 +210,8 @@ class TestDeterminism:
         twin, _ = random_bounded_lp(np.random.default_rng(11))  # built apart from lp
         a = rk.solve_lp(lp)
         b = rk.solve_lp(twin)
-        assert a.status == b.status
         assert a.iterations == b.iterations
-        if a.status == "optimal":
-            assert np.array_equal(a.x, b.x)
+        assert np.array_equal(a.x, b.x)
 
 
 class TestFeasibilityOfReportedOptimum:
@@ -233,10 +243,8 @@ class TestRowGeneration:
         lp, _ = random_bounded_lp(rng)
         plain = rk.solve_lp(lp)
         lazy = rk.solve_lp(lp, lambda x: None)
-        assert plain.status == lazy.status
         assert lazy.iterations == plain.iterations
-        if plain.status == "optimal":
-            assert lazy.objective == pytest.approx(plain.objective, abs=1e-12)
+        assert lazy.objective == pytest.approx(plain.objective, abs=1e-12)
 
     def test_table1_k2_lazy_matches_eager(self, table1):
         u, spec = table1
@@ -274,7 +282,7 @@ class TestRowGeneration:
 
     def test_random_warm_start_matches_plain_solve(self):
         rng = np.random.default_rng(9090)
-        statuses = set()
+        outcomes = set()
         for _ in range(80):
             lp, upper = random_bounded_lp(rng, max_vars=5, max_rows=5)
             hidden = []
@@ -282,13 +290,13 @@ class TestRowGeneration:
                 coeffs = rng.uniform(-2, 2, lp.n_vars)
                 hidden.append((coeffs, float(coeffs @ (upper * rng.uniform(0, 1, lp.n_vars)))))
             full = with_rows(lp, hidden)
-            plain = rk.solve_lp(full)
-            warm = rk.solve_lp(lp, first_violated_source(hidden))
-            assert warm.status == plain.status
-            statuses.add(plain.status)
-            if plain.status == "optimal":
-                assert warm.objective == pytest.approx(plain.objective, abs=1e-7 * max(1.0, abs(plain.objective)))
-        assert statuses == {"optimal", "infeasible"}
+            plain = outcome(full)
+            assert outcome(lp, first_violated_source(hidden)) == plain
+            outcomes.add(plain)
+            if plain == "optimal":
+                want = rk.solve_lp(full).objective
+                assert rk.solve_lp(lp, first_violated_source(hidden)).objective == pytest.approx(want, abs=1e-7 * max(1.0, abs(want)))
+        assert outcomes == {"optimal", "infeasible"}
 
     def test_dual_simplex_keeps_reduced_costs_optimal(self):
         # max -d.x s.t. A x + s = b from the slack basis: dual feasible (d >= 0)
@@ -301,22 +309,30 @@ class TestRowGeneration:
             b = rng.uniform(-3, 3, m)
             d = rng.uniform(0, 2, n)
             T, basis = slack_tableau(A, b, d)
-            status, _ = lp_module._dual_simplex(T, basis, 10_000)
-            plain = rk.solve_lp(rk.LinearProgram(-d, A, b))
-            assert status == plain.status
-            outcomes.add(status)
-            if status == "optimal":
-                assert np.all(T[-1, :-1] >= -1e-9) and np.all(T[:-1, -1] >= -1e-9)
-                assert T[-1, -1] == pytest.approx(plain.objective, abs=1e-9)
+            plain = rk.LinearProgram(-d, A, b)
+            got = outcome(plain)
+            outcomes.add(got)
+            if got == "infeasible":
+                with pytest.raises(LpError, match="^infeasible"):
+                    lp_module._dual_simplex(T, basis)
+                continue
+            lp_module._dual_simplex(T, basis)
+            assert np.all(T[-1, :-1] >= -1e-9) and np.all(T[:-1, -1] >= -1e-9)
+            assert T[-1, -1] == pytest.approx(rk.solve_lp(plain).objective, abs=1e-9)
         assert outcomes == {"optimal", "infeasible"}
 
     def test_infeasible_source_row(self):
         lp = rk.LinearProgram([1.0, 1.0], [[1.0, 0.0], [0.0, 1.0], [1.0, 1.0]], [2.0, 2.0, 3.0])
         before = [a.copy() for a in (lp.constraints, lp.rhs)]
         cut = (np.array([-1.0, -1.0]), -5.0)  # x0 + x1 >= 5
-        assert rk.solve_lp(with_rows(lp, [cut])).status == "infeasible"
-        sol = rk.solve_lp(lp, first_violated_source([cut]))
-        assert sol.status == "infeasible" and sol.rounds == 1
+        assert outcome(with_rows(lp, [cut])) == "infeasible"
+        calls = []
+
+        def source(x):
+            calls.append(x)
+            return first_violated_source([cut])(x)
+
+        assert outcome(lp, source) == "infeasible" and len(calls) == 1  # one round, then the proof
         # the caller's LP is left alone, value for value
         for got, want in zip((lp.constraints, lp.rhs), before):
             assert got.dtype == want.dtype and got.tobytes() == want.tobytes() and got.shape == want.shape
@@ -364,9 +380,7 @@ def beale_dual_tableau():
 
 class TestAntiCycling:
     def test_beale_lp_terminates(self):
-        sol = rk.solve_lp(beale_lp())
-        assert sol.status == "optimal"
-        assert sol.objective == pytest.approx(1.25, abs=1e-12)
+        assert rk.solve_lp(beale_lp()).objective == pytest.approx(1.25, abs=1e-12)
 
     def test_beale_lp_cycles_without_bland_fallback(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_DEGENERATE_STREAK", 10**9)
@@ -375,16 +389,26 @@ class TestAntiCycling:
 
     def test_dual_of_beale_terminates(self):
         T, basis = beale_dual_tableau()
-        status, _ = lp_module._dual_simplex(T, basis, 1_000)
-        assert status == "optimal"
+        lp_module._dual_simplex(T, basis)
         assert np.all(T[:-1, -1] >= -1e-9) and np.all(T[-1, :-1] >= -1e-9)
         assert T[-1, -1] == pytest.approx(-1.25, abs=1e-12)
 
     def test_dual_of_beale_cycles_without_dual_bland_fallback(self, monkeypatch):
         monkeypatch.setattr(lp_module, "_DEGENERATE_STREAK", 10**9)
+        monkeypatch.setattr(lp_module, "_pivot_cap", lambda T: 1_000)
         T, basis = beale_dual_tableau()
-        with pytest.raises(LpError, match="exceeded .* pivots"):
-            lp_module._dual_simplex(T, basis, 1_000)
+        with pytest.raises(LpError, match="exceeded 1000 pivots"):
+            lp_module._dual_simplex(T, basis)
+
+
+def dual_pivots(T, basis):
+    """The dual simplex's pivot count on T, or "infeasible" when it proves the rows infeasible."""
+    try:
+        return lp_module._dual_simplex(T, basis)
+    except LpError as exc:
+        if not str(exc).startswith("infeasible"):
+            raise
+        return "infeasible"
 
 
 class TestTableauSteps:
@@ -396,7 +420,7 @@ class TestTableauSteps:
         while optimal < 100:
             m, n = int(rng.integers(1, 16)), int(rng.integers(1, 40))
             T, basis = slack_tableau(rng.uniform(-2, 2, (m, n)), rng.uniform(-3, 3, m), rng.uniform(0, 2, n))
-            if lp_module._dual_simplex(T, basis, 10_000)[0] != "optimal":
+            if dual_pivots(T, basis) == "infeasible":
                 continue
             optimal += 1
             appends = int(rng.integers(1, 5))
@@ -407,20 +431,19 @@ class TestTableauSteps:
                 T = reference_append_row(T, ref_basis, row, rhs)
                 grown = lp_module._add_row(grown, basis, row, rhs)
                 assert grown.shape == T.shape and grown.tobytes() == T.tobytes() and basis == ref_basis
-                expected = lp_module._dual_simplex(T, ref_basis, 10_000)
-                assert lp_module._dual_simplex(grown, basis, 10_000) == expected
+                assert dual_pivots(grown, basis) == dual_pivots(T, ref_basis)
                 assert grown.tobytes() == T.tobytes() and basis == ref_basis
 
     def test_primal_simplex_refuses_nan_rhs(self):
         T = np.array([[1.0, 1.0, 0.0, np.nan], [1.0, 0.0, 1.0, 1.0], [-1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(LpError, match="non-finite right-hand side"):
-            lp_module._run_simplex(T, [1, 2], 1_000)
+            lp_module._run_simplex(T, [1, 2])
 
     def test_dual_simplex_refuses_nan_rhs(self):
         # the NaN row's basic variable is a slack, which no later check reads
         T = np.array([[1.0, 1.0, 0.0, np.nan], [1.0, 0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(LpError, match="non-finite right-hand side"):
-            lp_module._dual_simplex(T, [1, 2], 1_000)
+            lp_module._dual_simplex(T, [1, 2])
 
 
 class TestPivotCounts:
