@@ -172,15 +172,19 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
     the results against _spot_check. Returns (cell_index, instance_id,
     error, values, timings), timings in seconds per method family (mid,
     lp, mm and exact); on a domain error the message is set and the value
-    dict is empty. A broken invariant is not a domain error: InvariantError
-    propagates, naming the cell, instance id and seed.
+    dict is empty. The message starts with the stage that raised it:
+    generate, mid, lp k=K, mm or exact. A broken invariant is not a domain
+    error: InvariantError propagates, naming the cell, instance id and
+    seed.
     """
     cell_index, instance_id, n, p, N, seed, ks_valid, with_opt = task
     timings: Dict[str, float] = {}
+    stage = "generate"
     try:
         u, spec = generate_instance(n, p, N, seed)
         out: Dict[MetricKey, float] = {}
 
+        stage = "mid"
         start = time.perf_counter()
         mid = midpoint_scenario(u)
         for k in ks_valid:
@@ -192,6 +196,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         start = time.perf_counter()
         prev = None  # each k's LP starts from the rows binding at the previous k's optimum
         for k in ks_valid:
+            stage = f"lp k={k}"
             t_star, scen, lam = construct_lp_scenario(u, spec, k, start=prev)
             prev = t_star, scen
             out[("apriori", "lp", k)] = 1.0 / t_star
@@ -199,6 +204,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
             _record(out, "lp", k, upper_bound(u, x), lower_bound(u, scen, lam, x))
         timings["lp"] = time.perf_counter() - start
 
+        stage = "mm"
         start = time.perf_counter()
         mm_val, lam_mm = maxmin_certificate(u, spec)
         x = nominal_solve(spec, lam_mm.combine(u))
@@ -206,6 +212,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         timings["mm"] = time.perf_counter() - start
 
         if with_opt:
+            stage = "exact"
             start = time.perf_counter()
             out[("opt", "exact", None)] = exact_minmax(u, spec)[0]
             timings["exact"] = time.perf_counter() - start
@@ -215,7 +222,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
     except InvariantError as exc:
         raise InvariantError(f"cell {(n, p, N)} instance {instance_id} seed {seed}: {exc}") from exc
     except Exception as exc:  # recorded and excluded, never aborts the grid
-        return cell_index, instance_id, f"{type(exc).__name__}: {exc}", {}, timings
+        return cell_index, instance_id, f"{stage}: {type(exc).__name__}: {exc}", {}, timings
 
 
 class InvariantError(RuntimeError):

@@ -7,11 +7,14 @@ as a row and a free variable as the difference of two nonnegative
 columns.
 
 Every solve starts from the slack basis of the tableau [A | I | b], where
-each row has its own basic slack. Phase 1 is the dual simplex under a
-zero objective, for which every basis is dual feasible, so it reaches a
-feasible basis or proves the rows infeasible (Chvatal, *Linear
-Programming*, 1983, ch. 10). Phase 2 installs the objective and runs the
-primal simplex. There are no artificial variables and no Big-M constant.
+each row has its own basic slack. Phase 1 is the dual simplex under the
+objective's nonpositive part min(c, 0), whose reduced costs max(-c, 0)
+are nonnegative at the slack basis, so it reaches a feasible basis,
+optimal for that part, or proves the rows infeasible (Chvatal, *Linear
+Programming*, 1983, ch. 10). Phase 2 adds the positive part max(c, 0)
+and runs the primal simplex. For c <= 0 phase 1 ends optimal and phase 2
+pivots no more: such an LP is solved by dual pivots alone. There are no
+artificial variables and no Big-M constant.
 
 The primal entering column follows Dantzig's rule, the most negative
 reduced cost; after a streak of degenerate pivots it switches to Bland's
@@ -218,10 +221,12 @@ def _add_row(T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np
 def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
     """Dense simplex; deterministic; returns the optimum or raises LpError.
 
-    Dual simplex pivots under a zero objective, from the slack basis,
-    find the first feasible basis; the primal simplex then optimizes from
-    it. An LP without an optimum raises LpError, whose message starts with
-    "infeasible" or "unbounded"; a numerical failure raises LpError too.
+    Dual simplex pivots under the objective's nonpositive part, from the
+    slack basis, find the first feasible basis; the primal simplex then
+    optimizes the whole objective from it, and pivots no more when the
+    objective is nonpositive. An LP without an optimum raises LpError,
+    whose message starts with "infeasible" or "unbounded"; a numerical
+    failure raises LpError too.
 
     With row_source the LP is solved by row generation. After each optimum
     the source is called with the primal values and returns a row
@@ -246,13 +251,16 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     T[:base, :n], T[:base, n:-1], T[:base, -1] = A, np.eye(base), b
     basis = list(range(n, n + base))
 
-    # Phase 1: under a zero objective every basis is dual feasible, so the
-    # dual simplex reaches a feasible basis or proves the rows infeasible
+    # Phase 1: the reduced costs max(-c, 0) of the nonpositive part of c are
+    # dual feasible at the slack basis, so the dual simplex reaches a
+    # feasible basis or proves the rows infeasible
+    T[-1, :n] = np.maximum(-lp.objective, 0.0)
     iterations = _dual_simplex(T, basis)
 
-    # Phase 2 objective row, on the zero row phase 1 left; the basic columns
-    # are unit columns, so no subtraction changes another basic coefficient
-    T[-1, :n] = -lp.objective
+    # Phase 2 objective row: add the positive part of c to the row phase 1
+    # left, then eliminate it from the basic columns, which are unit
+    # columns, so no subtraction changes another basic coefficient
+    T[-1, :n] -= np.maximum(lp.objective, 0.0)
     coefs = T[-1, basis]
     for i in np.flatnonzero(coefs):
         T[-1] -= coefs[i] * T[i]

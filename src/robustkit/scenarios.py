@@ -10,22 +10,29 @@ Three ways to compress a scenario set into a single cost vector:
   the convex hull of the set. Solving the resulting scenario gives a
   1/t*-approximation, never worse than N.
 
+The LP is solved in covering form: with c = sum_m lam_m c^m and
+mu = lam / t it reads min sum_m mu_m subject to
+sum_m mu_m a(m, S) / a(i, S) >= 1 for every (i, S) with a(i, S) > 0,
+where a(m, S) = sum_S c^m, and t* = 1 / sum_m mu*_m, lam = t* mu*. Its
+slack basis is dual feasible, so the dual simplex solves it from the
+start and after every appended row, with no primal pivot.
+
 The N * C(n, k) subset rows are never materialized: one vectorized
 separation oracle (for each scenario, the k items where c - t * c^i is
 smallest) finds the most violated row, and the LP is solved by
 warm-started row generation. At k = 1 the rows are known in advance:
 item j's row for the scenario of largest c^i_j implies its others. The
-base LP starts from these dominating rows, at most N + 1 of them (the
-most a vertex over [t, lam] needs; a dense n-row start loses when
-n >> N), so with n <= N + 1 the oracle only certifies the optimum. A
-construction at a larger k can start from one at a smaller k, as the
-experiment grid's do: the rows that bind at the smaller k's optimum,
-each grown by the items where c - t * c^i is smallest, go into the base
-LP. Seeded rows are rows of the LP, so t* is the same and only the
-rounds fall; the optimal vertex may differ. The same constraint family
-with c held fixed gives a sharpened guarantee for any hull scenario (in
-particular the midpoint): the smallest subset-sum ratio, found exactly
-by Dinkelbach's min-ratio iteration with that oracle.
+base LP starts from these dominating rows, at most N + 1 of them (a
+dense n-row start loses when n >> N), so with n <= N + 1 the oracle
+only certifies the optimum. A construction at a larger k can start from
+one at a smaller k, as the experiment grid's do: the rows that bind at
+the smaller k's optimum, each grown by the items where c - t * c^i is
+smallest, go into the base LP. Seeded rows are rows of the LP, so t* is
+the same and only the rounds fall; the optimal vertex may differ. The
+same constraint family with c held fixed gives a sharpened guarantee for
+any hull scenario (in particular the midpoint): the smallest subset-sum
+ratio, found exactly by Dinkelbach's min-ratio iteration with that
+oracle.
 """
 
 from __future__ import annotations
@@ -64,11 +71,11 @@ def _most_violated(costs: np.ndarray, values: np.ndarray, t: float, k: int):
     takes the first maximum), then the smallest item indices (the sort is
     stable). Returns (violation, i, S) with S sorted.
 
-    The violations sum each row's k smallest values in ascending order, so
-    a partial partition suffices; only the winning row is sorted for S.
+    The violations sum each row's k smallest values in ascending order;
+    only the winning row is sorted stably for S.
     """
     vals = values - t * costs
-    smallest = np.sort(np.partition(vals, k - 1, axis=1)[:, :k], axis=1)
+    smallest = np.sort(vals, axis=1)[:, :k]
     violations = -smallest.sum(axis=1)
     i = int(np.argmax(violations))
     idx = np.argsort(vals[i], kind="stable")[:k]
@@ -98,30 +105,24 @@ def separation_oracle(
 
 
 def scenario_lp(u: UncertaintySet, rows=()) -> LinearProgram:
-    """The guarantee LP over variables [t, lam_1..lam_N] >= 0, maximizing t.
+    """The guarantee LP in covering form over mu_1..mu_N >= 0, maximizing -sum_m mu_m.
 
-    The hull scenario c = sum_i lam_i c^i is substituted away, leaving
-    t * a(i, S) <= sum_m lam_m a(m, S) with a(m, S) the subset sums. Only
-    the simplex row sum_i lam_i = 1, written as the two rows
-    sum_i lam_i <= 1 and -sum_i lam_i <= -1, the row t <= 1 and the subset
-    rows of the (i, S) in rows are materialized, in that order; the others
-    are generated by the separation oracle. The cap t <= 1 is tight
-    whenever any subset of any scenario has positive cost and pins the
-    degenerate all-zero case.
+    Substituting the hull scenario c = sum_m lam_m c^m and mu = lam / t
+    into t * a(i, S) <= sum_m lam_m a(m, S), with a(m, S) the subset
+    sums, gives the rows -sum_m mu_m a(m, S) / a(i, S) <= -1. Only the
+    subset rows of the (i, S) in rows are materialized, in that order; each
+    must have a(i, S) > 0 (a row with a(i, S) = 0 holds for every mu). The
+    others are generated by the separation oracle. t* = 1 / sum_m mu*_m.
     """
-    A = np.concatenate((np.zeros((3, 1 + u.n_scenarios)), _subset_rows(u, rows)))
-    A[0, 1:], A[1, 1:], A[2, 0] = 1.0, -1.0, 1.0
-    return LinearProgram(A[2].copy(), A, np.concatenate(([1.0, -1.0, 1.0], np.zeros(len(rows)))))
+    return LinearProgram(-np.ones(u.n_scenarios), _subset_rows(u, rows), -np.ones(len(rows)))
 
 
 def _subset_rows(u: UncertaintySet, rows) -> np.ndarray:
-    """The subset rows t * a(i, S) - sum_m lam_m a(m, S) <= 0 of the (i, S) in rows, all S of one size."""
-    out = np.zeros((len(rows), 1 + u.n_scenarios))
-    if rows:
-        sums = u.costs[:, np.array([subset for _, subset in rows])].sum(axis=2).T
-        out[:, 0] = sums[np.arange(len(rows)), [i for i, _ in rows]]
-        out[:, 1:] = -sums
-    return out
+    """The covering rows -a(m, S) / a(i, S) over m of the (i, S) in rows, all S of one size."""
+    if not rows:
+        return np.zeros((0, u.n_scenarios))
+    sums = u.costs[:, np.array([subset for _, subset in rows])].sum(axis=2).T
+    return -sums / sums[np.arange(len(rows)), [i for i, _ in rows]][:, None]
 
 
 def _tight_rows(u: UncertaintySet, rows, values: np.ndarray, t: float):
@@ -144,11 +145,11 @@ def _dominating_rows(u: UncertaintySet):
 
     Row (i, {j}) reads t * c^i_j <= c_j, so the element-wise worst case
     w_j = max_i c^i_j gives the strongest row of item j, ties going to the
-    smallest scenario. Items with w_j = 0 give rows that never bind and
-    are left out. A vertex of the LP over [t, lam] needs at most N + 1
-    rows, so of more items only the N + 1 with the smallest mid_j / w_j
-    (the rows tightest at uniform weights; ties to the smallest item) are
-    kept, in item order.
+    smallest scenario. Items with w_j = 0 give rows that hold for every
+    weight and are left out. A vertex of the hull LP over [t, lam] binds
+    at most N + 1 rows (of the covering LP over mu, N), so of more items
+    only the N + 1 with the smallest mid_j / w_j (the rows tightest at
+    uniform weights; ties to the smallest item) are kept, in item order.
     """
     worst = u.costs.max(axis=0)
     items = np.flatnonzero(worst > 0.0)
@@ -163,7 +164,8 @@ def _extended_rows(u: UncertaintySet, t: float, scenario: Scenario, k: int):
 
     Row (i, S) gains the k - |S| items outside S with the smallest
     c_j - t * c^i_j at that optimum, ties going to the smallest item: the
-    most violated size-k row of scenario i that contains S.
+    most violated size-k row of scenario i that contains S. A grown row
+    with a(i, S) = 0 holds for every mu and is left out.
     """
     if scenario.k is None or scenario.k >= k:
         raise ValueError(f"a start must come from a construction at k < {k}, got k={scenario.k}")
@@ -175,7 +177,8 @@ def _extended_rows(u: UncertaintySet, t: float, scenario: Scenario, k: int):
     np.put_along_axis(vals, sub, np.inf, axis=1)
     extra = np.argsort(vals, axis=1, kind="stable")[:, : k - scenario.k]
     grown = np.sort(np.concatenate((sub, extra), axis=1), axis=1)
-    return list(dict.fromkeys((int(i), tuple(S.tolist())) for i, S in zip(scen, grown)))
+    own = u.costs[scen[:, None], grown].sum(axis=1)
+    return list(dict.fromkeys((int(i), tuple(S.tolist())) for i, S, a in zip(scen, grown, own) if a > 0.0))
 
 
 def construct_lp_scenario(
@@ -186,8 +189,13 @@ def construct_lp_scenario(
     The returned solution's nominal optimizer is a 1/t_star-approximation
     for the min-max problem; 1/t_star <= N always. The subset rows are
     added one at a time, each the most violated one at the current
-    optimum, until none is violated by more than EPS_CUT. The scenario's
-    rows are the subset rows that bind at the optimum.
+    optimum, until none is violated by more than EPS_CUT. The LP is
+    scenario_lp's covering form, solved by dual simplex pivots alone:
+    t_star = 1 / sum_m mu*_m and the hull weights are t_star * mu*. A
+    subset row with a(i, S) = 0 holds for every mu and is left out; with
+    all costs zero no row is left, and t_star = 1 with the weight on
+    scenario 0. The scenario's rows are the subset rows that bind at the
+    optimum.
 
     At k = 1 without a start, the base LP holds each item's dominating
     row, at most N + 1 of them (_dominating_rows): a vertex needs no
@@ -210,20 +218,28 @@ def construct_lp_scenario(
         rows = _dominating_rows(u) if k == 1 else []
     lp = scenario_lp(u, rows)
 
-    def row_source(x):
-        cut = separation_oracle(u, np.maximum(x[1:] @ u.costs, 0.0), x[0], k)
+    def row_source(mu):
+        total = float(mu.sum())
+        # no row yet leaves mu = 0 with no t: cut where the hull LP's first
+        # solve lands, at t = 1 against scenario 0
+        t = 1.0 / total if total > 0.0 else 1.0
+        c = t * (mu @ u.costs) if total > 0.0 else u.costs[0]
+        cut = separation_oracle(u, c, t, k)
         if cut is None:
             return None
         rows.append(cut)
         i, subset = cut
-        sums = u.costs[:, list(subset)].sum(axis=1)
-        return np.concatenate(([sums[i]], -sums)), 0.0
+        sums = u.costs[:, list(subset)].sum(axis=1)  # a violated row has sums[i] > 0
+        return -sums / sums[i], -1.0
 
-    sol = solve_lp(lp, row_source)
-    t_star = float(sol.x[0])
+    mu = solve_lp(lp, row_source).x
+    total = float(mu.sum())
+    # all-zero costs give no row and mu* = 0: every t is feasible in the
+    # hull form, which answers t* = 1 with the weight on scenario 0
+    t_star = 1.0 / total if total > 0.0 else 1.0
     if t_star <= 0.0:
         raise LpError(f"scenario construction LP returned t*={t_star} <= 0")
-    lam = ConvexWeights(sol.x[1:])
+    lam = ConvexWeights(t_star * mu if total > 0.0 else np.eye(u.n_scenarios)[0])
     values = lam.combine(u)
     scenario = Scenario(values, k=k, rows=_tight_rows(u, rows, values, t_star))
 

@@ -271,7 +271,7 @@ class TestExperiment:
         )
         assert code == 1  # every instance failed
         seed = rk.derive_seed(3, 4, 2, 2, 0)
-        assert f"cell (4, 2, 2) instance 0 seed {seed}: excluded, RuntimeError: synthetic failure" in err
+        assert f"cell (4, 2, 2) instance 0 seed {seed}: excluded, mid: RuntimeError: synthetic failure" in err
 
     @pytest.mark.parametrize("ks", ["3 1", "1 1"])
     def test_unordered_ks_exit_1(self, capsys, tmp_path, ks):

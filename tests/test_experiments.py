@@ -250,8 +250,16 @@ class TestRunGrid:
         grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2)
         result = rk.run_grid(grid, workers=workers)
         assert result.failures == {(5, 2, 2): 1}
-        assert result.errors == [((5, 2, 2), 0, derive_seed(2, 5, 2, 2, 0), "RuntimeError: synthetic failure")]
+        assert result.errors == [((5, 2, 2), 0, derive_seed(2, 5, 2, 2, 0), "mid: RuntimeError: synthetic failure")]
         assert all(r.instances == 2 for r in result.rows)
+
+    def test_failure_names_its_stage(self, monkeypatch):
+        # the first LP to pass the cap is the k = 1 scenario LP's phase 1
+        monkeypatch.setattr("robustkit.lp._pivot_cap", lambda T: 1)
+        result = rk.run_grid(rk.ExperimentGrid(cells=[(10, 3, 10)], instance_count=1, master_seed=1))
+        seed = derive_seed(1, 10, 3, 10, 0)
+        assert result.errors == [((10, 3, 10), 0, seed, "lp k=1: LpError: dual simplex exceeded 1 pivots")]
+        assert result.failures == {(10, 3, 10): 1} and not result.rows
 
     @pytest.mark.parametrize("workers", [1, 2])
     def test_invariant_error_fails_the_grid(self, monkeypatch, workers):

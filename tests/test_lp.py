@@ -11,7 +11,6 @@ from robustkit import lp as lp_module
 from robustkit.core import EPS_CUT
 from robustkit.experiments import derive_seed, generate_instance
 from robustkit.lp import LpError
-from robustkit.scenarios import scenario_lp
 
 
 def brute_force_vertex_max(lp):
@@ -48,16 +47,23 @@ def with_rows(lp, rows):
 
 
 def eager_scenario_lp(u, k):
-    """The guarantee LP with all N * C(n, k) subset rows materialized."""
+    """The guarantee LP in its hull form, with all N * C(n, k) subset rows materialized.
+
+    Over [t, lam_1..lam_N] >= 0 it maximizes t subject to the simplex row
+    sum lam = 1 (two opposite rows), t <= 1 and t * a(i, S) <= sum_m lam_m
+    a(m, S) for every (i, S). This is the formulation before the
+    substitution mu = lam / t, so it shares no row with scenario_lp's
+    covering form, and solve_lp reaches it through primal pivots.
+    """
+    N = u.n_scenarios
+    head = np.zeros((3, 1 + N))
+    head[0, 1:], head[1, 1:], head[2, 0] = 1.0, -1.0, 1.0
     rows = []
     for subset in itertools.combinations(range(u.n_items), k):
         sums = u.costs[:, subset].sum(axis=1)
-        for i in range(u.n_scenarios):
-            row = np.zeros(1 + u.n_scenarios)
-            row[0] = sums[i]
-            row[1:] = -sums
-            rows.append((row, 0.0))
-    return with_rows(scenario_lp(u), rows)
+        for i in range(N):
+            rows.append(np.concatenate(([sums[i]], -sums)))
+    return rk.LinearProgram(np.eye(1 + N)[0], np.vstack([head] + rows), np.concatenate(([1.0, -1.0, 1.0], np.zeros(len(rows)))))
 
 
 def eager_t_star(u, k):
@@ -452,8 +458,10 @@ class TestPivotCounts:
     The counts are deterministic, so a pricing regression shows here
     whatever the timing noise. Ceilings sit about 10% (pivots) and 5%
     (rounds) above the counts under Dantzig pricing with the Bland
-    fallback; Bland's rule alone took 238/285/346 and 377 max-min pivots
-    at (20,6,50), and 621/838/770 and 1361 at (30,9,100).
+    fallback, as they were with the scenario LP in its hull form over
+    [t, lam]; Bland's rule alone took 238/285/346 and 377 max-min pivots
+    at (20,6,50), and 621/838/770 and 1361 at (30,9,100). The covering
+    form takes fewer pivots, all of them dual.
     """
 
     CEILINGS = {
@@ -465,16 +473,17 @@ class TestPivotCounts:
     # dominating rows (n <= N + 1 here, so all of them) and needs no
     # generated row
     EXACT = {
-        (10, 3, 10): ([35, 54, 53, 45], [0, 23, 22]),
-        (20, 6, 50): ([115, 262, 304, 141], [0, 70, 79]),
-        (30, 9, 100): ([310, 724, 653, 313], [0, 125, 130]),
+        (10, 3, 10): ([25, 37, 32, 45], [0, 23, 22]),
+        (20, 6, 50): ([108, 223, 253, 141], [0, 70, 79]),
+        (30, 9, 100): ([161, 610, 565, 313], [0, 126, 130]),
     }
 
     # the grid's path, where each k >= 2 starts from the previous k's
     # binding rows; k = 1 and max-min are solved as above
     EXACT_SEEDED = {
-        (20, 6, 50): ([115, 226, 235, 141], [0, 32, 45]),
-        (30, 9, 100): ([310, 408, 335, 313], [0, 48, 53]),
+        (10, 3, 10): ([25, 39, 16, 45], [0, 15, 4]),
+        (20, 6, 50): ([108, 168, 205, 141], [0, 32, 47]),
+        (30, 9, 100): ([161, 339, 283, 313], [0, 44, 50]),
     }
 
     @staticmethod
@@ -515,3 +524,16 @@ class TestPivotCounts:
     @pytest.mark.parametrize("cell", sorted(EXACT_SEEDED))
     def test_exact_seeded_counts(self, cell, monkeypatch):
         assert self.counts(cell, monkeypatch, seeded=True) == self.EXACT_SEEDED[cell]
+
+    @pytest.mark.parametrize("cell", sorted(EXACT_SEEDED))
+    def test_scenario_lp_takes_no_primal_pivot(self, cell, monkeypatch):
+        # the covering LP's slack basis is dual feasible, and every appended
+        # row keeps it so: the dual simplex alone solves it
+        primal, run_simplex = [], lp_module._run_simplex
+        monkeypatch.setattr(lp_module, "_run_simplex", lambda T, basis: primal.append(run_simplex(T, basis)) or primal[-1])
+        for instance_id in range(3):
+            u, spec = generate_instance(*cell, derive_seed(5, *cell, instance_id))
+            start = None
+            for k in (1, 2, 3):
+                start = rk.construct_lp_scenario(u, spec, k, start=start)[:2]
+        assert primal and not any(primal)

@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkit as rk
+from test_lp import eager_t_star
 
 uncertainty_sets = st.lists(
     st.lists(st.integers(min_value=0, max_value=100), min_size=2, max_size=6),
@@ -187,6 +188,25 @@ class TestSeparationOracle:
         assert violation.hex() == ref_violation.hex()
         assert (i, subset) == (ref_i, ref_subset)
 
+    @settings(max_examples=300, deadline=None)
+    @given(st.data())
+    def test_oracle_equals_exhaustive_check_on_ties(self, data):
+        # integer costs and a dyadic t make every sum exact, so ties are
+        # real ties: the first (i, S) in scenario-then-lexicographic order wins
+        from robustkit.scenarios import _most_violated
+
+        n = data.draw(st.integers(1, 7), label="n")
+        n_scen = data.draw(st.integers(1, 5), label="N")
+        grid = st.lists(st.integers(0, 5), min_size=n, max_size=n)
+        u = rk.UncertaintySet(np.array(data.draw(st.lists(grid, min_size=n_scen, max_size=n_scen), label="costs"), dtype=float))
+        values = np.array(data.draw(grid, label="values"), dtype=float)
+        t = data.draw(st.sampled_from([0.25, 0.5, 1.0]), label="t")
+        k = data.draw(st.integers(1, n), label="k")
+        violation, i, subset = _most_violated(u.costs, values, t, k)
+        ref_violation, ref_i, ref_subset = exhaustive_most_violated(u, values, t, k)
+        assert (i, subset) == (ref_i, ref_subset)
+        assert abs(violation - ref_violation) <= 1e-12
+
     @settings(max_examples=40, deadline=None)
     @given(u=uncertainty_sets, t=st.floats(min_value=0.05, max_value=1.0), k=st.integers(min_value=1, max_value=2))
     def test_none_iff_exhaustive_check_clears(self, u, t, k):
@@ -314,16 +334,16 @@ class TestConstructLpScenario:
     @pytest.mark.parametrize("k", [1, 3, 9, 12])
     def test_subset_rows_equal_the_per_row_sums(self, k):
         # k >= 8 reaches numpy's pairwise summation; each row must still be
-        # the bits of its own sum, as a lone generated row is
+        # the bits of its own sums, as a lone generated row is
         rng = np.random.default_rng(k)
         u = rk.UncertaintySet(rng.uniform(0, 100, (7, 15)) / 7)
         rows = [(int(rng.integers(7)), tuple(sorted(rng.choice(15, k, replace=False).tolist()))) for _ in range(6)]
         got = rk.scenarios._subset_rows(u, rows)
         for row, (i, subset) in zip(got, rows):
             sums = u.costs[:, list(subset)].sum(axis=1)
-            assert row.tobytes() == np.concatenate(([sums[i]], -sums)).tobytes()
+            assert row.tobytes() == (-sums / sums[i]).tobytes()
             assert row.tobytes() == rk.scenarios._subset_rows(u, [(i, subset)])[0].tobytes()
-        assert rk.scenarios._subset_rows(u, []).shape == (0, 8)
+        assert rk.scenarios._subset_rows(u, []).shape == (0, 7)
 
     @pytest.mark.parametrize("k", [1, 3, 9])
     def test_generated_rows_equal_subset_rows(self, k, monkeypatch):
@@ -361,6 +381,40 @@ class TestConstructLpScenario:
         t_star, scen, _ = rk.construct_lp_scenario(u, rk.Selection(n=4, p=2), 2)
         assert t_star == pytest.approx(1.0, abs=1e-9)
         assert np.array_equal(scen.values, np.zeros(4))
+
+    @pytest.mark.parametrize("zero", [0, 1, 2])
+    def test_scenario_without_cost(self, zero):
+        # its rows have a(i, S) = 0 and are left out; as scenario 0 it is
+        # also where the first cut is taken, at t = 1
+        costs = np.array([[3.0, 1.0, 4.0, 2.0, 6.0], [2.0, 5.0, 1.0, 3.0, 2.0], [4.0, 2.0, 2.0, 5.0, 1.0]])
+        costs[zero] = 0.0
+        u, spec = rk.UncertaintySet(costs), rk.Selection(n=5, p=3)
+        start = None
+        for k in (1, 2, 3):
+            t_star, scen, lam = rk.construct_lp_scenario(u, spec, k)
+            assert t_star == pytest.approx(eager_t_star(u, k), abs=1e-9)
+            assert rk.construct_lp_scenario(u, spec, k, start=start)[0] == pytest.approx(t_star, rel=1e-12)
+            start = t_star, scen
+            assert all(u.costs[i, list(S)].sum() > 0 for i, S in scen.rows)
+            assert exhaustive_most_violated(u, scen.values, t_star, k)[0] <= rk.EPS_CMP
+            assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, scen, k), rel=1e-9)
+        # a start that names one of its rows seeds no row of it
+        t1, scen1, _ = rk.construct_lp_scenario(u, spec, 1)
+        padded = rk.Scenario(scen1.values, k=1, rows=((zero, (0,)),) + scen1.rows)
+        assert [i for i, _ in rk.scenarios._extended_rows(u, t1, padded, 2)].count(zero) == 0
+        assert rk.construct_lp_scenario(u, spec, 2, start=(t1, padded))[0] == pytest.approx(eager_t_star(u, 2), abs=1e-9)
+
+    def test_item_without_cost(self):
+        # item 1 costs nothing anywhere: no k = 1 row, and it joins larger
+        # subsets at no cost
+        costs = np.array([[3.0, 0.0, 4.0, 2.0], [2.0, 0.0, 1.0, 3.0], [4.0, 0.0, 2.0, 5.0]])
+        u, spec = rk.UncertaintySet(costs), rk.Selection(n=4, p=3)
+        start = None
+        for k in (1, 2, 3):
+            t_star, scen, _ = rk.construct_lp_scenario(u, spec, k, start=start)
+            start = t_star, scen
+            assert t_star == pytest.approx(eager_t_star(u, k), abs=1e-9)
+            assert exhaustive_most_violated(u, scen.values, t_star, k)[0] <= rk.EPS_CMP
 
     def test_guarantee_sandwich_and_monotonicity(self):
         rng = np.random.default_rng(31337)
