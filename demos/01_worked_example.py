@@ -46,7 +46,7 @@ print("its solution:", x_wc.selected, "with worst-case value", rk.upper_bound(u,
 for k in (1, 2):
     t_star, scen, lam = rk.construct_lp_scenario(u, spec, k)
     x = rk.nominal_solve(spec, scen)
-    lb = rk.lower_bound(u, scen, lam, x)
+    lb = rk.lower_bound(u, spec, scen, lam)
     ub = rk.upper_bound(u, x)
     print(f"\nLP scenario with k={k}: {np.round(scen.values, 3)}")
     print(f"  hull weights: {np.round(lam.lam, 3)}")

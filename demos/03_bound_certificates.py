@@ -15,12 +15,12 @@ u, spec = rk.generate_instance(n=10, p=3, N=10, seed=2024)
 mid = rk.midpoint_scenario(u)
 lam_mid = rk.ConvexWeights.uniform(u.n_scenarios)
 x_mid = rk.nominal_solve(spec, mid)
-lb_mid = rk.lower_bound(u, mid, lam_mid, x_mid)
+lb_mid = rk.lower_bound(u, spec, mid, lam_mid)
 ub_mid = rk.upper_bound(u, x_mid)
 
 t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
 x_lp = rk.nominal_solve(spec, scen)
-lb_lp = rk.lower_bound(u, scen, lam, x_lp)
+lb_lp = rk.lower_bound(u, spec, scen, lam)
 ub_lp = rk.upper_bound(u, x_lp)
 
 mm = rk.maxmin_certificate(u, spec)[0]
@@ -48,6 +48,6 @@ print(f"true gaps:   midpoint {ub_mid / opt:.3f}, LP {ub_lp / opt:.3f}")
 # hull, so no lower bound can be claimed from it.
 wc = rk.worstcase_scenario(u)
 try:
-    rk.lower_bound(u, wc, lam_mid, rk.nominal_solve(spec, wc))
+    rk.lower_bound(u, spec, wc, lam_mid)
 except ValueError as exc:
     print(f"\nworst-case scenario rejected as a lower-bound source: {exc}")

@@ -50,11 +50,14 @@ def upper_bound(u: UncertaintySet, x: BinarySolution) -> float:
     return float(u.costs[:, list(x.selected)].sum(axis=1).max())
 
 
-def lower_bound(u: UncertaintySet, c, lam: ConvexWeights, x_c: BinarySolution) -> float:
-    """Nominal value c . x(c), valid as a lower bound because c is in the hull.
+def lower_bound(u: UncertaintySet, spec: ProblemSpec, c, lam: ConvexWeights) -> float:
+    """Nominal minimum min_x c . x, valid as a lower bound because c is in the hull.
 
     The weights must certify c = sum_i lam_i c^i within EPS_CMP; scenarios
-    outside the hull (e.g. the element-wise worst case) are rejected.
+    outside the hull (e.g. the element-wise worst case) are rejected. For
+    selection the minimum is the sum of the p smallest values, ties to the
+    smaller index, added in index order: exact, whichever near-tie
+    nominal_solve picked.
     """
     values = cost_vector(c, u.n_items)
     gap = float(np.abs(values - lam.lam @ u.costs).max())
@@ -62,7 +65,9 @@ def lower_bound(u: UncertaintySet, c, lam: ConvexWeights, x_c: BinarySolution) -
         raise ValueError(
             f"scenario is not certified inside the convex hull: weights miss it by {gap}"
         )
-    return x_c.cost(values)
+    if isinstance(spec, Selection):
+        return float(values[np.sort(np.argsort(values, kind="stable")[: spec.p])].sum())
+    return nominal_solve(spec, values).cost(values)
 
 
 def aposteriori_report(
@@ -85,7 +90,7 @@ def aposteriori_report(
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
     x = nominal_solve(spec, c)
     ub = upper_bound(u, x)
-    lb = lower_bound(u, c, lam, x)
+    lb = lower_bound(u, spec, c, lam)
     return BoundReport(apriori=apriori, lb=lb, ub=ub, aposteriori=ratio_or_inf(ub, lb), k_used=k)
 
 

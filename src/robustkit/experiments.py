@@ -190,7 +190,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         for k in ks_valid:
             out[("apriori", "mid", k)] = fixed_scenario_guarantee(u, mid, k)
         x = nominal_solve(spec, mid)
-        _record(out, "mid", None, upper_bound(u, x), lower_bound(u, mid, ConvexWeights.uniform(N), x))
+        _record(out, "mid", None, upper_bound(u, x), lower_bound(u, spec, mid, ConvexWeights.uniform(N)))
         timings["mid"] = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -201,7 +201,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
             prev = t_star, scen
             out[("apriori", "lp", k)] = 1.0 / t_star
             x = nominal_solve(spec, scen)
-            _record(out, "lp", k, upper_bound(u, x), lower_bound(u, scen, lam, x))
+            _record(out, "lp", k, upper_bound(u, x), lower_bound(u, spec, scen, lam))
         timings["lp"] = time.perf_counter() - start
 
         stage = "mm"

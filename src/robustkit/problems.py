@@ -16,7 +16,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import BinarySolution, UncertaintySet, cost_vector
+from .core import EPS_FEAS, BinarySolution, UncertaintySet, cost_vector
 
 
 @dataclass(frozen=True)
@@ -89,7 +89,12 @@ def _min_hops(spec: ShortestPath) -> Optional[int]:
 def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
     """Minimize c.x over the feasible set; deterministic under cost ties.
 
-    Selection takes the p cheapest items, ties broken by ascending index.
+    Selection takes the p cheapest items. Items whose values lie within
+    EPS_FEAS * max(values) of the p-th smallest value count as tied, and
+    the smallest indices among them win, so rounding noise in the last
+    bits of an LP scenario, whose binding rows equalize subset sums, does
+    not decide x. Its cost may then exceed the nominal minimum by p times
+    that tolerance; bounds.lower_bound returns the exact minimum.
     Shortest path runs label-setting Dijkstra (costs are nonnegative by
     type invariant) and prefers the smaller predecessor vertex, then the
     smaller edge index, on equal-cost ties.
@@ -99,8 +104,9 @@ def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
         raise ValueError("costs must be nonnegative")
 
     if isinstance(spec, Selection):
-        order = np.lexsort((np.arange(spec.n), values))
-        return BinarySolution(tuple(order[: spec.p]))
+        cut, tol = np.partition(values, spec.p - 1)[spec.p - 1], EPS_FEAS * values.max()
+        below, tied = np.flatnonzero(values < cut - tol), np.flatnonzero(np.abs(values - cut) <= tol)
+        return BinarySolution(tuple(below) + tuple(tied[: spec.p - len(below)]))
 
     out = _out_edges(spec)
     dist = {spec.source: 0.0}

@@ -57,7 +57,7 @@ def test_criterion_1_table1_worked_example(table1):
 
         lam_mid = rk.ConvexWeights.uniform(3)
         x_mid = rk.nominal_solve(spec, mid)
-        lb_mid = rk.lower_bound(u, mid, lam_mid, x_mid)
+        lb_mid = rk.lower_bound(u, spec, mid, lam_mid)
         ub_mid = rk.upper_bound(u, x_mid)
         assert lb_mid == pytest.approx(8.0, abs=1e-6)
         assert ub_mid == pytest.approx(12.0, abs=1e-6)
@@ -154,7 +154,7 @@ def test_criterion_4_guarantee_properties():
                 violations += 1
 
             mm = rk.maxmin_certificate(u, spec)[0]
-            lb_mid = rk.lower_bound(u, mid, lam_mid, x_mid)
+            lb_mid = rk.lower_bound(u, spec, mid, lam_mid)
             if not lb_mid <= mm + rk.EPS_CMP:
                 violations += 1
             if not (mm <= opt + tol and opt <= ub_mid + tol):
@@ -166,7 +166,7 @@ def test_criterion_4_guarantee_properties():
                 guarantee = 1.0 / t_star
                 x_lp = rk.nominal_solve(spec, scen)
                 ub_lp = rk.upper_bound(u, x_lp)
-                lb_lp = rk.lower_bound(u, scen, lam, x_lp)
+                lb_lp = rk.lower_bound(u, spec, scen, lam)
                 # (a) continued
                 if not ub_lp <= guarantee * opt + tol:
                     violations += 1
@@ -220,11 +220,13 @@ def test_criterion_5_lp_engine():
             assert abs(t_eager - t_lazy) <= 1e-7
 
 
-# SHA-256 of the reference CSV lines whose values the LP and enumeration
-# define uniquely: every apriori row, every */mid row, lb/mm and opt/exact.
-# The LP scenario's ub/lb/aposteriori rows and ub/mm may move when a new
-# pivoting rule lands an LP on an alternate optimal vertex.
-UNIQUE_ROWS_SHA256 = "cf70e9adadbfa0c8e5637cd923756e2a9bc3c8a9a784169a6d39a3de3f22846a"
+# SHA-256 of the reference CSV lines whose values the LP optima and
+# enumeration decide: every apriori, ub and aposteriori row, every */mid
+# row, lb/mm and opt/exact. The nominal solution's tie rule keeps ub from
+# following the last bits of an LP scenario. Only lb/lp is left out: it sums
+# the LP scenario itself, which may move when a new pivoting rule lands an
+# LP on an alternate optimal vertex.
+UNIQUE_ROWS_SHA256 = "84bc55667186c358c5c937e921077670a084babe0b856e5ac53e9ce5e563e9d1"
 
 
 def test_uniquely_defined_rows_are_pinned(reference_grid_run):
@@ -232,9 +234,9 @@ def test_uniquely_defined_rows_are_pinned(reference_grid_run):
     unique = []
     for line in csv_text.splitlines()[1:]:
         metric, method = line.split(",")[3:5]
-        if metric == "apriori" or method == "mid" or (metric, method) in {("lb", "mm"), ("opt", "exact")}:
+        if metric in ("apriori", "ub", "aposteriori") or method == "mid" or (metric, method) in {("lb", "mm"), ("opt", "exact")}:
             unique.append(line + "\n")
-    assert len(unique) == 11
+    assert len(unique) == 19
     assert hashlib.sha256("".join(unique).encode()).hexdigest() == UNIQUE_ROWS_SHA256
 
 

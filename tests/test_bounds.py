@@ -74,42 +74,40 @@ class TestUpperBound:
 
 class TestLowerBound:
     def test_table1_midpoint(self, table1):
-        u, _ = table1
+        u, spec = table1
         mid = rk.midpoint_scenario(u)
         lam = rk.ConvexWeights.uniform(3)
-        assert rk.lower_bound(u, mid, lam, rk.BinarySolution((0, 2))) == pytest.approx(8.0)
+        assert rk.lower_bound(u, spec, mid, lam) == pytest.approx(8.0)
 
     def test_table1_lp_scenario(self, table1):
         u, spec = table1
         _, scen, lam = rk.construct_lp_scenario(u, spec, 1)
-        x = rk.nominal_solve(spec, scen)
-        assert rk.lower_bound(u, scen, lam, x) == pytest.approx(9.25, abs=1e-6)
+        assert rk.lower_bound(u, spec, scen, lam) == pytest.approx(9.25, abs=1e-6)
 
     def test_single_scenario_equals_nominal_optimum(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
         c = rk.Scenario(u.costs[0])
-        x = rk.nominal_solve(spec, c)
-        lb = rk.lower_bound(u, c, rk.ConvexWeights([1.0]), x)
+        lb = rk.lower_bound(u, spec, c, rk.ConvexWeights([1.0]))
         assert lb == 4.0  # 1 + 3
 
     def test_rejects_cost_vector_of_wrong_length(self, table1):
-        u, _ = table1
+        u, spec = table1
         with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
-            rk.lower_bound(u, [0.0], rk.ConvexWeights.uniform(3), rk.BinarySolution((0,)))
+            rk.lower_bound(u, spec, [0.0], rk.ConvexWeights.uniform(3))
 
     def test_rejects_nan_scenario(self, table1):
         # refused as a cost vector, before the hull check reads it
-        u, _ = table1
+        u, spec = table1
         with pytest.raises(ValueError, match="finite"):
-            rk.lower_bound(u, [np.nan, 1.0, 1.0, 1.0], rk.ConvexWeights.uniform(3), rk.BinarySolution((1,)))
+            rk.lower_bound(u, spec, [np.nan, 1.0, 1.0, 1.0], rk.ConvexWeights.uniform(3))
 
     def test_rejects_uncertified_scenario(self, table1):
-        u, _ = table1
+        u, spec = table1
         wc = rk.worstcase_scenario(u)
         lam = rk.ConvexWeights.uniform(3)  # does not reproduce the worst case
         with pytest.raises(ValueError, match="convex hull"):
-            rk.lower_bound(u, wc, lam, rk.BinarySolution((0, 1)))
+            rk.lower_bound(u, spec, wc, lam)
 
 
 class TestAposterioriReport:
@@ -207,11 +205,9 @@ class TestMaxMin:
             spec = rk.Selection(n=7, p=3)
             value = rk.maxmin_certificate(u, spec)[0]
             mid = rk.midpoint_scenario(u)
-            xatmid = rk.nominal_solve(spec, mid)
-            assert rk.lower_bound(u, mid, rk.ConvexWeights.uniform(5), xatmid) <= value + 1e-6
+            assert rk.lower_bound(u, spec, mid, rk.ConvexWeights.uniform(5)) <= value + 1e-6
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
-            xatlp = rk.nominal_solve(spec, scen)
-            assert rk.lower_bound(u, scen, lam, xatlp) <= value + 1e-6
+            assert rk.lower_bound(u, spec, scen, lam) <= value + 1e-6
 
     def test_rejects_shortest_path(self):
         spec = rk.ShortestPath(edges=((0, 1), (1, 2)), source=0, sink=2)
@@ -393,12 +389,12 @@ class TestSandwich:
             mid = rk.midpoint_scenario(u)
             lam_mid = rk.ConvexWeights.uniform(n_scen)
             x_mid = rk.nominal_solve(spec, mid)
-            lb_mid = rk.lower_bound(u, mid, lam_mid, x_mid)
+            lb_mid = rk.lower_bound(u, spec, mid, lam_mid)
             ub_mid = rk.upper_bound(u, x_mid)
 
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
             x_lp = rk.nominal_solve(spec, scen)
-            lb_lp = rk.lower_bound(u, scen, lam, x_lp)
+            lb_lp = rk.lower_bound(u, spec, scen, lam)
             ub_lp = rk.upper_bound(u, x_lp)
 
             eps = rk.EPS_CMP

@@ -118,7 +118,8 @@ class TestConstruct:
     def test_lp_k2_prints_the_chained_scenario(self, capsys, tmp_path):
         # construct and bounds at k = 2 report the LP started from k = 1, as
         # the grid solves it; on this instance the unseeded k = 2 scenario
-        # differs by about 1e-12, enough to move the nominal solution and ub
+        # differs by about 1e-12, and the nominal solution's tie rule keeps
+        # that from moving ub
         u, spec = rk.generate_instance(20, 6, 50, rk.derive_seed(1, 20, 6, 50, 19))
         path = tmp_path / "inst.txt"
         path.write_text(rk.serialize_instance(u, spec))
@@ -132,7 +133,7 @@ class TestConstruct:
         assert code == 0
         ub = rk.upper_bound(u, rk.nominal_solve(spec, s2))
         assert kv(out)["ub"] == _num(ub)
-        assert rk.upper_bound(u, rk.nominal_solve(spec, rk.construct_lp_scenario(u, spec, 2)[1])) != ub
+        assert rk.upper_bound(u, rk.nominal_solve(spec, rk.construct_lp_scenario(u, spec, 2)[1])) == ub
 
     def test_midpoint_infeasible_k_exits_1(self, capsys, table1_file):
         code, out, err = run_cli(capsys, "construct", "--in", table1_file, "--method", "midpoint", "--k", "3")

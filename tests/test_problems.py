@@ -52,6 +52,18 @@ class TestNominalSolveSelection:
         x = rk.nominal_solve(spec, rk.Scenario([2.0, 2.0, 2.0, 2.0]))
         assert x.selected == (0, 1)
 
+    def test_near_tie_goes_to_the_smaller_index(self):
+        # items 1 and 2 tie but for a 1e-13 perturbation, far below
+        # EPS_FEAS * max: the smaller index wins, and the lower bound is still
+        # the exact minimum, the cost of item 2
+        spec = rk.Selection(n=4, p=2)
+        values = [5.0, 1.0 + 1e-13, 1.0, 0.5]
+        assert rk.nominal_solve(spec, values).selected == (1, 3)
+        u = rk.UncertaintySet(np.array([values]))
+        assert rk.lower_bound(u, spec, values, rk.ConvexWeights([1.0])) == 1.5
+        # beyond the tolerance the cheaper item wins
+        assert rk.nominal_solve(spec, [5.0, 1.0 + 1e-8, 1.0, 0.5]).selected == (2, 3)
+
     def test_matches_brute_force_on_random_instances(self):
         rng = SplitMix64(2024)
         for _ in range(40):

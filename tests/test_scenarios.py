@@ -236,7 +236,7 @@ class TestConstructLpScenario:
         assert worst <= 0.01
         # bounds induced by the returned scenario
         x = rk.nominal_solve(spec, scen)
-        assert rk.lower_bound(u, scen, lam, x) == pytest.approx(9.25, abs=1e-6)
+        assert rk.lower_bound(u, spec, scen, lam) == pytest.approx(9.25, abs=1e-6)
         assert rk.upper_bound(u, x) == pytest.approx(10.0, abs=1e-9)
 
     def test_table1_k2(self, table1):
