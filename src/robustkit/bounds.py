@@ -98,34 +98,38 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     """Best hull lower bound max_{c in conv(U)} min_x c.x, with its weights.
 
     Supported for selection only, where the nominal LP relaxation is
-    integral and dualizes to the compact program
-        max p*mu - sum_j nu_j
-        s.t. mu - nu_j <= sum_i lam_i c^i_j  for all j,
-             lam on the simplex, nu >= 0.
-    The dual leaves mu free, but costs are nonnegative, so the optimal mu
-    (the p-th smallest entry of the hull scenario sum_i lam_i c^i) is
-    >= 0 and mu is one nonnegative column: [lam, mu, nu]. The simplex row
-    sum_i lam_i = 1 is written as the two rows sum_i lam_i <= 1 and
-    -sum_i lam_i <= -1, after the item rows.
+    integral and dualizes to V = max p*mu - sum_j nu_j s.t.
+    mu - nu_j <= sum_i lam_i c^i_j for all j, lam on the simplex, nu >= 0
+    and, as costs are nonnegative, mu >= 0. For V > 0 it is solved
+    homogenized, over lam' = lam / V, mu' = mu / V and nu' = nu / V >= 0:
+        max -sum_i lam'_i
+        s.t. mu' - nu'_j - sum_i lam'_i c^i_j <= 0  for all j,
+             -p*mu' + sum_j nu'_j <= -1,
+    whose objective is <= 0. Then V = 1 / sum_i lam'*_i and lam = V * lam'.
+    V = 0 exactly when p items cost 0 in every scenario (the p smallest
+    element-wise worst-case costs sum to 0); the homogenized LP is then
+    infeasible, and the answer is 0 with the weight on scenario 0.
     """
     if not isinstance(spec, Selection):
         raise ValueError("the max-min lower bound is only supported for selection problems")
     require_dimension(u, spec)
     n_scen, n_items = u.costs.shape
-    mu = n_scen  # the column of mu, then nu
+    if (~u.costs.any(axis=0)).sum() >= spec.p:  # p items cost 0 in every scenario
+        return 0.0, ConvexWeights(np.eye(n_scen)[0])
+    mu = n_scen  # the column of mu', then nu'
     n_vars = n_scen + 1 + n_items
-    objective = np.zeros(n_vars)
-    objective[mu] = float(spec.p)
-    objective[mu + 1 :] = -1.0
-    rows = np.zeros((n_items + 2, n_vars))  # the item rows, then the simplex rows
+    rows = np.zeros((n_items + 1, n_vars))  # the item rows, then the normalization row
     rows[:n_items, :n_scen] = -u.costs.T
     rows[:n_items, mu] = 1.0
     rows[:n_items, mu + 1 :] -= np.eye(n_items)  # -= keeps the zeros +0.0
-    rows[n_items, :n_scen], rows[n_items + 1, :n_scen] = 1.0, -1.0
-    rhs = np.zeros(n_items + 2)
-    rhs[n_items:] = 1.0, -1.0
-    sol = solve_lp(LinearProgram(objective, rows, rhs))
-    return float(sol.objective), ConvexWeights(sol.x[:n_scen])
+    rows[n_items, mu], rows[n_items, mu + 1 :] = -float(spec.p), 1.0
+    rhs = np.zeros(n_items + 1)
+    rhs[n_items] = -1.0
+    objective = np.zeros(n_vars)
+    objective[:n_scen] = -1.0
+    lam = solve_lp(LinearProgram(objective, rows, rhs)).x[:n_scen]
+    value = 1.0 / float(lam.sum())
+    return value, ConvexWeights(value * lam)
 
 
 def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySolution]:

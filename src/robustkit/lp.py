@@ -1,31 +1,28 @@
-"""Self-contained dense-tableau simplex solver.
+"""Self-contained dense-tableau dual simplex solver.
 
 It solves the textbook standard form, max c . x subject to x >= 0 and
-A x <= b; A is one (m, n) matrix and b an (m,) vector. Every row is a
-<= row: a caller writes an equality as two opposite rows, an upper limit
-as a row and a free variable as the difference of two nonnegative
-columns.
+A x <= b, for an objective c <= 0; A is one (m, n) matrix and b an (m,)
+vector. Every row is a <= row: a caller writes an equality as two
+opposite rows, an upper limit as a row and a free variable as the
+difference of two nonnegative columns. With c <= 0 the objective is
+at most 0, so feasible rows always have an optimum; a caller whose
+objective has a positive part homogenizes it first, as the scenario LP
+and the max-min LP do.
 
 Every solve starts from the slack basis of the tableau [A | I | b], where
-each row has its own basic slack. Phase 1 is the dual simplex under the
-objective's nonpositive part min(c, 0), whose reduced costs max(-c, 0)
-are nonnegative at the slack basis, so it reaches a feasible basis,
-optimal for that part, or proves the rows infeasible (Chvatal, *Linear
-Programming*, 1983, ch. 10). Phase 2 adds the positive part max(c, 0)
-and runs the primal simplex. For c <= 0 phase 1 ends optimal and phase 2
-pivots no more: such an LP is solved by dual pivots alone. There are no
-artificial variables and no Big-M constant.
+each row has its own basic slack. Its reduced costs -c are nonnegative,
+so the dual simplex pivots it to an optimal basis or proves the rows
+infeasible (Chvatal, *Linear Programming*, 1983, ch. 10). There is no
+primal simplex, no artificial variable and no Big-M constant.
 
-The primal entering column follows Dantzig's rule, the most negative
-reduced cost; after a streak of degenerate pivots it switches to Bland's
-rule until a pivot makes progress, which rules out cycling (Chvatal,
-ch. 3). The dual leaving row is the most infeasible one, with the same
-fallback to the smallest basic index (the dual Bland rule) after a
-streak of dual-degenerate pivots. Every tie goes to the smallest index,
-so the solves are deterministic: identical input yields the identical
-pivot sequence. Built for the desk-scale programs produced by scenario
-construction and the max-min bound; there is deliberately no sparse
-algebra or integer support.
+The leaving row is the most infeasible one; after a streak of
+dual-degenerate pivots it is the infeasible row with the smallest basic
+index (the dual Bland rule) until a pivot makes progress, which rules out
+cycling. Every tie goes to the smallest index, so the solves are
+deterministic: identical input yields the identical pivot sequence.
+Built for the desk-scale programs produced by scenario construction and
+the max-min bound; there is deliberately no sparse algebra or integer
+support.
 
 Row generation is warm-started: `solve_lp(lp, row_source)` keeps the
 optimal tableau, appends each violated row written in the current basis
@@ -35,9 +32,8 @@ from scratch. The tableau is always exactly (rows + 1) x (columns + 1):
 a generated row is copied into a tableau one row and one column larger.
 
 A solve ends one of two ways: it returns the optimum, or it raises
-LpError, whose message names the outcome: "infeasible" when a dual
-leaving row has no negative entry, "unbounded" when a primal entering
-column has no positive entry, or the numerical failure (a pivot cap, a
+LpError, whose message names the outcome: "infeasible" when a leaving
+row has no negative entry, or the numerical failure (a pivot cap, a
 non-finite value, a violated row) that stopped it.
 """
 
@@ -52,17 +48,21 @@ import numpy as np
 from .core import EPS_FEAS
 
 _PIVOT_TOL = 1e-9
-# Consecutive degenerate pivots after which pricing falls back to Bland's rule.
+# Consecutive degenerate pivots after which the leaving row falls back to the dual Bland rule.
 _DEGENERATE_STREAK = 50
 
 
 class LpError(RuntimeError):
-    """A solve without an optimum: infeasible, unbounded or a numerical failure; never a silent wrong answer."""
+    """A solve without an optimum: infeasible rows or a numerical failure; never a silent wrong answer."""
 
 
 @dataclass
 class LinearProgram:
-    """max objective . x subject to x >= 0 and constraints @ x <= rhs; an equality is two opposite rows."""
+    """max objective . x subject to x >= 0 and constraints @ x <= rhs; an equality is two opposite rows.
+
+    solve_lp refuses an objective with a positive entry; such an LP can
+    still be built, as a reference for another solver.
+    """
 
     objective: np.ndarray
     constraints: np.ndarray  # (m, n_vars)
@@ -88,7 +88,7 @@ class LinearProgram:
 class LpSolution:
     x: np.ndarray
     objective: float
-    iterations: int  # primal plus dual simplex pivots over the whole call
+    iterations: int  # dual simplex pivots over the whole call
     rounds: int  # rows the row source appended
 
 
@@ -115,49 +115,6 @@ def _pivot_cap(T: np.ndarray) -> int:
 def _first_basic(rows: np.ndarray, basis: List[int]) -> int:
     """The row of `rows` whose basic variable has the smallest index."""
     return int(rows[0]) if rows.size == 1 else min(rows.tolist(), key=basis.__getitem__)
-
-
-def _run_simplex(T: np.ndarray, basis: List[int]) -> int:
-    """Pivot the tableau T to optimality (max sense, z-c objective row); returns the pivot count.
-
-    The entering column has the most negative reduced cost, ties going to
-    the smallest column; after _DEGENERATE_STREAK consecutive degenerate
-    pivots it is the smallest improving column (Bland) until a pivot moves
-    the basic solution. The leaving row has the minimum ratio, ties going
-    to the smallest basic index. An entering column without a positive
-    entry proves the LP unbounded.
-    """
-    m = len(basis)
-    iterations, cap = 0, _pivot_cap(T)
-    streak = 0  # consecutive degenerate pivots
-    obj, rhs = T[-1, :-1], T[:m, -1]  # views that follow the pivots
-    ratios = np.full(m + 1, np.inf)  # the last entry stays inf: no leaving row means unbounded
-    row_ratios = ratios[:m]
-    while True:
-        col = int(obj.argmin())  # a NaN reduced cost is the argmin
-        if not obj[col] < -_PIVOT_TOL:
-            # optimality certificate: no nonbasic variable has an improving
-            # reduced cost beyond tolerance, and none is NaN
-            if not np.isfinite(obj).all():
-                raise LpError("non-finite reduced costs")
-            if not np.isfinite(rhs).all():
-                raise LpError("non-finite right-hand side")
-            return iterations
-        if streak >= _DEGENERATE_STREAK:
-            col = int((obj < -_PIVOT_TOL).argmax())  # Bland: smallest improving index
-        colvals = T[:m, col]
-        row_ratios.fill(np.inf)
-        np.divide(rhs, colvals, out=row_ratios, where=colvals > _PIVOT_TOL)
-        best = ratios[ratios.argmin()]  # NaN if a ratio is
-        if not -np.inf < best < np.inf:  # no positive entry, or a non-finite rhs
-            if not np.isfinite(rhs).all():
-                raise LpError("non-finite right-hand side")
-            raise LpError(f"unbounded: entering column {col} has no positive entry")
-        _pivot(T, basis, _first_basic((row_ratios == best).nonzero()[0], basis), col)
-        streak = streak + 1 if best <= _PIVOT_TOL else 0
-        iterations += 1
-        if iterations > cap:
-            raise LpError(f"simplex exceeded {cap} pivots")
 
 
 def _dual_simplex(T: np.ndarray, basis: List[int]) -> int:
@@ -219,14 +176,13 @@ def _add_row(T: np.ndarray, basis: List[int], row: np.ndarray, rhs: float) -> np
 
 
 def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSolution:
-    """Dense simplex; deterministic; returns the optimum or raises LpError.
+    """Dense dual simplex; deterministic; returns the optimum or raises LpError.
 
-    Dual simplex pivots under the objective's nonpositive part, from the
-    slack basis, find the first feasible basis; the primal simplex then
-    optimizes the whole objective from it, and pivots no more when the
-    objective is nonpositive. An LP without an optimum raises LpError,
-    whose message starts with "infeasible" or "unbounded"; a numerical
-    failure raises LpError too.
+    The objective must be <= 0 in every entry, or ValueError is raised:
+    then the slack basis is dual feasible, and dual simplex pivots from it
+    reach the optimum. Rows that no x >= 0 satisfies raise LpError, whose
+    message starts with "infeasible"; a numerical failure raises LpError
+    too.
 
     With row_source the LP is solved by row generation. After each optimum
     the source is called with the primal values and returns a row
@@ -237,41 +193,28 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     returned (LpError "infeasible" if those rows exclude every point). The
     caller's LP is not modified. A source that returns a row the point
     satisfies, or more than _MAX_ROUNDS rows, raises LpError. iterations
-    counts every primal and dual pivot, rounds every row the source
-    returned.
+    counts every pivot, rounds every row the source returned.
     """
+    if not (lp.objective <= 0.0).all():
+        raise ValueError("solve_lp needs an objective <= 0 in every entry")
     n = lp.n_vars
     # base and generated rows, for the feasibility check; the first
     # generated row copies them into arrays that double when full
     A, b = lp.constraints, lp.rhs
     base = len(b)
 
-    # [A | I | b]: every row has a basic slack
+    # [A | I | b]: every row has a basic slack, and the reduced costs -c are
+    # nonnegative there
     T = np.zeros((base + 1, n + base + 1))
     T[:base, :n], T[:base, n:-1], T[:base, -1] = A, np.eye(base), b
+    T[-1, :n] = -lp.objective
     basis = list(range(n, n + base))
-
-    # Phase 1: the reduced costs max(-c, 0) of the nonpositive part of c are
-    # dual feasible at the slack basis, so the dual simplex reaches a
-    # feasible basis or proves the rows infeasible
-    T[-1, :n] = np.maximum(-lp.objective, 0.0)
     iterations = _dual_simplex(T, basis)
-
-    # Phase 2 objective row: add the positive part of c to the row phase 1
-    # left, then eliminate it from the basic columns, which are unit
-    # columns, so no subtraction changes another basic coefficient
-    T[-1, :n] -= np.maximum(lp.objective, 0.0)
-    coefs = T[-1, basis]
-    for i in np.flatnonzero(coefs):
-        T[-1] -= coefs[i] * T[i]
 
     amax = np.abs(A).max(axis=1, initial=0.0)
     bscale = np.maximum(1.0, np.abs(b))
     rounds = 0
     while True:
-        # phase 2; after an appended row the reduced costs stayed optimal,
-        # and this certifies them (normally 0 pivots)
-        iterations += _run_simplex(T, basis)
         r = base + rounds
         y = np.zeros(T.shape[1] - 1)  # the variables, then the slacks
         y[basis] = T[:-1, -1]

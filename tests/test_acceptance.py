@@ -17,7 +17,7 @@ import pytest
 import robustkit as rk
 from robustkit.experiments import derive_seed
 from splitmix64 import SplitMix64
-from test_lp import brute_force_vertex_max, eager_t_star, outcome, random_bounded_lp
+from test_lp import brute_force_vertex_max, eager_t_star, outcome, random_lp
 
 pytestmark = pytest.mark.acceptance
 
@@ -189,7 +189,7 @@ def test_criterion_5_lp_engine():
         rng = np.random.default_rng(515151)
         solved = 0
         for _ in range(200):
-            lp, _ = random_bounded_lp(rng, max_vars=6, max_rows=8)
+            lp, _ = random_lp(rng, max_vars=6, max_rows=8)
             got = outcome(lp)
             ref = brute_force_vertex_max(lp)
             if ref is None:
@@ -200,14 +200,17 @@ def test_criterion_5_lp_engine():
             solved += 1
         assert solved >= 100
 
-        # outcomes on LPs that are infeasible or unbounded by construction
+        # an LP infeasible by construction, and an objective with a positive
+        # entry, which solve_lp refuses: every LP it takes is bounded
         for _ in range(20):
             n = int(rng.integers(1, 5))
-            infeasible = rk.LinearProgram(rng.uniform(-1, 1, n), np.eye(1, n), [-1.0])  # x0 <= -1 with x0 >= 0
+            infeasible = rk.LinearProgram(-rng.uniform(0, 1, n), np.eye(1, n), [-1.0])  # x0 <= -1 with x0 >= 0
             assert outcome(infeasible) == "infeasible"
 
-            unbounded = rk.LinearProgram(np.abs(rng.uniform(0.1, 1, n)), np.zeros((0, n)), [])
-            assert outcome(unbounded) == "unbounded"
+            positive = -rng.uniform(0, 1, n)
+            positive[rng.integers(n)] = rng.uniform(0.1, 1)
+            with pytest.raises(ValueError, match="objective <= 0"):
+                rk.solve_lp(rk.LinearProgram(positive, np.zeros((0, n)), []))
 
         # row generation vs one solve of the fully materialized program
         for trial in range(100):
