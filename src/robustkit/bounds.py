@@ -101,14 +101,15 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     integral and dualizes to V = max p*mu - sum_j nu_j s.t.
     mu - nu_j <= sum_i lam_i c^i_j for all j, lam on the simplex, nu >= 0
     and, as costs are nonnegative, mu >= 0. For V > 0 it is solved
-    homogenized, over lam' = lam / V, mu' = mu / V and nu' = nu / V >= 0:
+    homogenized over (lam', mu', nu') = (s / V) (lam, mu, nu) >= 0, with s
+    the largest cost:
         max -sum_i lam'_i
         s.t. mu' - nu'_j - sum_i lam'_i c^i_j <= 0  for all j,
-             -p*mu' + sum_j nu'_j <= -1,
-    whose objective is <= 0. Then V = 1 / sum_i lam'*_i and lam = V * lam'.
-    V = 0 exactly when p items cost 0 in every scenario (the p smallest
-    element-wise worst-case costs sum to 0); the homogenized LP is then
-    infeasible, and the answer is 0 with the weight on scenario 0.
+             -p*mu' + sum_j nu'_j <= -s,
+    whose objective is <= 0. Then V = s / sum_i lam'*_i and lam = lam' /
+    sum_i lam'*_i; as V <= p s, sum_i lam'_i >= 1 / p at any cost scale.
+    V = 0 exactly when p items cost 0 in every scenario; the homogenized LP
+    is then infeasible, and the answer is 0 with the weight on scenario 0.
     """
     if not isinstance(spec, Selection):
         raise ValueError("the max-min lower bound is only supported for selection problems")
@@ -124,12 +125,12 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     rows[:n_items, mu + 1 :] -= np.eye(n_items)  # -= keeps the zeros +0.0
     rows[n_items, mu], rows[n_items, mu + 1 :] = -float(spec.p), 1.0
     rhs = np.zeros(n_items + 1)
-    rhs[n_items] = -1.0
+    rhs[n_items] = -u.costs.max()
     objective = np.zeros(n_vars)
     objective[:n_scen] = -1.0
     lam = solve_lp(LinearProgram(objective, rows, rhs)).x[:n_scen]
-    value = 1.0 / float(lam.sum())
-    return value, ConvexWeights(value * lam)
+    total = float(lam.sum())
+    return float(u.costs.max()) / total, ConvexWeights(lam / total)
 
 
 def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySolution]:

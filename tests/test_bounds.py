@@ -223,6 +223,63 @@ class TestMaxMin:
         assert x.cost(scenario.values) == pytest.approx(value, abs=1e-8)
 
 
+def paper_cell_instances(count):
+    """count instances of each paper cell, (10,3,10), (20,6,50) and (30,9,100)."""
+    cells = [(10, 3, 10), (20, 6, 50), (30, 9, 100)]
+    return [rk.generate_instance(*cell, rk.derive_seed(5, *cell, i)) for cell in cells for i in range(count)]
+
+
+class TestMaxMinMetamorphic:
+    """The max-min value under changes of the instance that leave it, or its scale, unchanged."""
+
+    def test_permuting_scenarios_permutes_the_weights(self):
+        rng = np.random.default_rng(3)
+        for u, spec in paper_cell_instances(2):
+            value, lam = rk.maxmin_certificate(u, spec)
+            perm = rng.permutation(u.n_scenarios)
+            got, lam_perm = rk.maxmin_certificate(rk.UncertaintySet(u.costs[perm]), spec)
+            assert got == pytest.approx(value, rel=1e-12, abs=0)
+            assert np.abs(lam_perm.lam - lam.lam[perm]).max() <= 1e-9
+
+    def test_permuting_items(self):
+        rng = np.random.default_rng(4)
+        for u, spec in paper_cell_instances(2):
+            value = rk.maxmin_certificate(u, spec)[0]
+            perm = rng.permutation(u.n_items)
+            assert rk.maxmin_certificate(rk.UncertaintySet(u.costs[:, perm]), spec)[0] == pytest.approx(value, rel=1e-12, abs=0)
+
+    def test_appending_a_copy_of_a_scenario(self):
+        for i, (u, spec) in enumerate(paper_cell_instances(2)):
+            value = rk.maxmin_certificate(u, spec)[0]
+            copy = i % u.n_scenarios
+            grown = rk.UncertaintySet(np.vstack([u.costs, u.costs[copy : copy + 1]]))
+            assert rk.maxmin_certificate(grown, spec)[0] == pytest.approx(value, rel=1e-12, abs=0)
+
+    @pytest.mark.parametrize("alpha", [1e-3, 1e3])
+    def test_scaling_the_costs_scales_the_value(self, alpha):
+        for u, spec in paper_cell_instances(2):
+            value = rk.maxmin_certificate(u, spec)[0]
+            scaled = rk.maxmin_certificate(rk.UncertaintySet(alpha * u.costs), spec)[0]
+            assert scaled == pytest.approx(alpha * value, rel=1e-12, abs=0)
+
+    def test_p_items_without_cost_give_zero(self):
+        # V = 0: the homogenized LP has no solution, and no LP is built
+        costs = np.array([[3.0, 0.0, 4.0, 0.0, 6.0], [2.0, 0.0, 1.0, 0.0, 2.0], [4.0, 0.0, 2.0, 0.0, 1.0]])
+        with mock.patch.object(bounds_module, "solve_lp", side_effect=AssertionError("an LP was built")):
+            value, lam = rk.maxmin_certificate(rk.UncertaintySet(costs), rk.Selection(n=5, p=2))
+        assert value == 0.0 and np.array_equal(lam.lam, [1.0, 0.0, 0.0])
+        value, lam = rk.maxmin_certificate(rk.UncertaintySet(np.zeros((2, 3))), rk.Selection(n=3, p=1))
+        assert value == 0.0 and np.array_equal(lam.lam, [1.0, 0.0])
+        # one item fewer without cost: V > 0
+        assert rk.maxmin_certificate(rk.UncertaintySet(costs), rk.Selection(n=5, p=3))[0] > 0.0
+
+    def test_weights_certify_the_value_at_the_paper_cells(self):
+        # the sum of the p smallest entries of the hull scenario lam . C is V
+        for u, spec in paper_cell_instances(3):
+            value, lam = rk.maxmin_certificate(u, spec)
+            assert np.sort(lam.lam @ u.costs)[: spec.p].sum() == pytest.approx(value, rel=1e-12, abs=0)
+
+
 class TestExactMinMax:
     def test_table1(self, table1):
         u, spec = table1

@@ -150,6 +150,37 @@ def test_maxmin_certificate_matches_highs():
         assert abs(value - reference) <= 1e-9 * max(1.0, abs(reference))
 
 
+def highs_minmax_relaxation(u, spec):
+    """The selection min-max LP relaxation by HiGHS: min z s.t. c^i . x <= z, 0 <= x <= 1, sum x = p.
+
+    By LP duality it equals the max-min value, from the other side of the
+    duality and in another form than maxmin_certificate's.
+    """
+    n_scen, n_items = u.costs.shape
+    res = linprog(
+        np.eye(1 + n_items)[0],
+        A_ub=np.hstack([-np.ones((n_scen, 1)), u.costs]),
+        b_ub=np.zeros(n_scen),
+        A_eq=np.concatenate([[0.0], np.ones(n_items)])[None, :],
+        b_eq=[float(spec.p)],
+        bounds=[(None, None)] + [(0, 1)] * n_items,
+        method="highs",
+    )
+    assert res.status == 0, res.message
+    return float(res.fun)
+
+
+def test_maxmin_with_p_minus_one_items_without_cost_matches_highs():
+    rng = np.random.default_rng(12)
+    for p in (2, 3, 4):
+        costs = rng.integers(0, 101, size=(4, 7)).astype(float)
+        costs[:, rng.choice(7, p - 1, replace=False)] = 0.0
+        u, spec = rk.UncertaintySet(costs), rk.Selection(n=7, p=p)
+        value = rk.maxmin_certificate(u, spec)[0]
+        assert value > 0.0
+        assert value == pytest.approx(highs_minmax_relaxation(u, spec), rel=1e-9)
+
+
 def random_general_lp(rng):
     """An LP of the shapes that vertex enumeration cannot check.
 
