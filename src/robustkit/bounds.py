@@ -117,6 +117,7 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     n_scen, n_items = u.costs.shape
     if (~u.costs.any(axis=0)).sum() >= spec.p:  # p items cost 0 in every scenario
         return 0.0, ConvexWeights(np.eye(n_scen)[0])
+    scale = float(u.costs.max())  # s above
     mu = n_scen  # the column of mu', then nu'
     n_vars = n_scen + 1 + n_items
     rows = np.zeros((n_items + 1, n_vars))  # the item rows, then the normalization row
@@ -124,13 +125,12 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     rows[:n_items, mu] = 1.0
     rows[:n_items, mu + 1 :] -= np.eye(n_items)  # -= keeps the zeros +0.0
     rows[n_items, mu], rows[n_items, mu + 1 :] = -float(spec.p), 1.0
-    rhs = np.zeros(n_items + 1)
-    rhs[n_items] = -u.costs.max()
+    rhs = np.concatenate((np.zeros(n_items), [-scale]))
     objective = np.zeros(n_vars)
     objective[:n_scen] = -1.0
     lam = solve_lp(LinearProgram(objective, rows, rhs)).x[:n_scen]
     total = float(lam.sum())
-    return float(u.costs.max()) / total, ConvexWeights(lam / total)
+    return scale / total, ConvexWeights(lam / total)
 
 
 def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySolution]:
