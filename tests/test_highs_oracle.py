@@ -1,17 +1,40 @@
 """Cross-checks against scipy's HiGHS, an LP solver that shares no code with
 robustkit's simplex. Test-only: skipped where scipy is not installed."""
 
+import itertools
+
 import numpy as np
 import pytest
 
 import robustkit as rk
 from robustkit.experiments import derive_seed
-from test_lp import eager_scenario_lp, outcome
+from test_lp import outcome
 
 linprog = pytest.importorskip("scipy.optimize").linprog
 sparse = pytest.importorskip("scipy.sparse")
 
 CELL = (20, 6, 50)
+
+
+def eager_scenario_lp(u, k):
+    """The guarantee LP in its hull form, with all N * C(n, k) subset rows materialized.
+
+    Over [t, lam_1..lam_N] >= 0 it maximizes t subject to the simplex row
+    sum lam = 1 (two opposite rows), t <= 1 and t * a(i, S) <= sum_m lam_m
+    a(m, S) for every (i, S). This is the formulation before the
+    substitution mu = lam / t, so it shares no row with scenario_lp's
+    covering form. Its objective t is positive, so solve_lp refuses it:
+    only HiGHS solves it.
+    """
+    N = u.n_scenarios
+    head = np.zeros((3, 1 + N))
+    head[0, 1:], head[1, 1:], head[2, 0] = 1.0, -1.0, 1.0
+    rows = []
+    for subset in itertools.combinations(range(u.n_items), k):
+        sums = u.costs[:, subset].sum(axis=1)
+        for i in range(N):
+            rows.append(np.concatenate(([sums[i]], -sums)))
+    return rk.LinearProgram(np.eye(1 + N)[0], np.vstack([head] + rows), np.concatenate(([1.0, -1.0, 1.0], np.zeros(len(rows)))))
 
 
 def highs(lp, bounds=(0, None)):

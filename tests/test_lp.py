@@ -47,27 +47,6 @@ def with_rows(lp, rows):
     )
 
 
-def eager_scenario_lp(u, k):
-    """The guarantee LP in its hull form, with all N * C(n, k) subset rows materialized.
-
-    Over [t, lam_1..lam_N] >= 0 it maximizes t subject to the simplex row
-    sum lam = 1 (two opposite rows), t <= 1 and t * a(i, S) <= sum_m lam_m
-    a(m, S) for every (i, S). This is the formulation before the
-    substitution mu = lam / t, so it shares no row with scenario_lp's
-    covering form. Its objective t is positive, so solve_lp refuses it: it
-    is a reference for HiGHS.
-    """
-    N = u.n_scenarios
-    head = np.zeros((3, 1 + N))
-    head[0, 1:], head[1, 1:], head[2, 0] = 1.0, -1.0, 1.0
-    rows = []
-    for subset in itertools.combinations(range(u.n_items), k):
-        sums = u.costs[:, subset].sum(axis=1)
-        for i in range(N):
-            rows.append(np.concatenate(([sums[i]], -sums)))
-    return rk.LinearProgram(np.eye(1 + N)[0], np.vstack([head] + rows), np.concatenate(([1.0, -1.0, 1.0], np.zeros(len(rows)))))
-
-
 def eager_covering_lp(u, k):
     """The guarantee LP in covering form, with every subset row materialized.
 
