@@ -15,7 +15,7 @@ mu = lam / t it reads min sum_m mu_m subject to
 sum_m mu_m a(m, S) / a(i, S) >= 1 for every (i, S) with a(i, S) > 0,
 where a(m, S) = sum_S c^m, and t* = 1 / sum_m mu*_m, lam = t* mu*. Its
 slack basis is dual feasible, so the dual simplex solves it from the
-start and after every appended row, with no primal pivot.
+start and after every appended row.
 
 The N * C(n, k) subset rows are never materialized: one vectorized
 separation oracle (for each scenario, the k items where c - t * c^i is

@@ -254,7 +254,7 @@ class TestRunGrid:
         assert all(r.instances == 2 for r in result.rows)
 
     def test_failure_names_its_stage(self, monkeypatch):
-        # the first LP to pass the cap is the k = 1 scenario LP's phase 1
+        # the first LP to pass the cap is the k = 1 scenario LP's first solve
         monkeypatch.setattr("robustkit.lp._pivot_cap", lambda T: 1)
         result = rk.run_grid(rk.ExperimentGrid(cells=[(10, 3, 10)], instance_count=1, master_seed=1))
         seed = derive_seed(1, 10, 3, 10, 0)
