@@ -59,15 +59,21 @@ def lower_bound(u: UncertaintySet, spec: ProblemSpec, c, lam: ConvexWeights) -> 
     smaller index, added in index order: exact, whichever near-tie
     nominal_solve picked.
     """
+    values = _hull_values(u, c, lam)
+    if isinstance(spec, Selection):
+        return float(values[np.sort(np.argsort(values, kind="stable")[: spec.p])].sum())
+    return nominal_solve(spec, values).cost(values)
+
+
+def _hull_values(u: UncertaintySet, c, lam: ConvexWeights) -> np.ndarray:
+    """c's values, refused with ValueError unless lam certifies c = sum_i lam_i c^i within EPS_CMP."""
     values = cost_vector(c, u.n_items)
     gap = float(np.abs(values - lam.lam @ u.costs).max())
     if not gap <= EPS_CMP:  # a NaN gap certifies nothing
         raise ValueError(
             f"scenario is not certified inside the convex hull: weights miss it by {gap}"
         )
-    if isinstance(spec, Selection):
-        return float(values[np.sort(np.argsort(values, kind="stable")[: spec.p])].sum())
-    return nominal_solve(spec, values).cost(values)
+    return values
 
 
 def aposteriori_report(
@@ -90,7 +96,10 @@ def aposteriori_report(
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
     x = nominal_solve(spec, c)
     ub = upper_bound(u, x)
-    lb = lower_bound(u, spec, c, lam)
+    if isinstance(spec, Selection):
+        lb = lower_bound(u, spec, c, lam)
+    else:  # Dijkstra's x is a nominal minimizer, so its cost is lower_bound's, with no second solve
+        lb = x.cost(_hull_values(u, c, lam))
     return BoundReport(apriori=apriori, lb=lb, ub=ub, aposteriori=ratio_or_inf(ub, lb), k_used=k)
 
 
@@ -120,10 +129,14 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     scale = float(u.costs.max())  # s above
     mu = n_scen  # the column of mu', then nu'
     n_vars = n_scen + 1 + n_items
-    rows = np.zeros((n_items + 1, n_vars))  # the item rows, then the normalization row
-    rows[:n_items, :n_scen] = -u.costs.T
+    # the item rows in ascending midpoint cost, then the normalization row:
+    # after the first pivot every item row ties at rhs -s/p, and ties leave
+    # by the smallest basic index, so this order decides the pivot path
+    order = np.argsort(u.costs.mean(axis=0), kind="stable")
+    rows = np.zeros((n_items + 1, n_vars))
+    rows[:n_items, :n_scen] = -u.costs[:, order].T
     rows[:n_items, mu] = 1.0
-    rows[:n_items, mu + 1 :] -= np.eye(n_items)  # -= keeps the zeros +0.0
+    rows[:n_items, mu + 1 :] -= np.eye(n_items)[order]  # -= keeps the zeros +0.0
     rows[n_items, mu], rows[n_items, mu + 1 :] = -float(spec.p), 1.0
     rhs = np.concatenate((np.zeros(n_items), [-scale]))
     objective = np.zeros(n_vars)

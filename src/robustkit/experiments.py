@@ -17,10 +17,8 @@ which makes every instance independent of worker scheduling.
 
 from __future__ import annotations
 
-import contextlib
 import math
 import time
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
@@ -269,6 +267,17 @@ def _spot_check(out, ks_valid, N):
         prev = pre_lp
 
 
+def _outcomes(tasks, workers: int):
+    """_instance_metrics of each task in task order; only a pool imports multiprocessing."""
+    if workers == 1:
+        yield from map(_instance_metrics, tasks)
+        return
+    from concurrent.futures import ProcessPoolExecutor
+
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        yield from pool.map(_instance_metrics, tasks, chunksize=16)
+
+
 def run_grid(
     grid: ExperimentGrid,
     workers: int = 1,
@@ -295,12 +304,10 @@ def run_grid(
             tasks.append((cell_index, instance_id, n, p, N, seed, ks_valid, with_opt))
 
     outcomes = []
-    with ProcessPoolExecutor(max_workers=workers) if workers > 1 else contextlib.nullcontext() as pool:
-        results = pool.map(_instance_metrics, tasks, chunksize=16) if pool else map(_instance_metrics, tasks)
-        for outcome in results:
-            outcomes.append(outcome)
-            if progress and len(outcomes) % 100 == 0:
-                progress(f"{len(outcomes)}/{len(tasks)} instances")
+    for outcome in _outcomes(tasks, workers):
+        outcomes.append(outcome)
+        if progress and len(outcomes) % 100 == 0:
+            progress(f"{len(outcomes)}/{len(tasks)} instances")
 
     # both maps yield in task order, and the tasks run cell by cell in
     # ascending id, so each cell's outcomes are one slice in id order
@@ -312,15 +319,20 @@ def run_grid(
             result.failures[(n, p, N)] = len(errors)
             result.errors += errors
         good = [o for o in outcomes[cell] if o[2] is None]
+        if not good:
+            continue
         family_time: Dict[str, float] = {}
         for o in good:
             for fam, secs in o[4].items():
                 family_time[fam] = family_time.get(fam, 0.0) + secs
-        # every good instance records the same keys: _spot_check raises on a missing one
-        for metric, method, k in sorted(good[0][3] if good else (), key=_row_rank):
-            arr = np.array([o[3][(metric, method, k)] for o in good])
-            mean = float(arr.mean())
-            stderr = float(arr.std(ddof=1) / math.sqrt(arr.size)) if arr.size > 1 else 0.0
+        # every good instance records the same keys: _spot_check raises on a
+        # missing one. One (keys x instances) matrix is reduced row by row; a
+        # C-contiguous row sums pairwise as the 1-D array would, to the bit
+        keys = sorted(good[0][3], key=_row_rank)
+        values = np.array([[o[3][key] for o in good] for key in keys])
+        means = values.mean(axis=1)
+        stderrs = values.std(axis=1, ddof=1) / math.sqrt(len(good)) if len(good) > 1 else np.zeros(len(keys))
+        for (metric, method, k), mean, stderr in zip(keys, means.tolist(), stderrs.tolist()):
             runtime_ms = 1000.0 * family_time[method] / len(good)
             result.rows.append(
                 AggregateRow(n=n, p=p, N=N, metric=metric, method=method, k=k, value=mean, stderr=stderr, instances=len(good), runtime_ms=runtime_ms)

@@ -145,6 +145,26 @@ class TestAposterioriReport:
         by_vector = rk.aposteriori_report(u, spec, scen.values, lam, k=2, apriori=1.0 / t_star)
         assert by_vector == rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)
 
+    def test_path_report_solves_once_and_keeps_lower_bound(self, monkeypatch):
+        # the 4-vertex, 5-edge, N = 3 instance the CI runs through the CLI
+        spec = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), source=0, sink=3)
+        u = rk.UncertaintySet(np.array([[4.0, 1.0, 2.0, 6.0, 1.0], [1.0, 5.0, 3.0, 2.0, 2.0], [3.0, 3.0, 5.0, 1.0, 4.0]]))
+        mid = rk.midpoint_scenario(u)
+        cases = [(mid, rk.ConvexWeights.uniform(3), 1, rk.fixed_scenario_guarantee(u, mid, 1))]
+        for k in (1, 2):
+            t_star, scen, lam = rk.construct_lp_scenario(u, spec, k)
+            cases.append((scen, lam, k, 1.0 / t_star))
+        expected = [rk.lower_bound(u, spec, scen, lam) for scen, lam, _, _ in cases]
+        assert [round(lb, 8) for lb in expected] == [5.66666667, 5.59440559, 5.54347826]
+        solves = []
+        real = bounds_module.nominal_solve
+        monkeypatch.setattr(bounds_module, "nominal_solve", lambda spec_, c: solves.append(c) or real(spec_, c))
+        reports = [rk.aposteriori_report(u, spec, scen, lam, k=k, apriori=apriori) for scen, lam, k, apriori in cases]
+        assert len(solves) == len(cases)  # one Dijkstra per report
+        assert [report.lb for report in reports] == expected
+        with pytest.raises(ValueError, match="convex hull"):  # the hull check still refuses
+            rk.aposteriori_report(u, spec, rk.worstcase_scenario(u), rk.ConvexWeights.uniform(3), k=1, apriori=1.0)
+
     def test_k_above_solution_cardinality_refused(self, table1):
         u, spec = table1  # p = 2
         with pytest.raises(ValueError, match="cardinality"):

@@ -226,6 +226,21 @@ class TestRunGrid:
         parallel = rk.emit_csv(rk.run_grid(grid, workers=2))
         assert serial == parallel
 
+    def test_serial_run_never_loads_the_process_pool(self):
+        # in a fresh interpreter: the test session itself has loaded multiprocessing
+        src = str(Path(__file__).resolve().parents[1] / "src")
+        code = (
+            "import sys\n"
+            "import robustkit, robustkit.cli\n"
+            "result = robustkit.run_grid(robustkit.ExperimentGrid(cells=[(10, 3, 10)], instance_count=1, master_seed=1))\n"
+            "assert result.rows and not result.errors, result.errors\n"
+            "print(sorted(m for m in ('multiprocessing', 'concurrent.futures.process') if m in sys.modules))\n"
+        )
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "[]\n"
+
     def test_cells_match_one_cell_grids(self):
         # a cell's rows depend on its own instances only, wherever it sits in the grid
         cells = [(5, 2, 3), (6, 3, 4), (4, 2, 2)]

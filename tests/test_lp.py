@@ -468,17 +468,17 @@ class TestPivotCounts:
     # dominating rows (n <= N + 1 here, so all of them) and needs no
     # generated row
     EXACT = {
-        (10, 3, 10): ([25, 37, 32, 47], [0, 23, 22]),
-        (20, 6, 50): ([108, 223, 253, 138], [0, 70, 79]),
-        (30, 9, 100): ([161, 610, 565, 251], [0, 126, 130]),
+        (10, 3, 10): ([25, 37, 32, 30], [0, 23, 22]),
+        (20, 6, 50): ([108, 223, 253, 110], [0, 70, 79]),
+        (30, 9, 100): ([161, 610, 565, 183], [0, 126, 130]),
     }
 
     # the grid's path, where each k >= 2 starts from the previous k's
     # binding rows; k = 1 and max-min are solved as above
     EXACT_SEEDED = {
-        (10, 3, 10): ([25, 39, 16, 47], [0, 15, 4]),
-        (20, 6, 50): ([108, 168, 205, 138], [0, 32, 47]),
-        (30, 9, 100): ([161, 339, 283, 251], [0, 44, 50]),
+        (10, 3, 10): ([25, 39, 16, 30], [0, 15, 4]),
+        (20, 6, 50): ([108, 168, 205, 110], [0, 32, 47]),
+        (30, 9, 100): ([161, 339, 283, 183], [0, 44, 50]),
     }
 
     @staticmethod
