@@ -30,10 +30,9 @@ print("\nmidpoint scenario:", np.round(mid.values, 2))
 x_mid = rk.nominal_solve(spec, mid)
 print("its nominal solution picks items:", x_mid.selected)
 
-lam_mid = rk.ConvexWeights.uniform(u.n_scenarios)
-report = rk.aposteriori_report(u, spec, mid, lam_mid, k=1, apriori=rk.fixed_scenario_guarantee(u, mid, 1))
-print(f"bounds from the midpoint: LB={report.lb:g}  UB={report.ub:g}  ratio={report.aposteriori:.2f}")
-print(f"a-priori guarantee with k=1 (before solving): {report.apriori:.3f}")
+ub, lb = rk.certify(u, spec, mid, rk.ConvexWeights.uniform(u.n_scenarios))
+print(f"bounds from the midpoint: LB={lb:g}  UB={ub:g}  ratio={rk.ratio_or_inf(ub, lb):.2f}")
+print(f"a-priori guarantee with k=1 (before solving): {rk.fixed_scenario_guarantee(u, mid, 1):.3f}")
 
 # --- the element-wise worst case ------------------------------------------
 wc = rk.worstcase_scenario(u)
@@ -45,9 +44,7 @@ print("its solution:", x_wc.selected, "with worst-case value", rk.upper_bound(u,
 # --- the LP-constructed scenario -------------------------------------------
 for k in (1, 2):
     t_star, scen, lam = rk.construct_lp_scenario(u, spec, k)
-    x = rk.nominal_solve(spec, scen)
-    lb = rk.lower_bound(u, spec, scen, lam)
-    ub = rk.upper_bound(u, x)
+    ub, lb = rk.certify(u, spec, scen, lam)
     print(f"\nLP scenario with k={k}: {np.round(scen.values, 3)}")
     print(f"  hull weights: {np.round(lam.lam, 3)}")
     print(f"  a-priori guarantee 1/t* = {1 / t_star:.3f}")

@@ -14,14 +14,10 @@ u, spec = rk.generate_instance(n=10, p=3, N=10, seed=2024)
 
 mid = rk.midpoint_scenario(u)
 lam_mid = rk.ConvexWeights.uniform(u.n_scenarios)
-x_mid = rk.nominal_solve(spec, mid)
-lb_mid = rk.lower_bound(u, spec, mid, lam_mid)
-ub_mid = rk.upper_bound(u, x_mid)
+ub_mid, lb_mid = rk.certify(u, spec, mid, lam_mid)
 
 t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
-x_lp = rk.nominal_solve(spec, scen)
-lb_lp = rk.lower_bound(u, spec, scen, lam)
-ub_lp = rk.upper_bound(u, x_lp)
+ub_lp, lb_lp = rk.certify(u, spec, scen, lam)
 
 mm = rk.maxmin_certificate(u, spec)[0]
 opt, x_opt = rk.exact_minmax(u, spec)
@@ -38,10 +34,8 @@ assert lb_mid <= mm + 1e-6 and lb_lp <= mm + 1e-6
 assert mm <= opt + 1e-6 <= min(ub_mid, ub_lp) + 1e-6
 
 # The ratio view: what each method can promise vs what it delivered here.
-mid_report = rk.aposteriori_report(u, spec, mid, lam_mid, k=2, apriori=rk.fixed_scenario_guarantee(u, mid, 2))
-lp_report = rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)
-print(f"\nmidpoint:    promised <= {mid_report.apriori:.3f} x optimum, delivered {mid_report.aposteriori:.3f}")
-print(f"LP scenario: promised <= {lp_report.apriori:.3f} x optimum, delivered {lp_report.aposteriori:.3f}")
+print(f"\nmidpoint:    promised <= {rk.fixed_scenario_guarantee(u, mid, 2):.3f} x optimum, delivered {rk.ratio_or_inf(ub_mid, lb_mid):.3f}")
+print(f"LP scenario: promised <= {1.0 / t_star:.3f} x optimum, delivered {rk.ratio_or_inf(ub_lp, lb_lp):.3f}")
 print(f"true gaps:   midpoint {ub_mid / opt:.3f}, LP {ub_lp / opt:.3f}")
 
 # Refusing bad certificates: the element-wise worst case is outside the

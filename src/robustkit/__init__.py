@@ -11,9 +11,9 @@ from .core import (
     EPS_CUT,
     EPS_FEAS,
     BinarySolution,
-    BoundReport,
     ConvexWeights,
     InstanceFormatError,
+    InvariantError,
     Scenario,
     UncertaintySet,
     parse_instance,
@@ -42,7 +42,7 @@ from .scenarios import (
 )
 from .bounds import (
     BudgetError,
-    aposteriori_report,
+    certify,
     exact_minmax,
     lower_bound,
     maxmin_certificate,
@@ -61,7 +61,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinarySolution",
-    "BoundReport",
     "BudgetError",
     "ConvexWeights",
     "EPS_CMP",
@@ -70,6 +69,7 @@ __all__ = [
     "ExperimentGrid",
     "GridResult",
     "InstanceFormatError",
+    "InvariantError",
     "LinearProgram",
     "LpError",
     "LpSolution",
@@ -78,7 +78,7 @@ __all__ = [
     "Selection",
     "ShortestPath",
     "UncertaintySet",
-    "aposteriori_report",
+    "certify",
     "construct_lp_scenario",
     "derive_seed",
     "dimension",

@@ -2,16 +2,18 @@
 
 Upper bounds come from evaluating a solution against every scenario; lower
 bounds from the nominal value of a scenario certified inside the convex
-hull of the set. The hull-wide best lower bound (max over hull scenarios
-of the nominal optimum) is computed compactly by dualizing the nominal
-LP, and an exhaustive enumerator provides exact optima for verification
-at desk scale. For selection it is a depth-first search over blocks of
+hull of the set. certify takes both from one nominal solve; the experiment
+grid and `robustkit bounds` certify the midpoint and the LP scenario with
+that one call. The hull-wide best lower bound (max over hull scenarios of
+the nominal optimum) is computed compactly by dualizing the nominal LP,
+and an exhaustive enumerator provides exact optima for verification at
+desk scale. For selection it is a depth-first search over blocks of
 sibling nodes, one numpy step per block: a partial subset is pruned when,
 even adding in every scenario the sum of the r smallest remaining costs
-for its r missing items, the worst case exceeds the incumbent. A beam
-dive seeds the incumbent, and the last missing item is evaluated for a
-whole block at once. Pruning is strict, so ties with the incumbent are
-still visited and resolve to the lexicographically smallest subset.
+for its r missing items, the worst case exceeds the incumbent. A beam dive
+seeds the incumbent, and the last missing item is evaluated for a whole
+block at once. Pruning is strict, so ties with the incumbent are still
+visited and resolve to the lexicographically smallest subset.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ import numpy as np
 from .core import (
     EPS_CMP,
     BinarySolution,
-    BoundReport,
     ConvexWeights,
+    InvariantError,
     UncertaintySet,
     cost_vector,
-    ratio_or_inf,
 )
 from .lp import LinearProgram, solve_lp
-from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions, nominal_solve, require_dimension, validate_k
+from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions, nominal_solve, require_dimension
 
 # Hard cap on exhaustive enumeration (feasible solutions examined).
 MAX_ENUMERATION = 20_000_000
@@ -76,31 +77,23 @@ def _hull_values(u: UncertaintySet, c, lam: ConvexWeights) -> np.ndarray:
     return values
 
 
-def aposteriori_report(
-    u: UncertaintySet,
-    spec: ProblemSpec,
-    c,
-    lam: ConvexWeights,
-    k: int,
-    apriori: float,
-) -> BoundReport:
-    """Solve the nominal problem for c once and certify both bound kinds.
+def certify(u: UncertaintySet, spec: ProblemSpec, c, lam: ConvexWeights) -> Tuple[float, float]:
+    """(ub, lb) of the scenario c, certified inside the hull by lam, from one nominal solve.
 
-    c is a Scenario or a plain cost vector, certified inside the hull by
-    lam. apriori is c's guarantee at subset size k: 1/t* from the LP
-    construction, or fixed_scenario_guarantee(u, c, k) for any other
-    scenario. A k above the minimum solution cardinality, where no
-    guarantee holds, is refused with ValueError.
+    c is a Scenario or a plain cost vector. ub is the worst case of c's
+    nominal solution, lb the nominal minimum for c (lower_bound). Raises
+    InvariantError when lb exceeds ub by more than EPS_CMP, an absolute
+    tolerance: no correct run gets there, as c lies in the hull.
     """
-    if not validate_k(spec, k):
-        raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
     x = nominal_solve(spec, c)
     ub = upper_bound(u, x)
     if isinstance(spec, Selection):
         lb = lower_bound(u, spec, c, lam)
     else:  # Dijkstra's x is a nominal minimizer, so its cost is lower_bound's, with no second solve
         lb = x.cost(_hull_values(u, c, lam))
-    return BoundReport(apriori=apriori, lb=lb, ub=ub, aposteriori=ratio_or_inf(ub, lb), k_used=k)
+    if lb > ub + EPS_CMP:
+        raise InvariantError(f"lb <= ub violated: lb={lb} ub={ub}")
+    return ub, lb
 
 
 def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, ConvexWeights]:

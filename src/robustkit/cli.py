@@ -14,14 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .bounds import (
-    BudgetError,
-    aposteriori_report,
-    exact_minmax,
-    maxmin_certificate,
-    upper_bound,
-)
-from .core import ConvexWeights, parse_instance, serialize_instance
+from .bounds import BudgetError, certify, exact_minmax, maxmin_certificate, upper_bound
+from .core import ConvexWeights, parse_instance, ratio_or_inf, serialize_instance
 from .experiments import ExperimentGrid, derive_seed, emit_csv, generate_instance, run_grid
 from .problems import nominal_solve, validate_k
 from .scenarios import (
@@ -119,9 +113,9 @@ def cmd_bounds(args) -> int:
         # no hull certificate, so no lower bound or a-posteriori ratio
         lines += [f"apriori={_num(apriori)}", f"ub={_num(upper_bound(u, nominal_solve(spec, scen)))}"]
     else:
-        report = aposteriori_report(u, spec, scen, lam, k=args.k, apriori=apriori)
-        lines += [f"k={report.k_used}", f"apriori={_num(report.apriori)}", f"lb={_num(report.lb)}"]
-        lines += [f"ub={_num(report.ub)}", f"aposteriori={_num(report.aposteriori)}"]
+        ub, lb = certify(u, spec, scen, lam)
+        lines += [f"k={args.k}", f"apriori={_num(apriori)}", f"lb={_num(lb)}"]
+        lines += [f"ub={_num(ub)}", f"aposteriori={_num(ratio_or_inf(ub, lb))}"]
     if args.with_maxmin:
         lines.append(f"maxmin_lb={_num(maxmin_certificate(u, spec)[0])}")
     if args.with_exact:

@@ -9,7 +9,7 @@ input costs are integers, and a single numeric type avoids conversion layers.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
@@ -31,6 +31,10 @@ class InstanceFormatError(ValueError):
         if line is not None:
             message = f"line {line}: {message}"
         super().__init__(message)
+
+
+class InvariantError(RuntimeError):
+    """Results break an ordering every correct run satisfies, such as lb <= ub."""
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -136,28 +140,6 @@ class BinarySolution:
 
     def __len__(self) -> int:
         return len(self.selected)
-
-
-@dataclass(frozen=True)
-class BoundReport:
-    """Certified bounds for one scenario method on one instance."""
-
-    apriori: float  # guarantee known before solving the nominal problem, >= 1 or inf
-    lb: float
-    ub: float
-    aposteriori: float  # ub/lb, >= 1 or inf
-    k_used: int  # the subset size of the a-priori guarantee
-
-    def __post_init__(self):
-        if not (0 <= self.lb < math.inf and 0 <= self.ub < math.inf):
-            raise ValueError(f"bounds must be finite and nonnegative, got lb={self.lb}, ub={self.ub}")
-        if self.lb > self.ub + EPS_CMP:
-            raise ValueError(f"lower bound {self.lb} exceeds upper bound {self.ub}")
-        if not (self.apriori >= 1.0 - EPS_CMP):
-            raise ValueError(f"a-priori ratio must be >= 1, got {self.apriori}")
-        expected = ratio_or_inf(self.ub, self.lb)
-        if not (math.isinf(expected) and math.isinf(self.aposteriori)) and not abs(expected - self.aposteriori) <= EPS_CMP * max(1.0, expected):
-            raise ValueError(f"a-posteriori ratio {self.aposteriori} inconsistent with ub/lb = {expected}")
 
 
 def cost_vector(c, n: int) -> np.ndarray:

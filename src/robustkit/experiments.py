@@ -24,10 +24,10 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, ConvexWeights, UncertaintySet, ratio_or_inf
+from .core import EPS_CMP, ConvexWeights, InvariantError, UncertaintySet, ratio_or_inf
 from .problems import Selection, nominal_solve
 from .scenarios import construct_lp_scenario, fixed_scenario_guarantee, midpoint_scenario
-from .bounds import MAX_ENUMERATION, exact_minmax, lower_bound, maxmin_certificate, upper_bound
+from .bounds import MAX_ENUMERATION, certify, exact_minmax, maxmin_certificate, upper_bound
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -165,15 +165,15 @@ def _record(out, method, k, ub, lb) -> None:
 def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, float], Dict[str, float]]:
     """Compute every metric of one instance.
 
-    Runs the midpoint, the LP scenario at each valid k and the max-min
-    lower bound, then the exact optimum when with_opt is set, and checks
-    the results against _spot_check. Returns (cell_index, instance_id,
-    error, values, timings), timings in seconds per method family (mid,
-    lp, mm and exact); on a domain error the message is set and the value
-    dict is empty. The message starts with the stage that raised it:
-    generate, mid, lp k=K, mm or exact. A broken invariant is not a domain
-    error: InvariantError propagates, naming the cell, instance id and
-    seed.
+    Runs the midpoint and the LP scenario at each valid k, each certified
+    by bounds.certify, and the max-min lower bound, then the exact optimum
+    when with_opt is set, and checks the results against _spot_check.
+    Returns (cell_index, instance_id, error, values, timings), timings in
+    seconds per method family (mid, lp, mm and exact); on a domain error
+    the message is set and the value dict is empty. The message starts
+    with the stage that raised it: generate, mid, lp k=K, mm or exact. A
+    broken invariant is not a domain error: InvariantError, from certify
+    or _spot_check, propagates, naming the cell, instance id and seed.
     """
     cell_index, instance_id, n, p, N, seed, ks_valid, with_opt = task
     timings: Dict[str, float] = {}
@@ -187,8 +187,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         mid = midpoint_scenario(u)
         for k in ks_valid:
             out[("apriori", "mid", k)] = fixed_scenario_guarantee(u, mid, k)
-        x = nominal_solve(spec, mid)
-        _record(out, "mid", None, upper_bound(u, x), lower_bound(u, spec, mid, ConvexWeights.uniform(N)))
+        _record(out, "mid", None, *certify(u, spec, mid, ConvexWeights.uniform(N)))
         timings["mid"] = time.perf_counter() - start
 
         start = time.perf_counter()
@@ -198,8 +197,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
             t_star, scen, lam = construct_lp_scenario(u, spec, k, start=prev)
             prev = t_star, scen
             out[("apriori", "lp", k)] = 1.0 / t_star
-            x = nominal_solve(spec, scen)
-            _record(out, "lp", k, upper_bound(u, x), lower_bound(u, spec, scen, lam))
+            _record(out, "lp", k, *certify(u, spec, scen, lam))
         timings["lp"] = time.perf_counter() - start
 
         stage = "mm"
@@ -221,10 +219,6 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         raise InvariantError(f"cell {(n, p, N)} instance {instance_id} seed {seed}: {exc}") from exc
     except Exception as exc:  # recorded and excluded, never aborts the grid
         return cell_index, instance_id, f"{stage}: {type(exc).__name__}: {exc}", {}, timings
-
-
-class InvariantError(RuntimeError):
-    """An instance's results break an ordering every correct run satisfies."""
 
 
 def _require(holds: bool, invariant: str, detail: str) -> None:

@@ -111,64 +111,64 @@ class TestLowerBound:
 
 
 class TestAposterioriReport:
+    """The a-posteriori certificate of one hull scenario: certify's (ub, lb), from one nominal solve."""
+
     def test_table1_midpoint(self, table1):
         u, spec = table1
-        mid = rk.midpoint_scenario(u)
-        report = rk.aposteriori_report(u, spec, mid, rk.ConvexWeights.uniform(3), k=1, apriori=rk.fixed_scenario_guarantee(u, mid, 1))
-        assert report.lb == pytest.approx(8.0)
-        assert report.ub == pytest.approx(12.0)
-        assert report.aposteriori == pytest.approx(1.50, abs=1e-9)
-        assert report.apriori == pytest.approx(27 / 13, abs=1e-6)
+        ub, lb = rk.certify(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3))
+        assert lb == pytest.approx(8.0)
+        assert ub == pytest.approx(12.0)
+        assert rk.ratio_or_inf(ub, lb) == pytest.approx(1.50, abs=1e-9)
 
     def test_table1_lp_k1(self, table1):
         u, spec = table1
-        t_star, scen, lam = rk.construct_lp_scenario(u, spec, 1)
-        report = rk.aposteriori_report(u, spec, scen, lam, k=1, apriori=1.0 / t_star)
-        assert report.aposteriori == pytest.approx(10.0 / 9.25, abs=0.001)
-        assert report.aposteriori == pytest.approx(1.08, abs=0.01)
-        assert report.k_used == 1
+        _, scen, lam = rk.construct_lp_scenario(u, spec, 1)
+        ub, lb = rk.certify(u, spec, scen, lam)
+        assert ub / lb == pytest.approx(10.0 / 9.25, abs=0.001)
+        assert ub / lb == pytest.approx(1.08, abs=0.01)
 
     def test_single_scenario_ratio_is_one(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
-        c = rk.Scenario(u.costs[0])
-        report = rk.aposteriori_report(u, spec, c, rk.ConvexWeights([1.0]), k=1, apriori=rk.fixed_scenario_guarantee(u, c, 1))
-        assert report.aposteriori == pytest.approx(1.0)
+        ub, lb = rk.certify(u, spec, rk.Scenario(u.costs[0]), rk.ConvexWeights([1.0]))
+        assert ub == lb == 4.0
 
     def test_plain_vector_reports_as_its_scenario(self, table1):
         u, spec = table1
         lam = rk.ConvexWeights.uniform(3)
         mid = rk.midpoint_scenario(u)
-        by_vector = rk.aposteriori_report(u, spec, mid.values, lam, k=1, apriori=rk.fixed_scenario_guarantee(u, mid.values, 1))
-        assert by_vector == rk.aposteriori_report(u, spec, mid, lam, k=1, apriori=rk.fixed_scenario_guarantee(u, mid, 1))
-        t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
-        by_vector = rk.aposteriori_report(u, spec, scen.values, lam, k=2, apriori=1.0 / t_star)
-        assert by_vector == rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)
+        assert rk.certify(u, spec, mid.values, lam) == rk.certify(u, spec, mid, lam)
+        _, scen, lam = rk.construct_lp_scenario(u, spec, 2)
+        assert rk.certify(u, spec, scen.values, lam) == rk.certify(u, spec, scen, lam)
 
     def test_path_report_solves_once_and_keeps_lower_bound(self, monkeypatch):
         # the 4-vertex, 5-edge, N = 3 instance the CI runs through the CLI
         spec = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), source=0, sink=3)
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 2.0, 6.0, 1.0], [1.0, 5.0, 3.0, 2.0, 2.0], [3.0, 3.0, 5.0, 1.0, 4.0]]))
-        mid = rk.midpoint_scenario(u)
-        cases = [(mid, rk.ConvexWeights.uniform(3), 1, rk.fixed_scenario_guarantee(u, mid, 1))]
+        cases = [(rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3))]
         for k in (1, 2):
-            t_star, scen, lam = rk.construct_lp_scenario(u, spec, k)
-            cases.append((scen, lam, k, 1.0 / t_star))
-        expected = [rk.lower_bound(u, spec, scen, lam) for scen, lam, _, _ in cases]
+            cases.append(rk.construct_lp_scenario(u, spec, k)[1:])
+        expected = [rk.lower_bound(u, spec, scen, lam) for scen, lam in cases]
         assert [round(lb, 8) for lb in expected] == [5.66666667, 5.59440559, 5.54347826]
         solves = []
         real = bounds_module.nominal_solve
         monkeypatch.setattr(bounds_module, "nominal_solve", lambda spec_, c: solves.append(c) or real(spec_, c))
-        reports = [rk.aposteriori_report(u, spec, scen, lam, k=k, apriori=apriori) for scen, lam, k, apriori in cases]
-        assert len(solves) == len(cases)  # one Dijkstra per report
-        assert [report.lb for report in reports] == expected
+        certified = [rk.certify(u, spec, scen, lam) for scen, lam in cases]
+        assert len(solves) == len(cases)  # one Dijkstra per certificate
+        assert [lb for _, lb in certified] == expected
         with pytest.raises(ValueError, match="convex hull"):  # the hull check still refuses
-            rk.aposteriori_report(u, spec, rk.worstcase_scenario(u), rk.ConvexWeights.uniform(3), k=1, apriori=1.0)
+            rk.certify(u, spec, rk.worstcase_scenario(u), rk.ConvexWeights.uniform(3))
 
-    def test_k_above_solution_cardinality_refused(self, table1):
-        u, spec = table1  # p = 2
-        with pytest.raises(ValueError, match="cardinality"):
-            rk.aposteriori_report(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3), k=3, apriori=1.0)
+    @pytest.mark.parametrize("problem", ["selection", "path"])
+    def test_crossed_bounds_raise_invariant_error(self, table1, monkeypatch, problem):
+        if problem == "selection":
+            u, spec = table1
+        else:
+            spec = rk.ShortestPath(edges=((0, 1), (1, 2), (0, 2)), source=0, sink=2)
+            u = rk.UncertaintySet(np.array([[1.0, 2.0, 4.0], [3.0, 1.0, 5.0]]))
+        monkeypatch.setattr("robustkit.bounds.upper_bound", lambda u_, x: 0.0)
+        with pytest.raises(rk.InvariantError, match=r"^lb <= ub violated: lb=\S+ ub=0\.0$"):
+            rk.certify(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(u.n_scenarios))
 
     def test_aposteriori_never_exceeds_apriori(self):
         rng = np.random.default_rng(555)
@@ -178,11 +178,11 @@ class TestAposterioriReport:
             u = rk.UncertaintySet(rng.integers(0, 101, size=(n_scen, n)).astype(float))
             spec = rk.Selection(n=n, p=3)
             mid = rk.midpoint_scenario(u)
-            mid_report = rk.aposteriori_report(u, spec, mid, rk.ConvexWeights.uniform(n_scen), k=2, apriori=rk.fixed_scenario_guarantee(u, mid, 2))
-            assert mid_report.aposteriori <= mid_report.apriori + rk.EPS_CMP
+            ub, lb = rk.certify(u, spec, mid, rk.ConvexWeights.uniform(n_scen))
+            assert rk.ratio_or_inf(ub, lb) <= rk.fixed_scenario_guarantee(u, mid, 2) + rk.EPS_CMP
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
-            lp_report = rk.aposteriori_report(u, spec, scen, lam, k=2, apriori=1.0 / t_star)
-            assert lp_report.aposteriori <= lp_report.apriori + rk.EPS_CMP
+            ub, lb = rk.certify(u, spec, scen, lam)
+            assert rk.ratio_or_inf(ub, lb) <= 1.0 / t_star + rk.EPS_CMP
 
 
 class TestMaxMin:

@@ -184,6 +184,14 @@ class TestBounds:
         assert float(pairs["ub"]) == pytest.approx(10.0)
         assert float(pairs["apriori"]) == 2.0
 
+    @pytest.mark.parametrize("method", ["midpoint", "lp"])
+    def test_crossed_bounds_exit_1(self, capsys, table1_file, monkeypatch, method):
+        monkeypatch.setattr("robustkit.bounds.upper_bound", lambda u, x: 0.0)
+        code, out, err = run_cli(capsys, "bounds", "--in", table1_file, "--method", method)
+        assert code == 1
+        assert "lb <= ub violated" in err
+        assert out == ""
+
     def test_oversized_exact_exits_3(self, capsys, tmp_path):
         u, spec = rk.generate_instance(40, 20, 2, seed=4)
         path = tmp_path / "big.txt"

@@ -276,14 +276,21 @@ class TestRunGrid:
         assert result.errors == [((10, 3, 10), 0, seed, "lp k=1: LpError: dual simplex exceeded 1 pivots")]
         assert result.failures == {(10, 3, 10): 1} and not result.rows
 
-    @pytest.mark.parametrize("workers", [1, 2])
-    def test_invariant_error_fails_the_grid(self, monkeypatch, workers):
+    @pytest.mark.parametrize(
+        "workers, patched, caught",
+        [(1, "experiments", "mm"), (2, "experiments", "mm"), (1, "bounds", "lb="), (2, "bounds", "lb=")],
+        ids=["1", "2", "1-certify", "2-certify"],
+    )
+    def test_invariant_error_fails_the_grid(self, monkeypatch, workers, patched, caught):
+        # experiments.upper_bound reaches the mm family alone, which
+        # _spot_check catches; bounds.upper_bound reaches mid and lp through
+        # certify, which raises first
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches pool workers only when they are forked")
-        monkeypatch.setattr("robustkit.experiments.upper_bound", lambda u, x: 0.0)
+        monkeypatch.setattr(f"robustkit.{patched}.upper_bound", lambda u, x: 0.0)
         grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2)
         seed = derive_seed(2, 5, 2, 2, 0)
-        with pytest.raises(InvariantError, match=rf"cell \(5, 2, 2\) instance 0 seed {seed}: lb <= ub violated"):
+        with pytest.raises(InvariantError, match=rf"cell \(5, 2, 2\) instance 0 seed {seed}: lb <= ub violated: {caught}"):
             rk.run_grid(grid, workers=workers)
 
 

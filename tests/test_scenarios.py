@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import math
 
@@ -259,6 +260,24 @@ class TestConstructLpScenario:
             rk.construct_lp_scenario(u, spec, 3)  # exceeds p = 2
         with pytest.raises(ValueError, match="cardinality"):
             rk.construct_lp_scenario(u, spec, 4)
+
+    @pytest.mark.parametrize("cell", [(10, 3, 10), (4, 2, 3)])
+    def test_guarantee_below_one_is_refused(self, cell, monkeypatch):
+        # a halved mu doubles t*, so 1/t*, below 2 at every k here, would
+        # read below 1: the self-violation check refuses it
+        u, spec = rk.generate_instance(*cell, rk.derive_seed(1, *cell, 0))
+        ks = range(1, spec.p + 1)
+        assert all(1.0 / rk.construct_lp_scenario(u, spec, k)[0] < 2.0 for k in ks)
+        solve_lp = rk.scenarios.solve_lp
+
+        def halved(lp, source):
+            solution = solve_lp(lp, source)
+            return dataclasses.replace(solution, x=0.5 * solution.x)
+
+        monkeypatch.setattr("robustkit.scenarios.solve_lp", halved)
+        for k in ks:
+            with pytest.raises(rk.LpError, match="violates its own constraints"):
+                rk.construct_lp_scenario(u, spec, k)
 
     def test_start_from_k_or_above_is_refused(self, table1):
         u, spec = table1
