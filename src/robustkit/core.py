@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
@@ -76,8 +76,6 @@ class Scenario:
 
     values: np.ndarray  # length n, nonnegative, read-only
     k: Optional[int] = None  # subset size used by the LP construction, if any
-    # the LP construction's (scenario i, subset S) rows that bind at its optimum
-    rows: Tuple[Tuple[int, Tuple[int, ...]], ...] = ()
 
     def __post_init__(self):
         values = np.asarray(self.values, dtype=float)

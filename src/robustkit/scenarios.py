@@ -25,14 +25,15 @@ item j's row for the scenario of largest c^i_j implies its others. The
 base LP starts from these dominating rows, at most N + 1 of them (a
 dense n-row start loses when n >> N), so with n <= N + 1 the oracle
 only certifies the optimum. A construction at a larger k can start from
-one at a smaller k, as the experiment grid's do: the rows that bind at
-the smaller k's optimum, each grown by the items where c - t * c^i is
-smallest, go into the base LP. Seeded rows are rows of the LP, so t* is
-the same and only the rounds fall; the optimal vertex may differ. The
-same constraint family with c held fixed gives a sharpened guarantee for
-any hull scenario (in particular the midpoint): the smallest subset-sum
-ratio, found exactly by Dinkelbach's min-ratio iteration with that
-oracle.
+one at a smaller k, as the experiment grid's do. The seed is read from
+that optimum (t, c) alone: each scenario i that binds there (its
+smaller-k smallest values of c - t * c^i sum to about 0) puts its k
+smallest, its most violated size-k row, into the base LP. Seeded rows
+are rows of the LP, so t* is the same and only the rounds fall; the
+optimal vertex may differ. The same constraint family with c held fixed
+gives a sharpened guarantee for any hull scenario (in particular the
+midpoint): the smallest subset-sum ratio, found exactly by Dinkelbach's
+min-ratio iteration with that oracle.
 """
 
 from __future__ import annotations
@@ -125,21 +126,6 @@ def _subset_rows(u: UncertaintySet, rows) -> np.ndarray:
     return -sums / sums[np.arange(len(rows)), [i for i, _ in rows]][:, None]
 
 
-def _tight_rows(u: UncertaintySet, rows, values: np.ndarray, t: float):
-    """The (i, S) of rows, all of one size, that bind at t and values.
-
-    A row binds when sum_S c - t * sum_S c^i is at most
-    EPS_FEAS * max(1, max c).
-    """
-    if not rows:
-        return ()
-    scen = np.array([i for i, _ in rows])
-    sub = np.array([subset for _, subset in rows])
-    slack = values[sub].sum(axis=1) - t * u.costs[scen[:, None], sub].sum(axis=1)
-    tol = EPS_FEAS * max(1.0, float(values.max()))
-    return tuple(row for row, s in zip(rows, slack) if s <= tol)
-
-
 def _dominating_rows(u: UncertaintySet):
     """The k = 1 rows (argmax_i c^i_j, (j,)) that imply all the others, at most N + 1 of them.
 
@@ -160,25 +146,23 @@ def _dominating_rows(u: UncertaintySet):
 
 
 def _extended_rows(u: UncertaintySet, t: float, scenario: Scenario, k: int):
-    """The binding rows of a smaller-k optimum, each grown to size k.
+    """The size-k rows a smaller-k optimum (t, c) seeds, one per scenario that binds there.
 
-    Row (i, S) gains the k - |S| items outside S with the smallest
-    c_j - t * c^i_j at that optimum, ties going to the smallest item: the
-    most violated size-k row of scenario i that contains S. A grown row
-    with a(i, S) = 0 holds for every mu and is left out.
+    With vals = c - t * c^i, scenario i binds when its scenario.k smallest
+    vals sum to at most EPS_FEAS * max(1, max c); it seeds its k smallest
+    vals, ties going to the smallest item: its most violated size-k row
+    at that optimum. A row with a(i, S) = 0 holds for every mu and is
+    left out.
     """
     if scenario.k is None or scenario.k >= k:
         raise ValueError(f"a start must come from a construction at k < {k}, got k={scenario.k}")
-    if not scenario.rows:
-        return []
-    scen = np.array([i for i, _ in scenario.rows])
-    sub = np.array([subset for _, subset in scenario.rows])
-    vals = scenario.values - t * u.costs[scen]
-    np.put_along_axis(vals, sub, np.inf, axis=1)
-    extra = np.argsort(vals, axis=1, kind="stable")[:, : k - scenario.k]
-    grown = np.sort(np.concatenate((sub, extra), axis=1), axis=1)
+    vals = scenario.values - t * u.costs
+    order = np.argsort(vals, axis=1, kind="stable")
+    slack = np.take_along_axis(vals, order[:, : scenario.k], axis=1).sum(axis=1)
+    scen = np.flatnonzero(slack <= EPS_FEAS * max(1.0, float(scenario.values.max())))
+    grown = np.sort(order[scen, :k], axis=1)
     own = u.costs[scen[:, None], grown].sum(axis=1)
-    return list(dict.fromkeys((int(i), tuple(S.tolist())) for i, S, a in zip(scen, grown, own) if a > 0.0))
+    return [(int(i), tuple(S.tolist())) for i, S, a in zip(scen, grown, own) if a > 0.0]
 
 
 def construct_lp_scenario(
@@ -194,8 +178,7 @@ def construct_lp_scenario(
     t_star = 1 / sum_m mu*_m and the hull weights are t_star * mu*. A
     subset row with a(i, S) = 0 holds for every mu and is left out; with
     all costs zero no row is left, and t_star = 1 with the weight on
-    scenario 0. The scenario's rows are the subset rows that bind at the
-    optimum.
+    scenario 0.
 
     At k = 1 without a start, the base LP holds each item's dominating
     row, at most N + 1 of them (_dominating_rows): a vertex needs no
@@ -203,10 +186,12 @@ def construct_lp_scenario(
     LP, so t_star is unchanged.
 
     start, the (t_star, scenario) of a construction of the same instance
-    at a smaller k, seeds the base LP with that optimum's binding rows,
-    each grown to size k (_extended_rows). They are rows of this LP, so
-    t_star is the same as unseeded; the optimal vertex, and with it the
-    scenario, may differ.
+    at a smaller k, seeds the base LP from that optimum alone: each
+    scenario i whose scenario.k smallest values of c - t_star * c^i sum
+    to at most EPS_FEAS * max(1, max c) binds there, and seeds its k
+    smallest (_extended_rows). They are rows of this LP, so t_star is the
+    same as unseeded; the optimal vertex, and with it the scenario, may
+    differ.
     """
     require_dimension(u, spec)
     if not validate_k(spec, k):
@@ -227,7 +212,6 @@ def construct_lp_scenario(
         cut = separation_oracle(u, c, t, k)
         if cut is None:
             return None
-        rows.append(cut)
         i, subset = cut
         sums = u.costs[:, list(subset)].sum(axis=1)  # a violated row has sums[i] > 0
         return -sums / sums[i], -1.0
@@ -240,8 +224,7 @@ def construct_lp_scenario(
     if t_star <= 0.0:
         raise LpError(f"scenario construction LP returned t*={t_star} <= 0")
     lam = ConvexWeights(t_star * mu if total > 0.0 else np.eye(u.n_scenarios)[0])
-    values = lam.combine(u)
-    scenario = Scenario(values, k=k, rows=_tight_rows(u, rows, values, t_star))
+    scenario = Scenario(lam.combine(u), k=k)
 
     # never return a silently invalid guarantee
     violation, _, _ = _most_violated(u.costs, scenario.values, t_star, k)

@@ -474,11 +474,12 @@ class TestPivotCounts:
     }
 
     # the grid's path, where each k >= 2 starts from the previous k's
-    # binding rows; k = 1 and max-min are solved as above
+    # optimum, each scenario binding there seeding its most violated
+    # k-row; k = 1 and max-min are solved as above
     EXACT_SEEDED = {
-        (10, 3, 10): ([25, 39, 16, 30], [0, 15, 4]),
-        (20, 6, 50): ([108, 168, 205, 110], [0, 32, 47]),
-        (30, 9, 100): ([161, 339, 283, 183], [0, 44, 50]),
+        (10, 3, 10): ([25, 37, 16, 30], [0, 14, 4]),
+        (20, 6, 50): ([108, 174, 201, 110], [0, 30, 46]),
+        (30, 9, 100): ([161, 335, 303, 183], [0, 44, 51]),
     }
 
     @staticmethod

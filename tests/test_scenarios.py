@@ -292,26 +292,35 @@ class TestConstructLpScenario:
         u, spec = rk.generate_instance(8, 4, 5, 11)
         t1, scen1, _ = rk.construct_lp_scenario(u, spec, 1)
         unseeded = rk.construct_lp_scenario(u, spec, 3)[0]
-        assert scen1.rows
-        for i, subset in scen1.rows:
-            cols = list(subset)
-            assert t1 * u.costs[i, cols].sum() == pytest.approx(scen1.values[cols].sum(), abs=1e-9)
-        built, seeded = [], []
-        subset_rows, solve_lp = rk.scenarios._subset_rows, rk.scenarios.solve_lp
-        monkeypatch.setattr("robustkit.scenarios._subset_rows", lambda u, rows: built.extend(rows) or subset_rows(u, rows))
-        monkeypatch.setattr("robustkit.scenarios.solve_lp", lambda lp, source: seeded.extend(built) or solve_lp(lp, source))
-        t3, scen3, _ = rk.construct_lp_scenario(u, spec, 3, start=(t1, scen1))
+        seeds, scenario_lp = [], rk.scenarios.scenario_lp
+        monkeypatch.setattr("robustkit.scenarios.scenario_lp", lambda u, rows: seeds.append(list(rows)) or scenario_lp(u, rows))
+        t3, _, _ = rk.construct_lp_scenario(u, spec, 3, start=(t1, scen1))
         assert t3 == pytest.approx(unseeded, rel=1e-9)
-        assert len(seeded) == len(set(seeded)) <= len(scen1.rows)
-        # each binding row (i, S) becomes the most violated 3-row of scenario i containing S
+        seeded = seeds[0]
+        # one row per scenario that binds at the k = 1 optimum, found by enumeration
         vals = scen1.values - t1 * u.costs
-        for i, subset in scen1.rows:
-            grown = [row for row in seeded if row[0] == i and set(subset) < set(row[1])]
-            assert len(grown) == 1 and len(grown[0][1]) == 3
-            rest = sorted(set(range(8)) - set(subset))
-            best = min(vals[i, list(extra)].sum() for extra in itertools.combinations(rest, 2))
-            assert vals[i, list(set(grown[0][1]) - set(subset))].sum() == best
-        assert scen3.rows and all(len(subset) == 3 for _, subset in scen3.rows)
+        tol = rk.EPS_FEAS * max(1.0, scen1.values.max())
+        binding = [i for i in range(5) if vals[i].min() <= tol]
+        assert seeded and [i for i, _ in seeded] == binding
+        # each is the most violated 3-row of its scenario
+        for i, subset in seeded:
+            assert len(subset) == 3 and u.costs[i, list(subset)].sum() > 0
+            best = min(vals[i, list(S)].sum() for S in itertools.combinations(range(8), 3))
+            assert vals[i, list(subset)].sum() == pytest.approx(best, abs=1e-12)
+
+    @pytest.mark.parametrize("cell", [(10, 3, 10), (20, 6, 50), (40, 3, 5)])
+    def test_start_rebuilt_from_its_optimum_seeds_the_same_solve(self, cell, monkeypatch):
+        # the seed reads (t*, c, k) alone: a start rebuilt from them gives
+        # the same t*, scenario bits, pivots and rounds
+        solutions, solve_lp = [], rk.scenarios.solve_lp
+        monkeypatch.setattr("robustkit.scenarios.solve_lp", lambda lp, source: solutions.append(solve_lp(lp, source)) or solutions[-1])
+        u, spec = rk.generate_instance(*cell, rk.derive_seed(5, *cell, 0))
+        t1, scen1, _ = rk.construct_lp_scenario(u, spec, 1)
+        runs = []
+        for start in ((t1, scen1), (t1, rk.Scenario(scen1.values, k=1))):
+            t_star, scen, _ = rk.construct_lp_scenario(u, spec, 3, start=start)
+            runs.append((t_star, scen.values.tobytes(), solutions[-1].iterations, solutions[-1].rounds))
+        assert runs[0] == runs[1]
 
     @staticmethod
     def k1_seed(u, spec, monkeypatch):
@@ -414,14 +423,16 @@ class TestConstructLpScenario:
             assert t_star == pytest.approx(eager_t_star(u, k), abs=1e-9)
             assert rk.construct_lp_scenario(u, spec, k, start=start)[0] == pytest.approx(t_star, rel=1e-12)
             start = t_star, scen
-            assert all(u.costs[i, list(S)].sum() > 0 for i, S in scen.rows)
             assert exhaustive_most_violated(u, scen.values, t_star, k)[0] <= rk.EPS_CMP
             assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, scen, k), rel=1e-9)
-        # a start that names one of its rows seeds no row of it
+        # a zero-cost scenario seeds no row, even from a start where it binds
         t1, scen1, _ = rk.construct_lp_scenario(u, spec, 1)
-        padded = rk.Scenario(scen1.values, k=1, rows=((zero, (0,)),) + scen1.rows)
-        assert [i for i, _ in rk.scenarios._extended_rows(u, t1, padded, 2)].count(zero) == 0
-        assert rk.construct_lp_scenario(u, spec, 2, start=(t1, padded))[0] == pytest.approx(eager_t_star(u, 2), abs=1e-9)
+        values = scen1.values.copy()
+        values[0] = 0.0
+        zeroed = rk.Scenario(values, k=1)
+        seeded = rk.scenarios._extended_rows(u, t1, zeroed, 2)
+        assert seeded and zero not in [i for i, _ in seeded]
+        assert rk.construct_lp_scenario(u, spec, 2, start=(t1, zeroed))[0] == pytest.approx(eager_t_star(u, 2), abs=1e-9)
 
     def test_item_without_cost(self):
         # item 1 costs nothing anywhere: no k = 1 row, and it joins larger
