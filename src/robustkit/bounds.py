@@ -3,17 +3,18 @@
 Upper bounds come from evaluating a solution against every scenario; lower
 bounds from the nominal value of a scenario certified inside the convex
 hull of the set. certify takes both from one nominal solve; the experiment
-grid and `robustkit bounds` certify the midpoint and the LP scenario with
-that one call. The hull-wide best lower bound (max over hull scenarios of
-the nominal optimum) is computed compactly by dualizing the nominal LP,
-and an exhaustive enumerator provides exact optima for verification at
-desk scale. For selection it is a depth-first search over blocks of
-sibling nodes, one numpy step per block: a partial subset is pruned when,
-even adding in every scenario the sum of the r smallest remaining costs
-for its r missing items, the worst case exceeds the incumbent. A beam dive
-seeds the incumbent, and the last missing item is evaluated for a whole
-block at once. Pruning is strict, so ties with the incumbent are still
-visited and resolve to the lexicographically smallest subset.
+grid and `robustkit bounds` certify the midpoint, the LP scenario and the
+max-min scenario with that one call. The max-min scenario, the hull
+scenario of largest nominal minimum, is found compactly by dualizing the
+nominal LP, and an exhaustive enumerator provides exact optima for
+verification at desk scale. For selection it is a depth-first search over
+blocks of sibling nodes, one numpy step per block: a partial subset is
+pruned when, even adding in every scenario the sum of the r smallest
+remaining costs for its r missing items, the worst case exceeds the
+incumbent. A beam dive seeds the incumbent, and the last missing item is
+evaluated for a whole block at once. Pruning is strict, so ties with the
+incumbent are still visited and resolve to the lexicographically smallest
+subset.
 """
 
 from __future__ import annotations

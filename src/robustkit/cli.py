@@ -117,7 +117,8 @@ def cmd_bounds(args) -> int:
         lines += [f"k={args.k}", f"apriori={_num(apriori)}", f"lb={_num(lb)}"]
         lines += [f"ub={_num(ub)}", f"aposteriori={_num(ratio_or_inf(ub, lb))}"]
     if args.with_maxmin:
-        lines.append(f"maxmin_lb={_num(maxmin_certificate(u, spec)[0])}")
+        lam_mm = maxmin_certificate(u, spec)[1]
+        lines.append(f"maxmin_lb={_num(certify(u, spec, lam_mm.combine(u), lam_mm)[1])}")
     if args.with_exact:
         opt, solution = exact_minmax(u, spec)
         lines.append(f"opt={_num(opt)}")

@@ -25,9 +25,9 @@ from typing import Callable, Dict, List, Optional, Tuple
 import numpy as np
 
 from .core import EPS_CMP, ConvexWeights, InvariantError, UncertaintySet, ratio_or_inf
-from .problems import Selection, nominal_solve
+from .problems import Selection
 from .scenarios import construct_lp_scenario, fixed_scenario_guarantee, midpoint_scenario
-from .bounds import MAX_ENUMERATION, certify, exact_minmax, maxmin_certificate, upper_bound
+from .bounds import MAX_ENUMERATION, certify, exact_minmax, maxmin_certificate
 
 _MASK64 = (1 << 64) - 1
 _GOLDEN = 0x9E3779B97F4A7C15
@@ -165,8 +165,8 @@ def _record(out, method, k, ub, lb) -> None:
 def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, float], Dict[str, float]]:
     """Compute every metric of one instance.
 
-    Runs the midpoint and the LP scenario at each valid k, each certified
-    by bounds.certify, and the max-min lower bound, then the exact optimum
+    Runs the midpoint, the LP scenario at each valid k and the max-min
+    hull scenario, each certified by bounds.certify, then the exact optimum
     when with_opt is set, and checks the results against _spot_check.
     Returns (cell_index, instance_id, error, values, timings), timings in
     seconds per method family (mid, lp, mm and exact); on a domain error
@@ -202,9 +202,8 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
 
         stage = "mm"
         start = time.perf_counter()
-        mm_val, lam_mm = maxmin_certificate(u, spec)
-        x = nominal_solve(spec, lam_mm.combine(u))
-        _record(out, "mm", None, upper_bound(u, x), mm_val)
+        lam_mm = maxmin_certificate(u, spec)[1]
+        _record(out, "mm", None, *certify(u, spec, lam_mm.combine(u), lam_mm))
         timings["mm"] = time.perf_counter() - start
 
         if with_opt:
@@ -213,7 +212,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
             out[("opt", "exact", None)] = exact_minmax(u, spec)[0]
             timings["exact"] = time.perf_counter() - start
 
-        _spot_check(out, ks_valid, N)
+        _spot_check(out, ks_valid)
         return cell_index, instance_id, None, out, timings
     except InvariantError as exc:
         raise InvariantError(f"cell {(n, p, N)} instance {instance_id} seed {seed}: {exc}") from exc
@@ -226,17 +225,17 @@ def _require(holds: bool, invariant: str, detail: str) -> None:
         raise InvariantError(f"{invariant} violated: {detail}")
 
 
-def _spot_check(out, ks_valid, N):
-    """Ordering invariants over every family; cheap enough to run on every instance.
+def _spot_check(out, ks_valid):
+    """Invariants across families and k; cheap enough to run on every instance.
 
     For the midpoint, the LP scenario at each k and the max-min scenario:
-    lb <= mm, and lb <= opt <= ub when the exact optimum was computed.
-    lb <= ub is checked for max-min alone: certify already raised on it
-    for the others. The a-priori guarantee 1/t* is at most the
-    midpoint's and N, and non-increasing in k. out must hold every metric
-    of the instance; a missing one raises KeyError rather than skip its
-    checks. Raises InvariantError naming the broken invariant; plain
-    raises, so the checks also run under python -O.
+    lb <= mm, and lb <= opt <= ub when the exact optimum was computed
+    (certify has already raised on lb > ub within each family). The
+    a-priori guarantee 1/t* is at most the midpoint's and non-increasing
+    in k; construct_lp_scenario has already raised on 1/t* > N. out must
+    hold every metric of the instance; a missing one raises KeyError
+    rather than skip its checks. Raises InvariantError naming the broken
+    invariant; plain raises, so the checks also run under python -O.
     """
     tol = EPS_CMP
     mm = out[("lb", "mm", None)]
@@ -244,8 +243,6 @@ def _spot_check(out, ks_valid, N):
     scale = tol * max(1.0, opt or 0.0)
     for method, k in [("mid", None)] + [("lp", k) for k in ks_valid] + [("mm", None)]:
         lb, ub = out[("lb", method, k)], out[("ub", method, k)]
-        if method == "mm":
-            _require(lb <= ub + tol, "lb <= ub", f"{method} k={k} lb={lb} ub={ub}")
         _require(lb <= mm + tol, "lb <= mm", f"{method} k={k} lb={lb} mm={mm}")
         if opt is not None:
             _require(lb <= opt + scale, "lb <= opt", f"{method} k={k} lb={lb} opt={opt}")
@@ -253,11 +250,7 @@ def _spot_check(out, ks_valid, N):
     prev = None
     for k in ks_valid:
         pre_lp, pre_mid = out[("apriori", "lp", k)], out[("apriori", "mid", k)]
-        _require(
-            pre_lp <= pre_mid + tol and pre_lp <= N + tol,
-            "1/t* <= min(midpoint guarantee, N)",
-            f"k={k} 1/t*={pre_lp} midpoint={pre_mid} N={N}",
-        )
+        _require(pre_lp <= pre_mid + tol, "1/t* <= midpoint guarantee", f"k={k} 1/t*={pre_lp} midpoint={pre_mid}")
         if prev is not None:
             _require(pre_lp <= prev + tol, "1/t* non-increasing in k", f"k={k} 1/t*={pre_lp} > {prev}")
         prev = pre_lp

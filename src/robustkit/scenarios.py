@@ -209,12 +209,10 @@ def construct_lp_scenario(
         # solve lands, at t = 1 against scenario 0
         t = 1.0 / total if total > 0.0 else 1.0
         c = t * (mu @ u.costs) if total > 0.0 else u.costs[0]
-        cut = separation_oracle(u, c, t, k)
-        if cut is None:
+        violation, i, subset = _most_violated(u.costs, c, t, k)
+        if violation <= EPS_CUT:
             return None
-        i, subset = cut
-        sums = u.costs[:, list(subset)].sum(axis=1)  # a violated row has sums[i] > 0
-        return -sums / sums[i], -1.0
+        return _subset_rows(u, [(i, subset)])[0], -1.0  # a violated row has a(i, S) > 0
 
     mu = solve_lp(lp, row_source).x
     total = float(mu.sum())

@@ -153,6 +153,16 @@ class TestRunGrid:
         assert row.instances == 3
         assert row.stderr == pytest.approx(float(np.std(opts, ddof=1) / math.sqrt(3)), abs=1e-12)
 
+    def test_maxmin_bounds_are_certifys(self):
+        # the max-min LP's value V and the exact nominal minimum of its hull
+        # scenario differ in the last bits here; the grid records certify's
+        u, spec = rk.generate_instance(20, 6, 50, derive_seed(1, 20, 6, 50, 0))
+        value, lam = rk.maxmin_certificate(u, spec)
+        ub, lb = rk.certify(u, spec, lam.combine(u), lam)
+        assert lb != value
+        result = rk.run_grid(rk.ExperimentGrid(cells=[(20, 6, 50)], instance_count=1, master_seed=1))
+        assert (result.value(20, 6, 50, "ub", "mm"), result.value(20, 6, 50, "lb", "mm")) == (ub, lb)
+
     def test_ks_trimmed_to_p(self):
         grid = rk.ExperimentGrid(cells=[(5, 2, 3)], instance_count=2, master_seed=5)
         result = rk.run_grid(grid)
@@ -276,21 +286,16 @@ class TestRunGrid:
         assert result.errors == [((10, 3, 10), 0, seed, "lp k=1: LpError: dual simplex exceeded 1 pivots")]
         assert result.failures == {(10, 3, 10): 1} and not result.rows
 
-    @pytest.mark.parametrize(
-        "workers, patched, caught",
-        [(1, "experiments", "mm"), (2, "experiments", "mm"), (1, "bounds", "lb="), (2, "bounds", "lb=")],
-        ids=["1", "2", "1-certify", "2-certify"],
-    )
-    def test_invariant_error_fails_the_grid(self, monkeypatch, workers, patched, caught):
-        # experiments.upper_bound reaches the mm family alone, which
-        # _spot_check catches; bounds.upper_bound reaches mid and lp through
-        # certify, which raises first
+    @pytest.mark.parametrize("workers", [1, 2], ids=["1-certify", "2-certify"])
+    def test_invariant_error_fails_the_grid(self, monkeypatch, workers):
+        # every family's ub comes from bounds.upper_bound through certify,
+        # which raises at the first, the midpoint
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches pool workers only when they are forked")
-        monkeypatch.setattr(f"robustkit.{patched}.upper_bound", lambda u, x: 0.0)
+        monkeypatch.setattr("robustkit.bounds.upper_bound", lambda u, x: 0.0)
         grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2)
         seed = derive_seed(2, 5, 2, 2, 0)
-        with pytest.raises(InvariantError, match=rf"cell \(5, 2, 2\) instance 0 seed {seed}: lb <= ub violated: {caught}"):
+        with pytest.raises(InvariantError, match=rf"cell \(5, 2, 2\) instance 0 seed {seed}: lb <= ub violated: lb="):
             rk.run_grid(grid, workers=workers)
 
 
@@ -391,7 +396,7 @@ class TestGridValidation:
         assert rk.run_grid(grid).failures == {}
 
 
-# every metric of one instance at ks (1, 2) and N = 10, mutually consistent
+# every metric of one instance at ks (1, 2), mutually consistent
 CONSISTENT = {
     ("apriori", "mid", 1): 2.0,
     ("apriori", "mid", 2): 1.8,
@@ -418,46 +423,44 @@ class TestSpotCheck:
     @pytest.mark.parametrize(
         "key, value, invariant",
         [
-            # certify raises on lb > ub for mid and lp; here a mid lb above
-            # its ub is also above mm
+            # certify raises on lb > ub for every family; here a mid lb
+            # above its ub is also above mm
             (("lb", "mid", None), 3.0, "lb <= mm"),
             (("lb", "mid", None), 1.6, "lb <= mm"),
             (("lb", "lp", 1), 1.6, "lb <= mm"),
-            (("apriori", "lp", 1), 2.5, "1/t* <= min(midpoint guarantee, N)"),
+            (("apriori", "lp", 1), 2.5, "1/t* <= midpoint guarantee"),
             (("apriori", "lp", 2), 1.6, "1/t* non-increasing in k"),
             (("lb", "mm", None), 1.9, "lb <= opt"),  # mm <= opt
             (("ub", "lp", 2), 1.7, "opt <= ub"),
             (("opt", "exact", None), 0.9, "lb <= opt"),
-            # an lp ub below its lb is also below opt; mm is held to its
-            # own ub, which certify does not see, and to opt
+            # an ub below its lb is also below opt
             (("ub", "lp", 1), 1.1, "opt <= ub"),
-            (("ub", "mm", None), 1.4, "lb <= ub"),
             (("ub", "mm", None), 1.7, "opt <= ub"),
         ],
     )
     def test_each_invariant_is_named(self, key, value, invariant):
         with pytest.raises(InvariantError, match="^" + re.escape(f"{invariant} violated")):
-            _spot_check({**CONSISTENT, key: value}, (1, 2), 10)
+            _spot_check({**CONSISTENT, key: value}, (1, 2))
 
     def test_consistent_values_pass(self):
-        _spot_check(CONSISTENT, (1, 2), 10)
-        _spot_check(WITHOUT_OPT, (1, 2), 10)
+        _spot_check(CONSISTENT, (1, 2))
+        _spot_check(WITHOUT_OPT, (1, 2))
 
     @pytest.mark.parametrize("key", [key for key in CONSISTENT if key[0] in ("apriori", "ub", "lb")])
     def test_missing_metric_raises(self, key):
         with pytest.raises(KeyError):
-            _spot_check({k: v for k, v in CONSISTENT.items() if k != key}, (1, 2), 10)
+            _spot_check({k: v for k, v in CONSISTENT.items() if k != key}, (1, 2))
 
     def test_raises_under_python_optimize(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
-        bad = {**CONSISTENT, ("ub", "mm", None): 1.4}
+        bad = {**CONSISTENT, ("lb", "lp", 1): 1.6}
         code = (
             "import sys\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "from robustkit.experiments import _spot_check\n"
-            f"_spot_check({bad!r}, (1, 2), 10)\n"
+            f"_spot_check({bad!r}, (1, 2))\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)
         assert proc.returncode == 1
-        assert "InvariantError: lb <= ub violated" in proc.stderr
+        assert "InvariantError: lb <= mm violated" in proc.stderr

@@ -375,8 +375,8 @@ class TestConstructLpScenario:
 
     @pytest.mark.parametrize("k", [1, 3, 9])
     def test_generated_rows_equal_subset_rows(self, k, monkeypatch):
-        # the row source sums the cut's columns itself; its rows must be the
-        # bits _subset_rows gives the same (i, S)
+        # each generated row has the bits _subset_rows gives the (i, S) of
+        # its _most_violated call
         u, spec = rk.generate_instance(20, 9, 12, 3)
         generated, solve_lp = [], rk.scenarios.solve_lp
 
@@ -390,12 +390,14 @@ class TestConstructLpScenario:
             return solve_lp(lp, recording_source)
 
         monkeypatch.setattr("robustkit.scenarios.solve_lp", recording_solve_lp)
-        cuts, oracle = [], rk.scenarios.separation_oracle
-        monkeypatch.setattr("robustkit.scenarios.separation_oracle", lambda *a: cuts.append(oracle(*a)) or cuts[-1])
+        cuts, most_violated = [], rk.scenarios._most_violated
+        monkeypatch.setattr("robustkit.scenarios._most_violated", lambda *a: cuts.append(most_violated(*a)) or cuts[-1])
         rk.construct_lp_scenario(u, spec, k)
-        assert generated and len(generated) == len(cuts) - 1 and cuts[-1] is None
-        for row, cut in zip(generated, cuts):
-            assert row.tobytes() == rk.scenarios._subset_rows(u, [cut])[0].tobytes()
+        # the row source's last call finds no cut; the post-solve self-check makes one more
+        assert generated and len(generated) == len(cuts) - 2 and cuts[-2][0] <= rk.EPS_CUT
+        for row, (violation, i, subset) in zip(generated, cuts):
+            assert violation > rk.EPS_CUT
+            assert row.tobytes() == rk.scenarios._subset_rows(u, [(i, subset)])[0].tobytes()
 
     def test_scenario_is_hull_combination(self, table1):
         u, spec = table1
