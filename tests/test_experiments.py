@@ -125,6 +125,13 @@ class TestGenerateInstance:
         assert (topped_up > 0) == (cost_max == 64)
 
 
+def _weakest_vertex(u, spec):
+    """(value, weights) of the scenario with the smallest nominal minimum, for selection."""
+    nominal = np.sort(u.costs, axis=1)[:, : spec.p].sum(axis=1)
+    i = int(np.argmin(nominal))
+    return float(nominal[i]), rk.ConvexWeights(np.eye(len(nominal))[i])
+
+
 class TestRunGrid:
     def test_single_scenario_cell_ratios_are_one(self):
         grid = rk.ExperimentGrid(cells=[(4, 2, 1)], instance_count=5, master_seed=3)
@@ -153,7 +160,7 @@ class TestRunGrid:
         assert row.instances == 3
         assert row.stderr == pytest.approx(float(np.std(opts, ddof=1) / math.sqrt(3)), abs=1e-12)
 
-    def test_maxmin_bounds_are_certifys(self):
+    def test_maxmin_bounds_are_certified(self):
         # the max-min LP's value V and the exact nominal minimum of its hull
         # scenario differ in the last bits here; the grid records certify's
         u, spec = rk.generate_instance(20, 6, 50, derive_seed(1, 20, 6, 50, 0))
@@ -286,16 +293,30 @@ class TestRunGrid:
         assert result.errors == [((10, 3, 10), 0, seed, "lp k=1: LpError: dual simplex exceeded 1 pivots")]
         assert result.failures == {(10, 3, 10): 1} and not result.rows
 
-    @pytest.mark.parametrize("workers", [1, 2], ids=["1-certify", "2-certify"])
-    def test_invariant_error_fails_the_grid(self, monkeypatch, workers):
-        # every family's ub comes from bounds.upper_bound through certify,
-        # which raises at the first, the midpoint
+    @pytest.mark.parametrize(
+        "workers, patched, caught",
+        [
+            (1, "mm", "lb <= mm violated: mid"),
+            (2, "mm", "lb <= mm violated: mid"),
+            (1, "ub", "lb <= ub violated: lb="),
+            (2, "ub", "lb <= ub violated: lb="),
+        ],
+        ids=["1", "2", "1-certify", "2-certify"],
+    )
+    def test_invariant_error_fails_the_grid(self, monkeypatch, workers, patched, caught):
+        # a max-min certificate on the weakest single scenario passes certify
+        # but sits below the midpoint's lb, which _spot_check catches; a zero
+        # bounds.upper_bound reaches every family through certify, which
+        # raises at the first, the midpoint
         if workers > 1 and multiprocessing.get_start_method() != "fork":
             pytest.skip("the patch reaches pool workers only when they are forked")
-        monkeypatch.setattr("robustkit.bounds.upper_bound", lambda u, x: 0.0)
+        if patched == "mm":
+            monkeypatch.setattr("robustkit.experiments.maxmin_certificate", _weakest_vertex)
+        else:
+            monkeypatch.setattr("robustkit.bounds.upper_bound", lambda u, x: 0.0)
         grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2)
         seed = derive_seed(2, 5, 2, 2, 0)
-        with pytest.raises(InvariantError, match=rf"cell \(5, 2, 2\) instance 0 seed {seed}: lb <= ub violated: lb="):
+        with pytest.raises(InvariantError, match=rf"cell \(5, 2, 2\) instance 0 seed {seed}: {caught}"):
             rk.run_grid(grid, workers=workers)
 
 
