@@ -42,6 +42,6 @@ print(f"true gaps:   midpoint {ub_mid / opt:.3f}, LP {ub_lp / opt:.3f}")
 # hull, so no lower bound can be claimed from it.
 wc = rk.worstcase_scenario(u)
 try:
-    rk.lower_bound(u, spec, wc, lam_mid)
+    rk.certify(u, spec, wc, lam_mid)
 except ValueError as exc:
     print(f"\nworst-case scenario rejected as a lower-bound source: {exc}")

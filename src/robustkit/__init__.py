@@ -44,7 +44,6 @@ from .bounds import (
     BudgetError,
     certify,
     exact_minmax,
-    lower_bound,
     maxmin_certificate,
     upper_bound,
 )
@@ -87,7 +86,6 @@ __all__ = [
     "exact_minmax",
     "fixed_scenario_guarantee",
     "generate_instance",
-    "lower_bound",
     "max_solution_cardinality_bound",
     "maxmin_certificate",
     "midpoint_scenario",

@@ -30,6 +30,7 @@ from .core import (
     ConvexWeights,
     InvariantError,
     UncertaintySet,
+    cost_scale,
     cost_vector,
 )
 from .lp import LinearProgram, solve_lp
@@ -52,47 +53,30 @@ def upper_bound(u: UncertaintySet, x: BinarySolution) -> float:
     return float(u.costs[:, list(x.selected)].sum(axis=1).max())
 
 
-def lower_bound(u: UncertaintySet, spec: ProblemSpec, c, lam: ConvexWeights) -> float:
-    """Nominal minimum min_x c . x, valid as a lower bound because c is in the hull.
-
-    The weights must certify c = sum_i lam_i c^i within EPS_CMP; scenarios
-    outside the hull (e.g. the element-wise worst case) are rejected. For
-    selection the minimum is the sum of the p smallest values, ties to the
-    smaller index, added in index order: exact, whichever near-tie
-    nominal_solve picked.
-    """
-    values = _hull_values(u, c, lam)
-    if isinstance(spec, Selection):
-        return float(values[np.sort(np.argsort(values, kind="stable")[: spec.p])].sum())
-    return nominal_solve(spec, values).cost(values)
-
-
-def _hull_values(u: UncertaintySet, c, lam: ConvexWeights) -> np.ndarray:
-    """c's values, refused with ValueError unless lam certifies c = sum_i lam_i c^i within EPS_CMP."""
-    values = cost_vector(c, u.n_items)
-    gap = float(np.abs(values - lam.lam @ u.costs).max())
-    if not gap <= EPS_CMP:  # a NaN gap certifies nothing
-        raise ValueError(
-            f"scenario is not certified inside the convex hull: weights miss it by {gap}"
-        )
-    return values
-
-
 def certify(u: UncertaintySet, spec: ProblemSpec, c, lam: ConvexWeights) -> Tuple[float, float]:
     """(ub, lb) of the scenario c, certified inside the hull by lam, from one nominal solve.
 
-    c is a Scenario or a plain cost vector. ub is the worst case of c's
-    nominal solution, lb the nominal minimum for c (lower_bound). Raises
-    InvariantError when lb exceeds ub by more than EPS_CMP, an absolute
-    tolerance: no correct run gets there, as c lies in the hull.
+    c is a Scenario or a plain cost vector, refused with ValueError before
+    the solve unless lam certifies c = sum_i lam_i c^i within EPS_CMP (the
+    element-wise worst case is not). ub is the worst case of c's nominal
+    solution x; lb is the nominal minimum: for selection the p smallest
+    values, ties to the smaller index, summed in index order (exact
+    whichever near-tie x took), for paths x's cost. Raises InvariantError
+    when lb exceeds ub by more than EPS_CMP. Both tolerances are relative,
+    times cost_scale(u): the rounding of a cost grows with the costs.
     """
-    x = nominal_solve(spec, c)
+    values = cost_vector(c, u.n_items)
+    gap = float(np.abs(values - lam.lam @ u.costs).max())
+    tol = EPS_CMP * cost_scale(u)
+    if not gap <= tol:  # a NaN gap certifies nothing
+        raise ValueError(f"scenario is not certified inside the convex hull: weights miss it by {gap}")
+    x = nominal_solve(spec, values)
     ub = upper_bound(u, x)
     if isinstance(spec, Selection):
-        lb = lower_bound(u, spec, c, lam)
-    else:  # Dijkstra's x is a nominal minimizer, so its cost is lower_bound's, with no second solve
-        lb = x.cost(_hull_values(u, c, lam))
-    if lb > ub + EPS_CMP:
+        lb = float(values[np.sort(np.argsort(values, kind="stable")[: spec.p])].sum())
+    else:
+        lb = x.cost(values)
+    if lb > ub + tol:
         raise InvariantError(f"lb <= ub violated: lb={lb} ub={ub}")
     return ub, lb
 
@@ -120,15 +104,19 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     n_scen, n_items = u.costs.shape
     if (~u.costs.any(axis=0)).sum() >= spec.p:  # p items cost 0 in every scenario
         return 0.0, ConvexWeights(np.eye(n_scen)[0])
-    scale = float(u.costs.max())  # s above
+    # the LP reads the costs times the power of two that puts the largest in
+    # [64, 128), as the grid's: exact, and the pivot tolerances act alike
+    _, exp = math.frexp(float(u.costs.max()))
+    costs = np.ldexp(u.costs, 7 - exp)
+    scale = float(costs.max())  # s above
     mu = n_scen  # the column of mu', then nu'
     n_vars = n_scen + 1 + n_items
     # the item rows in ascending midpoint cost, then the normalization row:
     # after the first pivot every item row ties at rhs -s/p, and ties leave
     # by the smallest basic index, so this order decides the pivot path
-    order = np.argsort(u.costs.mean(axis=0), kind="stable")
+    order = np.argsort(costs.mean(axis=0), kind="stable")
     rows = np.zeros((n_items + 1, n_vars))
-    rows[:n_items, :n_scen] = -u.costs[:, order].T
+    rows[:n_items, :n_scen] = -costs[:, order].T
     rows[:n_items, mu] = 1.0
     rows[:n_items, mu + 1 :] -= np.eye(n_items)[order]  # -= keeps the zeros +0.0
     rows[n_items, mu], rows[n_items, mu + 1 :] = -float(spec.p), 1.0
@@ -137,7 +125,7 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     objective[:n_scen] = -1.0
     lam = solve_lp(LinearProgram(objective, rows, rhs)).x[:n_scen]
     total = float(lam.sum())
-    return scale / total, ConvexWeights(lam / total)
+    return math.ldexp(scale / total, exp - 7), ConvexWeights(lam / total)
 
 
 def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySolution]:

@@ -17,9 +17,10 @@ import numpy as np
 # Feasibility tolerance used inside the LP machinery.
 EPS_FEAS = 1e-9
 # Comparison tolerance for user-facing assertions; looser than EPS_FEAS so LP
-# round-off cannot fail report invariants.
+# round-off cannot fail report invariants. Each use says if it is scaled.
 EPS_CMP = 1e-6
-# Violation threshold below which a constraint row is not worth adding.
+# Violation threshold below which a constraint row is not worth adding, at
+# a largest cost of 100.
 EPS_CUT = 1e-7
 
 
@@ -103,6 +104,7 @@ class ConvexWeights:
             raise ValueError("weights must be a nonempty 1-d vector")
         if not np.isfinite(lam).all():
             raise ValueError("weights must be finite")
+        # absolute: weights are scale-free, on the simplex
         if np.any(lam < -EPS_FEAS):
             raise ValueError(f"weights must be >= -{EPS_FEAS}, got min {lam.min()}")
         if abs(lam.sum() - 1.0) > EPS_FEAS:
@@ -148,6 +150,11 @@ def cost_vector(c, n: int) -> np.ndarray:
     if not np.isfinite(values).all():
         raise ValueError("cost vector must be finite")
     return values
+
+
+def cost_scale(u: UncertaintySet) -> float:
+    """Largest cost / 100, the factor of tolerances on costs: 1 at the grid's top cost, and alike in any unit."""
+    return float(u.costs.max()) / 100.0
 
 
 def ratio_or_inf(ub: float, lb: float) -> float:

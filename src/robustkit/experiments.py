@@ -237,6 +237,8 @@ def _spot_check(out, ks_valid):
     rather than skip its checks. Raises InvariantError naming the broken
     invariant; plain raises, so the checks also run under python -O.
     """
+    # absolute on costs, which the grid draws from {0, ..., 100}, and on
+    # the scale-free ratios 1/t*; relative to opt where opt is compared
     tol = EPS_CMP
     mm = out[("lb", "mm", None)]
     opt = out.get(("opt", "exact", None))

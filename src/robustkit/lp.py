@@ -243,7 +243,9 @@ def _check_feasible(x, A, b, amax, bscale) -> None:
 
     x must satisfy the rows A x <= b up to EPS_FEAS scaled by the
     magnitudes: amax and bscale hold each row's largest absolute
-    coefficient and max(1, |b|). x >= 0 holds by construction.
+    coefficient and max(1, |b|): relative, floored at EPS_FEAS, which both
+    LPs meet at any cost scale as their rows are cost ratios or rescaled
+    costs. x >= 0 holds by construction.
     """
     if not np.isfinite(x).all():
         raise LpError("solution has non-finite values")

@@ -94,7 +94,7 @@ def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
     the smallest indices among them win, so rounding noise in the last
     bits of an LP scenario, whose binding rows equalize subset sums, does
     not decide x. Its cost may then exceed the nominal minimum by p times
-    that tolerance; bounds.lower_bound returns the exact minimum.
+    that tolerance; bounds.certify's lb is the exact minimum.
     Shortest path runs label-setting Dijkstra (costs are nonnegative by
     type invariant) and prefers the smaller predecessor vertex, then the
     smaller edge index, on equal-cost ties.

@@ -43,7 +43,7 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, EPS_CUT, EPS_FEAS, ConvexWeights, Scenario, UncertaintySet, cost_vector
+from .core import EPS_CMP, EPS_CUT, EPS_FEAS, ConvexWeights, Scenario, UncertaintySet, cost_scale, cost_vector
 from .lp import LinearProgram, LpError, solve_lp
 from .problems import ProblemSpec, max_solution_cardinality_bound, require_dimension, validate_k
 
@@ -89,8 +89,8 @@ def separation_oracle(
     """Most violated subset constraint t*sum_S c^i <= sum_S c, if any.
 
     Returns (scenario index, subset) when the worst violation exceeds
-    EPS_CUT, else None. None is equivalent to an exhaustive check of all
-    N * C(n, k) constraints finding no violation beyond EPS_CUT.
+    EPS_CUT * cost_scale(u), else None. None is equivalent to an
+    exhaustive check of all N * C(n, k) constraints finding none beyond.
     """
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
@@ -100,7 +100,7 @@ def separation_oracle(
         raise ValueError(f"k={k} exceeds the item count {u.n_items}")
     values = cost_vector(c, u.n_items)
     violation, i, subset = _most_violated(u.costs, values, t, k)
-    if violation > EPS_CUT:
+    if violation > EPS_CUT * cost_scale(u):
         return i, subset
     return None
 
@@ -149,17 +149,17 @@ def _extended_rows(u: UncertaintySet, t: float, scenario: Scenario, k: int):
     """The size-k rows a smaller-k optimum (t, c) seeds, one per scenario that binds there.
 
     With vals = c - t * c^i, scenario i binds when its scenario.k smallest
-    vals sum to at most EPS_FEAS * max(1, max c); it seeds its k smallest
-    vals, ties going to the smallest item: its most violated size-k row
-    at that optimum. A row with a(i, S) = 0 holds for every mu and is
-    left out.
+    vals sum to at most EPS_FEAS * max c (vals scale with the costs); it
+    seeds its k smallest vals, ties going to the smallest item: its most
+    violated size-k row at that optimum. A row with a(i, S) = 0 holds for
+    every mu and is left out.
     """
     if scenario.k is None or scenario.k >= k:
         raise ValueError(f"a start must come from a construction at k < {k}, got k={scenario.k}")
     vals = scenario.values - t * u.costs
     order = np.argsort(vals, axis=1, kind="stable")
     slack = np.take_along_axis(vals, order[:, : scenario.k], axis=1).sum(axis=1)
-    scen = np.flatnonzero(slack <= EPS_FEAS * max(1.0, float(scenario.values.max())))
+    scen = np.flatnonzero(slack <= EPS_FEAS * float(scenario.values.max()))
     grown = np.sort(order[scen, :k], axis=1)
     own = u.costs[scen[:, None], grown].sum(axis=1)
     return [(int(i), tuple(S.tolist())) for i, S, a in zip(scen, grown, own) if a > 0.0]
@@ -173,10 +173,10 @@ def construct_lp_scenario(
     The returned solution's nominal optimizer is a 1/t_star-approximation
     for the min-max problem; 1/t_star <= N always. The subset rows are
     added one at a time, each the most violated one at the current
-    optimum, until none is violated by more than EPS_CUT. The LP is
-    scenario_lp's covering form, solved by dual simplex pivots alone:
-    t_star = 1 / sum_m mu*_m and the hull weights are t_star * mu*. A
-    subset row with a(i, S) = 0 holds for every mu and is left out; with
+    optimum, until none is violated by more than EPS_CUT * cost_scale(u).
+    The LP is scenario_lp's covering form, solved by dual simplex pivots
+    alone: t_star = 1 / sum_m mu*_m and the hull weights are t_star * mu*.
+    A subset row with a(i, S) = 0 holds for every mu and is left out; with
     all costs zero no row is left, and t_star = 1 with the weight on
     scenario 0.
 
@@ -188,10 +188,9 @@ def construct_lp_scenario(
     start, the (t_star, scenario) of a construction of the same instance
     at a smaller k, seeds the base LP from that optimum alone: each
     scenario i whose scenario.k smallest values of c - t_star * c^i sum
-    to at most EPS_FEAS * max(1, max c) binds there, and seeds its k
-    smallest (_extended_rows). They are rows of this LP, so t_star is the
-    same as unseeded; the optimal vertex, and with it the scenario, may
-    differ.
+    to at most EPS_FEAS * max c binds there, and seeds its k smallest
+    (_extended_rows). They are rows of this LP, so t_star is the same as
+    unseeded; the optimal vertex, and with it the scenario, may differ.
     """
     require_dimension(u, spec)
     if not validate_k(spec, k):
@@ -202,6 +201,7 @@ def construct_lp_scenario(
     else:
         rows = _dominating_rows(u) if k == 1 else []
     lp = scenario_lp(u, rows)
+    scale = cost_scale(u)
 
     def row_source(mu):
         total = float(mu.sum())
@@ -210,7 +210,7 @@ def construct_lp_scenario(
         t = 1.0 / total if total > 0.0 else 1.0
         c = t * (mu @ u.costs) if total > 0.0 else u.costs[0]
         violation, i, subset = _most_violated(u.costs, c, t, k)
-        if violation <= EPS_CUT:
+        if violation <= EPS_CUT * scale:
             return None
         return _subset_rows(u, [(i, subset)])[0], -1.0  # a violated row has a(i, S) > 0
 
@@ -219,14 +219,13 @@ def construct_lp_scenario(
     # all-zero costs give no row and mu* = 0: every t is feasible in the
     # hull form, which answers t* = 1 with the weight on scenario 0
     t_star = 1.0 / total if total > 0.0 else 1.0
-    if t_star <= 0.0:
-        raise LpError(f"scenario construction LP returned t*={t_star} <= 0")
     lam = ConvexWeights(t_star * mu if total > 0.0 else np.eye(u.n_scenarios)[0])
     scenario = Scenario(lam.combine(u), k=k)
 
-    # never return a silently invalid guarantee
+    # never return a silently invalid guarantee: the violation is a cost,
+    # checked relative to the cost scale; 1/t* is a ratio, checked absolute
     violation, _, _ = _most_violated(u.costs, scenario.values, t_star, k)
-    if violation > EPS_CMP:
+    if violation > EPS_CMP * scale:
         raise LpError(f"constructed scenario violates its own constraints by {violation}")
     if 1.0 / t_star > u.n_scenarios + EPS_CMP:
         raise LpError(f"guarantee 1/t*={1.0 / t_star} exceeds the scenario count {u.n_scenarios}")
@@ -256,7 +255,7 @@ def fixed_scenario_guarantee(u: UncertaintySet, c, k: int) -> float:
         raise ValueError(f"k={k} exceeds the item count {u.n_items}")
     values = cost_vector(c, u.n_items)
     costs = u.costs
-    tol = 1e-12 * max(1.0, float(values.max(initial=0.0)) * k)
+    tol = 1e-12 * float(values.max()) * k  # relative: violations scale with c
 
     t = 1.0
     while True:

@@ -12,6 +12,9 @@ TABLE1_COSTS = np.array(
     ]
 )
 
+# Cost scales under which t* must stay put and the bounds scale along.
+COST_SCALES = [1e-9, 1e-6, 1e-3, 1e3, 1e6, 1e7, 1e8, 1e9]
+
 TABLE1_TEXT = """\
 # robust-instance v1
 problem selection
@@ -32,3 +35,9 @@ def table1():
 @pytest.fixture
 def table1_text():
     return TABLE1_TEXT
+
+
+def paper_cell_instances(count):
+    """count instances of each paper cell, (10,3,10), (20,6,50) and (30,9,100)."""
+    cells = [(10, 3, 10), (20, 6, 50), (30, 9, 100)]
+    return [rk.generate_instance(*cell, rk.derive_seed(5, *cell, i)) for cell in cells for i in range(count)]

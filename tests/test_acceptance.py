@@ -57,7 +57,7 @@ def test_criterion_1_table1_worked_example(table1):
 
         lam_mid = rk.ConvexWeights.uniform(3)
         x_mid = rk.nominal_solve(spec, mid)
-        lb_mid = rk.lower_bound(u, spec, mid, lam_mid)
+        lb_mid = rk.certify(u, spec, mid, lam_mid)[1]
         ub_mid = rk.upper_bound(u, x_mid)
         assert lb_mid == pytest.approx(8.0, abs=1e-6)
         assert ub_mid == pytest.approx(12.0, abs=1e-6)
@@ -154,7 +154,7 @@ def test_criterion_4_guarantee_properties():
                 violations += 1
 
             mm = rk.maxmin_certificate(u, spec)[0]
-            lb_mid = rk.lower_bound(u, spec, mid, lam_mid)
+            lb_mid = rk.certify(u, spec, mid, lam_mid)[1]
             if not lb_mid <= mm + rk.EPS_CMP:
                 violations += 1
             if not (mm <= opt + tol and opt <= ub_mid + tol):
@@ -166,7 +166,7 @@ def test_criterion_4_guarantee_properties():
                 guarantee = 1.0 / t_star
                 x_lp = rk.nominal_solve(spec, scen)
                 ub_lp = rk.upper_bound(u, x_lp)
-                lb_lp = rk.lower_bound(u, spec, scen, lam)
+                lb_lp = rk.certify(u, spec, scen, lam)[1]
                 # (a) continued
                 if not ub_lp <= guarantee * opt + tol:
                     violations += 1

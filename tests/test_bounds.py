@@ -9,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkit as rk
+from conftest import COST_SCALES, paper_cell_instances
 from robustkit import bounds as bounds_module
 from robustkit.bounds import BudgetError
 
@@ -73,41 +74,46 @@ class TestUpperBound:
 
 
 class TestLowerBound:
+    """certify's lb: the nominal minimum of a scenario the weights certify inside the hull."""
+
     def test_table1_midpoint(self, table1):
         u, spec = table1
         mid = rk.midpoint_scenario(u)
         lam = rk.ConvexWeights.uniform(3)
-        assert rk.lower_bound(u, spec, mid, lam) == pytest.approx(8.0)
+        assert rk.certify(u, spec, mid, lam)[1] == pytest.approx(8.0)
 
     def test_table1_lp_scenario(self, table1):
         u, spec = table1
         _, scen, lam = rk.construct_lp_scenario(u, spec, 1)
-        assert rk.lower_bound(u, spec, scen, lam) == pytest.approx(9.25, abs=1e-6)
+        assert rk.certify(u, spec, scen, lam)[1] == pytest.approx(9.25, abs=1e-6)
 
     def test_single_scenario_equals_nominal_optimum(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
         c = rk.Scenario(u.costs[0])
-        lb = rk.lower_bound(u, spec, c, rk.ConvexWeights([1.0]))
+        lb = rk.certify(u, spec, c, rk.ConvexWeights([1.0]))[1]
         assert lb == 4.0  # 1 + 3
 
     def test_rejects_cost_vector_of_wrong_length(self, table1):
         u, spec = table1
         with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
-            rk.lower_bound(u, spec, [0.0], rk.ConvexWeights.uniform(3))
+            rk.certify(u, spec, [0.0], rk.ConvexWeights.uniform(3))
 
     def test_rejects_nan_scenario(self, table1):
         # refused as a cost vector, before the hull check reads it
         u, spec = table1
         with pytest.raises(ValueError, match="finite"):
-            rk.lower_bound(u, spec, [np.nan, 1.0, 1.0, 1.0], rk.ConvexWeights.uniform(3))
+            rk.certify(u, spec, [np.nan, 1.0, 1.0, 1.0], rk.ConvexWeights.uniform(3))
 
-    def test_rejects_uncertified_scenario(self, table1):
+    def test_rejects_uncertified_scenario(self, table1, monkeypatch):
         u, spec = table1
         wc = rk.worstcase_scenario(u)
         lam = rk.ConvexWeights.uniform(3)  # does not reproduce the worst case
+        solves = []
+        monkeypatch.setattr(bounds_module, "nominal_solve", lambda spec_, c: solves.append(c))
         with pytest.raises(ValueError, match="convex hull"):
-            rk.lower_bound(u, spec, wc, lam)
+            rk.certify(u, spec, wc, lam)
+        assert solves == []  # refused before the nominal solve
 
 
 class TestAposterioriReport:
@@ -141,6 +147,21 @@ class TestAposterioriReport:
         _, scen, lam = rk.construct_lp_scenario(u, spec, 2)
         assert rk.certify(u, spec, scen.values, lam) == rk.certify(u, spec, scen, lam)
 
+    @pytest.mark.parametrize("alpha", COST_SCALES + [1e12])
+    def test_the_hull_check_does_not_depend_on_the_cost_unit(self, alpha):
+        # with fractional costs the midpoint misses lam @ costs by rounding
+        # that grows with the costs; the worst case misses the hull by far more
+        rng = np.random.default_rng(8)
+        for u, spec in paper_cell_instances(1):
+            fractional = rk.UncertaintySet(u.costs * rng.random(u.costs.shape))
+            scaled = rk.UncertaintySet(alpha * fractional.costs)
+            lam = rk.ConvexWeights.uniform(u.n_scenarios)
+            expected = rk.certify(fractional, spec, rk.midpoint_scenario(fractional), lam)
+            got = rk.certify(scaled, spec, rk.midpoint_scenario(scaled), lam)
+            assert got == pytest.approx(tuple(alpha * bound for bound in expected), rel=1e-12, abs=0)
+            with pytest.raises(ValueError, match="convex hull"):
+                rk.certify(scaled, spec, rk.worstcase_scenario(scaled), lam)
+
     def test_path_report_solves_once_and_keeps_lower_bound(self, monkeypatch):
         # the 4-vertex, 5-edge, N = 3 instance the CI runs through the CLI
         spec = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), source=0, sink=3)
@@ -148,7 +169,9 @@ class TestAposterioriReport:
         cases = [(rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3))]
         for k in (1, 2):
             cases.append(rk.construct_lp_scenario(u, spec, k)[1:])
-        expected = [rk.lower_bound(u, spec, scen, lam) for scen, lam in cases]
+        # the nominal minimum over all three s-t paths, with no Dijkstra
+        paths = list(rk.enumerate_solutions(spec))
+        expected = [min(x.cost(scen.values) for x in paths) for scen, _ in cases]
         assert [round(lb, 8) for lb in expected] == [5.66666667, 5.59440559, 5.54347826]
         solves = []
         real = bounds_module.nominal_solve
@@ -156,8 +179,9 @@ class TestAposterioriReport:
         certified = [rk.certify(u, spec, scen, lam) for scen, lam in cases]
         assert len(solves) == len(cases)  # one Dijkstra per certificate
         assert [lb for _, lb in certified] == expected
-        with pytest.raises(ValueError, match="convex hull"):  # the hull check still refuses
+        with pytest.raises(ValueError, match="convex hull"):  # the hull check still refuses, before any solve
             rk.certify(u, spec, rk.worstcase_scenario(u), rk.ConvexWeights.uniform(3))
+        assert len(solves) == len(cases)
 
     @pytest.mark.parametrize("problem", ["selection", "path"])
     def test_crossed_bounds_raise_invariant_error(self, table1, monkeypatch, problem):
@@ -225,9 +249,9 @@ class TestMaxMin:
             spec = rk.Selection(n=7, p=3)
             value = rk.maxmin_certificate(u, spec)[0]
             mid = rk.midpoint_scenario(u)
-            assert rk.lower_bound(u, spec, mid, rk.ConvexWeights.uniform(5)) <= value + 1e-6
+            assert rk.certify(u, spec, mid, rk.ConvexWeights.uniform(5))[1] <= value + 1e-6
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
-            assert rk.lower_bound(u, spec, scen, lam) <= value + 1e-6
+            assert rk.certify(u, spec, scen, lam)[1] <= value + 1e-6
 
     def test_rejects_shortest_path(self):
         spec = rk.ShortestPath(edges=((0, 1), (1, 2)), source=0, sink=2)
@@ -241,12 +265,6 @@ class TestMaxMin:
         scenario = rk.Scenario(lam.combine(u))
         x = rk.nominal_solve(spec, scenario)
         assert x.cost(scenario.values) == pytest.approx(value, abs=1e-8)
-
-
-def paper_cell_instances(count):
-    """count instances of each paper cell, (10,3,10), (20,6,50) and (30,9,100)."""
-    cells = [(10, 3, 10), (20, 6, 50), (30, 9, 100)]
-    return [rk.generate_instance(*cell, rk.derive_seed(5, *cell, i)) for cell in cells for i in range(count)]
 
 
 class TestMaxMinMetamorphic:
@@ -275,12 +293,17 @@ class TestMaxMinMetamorphic:
             grown = rk.UncertaintySet(np.vstack([u.costs, u.costs[copy : copy + 1]]))
             assert rk.maxmin_certificate(grown, spec)[0] == pytest.approx(value, rel=1e-12, abs=0)
 
-    @pytest.mark.parametrize("alpha", [1e-3, 1e3])
+    @pytest.mark.parametrize("alpha", COST_SCALES)
     def test_scaling_the_costs_scales_the_value(self, alpha):
+        # V, and the (ub, lb) that certify gives its hull scenario
         for u, spec in paper_cell_instances(2):
-            value = rk.maxmin_certificate(u, spec)[0]
-            scaled = rk.maxmin_certificate(rk.UncertaintySet(alpha * u.costs), spec)[0]
-            assert scaled == pytest.approx(alpha * value, rel=1e-12, abs=0)
+            value, lam = rk.maxmin_certificate(u, spec)
+            bounds = rk.certify(u, spec, lam.combine(u), lam)
+            scaled = rk.UncertaintySet(alpha * u.costs)
+            got, lam = rk.maxmin_certificate(scaled, spec)
+            assert got == pytest.approx(alpha * value, rel=1e-12, abs=0)
+            expected = tuple(alpha * bound for bound in bounds)
+            assert rk.certify(scaled, spec, lam.combine(scaled), lam) == pytest.approx(expected, rel=1e-12, abs=0)
 
     def test_p_items_without_cost_give_zero(self):
         # V = 0: the homogenized LP has no solution, and no LP is built
@@ -466,12 +489,12 @@ class TestSandwich:
             mid = rk.midpoint_scenario(u)
             lam_mid = rk.ConvexWeights.uniform(n_scen)
             x_mid = rk.nominal_solve(spec, mid)
-            lb_mid = rk.lower_bound(u, spec, mid, lam_mid)
+            lb_mid = rk.certify(u, spec, mid, lam_mid)[1]
             ub_mid = rk.upper_bound(u, x_mid)
 
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
             x_lp = rk.nominal_solve(spec, scen)
-            lb_lp = rk.lower_bound(u, spec, scen, lam)
+            lb_lp = rk.certify(u, spec, scen, lam)[1]
             ub_lp = rk.upper_bound(u, x_lp)
 
             eps = rk.EPS_CMP

@@ -184,6 +184,18 @@ class TestBounds:
         assert float(pairs["ub"]) == pytest.approx(10.0)
         assert float(pairs["apriori"]) == 2.0
 
+    @pytest.mark.parametrize("alpha", [1e-9, 1e9])
+    def test_lp_apriori_does_not_depend_on_the_cost_unit(self, capsys, tmp_path, alpha):
+        u, spec = rk.generate_instance(10, 3, 10, rk.derive_seed(5, 10, 3, 10, 1))
+        apriori = []
+        for scale in (1.0, alpha):
+            path = tmp_path / f"scaled-{scale}.txt"
+            path.write_text(rk.serialize_instance(rk.UncertaintySet(scale * u.costs), spec))
+            code, out, _ = run_cli(capsys, "bounds", "--in", str(path), "--method", "lp", "--k", "2")
+            assert code == 0
+            apriori.append(kv(out)["apriori"])
+        assert apriori == ["1.66005034"] * 2
+
     @pytest.mark.parametrize("method", ["midpoint", "lp"])
     def test_crossed_bounds_exit_1(self, capsys, table1_file, monkeypatch, method):
         monkeypatch.setattr("robustkit.bounds.upper_bound", lambda u, x: 0.0)

@@ -151,7 +151,7 @@ class TestRunGrid:
             mid = rk.midpoint_scenario(u)
             x = rk.nominal_solve(spec, mid)
             ub = rk.upper_bound(u, x)
-            lb = rk.lower_bound(u, spec, mid, rk.ConvexWeights.uniform(4))
+            lb = rk.certify(u, spec, mid, rk.ConvexWeights.uniform(4))[1]
             mids.append(ub / lb)
             opts.append(rk.exact_minmax(u, spec)[0])
         assert result.value(6, 3, 4, "aposteriori", "mid") == pytest.approx(float(np.mean(mids)), abs=1e-12)

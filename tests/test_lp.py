@@ -235,6 +235,23 @@ class TestFeasibilityOfReportedOptimum:
             assert np.all(lp.constraints @ x <= lp.rhs + 1e-9)
             assert abs(float(lp.objective @ x) - sol.objective) <= 1e-9 * (1 + abs(sol.objective))
 
+    # max -x subject to -x <= -1: the slack basis, x = 0, violates the row
+    AT_LEAST_ONE = rk.LinearProgram(np.array([-1.0]), np.array([[-1.0]]), np.array([-1.0]))
+
+    def test_unpivoted_infeasible_basis_is_refused(self, monkeypatch):
+        monkeypatch.setattr(lp_module, "_dual_simplex", lambda T, basis: 0)
+        with pytest.raises(rk.LpError, match="constraint 0 violated"):
+            rk.solve_lp(self.AT_LEAST_ONE)
+
+    def test_non_finite_solution_is_refused(self, monkeypatch):
+        def nan_basic(T, basis):
+            basis[0], T[0, -1] = 0, np.nan  # x basic in row 0 at NaN
+            return 0
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", nan_basic)
+        with pytest.raises(rk.LpError, match="solution has non-finite values"):
+            rk.solve_lp(self.AT_LEAST_ONE)
+
 
 def first_violated_source(rows):
     """Row source returning the first of rows that x violates by more than 1e-9."""

@@ -60,7 +60,7 @@ class TestNominalSolveSelection:
         values = [5.0, 1.0 + 1e-13, 1.0, 0.5]
         assert rk.nominal_solve(spec, values).selected == (1, 3)
         u = rk.UncertaintySet(np.array([values]))
-        assert rk.lower_bound(u, spec, values, rk.ConvexWeights([1.0])) == 1.5
+        assert rk.certify(u, spec, values, rk.ConvexWeights([1.0]))[1] == 1.5
         # beyond the tolerance the cheaper item wins
         assert rk.nominal_solve(spec, [5.0, 1.0 + 1e-8, 1.0, 0.5]).selected == (2, 3)
 

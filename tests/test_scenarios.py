@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkit as rk
+from conftest import COST_SCALES, paper_cell_instances
 from test_lp import eager_t_star
 
 uncertainty_sets = st.lists(
@@ -237,7 +238,7 @@ class TestConstructLpScenario:
         assert worst <= 0.01
         # bounds induced by the returned scenario
         x = rk.nominal_solve(spec, scen)
-        assert rk.lower_bound(u, spec, scen, lam) == pytest.approx(9.25, abs=1e-6)
+        assert rk.certify(u, spec, scen, lam)[1] == pytest.approx(9.25, abs=1e-6)
         assert rk.upper_bound(u, x) == pytest.approx(10.0, abs=1e-9)
 
     def test_table1_k2(self, table1):
@@ -277,6 +278,21 @@ class TestConstructLpScenario:
         monkeypatch.setattr("robustkit.scenarios.solve_lp", halved)
         for k in ks:
             with pytest.raises(rk.LpError, match="violates its own constraints"):
+                rk.construct_lp_scenario(u, spec, k)
+
+    def test_guarantee_above_the_scenario_count_is_refused(self, monkeypatch):
+        # mu times N + 1 divides t* by N + 1 and leaves the rows satisfied:
+        # only the scenario-count check refuses it
+        u, spec = rk.generate_instance(10, 3, 10, rk.derive_seed(1, 10, 3, 10, 0))
+        solve_lp = rk.scenarios.solve_lp
+
+        def grown(lp, source):
+            solution = solve_lp(lp, source)
+            return dataclasses.replace(solution, x=(u.n_scenarios + 1) * solution.x)
+
+        monkeypatch.setattr("robustkit.scenarios.solve_lp", grown)
+        for k in (1, 2, 3):
+            with pytest.raises(rk.LpError, match="exceeds the scenario count"):
                 rk.construct_lp_scenario(u, spec, k)
 
     def test_start_from_k_or_above_is_refused(self, table1):
@@ -466,6 +482,52 @@ class TestConstructLpScenario:
                 assert mid_pre <= u.n_scenarios + rk.EPS_CMP
                 assert lp_pre <= previous + rk.EPS_CMP  # non-increasing in k
                 previous = lp_pre
+
+
+class TestConstructLpScenarioMetamorphic:
+    """1/t* under changes of the instance that leave it unchanged: t* is a ratio of costs."""
+
+    @staticmethod
+    def guarantees(u, spec):
+        """1/t* at k = 1, 2, 3, single-k and then chained as the grid runs them."""
+        single = [1.0 / rk.construct_lp_scenario(u, spec, k)[0] for k in (1, 2, 3)]
+        chained, start = [], None
+        for k in (1, 2, 3):
+            start = rk.construct_lp_scenario(u, spec, k, start=start)[:2]
+            chained.append(1.0 / start[0])
+        return single + chained
+
+    @pytest.mark.parametrize("alpha", COST_SCALES)
+    def test_scaling_the_costs_keeps_the_guarantees(self, alpha):
+        for u, spec in paper_cell_instances(2):
+            scaled = rk.UncertaintySet(alpha * u.costs)
+            assert self.guarantees(scaled, spec) == pytest.approx(self.guarantees(u, spec), rel=1e-9, abs=0)
+            mid, mid_scaled = rk.midpoint_scenario(u), rk.midpoint_scenario(scaled)
+            for k in (1, 2, 3):
+                expected = rk.fixed_scenario_guarantee(u, mid, k)
+                assert rk.fixed_scenario_guarantee(scaled, mid_scaled, k) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    @pytest.mark.parametrize("alpha", COST_SCALES)
+    def test_the_oracle_clears_the_scaled_optimum(self, alpha):
+        # the oracle stops on the scaled costs' rounding, as the construction does
+        for u, spec in paper_cell_instances(1):
+            scaled = rk.UncertaintySet(alpha * u.costs)
+            for k in (1, 2, 3):
+                t_star, scen, _ = rk.construct_lp_scenario(scaled, spec, k)
+                assert rk.separation_oracle(scaled, scen, t_star, k) is None
+
+    def test_permuting_scenarios_or_items(self):
+        rng = np.random.default_rng(6)
+        for u, spec in paper_cell_instances(2):
+            expected = self.guarantees(u, spec)
+            for costs in (u.costs[rng.permutation(u.n_scenarios)], u.costs[:, rng.permutation(u.n_items)]):
+                assert self.guarantees(rk.UncertaintySet(costs), spec) == pytest.approx(expected, rel=1e-9, abs=0)
+
+    def test_appending_a_copy_of_a_scenario(self):
+        for i, (u, spec) in enumerate(paper_cell_instances(2)):
+            copy = i % u.n_scenarios
+            grown = rk.UncertaintySet(np.vstack([u.costs, u.costs[copy : copy + 1]]))
+            assert self.guarantees(grown, spec) == pytest.approx(self.guarantees(u, spec), rel=1e-9, abs=0)
 
 
 class TestFixedScenarioGuarantee:
