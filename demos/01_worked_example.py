@@ -25,7 +25,7 @@ print(u.costs)
 
 # --- the midpoint scenario: average cost per item -------------------------
 mid = rk.midpoint_scenario(u)
-print("\nmidpoint scenario:", np.round(mid.values, 2))
+print("\nmidpoint scenario:", np.round(mid, 2))
 
 x_mid = rk.nominal_solve(spec, mid)
 print("its nominal solution picks items:", x_mid.selected)
@@ -36,7 +36,7 @@ print(f"a-priori guarantee with k=1 (before solving): {rk.fixed_scenario_guarant
 
 # --- the element-wise worst case ------------------------------------------
 wc = rk.worstcase_scenario(u)
-print("\nworst-case scenario:", wc.values)
+print("\nworst-case scenario:", wc)
 print("guarantee min(N, |X|):", rk.worstcase_apriori_bound(u, spec))
 x_wc = rk.nominal_solve(spec, wc)
 print("its solution:", x_wc.selected, "with worst-case value", rk.upper_bound(u, x_wc))
@@ -45,7 +45,7 @@ print("its solution:", x_wc.selected, "with worst-case value", rk.upper_bound(u,
 for k in (1, 2):
     t_star, scen, lam = rk.construct_lp_scenario(u, spec, k)
     ub, lb = rk.certify(u, spec, scen, lam)
-    print(f"\nLP scenario with k={k}: {np.round(scen.values, 3)}")
+    print(f"\nLP scenario with k={k}: {np.round(scen, 3)}")
     print(f"  hull weights: {np.round(lam.lam, 3)}")
     print(f"  a-priori guarantee 1/t* = {1 / t_star:.3f}")
     print(f"  LB={lb:g}  UB={ub:g}  ratio={ub / lb:.3f}")

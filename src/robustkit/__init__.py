@@ -14,7 +14,6 @@ from .core import (
     ConvexWeights,
     InstanceFormatError,
     InvariantError,
-    Scenario,
     UncertaintySet,
     parse_instance,
     ratio_or_inf,
@@ -73,7 +72,6 @@ __all__ = [
     "LpError",
     "LpSolution",
     "ProblemSpec",
-    "Scenario",
     "Selection",
     "ShortestPath",
     "UncertaintySet",

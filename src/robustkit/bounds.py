@@ -56,16 +56,19 @@ def upper_bound(u: UncertaintySet, x: BinarySolution) -> float:
 def certify(u: UncertaintySet, spec: ProblemSpec, c, lam: ConvexWeights) -> Tuple[float, float]:
     """(ub, lb) of the scenario c, certified inside the hull by lam, from one nominal solve.
 
-    c is a Scenario or a plain cost vector, refused with ValueError before
-    the solve unless lam certifies c = sum_i lam_i c^i within EPS_CMP (the
-    element-wise worst case is not). ub is the worst case of c's nominal
-    solution x; lb is the nominal minimum: for selection the p smallest
-    values, ties to the smaller index, summed in index order (exact
-    whichever near-tie x took), for paths x's cost. Raises InvariantError
-    when lb exceeds ub by more than EPS_CMP. Both tolerances are relative,
-    times cost_scale(u): the rounding of a cost grows with the costs.
+    c is refused with ValueError before the solve unless cost_vector
+    accepts it, lam has one weight per scenario, and lam certifies
+    c = sum_i lam_i c^i within EPS_CMP (the element-wise worst case is
+    not). ub is the worst case of c's nominal solution x; lb is the
+    nominal minimum: for selection the p smallest values, ties to the
+    smaller index, summed in index order (exact whichever near-tie x
+    took), for paths x's cost. Raises InvariantError when lb exceeds ub
+    by more than EPS_CMP. Both tolerances are relative, times
+    cost_scale(u): the rounding of a cost grows with the costs.
     """
     values = cost_vector(c, u.n_items)
+    if lam.lam.shape != (u.n_scenarios,):
+        raise ValueError(f"weights have length {lam.lam.size}, expected {u.n_scenarios}, one per scenario")
     gap = float(np.abs(values - lam.lam @ u.costs).max())
     tol = EPS_CMP * cost_scale(u)
     if not gap <= tol:  # a NaN gap certifies nothing

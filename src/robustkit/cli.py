@@ -76,17 +76,17 @@ def _representative(u, spec, method: str, k: int):
     The LP at k is solved as the experiment grid solves it: at 1, ..., k,
     each started from the one before, so an (instance, k) has one answer.
     """
-    if method == "worstcase":
-        return worstcase_scenario(u), None, worstcase_apriori_bound(u, spec), None
     if not validate_k(spec, k):
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
+    if method == "worstcase":
+        return worstcase_scenario(u), None, worstcase_apriori_bound(u, spec), None
     if method == "midpoint":
         scen = midpoint_scenario(u)
         return scen, ConvexWeights.uniform(u.n_scenarios), fixed_scenario_guarantee(u, scen, k), None
-    start = None
+    prev = None
     for j in range(1, k + 1):
-        t_star, scen, lam = construct_lp_scenario(u, spec, j, start=start)
-        start = t_star, scen
+        t_star, scen, lam = construct_lp_scenario(u, spec, j, start=prev)
+        prev = j, t_star, scen
     return scen, lam, 1.0 / t_star, t_star
 
 
@@ -98,7 +98,7 @@ def cmd_construct(args) -> int:
         lines.append(f"k={args.k}")
     if t_star is not None:
         lines.append(f"t_star={_num(t_star)}")
-    lines += [f"apriori={_num(apriori)}", f"scenario={_vec(scen.values)}"]
+    lines += [f"apriori={_num(apriori)}", f"scenario={_vec(scen)}"]
     if lam is not None:
         lines.append(f"lambda={_vec(lam.lam)}")
     print("\n".join(lines))
@@ -156,8 +156,6 @@ def _parse_grid_spec(arg: str, master_seed: int) -> ExperimentGrid:
             options[key] = value
         except ValueError as exc:
             raise ValueError(f"grid spec line {lineno}: {exc}") from exc
-    if not cells:
-        raise ValueError("grid spec declares no cells")
     return ExperimentGrid(cells=cells, master_seed=master_seed, **options)
 
 

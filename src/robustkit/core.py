@@ -72,27 +72,6 @@ class UncertaintySet:
 
 
 @dataclass(frozen=True)
-class Scenario:
-    """A single cost vector, not necessarily one of the given scenarios."""
-
-    values: np.ndarray  # length n, nonnegative, read-only
-    k: Optional[int] = None  # subset size used by the LP construction, if any
-
-    def __post_init__(self):
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim != 1:
-            raise ValueError("scenario values must be a 1-d vector")
-        if not np.all(np.isfinite(values)):
-            raise ValueError("scenario values must be finite")
-        if np.any(values < 0):
-            raise ValueError("scenario values must be nonnegative")
-        object.__setattr__(self, "values", _readonly(values))
-
-    def __len__(self) -> int:
-        return self.values.shape[0]
-
-
-@dataclass(frozen=True)
 class ConvexWeights:
     """Weights certifying membership of a scenario in the convex hull of the set."""
 
@@ -143,12 +122,14 @@ class BinarySolution:
 
 
 def cost_vector(c, n: int) -> np.ndarray:
-    """The values of a Scenario or a plain cost vector, refused unless it has n entries, all finite."""
-    values = c.values if isinstance(c, Scenario) else np.asarray(c, dtype=float)
+    """c as a float vector, the one check of every scenario: refused unless it has n entries, all finite and >= 0."""
+    values = np.asarray(c, dtype=float)
     if values.shape != (n,):
         raise ValueError(f"cost vector has length {values.size}, expected {n}")
     if not np.isfinite(values).all():
         raise ValueError("cost vector must be finite")
+    if (values < 0).any():
+        raise ValueError("cost vector must be nonnegative")
     return values
 
 

@@ -99,6 +99,8 @@ class ExperimentGrid:
         if self.instance_count < 1:
             raise ValueError("instance_count must be >= 1")
         self.cells = [tuple(cell) for cell in self.cells or ()]
+        if not self.cells:
+            raise ValueError("the grid declares no cells")
         if not self.ks:  # the LP family runs at each k, so no k would drop it
             raise ValueError("need at least one subset size k")
         if any(k < 1 for k in self.ks):
@@ -195,7 +197,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         for k in ks_valid:
             stage = f"lp k={k}"
             t_star, scen, lam = construct_lp_scenario(u, spec, k, start=prev)
-            prev = t_star, scen
+            prev = k, t_star, scen
             out[("apriori", "lp", k)] = 1.0 / t_star
             _record(out, "lp", k, *certify(u, spec, scen, lam))
         timings["lp"] = time.perf_counter() - start

@@ -95,13 +95,11 @@ def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
     bits of an LP scenario, whose binding rows equalize subset sums, does
     not decide x. Its cost may then exceed the nominal minimum by p times
     that tolerance; bounds.certify's lb is the exact minimum.
-    Shortest path runs label-setting Dijkstra (costs are nonnegative by
-    type invariant) and prefers the smaller predecessor vertex, then the
+    Shortest path runs label-setting Dijkstra (cost_vector refuses
+    negative costs) and prefers the smaller predecessor vertex, then the
     smaller edge index, on equal-cost ties.
     """
     values = cost_vector(c, dimension(spec))
-    if np.any(values < 0):
-        raise ValueError("costs must be nonnegative")
 
     if isinstance(spec, Selection):
         cut, tol = np.partition(values, spec.p - 1)[spec.p - 1], EPS_FEAS * values.max()

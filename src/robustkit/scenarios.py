@@ -43,19 +43,19 @@ from typing import Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, EPS_CUT, EPS_FEAS, ConvexWeights, Scenario, UncertaintySet, cost_scale, cost_vector
+from .core import EPS_CMP, EPS_CUT, EPS_FEAS, ConvexWeights, UncertaintySet, cost_scale, cost_vector
 from .lp import LinearProgram, LpError, solve_lp
 from .problems import ProblemSpec, max_solution_cardinality_bound, require_dimension, validate_k
 
 
-def midpoint_scenario(u: UncertaintySet) -> Scenario:
+def midpoint_scenario(u: UncertaintySet) -> np.ndarray:
     """Component-wise average of all scenarios."""
-    return Scenario(u.costs.mean(axis=0))
+    return u.costs.mean(axis=0)
 
 
-def worstcase_scenario(u: UncertaintySet) -> Scenario:
+def worstcase_scenario(u: UncertaintySet) -> np.ndarray:
     """Component-wise maximum over all scenarios."""
-    return Scenario(u.costs.max(axis=0))
+    return u.costs.max(axis=0)
 
 
 def worstcase_apriori_bound(u: UncertaintySet, spec: ProblemSpec) -> int:
@@ -145,29 +145,30 @@ def _dominating_rows(u: UncertaintySet):
     return [(int(i), (int(j),)) for i, j in zip(u.costs[:, items].argmax(axis=0), items)]
 
 
-def _extended_rows(u: UncertaintySet, t: float, scenario: Scenario, k: int):
-    """The size-k rows a smaller-k optimum (t, c) seeds, one per scenario that binds there.
+def _extended_rows(u: UncertaintySet, k_prev: int, t: float, c, k: int):
+    """The size-k rows an optimum (t, c) at k_prev < k seeds, one per scenario that binds there.
 
-    With vals = c - t * c^i, scenario i binds when its scenario.k smallest
+    With vals = c - t * c^i, scenario i binds when its k_prev smallest
     vals sum to at most EPS_FEAS * max c (vals scale with the costs); it
     seeds its k smallest vals, ties going to the smallest item: its most
     violated size-k row at that optimum. A row with a(i, S) = 0 holds for
     every mu and is left out.
     """
-    if scenario.k is None or scenario.k >= k:
-        raise ValueError(f"a start must come from a construction at k < {k}, got k={scenario.k}")
-    vals = scenario.values - t * u.costs
+    if k_prev >= k:
+        raise ValueError(f"a start must come from a construction at k < {k}, got k={k_prev}")
+    values = cost_vector(c, u.n_items)
+    vals = values - t * u.costs
     order = np.argsort(vals, axis=1, kind="stable")
-    slack = np.take_along_axis(vals, order[:, : scenario.k], axis=1).sum(axis=1)
-    scen = np.flatnonzero(slack <= EPS_FEAS * float(scenario.values.max()))
+    slack = np.take_along_axis(vals, order[:, :k_prev], axis=1).sum(axis=1)
+    scen = np.flatnonzero(slack <= EPS_FEAS * float(values.max()))
     grown = np.sort(order[scen, :k], axis=1)
     own = u.costs[scen[:, None], grown].sum(axis=1)
     return [(int(i), tuple(S.tolist())) for i, S, a in zip(scen, grown, own) if a > 0.0]
 
 
 def construct_lp_scenario(
-    u: UncertaintySet, spec: ProblemSpec, k: int, start: Optional[Tuple[float, Scenario]] = None
-) -> Tuple[float, Scenario, ConvexWeights]:
+    u: UncertaintySet, spec: ProblemSpec, k: int, start: Optional[Tuple[int, float, np.ndarray]] = None
+) -> Tuple[float, np.ndarray, ConvexWeights]:
     """Solve the guarantee LP and return (t_star, scenario, hull weights).
 
     The returned solution's nominal optimizer is a 1/t_star-approximation
@@ -185,9 +186,9 @@ def construct_lp_scenario(
     more, and a longer start slows every pivot. They are rows of this
     LP, so t_star is unchanged.
 
-    start, the (t_star, scenario) of a construction of the same instance
-    at a smaller k, seeds the base LP from that optimum alone: each
-    scenario i whose scenario.k smallest values of c - t_star * c^i sum
+    start, the (k_prev, t_star, scenario) of a construction of the same
+    instance at k_prev < k, seeds the base LP from that optimum alone:
+    each scenario i whose k_prev smallest values of c - t_star * c^i sum
     to at most EPS_FEAS * max c binds there, and seeds its k smallest
     (_extended_rows). They are rows of this LP, so t_star is the same as
     unseeded; the optimal vertex, and with it the scenario, may differ.
@@ -220,11 +221,11 @@ def construct_lp_scenario(
     # hull form, which answers t* = 1 with the weight on scenario 0
     t_star = 1.0 / total if total > 0.0 else 1.0
     lam = ConvexWeights(t_star * mu if total > 0.0 else np.eye(u.n_scenarios)[0])
-    scenario = Scenario(lam.combine(u), k=k)
+    scenario = lam.combine(u)
 
     # never return a silently invalid guarantee: the violation is a cost,
     # checked relative to the cost scale; 1/t* is a ratio, checked absolute
-    violation, _, _ = _most_violated(u.costs, scenario.values, t_star, k)
+    violation, _, _ = _most_violated(u.costs, scenario, t_star, k)
     if violation > EPS_CMP * scale:
         raise LpError(f"constructed scenario violates its own constraints by {violation}")
     if 1.0 / t_star > u.n_scenarios + EPS_CMP:

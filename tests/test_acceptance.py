@@ -53,7 +53,7 @@ def test_criterion_1_table1_worked_example(table1):
         u, spec = table1
 
         mid = rk.midpoint_scenario(u)
-        assert np.abs(mid.values - np.array([11 / 3, 5.0, 13 / 3, 16 / 3])).max() <= 1e-9
+        assert np.abs(mid - np.array([11 / 3, 5.0, 13 / 3, 16 / 3])).max() <= 1e-9
 
         lam_mid = rk.ConvexWeights.uniform(3)
         x_mid = rk.nominal_solve(spec, mid)
@@ -71,7 +71,7 @@ def test_criterion_1_table1_worked_example(table1):
         for i in range(u.n_scenarios):
             for j in range(u.n_items):
                 assert t_star * u.costs[i, j] <= printed[j] + 0.01
-        x_printed = rk.nominal_solve(spec, rk.Scenario(printed))
+        x_printed = rk.nominal_solve(spec, printed)
         lb_printed = x_printed.cost(printed)
         ub_printed = rk.upper_bound(u, x_printed)
         assert lb_printed == pytest.approx(9.25, abs=0.01)

@@ -90,8 +90,7 @@ class TestLowerBound:
     def test_single_scenario_equals_nominal_optimum(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
-        c = rk.Scenario(u.costs[0])
-        lb = rk.certify(u, spec, c, rk.ConvexWeights([1.0]))[1]
+        lb = rk.certify(u, spec, u.costs[0], rk.ConvexWeights([1.0]))[1]
         assert lb == 4.0  # 1 + 3
 
     def test_rejects_cost_vector_of_wrong_length(self, table1):
@@ -115,6 +114,14 @@ class TestLowerBound:
             rk.certify(u, spec, wc, lam)
         assert solves == []  # refused before the nominal solve
 
+    def test_rejects_weights_of_wrong_length(self, table1, monkeypatch):
+        u, spec = table1
+        solves = []
+        monkeypatch.setattr(bounds_module, "nominal_solve", lambda spec_, c: solves.append(c))
+        with pytest.raises(ValueError, match="weights have length 2, expected 3, one per scenario"):
+            rk.certify(u, spec, rk.midpoint_scenario(u), rk.ConvexWeights.uniform(2))
+        assert solves == []  # refused before the nominal solve
+
 
 class TestAposterioriReport:
     """The a-posteriori certificate of one hull scenario: certify's (ub, lb), from one nominal solve."""
@@ -136,16 +143,16 @@ class TestAposterioriReport:
     def test_single_scenario_ratio_is_one(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
-        ub, lb = rk.certify(u, spec, rk.Scenario(u.costs[0]), rk.ConvexWeights([1.0]))
+        ub, lb = rk.certify(u, spec, u.costs[0], rk.ConvexWeights([1.0]))
         assert ub == lb == 4.0
 
     def test_plain_vector_reports_as_its_scenario(self, table1):
         u, spec = table1
         lam = rk.ConvexWeights.uniform(3)
         mid = rk.midpoint_scenario(u)
-        assert rk.certify(u, spec, mid.values, lam) == rk.certify(u, spec, mid, lam)
+        assert rk.certify(u, spec, mid.tolist(), lam) == rk.certify(u, spec, mid, lam)
         _, scen, lam = rk.construct_lp_scenario(u, spec, 2)
-        assert rk.certify(u, spec, scen.values, lam) == rk.certify(u, spec, scen, lam)
+        assert rk.certify(u, spec, scen.tolist(), lam) == rk.certify(u, spec, scen, lam)
 
     @pytest.mark.parametrize("alpha", COST_SCALES + [1e12])
     def test_the_hull_check_does_not_depend_on_the_cost_unit(self, alpha):
@@ -171,7 +178,7 @@ class TestAposterioriReport:
             cases.append(rk.construct_lp_scenario(u, spec, k)[1:])
         # the nominal minimum over all three s-t paths, with no Dijkstra
         paths = list(rk.enumerate_solutions(spec))
-        expected = [min(x.cost(scen.values) for x in paths) for scen, _ in cases]
+        expected = [min(x.cost(scen) for x in paths) for scen, _ in cases]
         assert [round(lb, 8) for lb in expected] == [5.66666667, 5.59440559, 5.54347826]
         solves = []
         real = bounds_module.nominal_solve
@@ -262,9 +269,9 @@ class TestMaxMin:
     def test_weights_certify_the_bound(self, table1):
         u, spec = table1
         value, lam = rk.maxmin_certificate(u, spec)
-        scenario = rk.Scenario(lam.combine(u))
+        scenario = lam.combine(u)
         x = rk.nominal_solve(spec, scenario)
-        assert x.cost(scenario.values) == pytest.approx(value, abs=1e-8)
+        assert x.cost(scenario) == pytest.approx(value, abs=1e-8)
 
 
 class TestMaxMinMetamorphic:

@@ -124,11 +124,11 @@ class TestConstruct:
         path = tmp_path / "inst.txt"
         path.write_text(rk.serialize_instance(u, spec))
         t1, s1, _ = rk.construct_lp_scenario(u, spec, 1)
-        t2, s2, lam2 = rk.construct_lp_scenario(u, spec, 2, start=(t1, s1))
+        t2, s2, lam2 = rk.construct_lp_scenario(u, spec, 2, start=(1, t1, s1))
         code, out, _ = run_cli(capsys, "construct", "--in", str(path), "--method", "lp", "--k", "2")
         assert code == 0
         pairs = kv(out)
-        assert (pairs["t_star"], pairs["scenario"], pairs["lambda"]) == (_num(t2), _vec(s2.values), _vec(lam2.lam))
+        assert (pairs["t_star"], pairs["scenario"], pairs["lambda"]) == (_num(t2), _vec(s2), _vec(lam2.lam))
         code, out, _ = run_cli(capsys, "bounds", "--in", str(path), "--method", "lp", "--k", "2")
         assert code == 0
         ub = rk.upper_bound(u, rk.nominal_solve(spec, s2))
@@ -229,6 +229,18 @@ def test_printed_keys_in_order(capsys, table1_file, command, method, keys):
     code, out, _ = run_cli(capsys, command, "--in", table1_file, "--method", method, *extra)
     assert code == 0
     assert [line.partition("=")[0] for line in out.splitlines()] == keys.split()
+
+
+@pytest.mark.parametrize("command", ["construct", "bounds"])
+def test_worstcase_k_above_p_exits_1(capsys, tmp_path, command):
+    # the worst case reads no k, but a k no solution has is refused for every method
+    u, spec = rk.generate_instance(10, 3, 10, rk.derive_seed(1, 10, 3, 10, 0))
+    path = tmp_path / "inst.txt"
+    path.write_text(rk.serialize_instance(u, spec))
+    code, out, err = run_cli(capsys, command, "--in", str(path), "--method", "worstcase", "--k", "9")
+    assert code == 1
+    assert "cardinality" in err
+    assert "apriori" not in out
 
 
 class TestExperiment:

@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkit as rk
-from robustkit.core import InstanceFormatError
+from robustkit.core import InstanceFormatError, cost_vector
 
 
 class TestPublicSurface:
@@ -49,11 +49,24 @@ class TestUncertaintySet:
 
 class TestScenario:
     def test_rejects_negative(self):
-        with pytest.raises(ValueError):
-            rk.Scenario([1.0, -1.0])
+        with pytest.raises(ValueError, match="nonnegative"):
+            cost_vector([1.0, -1.0], 2)
 
-    def test_length(self):
-        assert len(rk.Scenario([1.0, 2.0, 3.0])) == 3
+    @pytest.mark.parametrize(
+        "consumer",
+        [
+            lambda u, spec, c: rk.fixed_scenario_guarantee(u, c, 1),
+            lambda u, spec, c: rk.separation_oracle(u, c, 0.5, 1),
+            lambda u, spec, c: rk.certify(u, spec, c, rk.ConvexWeights.uniform(u.n_scenarios)),
+            lambda u, spec, c: rk.nominal_solve(spec, c),
+        ],
+        ids=["fixed_scenario_guarantee", "separation_oracle", "certify", "nominal_solve"],
+    )
+    def test_every_consumer_refuses_a_negative_entry(self, table1, consumer):
+        # a scenario is a plain vector, so each consumer checks it through cost_vector
+        u, spec = table1
+        with pytest.raises(ValueError):
+            consumer(u, spec, -u.costs.mean(axis=0))  # the midpoint, negated
 
 
 class TestConvexWeights:

@@ -205,7 +205,7 @@ class TestRunGrid:
         real = rk.scenarios.construct_lp_scenario
 
         def recording(u, spec, k, start=None):
-            calls.append((k, None if start is None else start[1].k))
+            calls.append((k, None if start is None else start[0]))
             return real(u, spec, k, start=start)
 
         monkeypatch.setattr("robustkit.experiments.construct_lp_scenario", recording)
@@ -322,8 +322,7 @@ class TestRunGrid:
 
 class TestEmitCsv:
     def test_empty_grid_gives_header_only(self):
-        grid = rk.ExperimentGrid(cells=[], instance_count=1)
-        text = rk.emit_csv(rk.run_grid(grid))
+        text = rk.emit_csv(rk.GridResult())
         assert text == "n,p,N,metric,method,k,value,stderr,instances,runtime_ms\n"
 
     def test_round_trip(self):
@@ -367,6 +366,12 @@ class TestEmitCsv:
 
 
 class TestGridValidation:
+    def test_rejects_no_cells(self):
+        # a grid without cells would run nothing and write a bare CSV header
+        for cells in ([], None):
+            with pytest.raises(ValueError, match="no cells"):
+                rk.ExperimentGrid(cells=cells)
+
     def test_rejects_bad_cell(self):
         with pytest.raises(ValueError):
             rk.ExperimentGrid(cells=[(3, 4, 2)])

@@ -152,7 +152,7 @@ def test_seeded_construction_t_star_matches_unseeded_and_highs(cell, ks, monkeyp
             t_star, scenario, _ = rk.construct_lp_scenario(u, spec, k, start=start)
             if start is not None:
                 assert base[-1].rhs.size  # the solve at k is seeded
-            start = t_star, scenario
+            start = k, t_star, scenario
             assert t_star == pytest.approx(rk.construct_lp_scenario(u, spec, k)[0], rel=1e-9, abs=0)
             assert abs(t_star - compact_t_star(u, k)) <= 1e-9
 

@@ -515,7 +515,7 @@ class TestPivotCounts:
             start = None
             for k in (1, 2, 3):
                 t_star, scenario, _ = rk.construct_lp_scenario(u, spec, k, start=start)
-                start = (t_star, scenario) if seeded else None
+                start = (k, t_star, scenario) if seeded else None
                 pivots[k - 1] += solutions[-1].iterations
                 rounds[k - 1] += solutions[-1].rounds
             rk.maxmin_certificate(u, spec)

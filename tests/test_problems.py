@@ -28,13 +28,13 @@ class TestNominalSolveSelection:
 
     def test_lp_scenario_solution(self, table1):
         _, spec = table1
-        c_prime = rk.Scenario([3.75, 6.88, 6.75, 5.50])
+        c_prime = [3.75, 6.88, 6.75, 5.50]
         x = rk.nominal_solve(spec, c_prime)
         assert x.selected == (0, 3)  # items 1 and 4
 
     def test_forced_full_selection(self):
         spec = rk.Selection(n=5, p=5)
-        x = rk.nominal_solve(spec, rk.Scenario([9.0, 1.0, 4.0, 2.0, 8.0]))
+        x = rk.nominal_solve(spec, [9.0, 1.0, 4.0, 2.0, 8.0])
         assert x.selected == (0, 1, 2, 3, 4)
 
     def test_worstcase_scenario_solution(self, table1):
@@ -45,11 +45,11 @@ class TestNominalSolveSelection:
         ref_cost, ref_combo = brute_force_selection(list(ref_vals), 2)
         x = rk.nominal_solve(spec, wc)
         assert x.selected == ref_combo == (0, 3)
-        assert x.cost(wc.values) == ref_cost == 12.0
+        assert x.cost(wc) == ref_cost == 12.0
 
     def test_tie_breaks_by_index(self):
         spec = rk.Selection(n=4, p=2)
-        x = rk.nominal_solve(spec, rk.Scenario([2.0, 2.0, 2.0, 2.0]))
+        x = rk.nominal_solve(spec, [2.0, 2.0, 2.0, 2.0])
         assert x.selected == (0, 1)
 
     def test_near_tie_goes_to_the_smaller_index(self):
@@ -70,12 +70,12 @@ class TestNominalSolveSelection:
             n = 2 + rng.randint_upto(8)
             p = 1 + rng.randint_upto(n - 1)
             values = [float(rng.randint_upto(100)) for _ in range(n)]
-            x = rk.nominal_solve(rk.Selection(n=n, p=p), rk.Scenario(values))
+            x = rk.nominal_solve(rk.Selection(n=n, p=p), values)
             assert x.cost(np.array(values)) == brute_force_selection(values, p)[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
-            rk.nominal_solve(rk.Selection(n=3, p=1), rk.Scenario([1.0, 2.0]))
+            rk.nominal_solve(rk.Selection(n=3, p=1), [1.0, 2.0])
 
     def test_rejects_non_finite_cost_vector(self):
         # NaN sorts last, so the p cheapest items would skip it silently
@@ -93,8 +93,8 @@ def test_scaling_leaves_argmin_unchanged(values, scale, data):
     n = len(values)
     p = data.draw(st.integers(min_value=1, max_value=n))
     spec = rk.Selection(n=n, p=p)
-    base = rk.nominal_solve(spec, rk.Scenario([float(v) for v in values]))
-    scaled = rk.nominal_solve(spec, rk.Scenario([float(v) * scale for v in values]))
+    base = rk.nominal_solve(spec, [float(v) for v in values])
+    scaled = rk.nominal_solve(spec, [float(v) * scale for v in values])
     assert base.selected == scaled.selected
 
 
@@ -103,23 +103,23 @@ DIAMOND = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 3), (0, 3)), source
 
 class TestNominalSolveShortestPath:
     def test_picks_cheapest_path(self):
-        x = rk.nominal_solve(DIAMOND, rk.Scenario([1.0, 1.0, 5.0, 5.0, 3.0]))
+        x = rk.nominal_solve(DIAMOND, [1.0, 1.0, 5.0, 5.0, 3.0])
         assert x.selected == (0, 1)
 
     def test_direct_edge_wins(self):
-        x = rk.nominal_solve(DIAMOND, rk.Scenario([2.0, 2.0, 2.0, 2.0, 1.0]))
+        x = rk.nominal_solve(DIAMOND, [2.0, 2.0, 2.0, 2.0, 1.0])
         assert x.selected == (4,)
 
     def test_matches_path_enumeration(self):
         rng = SplitMix64(7)
         for _ in range(25):
             values = np.array([float(rng.randint_upto(10)) for _ in range(5)])
-            x = rk.nominal_solve(DIAMOND, rk.Scenario(values))
+            x = rk.nominal_solve(DIAMOND, values)
             ref = min(x.cost(values) for x in rk.enumerate_solutions(DIAMOND))
             assert x.cost(values) == ref
 
     def test_solution_is_feasible(self):
-        x = rk.nominal_solve(DIAMOND, rk.Scenario([1.0, 1.0, 1.0, 1.0, 3.0]))
+        x = rk.nominal_solve(DIAMOND, [1.0, 1.0, 1.0, 1.0, 3.0])
         assert x in set(rk.enumerate_solutions(DIAMOND))
 
 

@@ -47,15 +47,15 @@ class TestMidpoint:
     def test_table1(self, table1):
         u, _ = table1
         mid = rk.midpoint_scenario(u)
-        assert np.allclose(mid.values, [11 / 3, 5.0, 13 / 3, 16 / 3], atol=1e-9)
+        assert np.allclose(mid, [11 / 3, 5.0, 13 / 3, 16 / 3], atol=1e-9)
 
     def test_single_scenario_identity(self):
         u = rk.UncertaintySet(np.array([[4.0, 0.0, 2.0]]))
-        assert np.array_equal(rk.midpoint_scenario(u).values, u.costs[0])
+        assert np.array_equal(rk.midpoint_scenario(u), u.costs[0])
 
     def test_symmetry(self):
         u = rk.UncertaintySet(np.array([[0.0, 2.0], [2.0, 0.0]]))
-        assert np.array_equal(rk.midpoint_scenario(u).values, [1.0, 1.0])
+        assert np.array_equal(rk.midpoint_scenario(u), [1.0, 1.0])
 
 
 class TestWorstCase:
@@ -64,18 +64,18 @@ class TestWorstCase:
         # oracle: column-wise max computed by hand over the fixture rows
         ref = np.max(u.costs, axis=0)
         wc = rk.worstcase_scenario(u)
-        assert np.array_equal(wc.values, ref)
-        assert np.array_equal(wc.values, [5.0, 8.0, 9.0, 7.0])
+        assert np.array_equal(wc, ref)
+        assert np.array_equal(wc, [5.0, 8.0, 9.0, 7.0])
 
     def test_single_scenario_identity(self):
         u = rk.UncertaintySet(np.array([[4.0, 0.0, 2.0]]))
-        assert np.array_equal(rk.worstcase_scenario(u).values, u.costs[0])
+        assert np.array_equal(rk.worstcase_scenario(u), u.costs[0])
 
     @settings(max_examples=40, deadline=None)
     @given(u=uncertainty_sets)
     def test_dominates_every_row(self, u):
         wc = rk.worstcase_scenario(u)
-        assert np.all(wc.values >= u.costs - 1e-12)
+        assert np.all(wc >= u.costs - 1e-12)
 
 
 class TestWorstCaseAprioriBound:
@@ -97,7 +97,7 @@ class TestSeparationOracle:
         u, _ = table1
         mid = rk.midpoint_scenario(u)
         # oracle: check all 12 (i, j) pairs explicitly
-        violation, i, subset = exhaustive_most_violated(u, mid.values, 0.5, 1)
+        violation, i, subset = exhaustive_most_violated(u, mid, 0.5, 1)
         assert (i, subset) == (1, (2,)) and violation == pytest.approx(0.5 * 9 - 13 / 3)
         assert rk.separation_oracle(u, mid, 0.5, 1) == (1, (2,))
 
@@ -216,12 +216,12 @@ class TestSeparationOracle:
             return
         mid = rk.midpoint_scenario(u)
         got = rk.separation_oracle(u, mid, t, k)
-        violation, _, _ = exhaustive_most_violated(u, mid.values, t, k)
+        violation, _, _ = exhaustive_most_violated(u, mid, t, k)
         if got is None:
             assert violation <= rk.EPS_CUT
         else:
             i, subset = got
-            actual = t * float(u.costs[i, list(subset)].sum()) - float(mid.values[list(subset)].sum())
+            actual = t * float(u.costs[i, list(subset)].sum()) - float(mid[list(subset)].sum())
             assert actual == pytest.approx(violation, abs=1e-9)
             assert violation > rk.EPS_CUT
 
@@ -252,7 +252,7 @@ class TestConstructLpScenario:
         u = rk.UncertaintySet(np.array([[3.0, 1.0, 2.0]]))
         t_star, scen, lam = rk.construct_lp_scenario(u, rk.Selection(n=3, p=2), 1)
         assert t_star == pytest.approx(1.0, abs=1e-9)
-        assert np.allclose(scen.values, u.costs[0])
+        assert np.allclose(scen, u.costs[0])
         assert np.allclose(lam.lam, [1.0])
 
     def test_invalid_k(self, table1):
@@ -297,12 +297,13 @@ class TestConstructLpScenario:
 
     def test_start_from_k_or_above_is_refused(self, table1):
         u, spec = table1
-        start = rk.construct_lp_scenario(u, spec, 2)[:2]
+        start = (2, *rk.construct_lp_scenario(u, spec, 2)[:2])
         for k in (1, 2):
             with pytest.raises(ValueError, match=f"construction at k < {k}, got k=2"):
                 rk.construct_lp_scenario(u, spec, k, start=start)
-        with pytest.raises(ValueError, match="got k=None"):  # not a construction
-            rk.construct_lp_scenario(u, spec, 2, start=(1.0, rk.midpoint_scenario(u)))
+        # a start's scenario passes the one check of every cost vector
+        with pytest.raises(ValueError, match="cost vector must be nonnegative"):
+            rk.construct_lp_scenario(u, spec, 2, start=(1, 1.0, -rk.midpoint_scenario(u)))
 
     def test_start_seeds_its_binding_rows_grown_to_k(self, monkeypatch):
         u, spec = rk.generate_instance(8, 4, 5, 11)
@@ -310,12 +311,12 @@ class TestConstructLpScenario:
         unseeded = rk.construct_lp_scenario(u, spec, 3)[0]
         seeds, scenario_lp = [], rk.scenarios.scenario_lp
         monkeypatch.setattr("robustkit.scenarios.scenario_lp", lambda u, rows: seeds.append(list(rows)) or scenario_lp(u, rows))
-        t3, _, _ = rk.construct_lp_scenario(u, spec, 3, start=(t1, scen1))
+        t3, _, _ = rk.construct_lp_scenario(u, spec, 3, start=(1, t1, scen1))
         assert t3 == pytest.approx(unseeded, rel=1e-9)
         seeded = seeds[0]
         # one row per scenario that binds at the k = 1 optimum, found by enumeration
-        vals = scen1.values - t1 * u.costs
-        tol = rk.EPS_FEAS * max(1.0, scen1.values.max())
+        vals = scen1 - t1 * u.costs
+        tol = rk.EPS_FEAS * scen1.max()
         binding = [i for i in range(5) if vals[i].min() <= tol]
         assert seeded and [i for i, _ in seeded] == binding
         # each is the most violated 3-row of its scenario
@@ -326,16 +327,16 @@ class TestConstructLpScenario:
 
     @pytest.mark.parametrize("cell", [(10, 3, 10), (20, 6, 50), (40, 3, 5)])
     def test_start_rebuilt_from_its_optimum_seeds_the_same_solve(self, cell, monkeypatch):
-        # the seed reads (t*, c, k) alone: a start rebuilt from them gives
+        # the seed reads (k, t*, c) alone: a start rebuilt from them gives
         # the same t*, scenario bits, pivots and rounds
         solutions, solve_lp = [], rk.scenarios.solve_lp
         monkeypatch.setattr("robustkit.scenarios.solve_lp", lambda lp, source: solutions.append(solve_lp(lp, source)) or solutions[-1])
         u, spec = rk.generate_instance(*cell, rk.derive_seed(5, *cell, 0))
         t1, scen1, _ = rk.construct_lp_scenario(u, spec, 1)
         runs = []
-        for start in ((t1, scen1), (t1, rk.Scenario(scen1.values, k=1))):
+        for start in ((1, t1, scen1), (1, float(t1), np.array(scen1.tolist()))):
             t_star, scen, _ = rk.construct_lp_scenario(u, spec, 3, start=start)
-            runs.append((t_star, scen.values.tobytes(), solutions[-1].iterations, solutions[-1].rounds))
+            runs.append((t_star, scen.tobytes(), solutions[-1].iterations, solutions[-1].rounds))
         assert runs[0] == runs[1]
 
     @staticmethod
@@ -419,14 +420,14 @@ class TestConstructLpScenario:
         u, spec = table1
         for k in (1, 2):
             _, scen, lam = rk.construct_lp_scenario(u, spec, k)
-            assert np.abs(scen.values - lam.lam @ u.costs).max() <= rk.EPS_CMP
+            assert np.abs(scen - lam.lam @ u.costs).max() <= rk.EPS_CMP
             assert lam.lam.sum() == pytest.approx(1.0, abs=rk.EPS_FEAS)
 
     def test_all_zero_costs(self):
         u = rk.UncertaintySet(np.zeros((3, 4)))
         t_star, scen, _ = rk.construct_lp_scenario(u, rk.Selection(n=4, p=2), 2)
         assert t_star == pytest.approx(1.0, abs=1e-9)
-        assert np.array_equal(scen.values, np.zeros(4))
+        assert np.array_equal(scen, np.zeros(4))
 
     @pytest.mark.parametrize("zero", [0, 1, 2])
     def test_scenario_without_cost(self, zero):
@@ -440,17 +441,16 @@ class TestConstructLpScenario:
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, k)
             assert t_star == pytest.approx(eager_t_star(u, k), abs=1e-9)
             assert rk.construct_lp_scenario(u, spec, k, start=start)[0] == pytest.approx(t_star, rel=1e-12)
-            start = t_star, scen
-            assert exhaustive_most_violated(u, scen.values, t_star, k)[0] <= rk.EPS_CMP
+            start = k, t_star, scen
+            assert exhaustive_most_violated(u, scen, t_star, k)[0] <= rk.EPS_CMP
             assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, scen, k), rel=1e-9)
         # a zero-cost scenario seeds no row, even from a start where it binds
         t1, scen1, _ = rk.construct_lp_scenario(u, spec, 1)
-        values = scen1.values.copy()
-        values[0] = 0.0
-        zeroed = rk.Scenario(values, k=1)
-        seeded = rk.scenarios._extended_rows(u, t1, zeroed, 2)
+        zeroed = scen1.copy()
+        zeroed[0] = 0.0
+        seeded = rk.scenarios._extended_rows(u, 1, t1, zeroed, 2)
         assert seeded and zero not in [i for i, _ in seeded]
-        assert rk.construct_lp_scenario(u, spec, 2, start=(t1, zeroed))[0] == pytest.approx(eager_t_star(u, 2), abs=1e-9)
+        assert rk.construct_lp_scenario(u, spec, 2, start=(1, t1, zeroed))[0] == pytest.approx(eager_t_star(u, 2), abs=1e-9)
 
     def test_item_without_cost(self):
         # item 1 costs nothing anywhere: no k = 1 row, and it joins larger
@@ -460,9 +460,9 @@ class TestConstructLpScenario:
         start = None
         for k in (1, 2, 3):
             t_star, scen, _ = rk.construct_lp_scenario(u, spec, k, start=start)
-            start = t_star, scen
+            start = k, t_star, scen
             assert t_star == pytest.approx(eager_t_star(u, k), abs=1e-9)
-            assert exhaustive_most_violated(u, scen.values, t_star, k)[0] <= rk.EPS_CMP
+            assert exhaustive_most_violated(u, scen, t_star, k)[0] <= rk.EPS_CMP
 
     def test_guarantee_sandwich_and_monotonicity(self):
         rng = np.random.default_rng(31337)
@@ -493,8 +493,8 @@ class TestConstructLpScenarioMetamorphic:
         single = [1.0 / rk.construct_lp_scenario(u, spec, k)[0] for k in (1, 2, 3)]
         chained, start = [], None
         for k in (1, 2, 3):
-            start = rk.construct_lp_scenario(u, spec, k, start=start)[:2]
-            chained.append(1.0 / start[0])
+            start = (k, *rk.construct_lp_scenario(u, spec, k, start=start)[:2])
+            chained.append(1.0 / start[1])
         return single + chained
 
     @pytest.mark.parametrize("alpha", COST_SCALES)
@@ -534,7 +534,7 @@ class TestFixedScenarioGuarantee:
     def test_table1_midpoint_k1(self, table1):
         u, _ = table1
         mid = rk.midpoint_scenario(u)
-        ref = exhaustive_guarantee(u, mid.values, 1)  # enumerates all 12 ratios
+        ref = exhaustive_guarantee(u, mid, 1)  # enumerates all 12 ratios
         got = rk.fixed_scenario_guarantee(u, mid, 1)
         assert ref == pytest.approx(27 / 13, abs=1e-12)
         assert got == pytest.approx(ref, abs=1e-6)
@@ -562,7 +562,7 @@ class TestFixedScenarioGuarantee:
 
     def test_infinite_when_scenario_misses_support(self):
         u = rk.UncertaintySet(np.array([[1.0, 5.0]]))
-        zero_there = rk.Scenario([1.0, 0.0])
+        zero_there = [1.0, 0.0]
         assert rk.fixed_scenario_guarantee(u, zero_there, 1) == math.inf
 
     def test_matches_enumeration_on_random_instances(self):
@@ -575,7 +575,7 @@ class TestFixedScenarioGuarantee:
             for k in (1, 2):
                 if k > n:
                     continue
-                ref = exhaustive_guarantee(u, mid.values, k)
+                ref = exhaustive_guarantee(u, mid, k)
                 got = rk.fixed_scenario_guarantee(u, mid, k)
                 if math.isinf(ref):
                     assert math.isinf(got)
