@@ -38,8 +38,11 @@ from .problems import ProblemSpec, Selection, ShortestPath, enumerate_solutions,
 
 # Hard cap on exhaustive enumeration (feasible solutions examined).
 MAX_ENUMERATION = 20_000_000
-# Floats per block expansion in the selection search (256 KiB per array).
+# Entries per block expansion in the selection search (256 KiB per float64 array).
 _BLOCK_CELLS = 1 << 15
+# Integer costs whose p-sums stay below this are searched in int16, with
+# this as the "no completion" sentinel: every intermediate is below 2**15.
+_INT_SENTINEL = 1 << 14
 
 
 class BudgetError(RuntimeError):
@@ -145,17 +148,27 @@ def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySol
     entry has the same number r of items missing. Any completion adds, in
     every scenario, at least the sum of the r smallest costs from pos on,
     so a node is pruned when acc plus that sum exceeds the incumbent in
-    some scenario. The comparison is strict, with a relative margin above
-    the rounding of the two sums, so a node below which a leaf ties the
-    incumbent is never pruned. The table of those sums keeps, per pos,
-    only the r a node there can have, at most min(p, n - p) + 1 of them.
+    some scenario. The table of those sums keeps, per pos, only the r a
+    node there can have, at most min(p, n - p) + 1 of them.
 
-    A popped block is filtered with the current incumbent, then all its
-    children (item j >= pos taken, room left for r - 1 more) are valued
-    in one numpy step, and the survivors go back on the stack in blocks
-    of at most _BLOCK_CELLS // (n N) nodes, the first child on top. That
+    Integer costs with p * max cost < 2**14, the grid's among them, are
+    searched in int16: every sum is exact, "no completion" is the
+    sentinel 2**14, and every intermediate stays below p * max + 2**14 <
+    2**15. Any other costs are searched in float64, with inf as the
+    sentinel; there the bound and a completion's value sum the same terms
+    in different orders, so a node is pruned only above the incumbent
+    times a relative margin over that rounding. Either way a node below
+    which a leaf ties the incumbent is never pruned, and the incumbent is
+    a scalar of the search's dtype, so no comparison upcasts a block.
+
+    A block's children (item j >= pos taken, room left for r - 1 more)
+    are valued in one numpy step, and the survivors go back on the stack
+    in blocks of at most _BLOCK_CELLS // (n N) nodes, the first child on
+    top, each with the cut that filtered it. A popped block is filtered
+    again only if the incumbent has improved since its push; in integers
+    its bound at the pop is exactly the value it passed at the push. The
     budget bounds the arrays of one step at max(_BLOCK_CELLS, n N)
-    floats, whatever C(n, p) is. At the last level the children are
+    entries, whatever C(n, p) is. At the last level the children are
     leaves: the block's smallest value is taken, and among the leaves that
     tie it, the smallest sorted index tuple. The incumbent is seeded by a
     beam dive that keeps, level by level, the block budget's worth of
@@ -164,7 +177,8 @@ def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySol
     minimum over all leaves whatever the visiting order, because every
     leaf at or below the incumbent is reached and compared by the same
     (value, tuple) rule. A value is acc plus the item costs added in
-    midpoint order, so fractional costs give the same bits on every path.
+    midpoint order, so fractional costs give the same bits on every path,
+    and integer costs the same value in either dtype.
     """
     require_dimension(u, spec)
     if isinstance(spec, Selection):
@@ -182,24 +196,29 @@ def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinaryS
     mid = u.costs.mean(axis=0)
     order = np.lexsort((np.arange(n), mid))
     costs = np.ascontiguousarray(u.costs[:, order].T)  # row j: item j's costs, midpoint order
+    # in float64 the bound and a completion's value are each within a
+    # relative n*eps of exact; in int16 both are exact
+    sentinel, margin = np.inf, 1.0 + 4 * n * np.finfo(float).eps
+    if p * costs.max() < _INT_SENTINEL:
+        ints = costs.astype(np.int16)
+        if np.array_equal(ints, costs):
+            costs, sentinel, margin = ints, np.int16(_INT_SENTINEL), 1
     rows = max(1, _BLOCK_CELLS // (n * n_scen))
     # a node at pos with r items missing has max(0, p - pos) <= r <= min(p, n - pos);
     # low[pos, r - base[pos]] holds, per scenario, the sum of the r smallest
     # costs among positions pos..n-1, from the suffix recurrence
-    # S(pos, r) = min(S(pos + 1, r), costs[pos] + S(pos + 1, r - 1))
+    # S(pos, r) = min(S(pos + 1, r), costs[pos] + S(pos + 1, r - 1)),
+    # which the min keeps at or below the sentinel
     base = np.maximum(0, p - np.arange(n + 1))
     width = min(p, n - p) + 1
-    low = np.full((n + 1, width, n_scen), np.inf)
-    suffix = np.full((p + 1, n_scen), np.inf)  # S(pos, 0..p)
-    suffix[0] = 0.0
-    low[n, 0] = 0.0
+    low = np.full((n + 1, width, n_scen), sentinel, dtype=costs.dtype)
+    suffix = np.full((p + 1, n_scen), sentinel, dtype=costs.dtype)  # S(pos, 0..p)
+    suffix[0] = 0
+    low[n, 0] = 0
     for pos in range(n - 1, -1, -1):
         np.minimum(suffix[1:], costs[pos] + suffix[:-1], out=suffix[1:])
         band = suffix[base[pos] : base[pos] + width]
         low[pos, : len(band)] = band
-    # the bound and a completion's value sum the same kind of nonnegative
-    # terms in different orders; each is within a relative n*eps of exact
-    margin = 1.0 + 4 * n * np.finfo(float).eps
 
     def expand(pos, acc, r):
         """Children of a block of nodes with r items missing, as an (F, J) grid.
@@ -207,27 +226,27 @@ def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinaryS
         Column j - lo takes item j, for j from lo = min(pos) up to n - r,
         which leaves room for the r - 1 items still missing. An entry is the
         worst case of the child's acc plus, above the last level, its
-        completion bound; it is inf where j < pos[f].
+        completion bound; it is the sentinel where j < pos[f].
         """
         lo = int(pos.min())
         j = np.arange(lo, n - r + 1)
         add = costs[j] if r == 1 else costs[j] + low[j + 1, r - 1 - base[j + 1]]
         values = (acc[:, None, :] + add).max(axis=2)
-        values[j < pos[:, None]] = np.inf
+        values[j < pos[:, None]] = sentinel
         return lo, values
 
     def take(acc, chosen, f, j):
-        return j + 1, acc[f] + costs[j], np.column_stack((chosen[f], j))
+        return j + 1, acc[f] + costs[j], np.concatenate((chosen[f], j[:, None]), axis=1)
 
     def best_leaf(chosen, lo, values):
         """Smallest leaf value and the smallest sorted index tuple among its ties."""
         value = values.min()
         f, j = np.nonzero(values == value)
-        tuples = np.sort(order[np.column_stack((chosen[f], j + lo))], axis=1)
+        tuples = np.sort(order[np.concatenate((chosen[f], (j + lo)[:, None]), axis=1)], axis=1)
         first = np.lexsort(tuples.T[::-1])[0]
-        return float(value), tuple(int(i) for i in tuples[first])
+        return value, tuple(int(i) for i in tuples[first])
 
-    root = (np.zeros(1, dtype=np.intp), np.zeros((1, n_scen)), np.zeros((1, 0), dtype=np.intp))
+    root = (np.zeros(1, dtype=np.intp), np.zeros((1, n_scen), dtype=costs.dtype), np.zeros((1, 0), dtype=np.intp))
 
     # seed the incumbent with a beam dive: the rows children of smallest
     # bound at each level, then the best leaf below them
@@ -235,35 +254,50 @@ def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinaryS
     complete = True  # no child dropped: the dive has seen every leaf
     for r in range(p, 1, -1):
         lo, values = expand(pos, acc, r)
-        valid = int(np.isfinite(values).sum())
+        valid = int((values < sentinel).sum())
         complete = complete and valid <= rows
         f, j = np.divmod(np.argsort(values, axis=None, kind="stable")[: min(rows, valid)], values.shape[1])
         pos, acc, chosen = take(acc, chosen, f, j + lo)
     best_val, best_sol = best_leaf(chosen, *expand(pos, acc, 1))
+    cut = best_val * margin  # a node bounded above it has no leaf at or below the incumbent
 
     # depth-first over blocks of sibling nodes (pos, acc, chosen positions),
-    # all with the same number of items missing
-    stack = [] if complete else [root]
+    # all with the same number of items missing, each with the cut that
+    # filtered it when it was pushed
+    stack = [] if complete else [(*root, cut)]
     while stack:
-        pos, acc, chosen = stack.pop()
+        pos, acc, chosen, pushed = stack.pop()
         r = p - chosen.shape[1]
-        live = (acc + low[pos, r - base[pos]]).max(axis=1) <= best_val * margin
-        if not live.all():
-            pos, acc, chosen = pos[live], acc[live], chosen[live]
-            if not len(pos):
-                continue
+        if _refilter(cut, pushed):
+            live = (acc + low[pos, r - base[pos]]).max(axis=1) <= cut
+            if not live.all():
+                pos, acc, chosen = pos[live], acc[live], chosen[live]
+                if not len(pos):
+                    continue
         lo, values = expand(pos, acc, r)
         if r == 1:
             if values.min() <= best_val:
                 value, candidate = best_leaf(chosen, lo, values)
                 if value < best_val or (value == best_val and candidate < best_sol):
-                    best_val, best_sol = value, candidate
+                    best_val, best_sol, cut = value, candidate, value * margin
             continue
-        f, j = np.nonzero(values <= best_val * margin)
+        f, j = np.nonzero(values <= cut)
         pos, acc, chosen = take(acc, chosen, f, j + lo)
         for start in range((len(f) - 1) // rows * rows, -1, -rows):
-            stack.append((pos[start : start + rows], acc[start : start + rows], chosen[start : start + rows]))
-    return best_val, BinarySolution(best_sol)
+            stack.append((pos[start : start + rows], acc[start : start + rows], chosen[start : start + rows], cut))
+    return float(best_val), BinarySolution(best_sol)
+
+
+def _refilter(cut, pushed) -> bool:
+    """Whether a block filtered under the cut pushed must be filtered again under cut.
+
+    Only when the incumbent has improved since the push. Under the same cut
+    the filter would keep every node: in integers a node's bound at the pop
+    is exactly the child value it passed at the push, and in floats a node
+    kept by rounding is only visited, its leaves compared by the same
+    (value, tuple) rule.
+    """
+    return cut < pushed
 
 
 def _exact_paths(u: UncertaintySet, spec: ShortestPath) -> Tuple[float, BinarySolution]:

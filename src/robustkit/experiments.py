@@ -24,7 +24,7 @@ from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, ConvexWeights, InvariantError, UncertaintySet, ratio_or_inf
+from .core import EPS_CMP, ConvexWeights, InvariantError, UncertaintySet, cost_scale, ratio_or_inf
 from .problems import Selection
 from .scenarios import construct_lp_scenario, fixed_scenario_guarantee, midpoint_scenario
 from .bounds import MAX_ENUMERATION, certify, exact_minmax, maxmin_certificate
@@ -214,7 +214,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
             out[("opt", "exact", None)] = exact_minmax(u, spec)[0]
             timings["exact"] = time.perf_counter() - start
 
-        _spot_check(out, ks_valid)
+        _spot_check(out, ks_valid, EPS_CMP * cost_scale(u))
         return cell_index, instance_id, None, out, timings
     except InvariantError as exc:
         raise InvariantError(f"cell {(n, p, N)} instance {instance_id} seed {seed}: {exc}") from exc
@@ -227,36 +227,34 @@ def _require(holds: bool, invariant: str, detail: str) -> None:
         raise InvariantError(f"{invariant} violated: {detail}")
 
 
-def _spot_check(out, ks_valid):
+def _spot_check(out, ks_valid, cost_tol):
     """Invariants across families and k; cheap enough to run on every instance.
 
     For the midpoint, the LP scenario at each k and the max-min scenario:
     lb <= mm, and lb <= opt <= ub when the exact optimum was computed
-    (certify has already raised on lb > ub within each family). The
-    a-priori guarantee 1/t* is at most the midpoint's and non-increasing
-    in k; construct_lp_scenario has already raised on 1/t* > N. out must
-    hold every metric of the instance; a missing one raises KeyError
-    rather than skip its checks. Raises InvariantError naming the broken
+    (certify has already raised on lb > ub within each family), each
+    within cost_tol, the tolerance certify uses: EPS_CMP * cost_scale(u).
+    The a-priori guarantee 1/t* is at most the midpoint's and
+    non-increasing in k, within EPS_CMP, as the ratio has no unit;
+    construct_lp_scenario has already raised on 1/t* > N. out must hold
+    every metric of the instance; a missing one raises KeyError rather
+    than skip its checks. Raises InvariantError naming the broken
     invariant; plain raises, so the checks also run under python -O.
     """
-    # absolute on costs, which the grid draws from {0, ..., 100}, and on
-    # the scale-free ratios 1/t*; relative to opt where opt is compared
-    tol = EPS_CMP
     mm = out[("lb", "mm", None)]
     opt = out.get(("opt", "exact", None))
-    scale = tol * max(1.0, opt or 0.0)
     for method, k in [("mid", None)] + [("lp", k) for k in ks_valid] + [("mm", None)]:
         lb, ub = out[("lb", method, k)], out[("ub", method, k)]
-        _require(lb <= mm + tol, "lb <= mm", f"{method} k={k} lb={lb} mm={mm}")
+        _require(lb <= mm + cost_tol, "lb <= mm", f"{method} k={k} lb={lb} mm={mm}")
         if opt is not None:
-            _require(lb <= opt + scale, "lb <= opt", f"{method} k={k} lb={lb} opt={opt}")
-            _require(ub >= opt - scale, "opt <= ub", f"{method} k={k} ub={ub} opt={opt}")
+            _require(lb <= opt + cost_tol, "lb <= opt", f"{method} k={k} lb={lb} opt={opt}")
+            _require(ub >= opt - cost_tol, "opt <= ub", f"{method} k={k} ub={ub} opt={opt}")
     prev = None
     for k in ks_valid:
         pre_lp, pre_mid = out[("apriori", "lp", k)], out[("apriori", "mid", k)]
-        _require(pre_lp <= pre_mid + tol, "1/t* <= midpoint guarantee", f"k={k} 1/t*={pre_lp} midpoint={pre_mid}")
+        _require(pre_lp <= pre_mid + EPS_CMP, "1/t* <= midpoint guarantee", f"k={k} 1/t*={pre_lp} midpoint={pre_mid}")
         if prev is not None:
-            _require(pre_lp <= prev + tol, "1/t* non-increasing in k", f"k={k} 1/t*={pre_lp} > {prev}")
+            _require(pre_lp <= prev + EPS_CMP, "1/t* non-increasing in k", f"k={k} 1/t*={pre_lp} > {prev}")
         prev = pre_lp
 
 

@@ -146,7 +146,7 @@ def _dominating_rows(u: UncertaintySet):
 
 
 def _extended_rows(u: UncertaintySet, k_prev: int, t: float, c, k: int):
-    """The size-k rows an optimum (t, c) at k_prev < k seeds, one per scenario that binds there.
+    """The size-k rows an optimum (t, c) at 1 <= k_prev < k seeds, one per scenario that binds there.
 
     With vals = c - t * c^i, scenario i binds when its k_prev smallest
     vals sum to at most EPS_FEAS * max c (vals scale with the costs); it
@@ -154,8 +154,8 @@ def _extended_rows(u: UncertaintySet, k_prev: int, t: float, c, k: int):
     violated size-k row at that optimum. A row with a(i, S) = 0 holds for
     every mu and is left out.
     """
-    if k_prev >= k:
-        raise ValueError(f"a start must come from a construction at k < {k}, got k={k_prev}")
+    if not 1 <= k_prev < k:
+        raise ValueError(f"a start must come from a construction at 1 <= k < {k}, got k={k_prev}")
     values = cost_vector(c, u.n_items)
     vals = values - t * u.costs
     order = np.argsort(vals, axis=1, kind="stable")
@@ -187,7 +187,7 @@ def construct_lp_scenario(
     LP, so t_star is unchanged.
 
     start, the (k_prev, t_star, scenario) of a construction of the same
-    instance at k_prev < k, seeds the base LP from that optimum alone:
+    instance at 1 <= k_prev < k, seeds the base LP from that optimum alone:
     each scenario i whose k_prev smallest values of c - t_star * c^i sum
     to at most EPS_FEAS * max c binds there, and seeds its k smallest
     (_extended_rows). They are rows of this LP, so t_star is the same as

@@ -424,12 +424,16 @@ class TestExactMinMax:
     @given(st.data(), st.booleans())
     def test_one_node_blocks_agree(self, data, fractional):
         # with a budget of one cell every block is one node and the beam is
-        # one wide; ties must still resolve to the same subset
+        # one wide; ties must still resolve to the same subset, also when
+        # every popped block is filtered again, not only after the incumbent
+        # improved
         costs, spec = tie_heavy_selection(data)
         u = rk.UncertaintySet(costs / 7 if fractional else costs)
         opt, solution = rk.exact_minmax(u, spec)
         with mock.patch.object(bounds_module, "_BLOCK_CELLS", 1):
             assert rk.exact_minmax(u, spec) == (opt, solution)
+            with mock.patch.object(bounds_module, "_refilter", lambda cut, pushed: True):
+                assert rk.exact_minmax(u, spec) == (opt, solution)
 
     @pytest.mark.parametrize("block_cells", [1, 1 << 12])
     def test_mid_pool_cell_with_small_blocks(self, monkeypatch, block_cells):
@@ -437,6 +441,53 @@ class TestExactMinMax:
         u, spec = rk.generate_instance(20, 6, 50, seed=5)
         opt, solution = rk.exact_minmax(u, spec)
         assert (opt, solution.selected) == vectorized_brute_force(u, spec)
+
+    @staticmethod
+    def search_dtypes(monkeypatch):
+        """The dtypes of the cuts the search compares blocks with, one per pop."""
+        dtypes, refilter = [], bounds_module._refilter
+        monkeypatch.setattr(bounds_module, "_refilter", lambda cut, pushed: dtypes.append(cut.dtype) or refilter(cut, pushed))
+        return dtypes
+
+    @pytest.mark.parametrize("seed", [1, 2, 3, 4])
+    @pytest.mark.parametrize("alpha, dtype", [(1.0, np.int16), (0.5, np.float64), (2.0**20, np.float64)])
+    def test_scaling_by_a_power_of_two_scales_the_optimum(self, monkeypatch, seed, alpha, dtype):
+        # integer costs up to 100 search in int16; halves are fractional, and
+        # at 2**20 p * max cost is far above 2**14, so both search in float64,
+        # where scaling by a power of two is exact
+        u, spec = rk.generate_instance(20, 6, 50, seed=seed)
+        opt, solution = rk.exact_minmax(u, spec)
+        dtypes = self.search_dtypes(monkeypatch)
+        assert rk.exact_minmax(rk.UncertaintySet(alpha * u.costs), spec) == (alpha * opt, solution)
+        assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("n, p, N", [(10, 4, 6), (12, 8, 5)])
+    @pytest.mark.parametrize("offset, dtype", [(-1, np.int16), (0, np.float64)])
+    def test_integer_costs_at_the_int16_limit(self, monkeypatch, n, p, N, offset, dtype):
+        # p * max cost just below 2**14 keeps every intermediate, sentinel
+        # included, below 2**15; at 2**14 the search falls back to float64.
+        # Small blocks keep the beam from seeing every leaf, so the search runs
+        monkeypatch.setattr(bounds_module, "_BLOCK_CELLS", 1 << 8)
+        top = 2**14 // p + offset
+        rng = np.random.default_rng(n * p)
+        for costs in (rng.integers(0, top + 1, (N, n)), rng.integers(top - 1, top + 1, (N, n))):
+            costs[0, 0] = top
+            u, spec = rk.UncertaintySet(costs.astype(float)), rk.Selection(n=n, p=p)
+            dtypes = self.search_dtypes(monkeypatch)
+            opt, solution = rk.exact_minmax(u, spec)
+            assert (opt, solution.selected) == vectorized_brute_force(u, spec)
+            assert dtypes and set(dtypes) == {np.dtype(dtype)}
+
+    @pytest.mark.parametrize("alpha", [1.0, 1 / 7], ids=["integer", "sevenths"])
+    def test_refiltering_every_pop_agrees_at_the_mid_pool_cell(self, monkeypatch, alpha):
+        u, spec = rk.generate_instance(20, 6, 50, seed=6)
+        u = rk.UncertaintySet(alpha * u.costs)
+        skipped, refilter = [], bounds_module._refilter
+        monkeypatch.setattr(bounds_module, "_refilter", lambda cut, pushed: refilter(cut, pushed) or skipped.append(1))
+        opt, solution = rk.exact_minmax(u, spec)
+        assert skipped  # the skip is taken
+        monkeypatch.setattr(bounds_module, "_refilter", lambda cut, pushed: True)
+        assert rk.exact_minmax(u, spec) == (opt, solution)
 
     def test_budget_refusal(self):
         u = rk.UncertaintySet(np.ones((1, 40)))

@@ -466,16 +466,46 @@ class TestSpotCheck:
     )
     def test_each_invariant_is_named(self, key, value, invariant):
         with pytest.raises(InvariantError, match="^" + re.escape(f"{invariant} violated")):
-            _spot_check({**CONSISTENT, key: value}, (1, 2))
+            _spot_check({**CONSISTENT, key: value}, (1, 2), rk.EPS_CMP)
 
     def test_consistent_values_pass(self):
-        _spot_check(CONSISTENT, (1, 2))
-        _spot_check(WITHOUT_OPT, (1, 2))
+        _spot_check(CONSISTENT, (1, 2), rk.EPS_CMP)
+        _spot_check(WITHOUT_OPT, (1, 2), rk.EPS_CMP)
 
     @pytest.mark.parametrize("key", [key for key in CONSISTENT if key[0] in ("apriori", "ub", "lb")])
     def test_missing_metric_raises(self, key):
         with pytest.raises(KeyError):
-            _spot_check({k: v for k, v in CONSISTENT.items() if k != key}, (1, 2))
+            _spot_check({k: v for k, v in CONSISTENT.items() if k != key}, (1, 2), rk.EPS_CMP)
+
+    @pytest.mark.parametrize(
+        "alpha, factor, raises",
+        [(1.0, 1 - 1e-14, False), (1.0, 0.99, True), (1e9, 1 - 1e-14, False), (1e-9, 0.99, True)],
+        ids=["rounding-at-unit", "violation-at-unit", "rounding-at-1e9", "violation-at-1e-9"],
+    )
+    def test_cost_comparisons_scale_with_the_costs(self, monkeypatch, alpha, factor, raises):
+        # the max-min lb is put just below the largest other lb; a rounding
+        # gap of 1e-14 relative passes and a 1% violation raises, whatever
+        # the cost unit (an absolute tolerance raised on the first at 1e9
+        # and passed the second at 1e-9)
+        generate, real_certify, lbs = rk.generate_instance, rk.certify, []
+
+        def scaled(*args):
+            u, spec = generate(*args)
+            return rk.UncertaintySet(alpha * u.costs), spec
+
+        def certify(u, spec, c, lam):
+            ub, lb = real_certify(u, spec, c, lam)
+            lbs.append(lb)
+            return (ub, max(lbs[:-1]) * factor) if len(lbs) == 4 else (ub, lb)  # mid, lp k=1, 2, then mm
+
+        monkeypatch.setattr(experiments_module, "generate_instance", scaled)
+        monkeypatch.setattr(experiments_module, "certify", certify)
+        task = (0, 0, 10, 3, 10, derive_seed(1, 10, 3, 10, 0), (1, 2), False)
+        if raises:
+            with pytest.raises(InvariantError, match="lb <= mm violated"):
+                experiments_module._instance_metrics(task)
+        else:
+            assert experiments_module._instance_metrics(task)[2] is None
 
     def test_raises_under_python_optimize(self):
         src = str(Path(__file__).resolve().parents[1] / "src")
@@ -484,7 +514,7 @@ class TestSpotCheck:
             "import sys\n"
             "if not sys.flags.optimize: sys.exit(3)\n"
             "from robustkit.experiments import _spot_check\n"
-            f"_spot_check({bad!r}, (1, 2))\n"
+            f"_spot_check({bad!r}, (1, 2), {rk.EPS_CMP!r})\n"
         )
         env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")])))
         proc = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=120)

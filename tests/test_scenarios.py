@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -299,8 +300,17 @@ class TestConstructLpScenario:
         u, spec = table1
         start = (2, *rk.construct_lp_scenario(u, spec, 2)[:2])
         for k in (1, 2):
-            with pytest.raises(ValueError, match=f"construction at k < {k}, got k=2"):
+            with pytest.raises(ValueError, match=f"construction at 1 <= k < {k}, got k=2"):
                 rk.construct_lp_scenario(u, spec, k, start=start)
+        # below k = 1 there is no construction: 0 would seed every scenario
+        # and -1 none, so both are refused before any solve
+        u, spec = rk.generate_instance(10, 3, 10, rk.derive_seed(5, 10, 3, 10, 0))
+        t1, c1, _ = rk.construct_lp_scenario(u, spec, 1)
+        for k_prev in (0, -1):
+            with mock.patch.object(rk.scenarios, "solve_lp") as solve:
+                with pytest.raises(ValueError, match=f"construction at 1 <= k < 2, got k={k_prev}"):
+                    rk.construct_lp_scenario(u, spec, 2, start=(k_prev, t1, c1))
+            solve.assert_not_called()
         # a start's scenario passes the one check of every cost vector
         with pytest.raises(ValueError, match="cost vector must be nonnegative"):
             rk.construct_lp_scenario(u, spec, 2, start=(1, 1.0, -rk.midpoint_scenario(u)))
