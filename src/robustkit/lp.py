@@ -34,7 +34,9 @@ a generated row is copied into a tableau one row and one column larger.
 A solve ends one of two ways: it returns the optimum, or it raises
 LpError, whose message names the outcome: "infeasible" when a leaving
 row has no negative entry, or the numerical failure (a pivot cap, a
-non-finite value, a violated row) that stopped it.
+non-finite value, a violated row) that stopped it. Only the returned
+point is checked against the rows, every base and generated row; the
+points a row source sees are finite, but not checked.
 """
 
 from __future__ import annotations
@@ -193,65 +195,60 @@ def solve_lp(lp: LinearProgram, row_source: Optional[RowSource] = None) -> LpSol
     returned (LpError "infeasible" if those rows exclude every point). The
     caller's LP is not modified. A source that returns a row the point
     satisfies, or more than _MAX_ROUNDS rows, raises LpError. iterations
-    counts every pivot, rounds every row the source returned.
+    counts every pivot, rounds every row the source returned. The point
+    returned is checked once against every base and then generated row;
+    a violated one raises LpError naming its index in that order.
     """
     if not (lp.objective <= 0.0).all():
         raise ValueError("solve_lp needs an objective <= 0 in every entry")
     n = lp.n_vars
-    # base and generated rows, for the feasibility check; the first
-    # generated row copies them into arrays that double when full
-    A, b = lp.constraints, lp.rhs
-    base = len(b)
+    base = len(lp.rhs)
 
     # [A | I | b]: every row has a basic slack, and the reduced costs -c are
     # nonnegative there
     T = np.zeros((base + 1, n + base + 1))
-    T[:base, :n], T[:base, n:-1], T[:base, -1] = A, np.eye(base), b
+    T[:base, :n], T[:base, n:-1], T[:base, -1] = lp.constraints, np.eye(base), lp.rhs
     T[-1, :n] = -lp.objective
     basis = list(range(n, n + base))
     iterations = _dual_simplex(T, basis)
 
-    amax = np.abs(A).max(axis=1, initial=0.0)
-    bscale = np.maximum(1.0, np.abs(b))
-    rounds = 0
+    rows, rhss = [], []  # the generated rows, for the check at the end
     while True:
-        r = base + rounds
         y = np.zeros(T.shape[1] - 1)  # the variables, then the slacks
         y[basis] = T[:-1, -1]
         x = np.maximum(y[:n], 0.0)
-        _check_feasible(x, A[:r], b[:r], amax[:r], bscale[:r])
         source_row = None if row_source is None else row_source(x)
         if source_row is None:
-            return LpSolution(x, float(lp.objective @ x), iterations, rounds)
-        if rounds == _MAX_ROUNDS:
+            _check_feasible(x, np.concatenate((lp.constraints, np.reshape(rows, (-1, n)))), np.concatenate((lp.rhs, rhss)))
+            return LpSolution(x, float(lp.objective @ x), iterations, len(rows))
+        if len(rows) == _MAX_ROUNDS:
             raise LpError(f"row generation did not terminate within {_MAX_ROUNDS} rounds")
         coeffs, rhs = np.asarray(source_row[0], dtype=float), float(source_row[1])
         if coeffs.shape != (n,) or not (np.isfinite(coeffs).all() and math.isfinite(rhs)):
             raise ValueError(f"row_source must return ({n},) finite coefficients and a finite rhs, got {coeffs.shape}")
         if not float(coeffs @ x) > rhs:
             raise LpError("row_source returned a constraint the current point satisfies")
-        if r == len(b):
-            A, b, amax, bscale = (np.concatenate((a, np.zeros((r + 1,) + a.shape[1:]))) for a in (A, b, amax, bscale))
-        A[r], b[r], amax[r], bscale[r] = coeffs, rhs, np.abs(coeffs).max(), max(1.0, abs(rhs))
-        rounds += 1
+        rows.append(coeffs)
+        rhss.append(rhs)
         T = _add_row(T, basis, coeffs, rhs)
         iterations += _dual_simplex(T, basis)
 
 
-def _check_feasible(x, A, b, amax, bscale) -> None:
+def _check_feasible(x, A, b) -> None:
     """Surface accumulated round-off as an error instead of a wrong answer.
 
-    x must satisfy the rows A x <= b up to EPS_FEAS scaled by the
-    magnitudes: amax and bscale hold each row's largest absolute
-    coefficient and max(1, |b|): relative, floored at EPS_FEAS, which both
-    LPs meet at any cost scale as their rows are cost ratios or rescaled
-    costs. x >= 0 holds by construction.
+    Runs once per solve, on the returned point, over every base and
+    generated row. x must satisfy A x <= b up to EPS_FEAS times each row's
+    max(1, |b|, max |coefficient| * max(1, max |x|)): relative, floored at
+    EPS_FEAS, which both LPs meet at any cost scale as their rows are cost
+    ratios or rescaled costs. x >= 0 holds by construction.
     """
     if not np.isfinite(x).all():
         raise LpError("solution has non-finite values")
     xscale = max(1.0, float(np.abs(x).max()))
+    amax = np.abs(A).max(axis=1, initial=0.0)
     lhs = A @ x
-    violated = lhs - b > EPS_FEAS * np.maximum(bscale, amax * xscale)
+    violated = lhs - b > EPS_FEAS * np.maximum(np.maximum(1.0, np.abs(b)), amax * xscale)
     if violated.any():
         idx = violated.argmax()
         raise LpError(f"constraint {idx} violated: {lhs[idx]} > {b[idx]}")

@@ -78,9 +78,9 @@ def _most_violated(costs: np.ndarray, values: np.ndarray, t: float, k: int):
     vals = values - t * costs
     smallest = np.sort(vals, axis=1)[:, :k]
     violations = -smallest.sum(axis=1)
-    i = int(np.argmax(violations))
-    idx = np.argsort(vals[i], kind="stable")[:k]
-    return float(violations[i]), i, tuple(sorted(int(j) for j in idx))
+    i = int(violations.argmax())
+    idx = vals[i].argsort(kind="stable")[:k]
+    return float(violations[i]), i, tuple(sorted(idx.tolist()))
 
 
 def separation_oracle(
@@ -213,7 +213,8 @@ def construct_lp_scenario(
         violation, i, subset = _most_violated(u.costs, c, t, k)
         if violation <= EPS_CUT * scale:
             return None
-        return _subset_rows(u, [(i, subset)])[0], -1.0  # a violated row has a(i, S) > 0
+        sums = u.costs[:, subset].sum(axis=1)  # as _subset_rows, bit for bit
+        return -sums / sums[i], -1.0  # a violated row has a(i, S) > 0
 
     mu = solve_lp(lp, row_source).x
     total = float(mu.sum())

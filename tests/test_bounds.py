@@ -32,14 +32,33 @@ def brute_force_minmax(u, spec):
 
 
 def vectorized_brute_force(u, spec):
-    """Every subset at once; for integer costs, where summation order is exact."""
-    combos = np.array(list(itertools.combinations(range(spec.n), spec.p)))
-    acc = np.zeros((u.n_scenarios, combos.shape[0]))
-    for t in range(spec.p):
-        acc += u.costs[:, combos[:, t]]
-    values = acc.max(axis=0)
-    best = int(np.argmin(values))  # first minimum: combinations come in lexicographic order
-    return float(values[best]), tuple(int(j) for j in combos[best])
+    """No-pruning reference for integer costs, where every sum is exact in int32.
+
+    Every subset is a prefix of p - r items followed by r = min(p, 5)
+    items after the prefix's last. The sums of all r-subsets of items
+    s..n-1, in lexicographic order, are built once per s from s = n down,
+    by S(s, k) = [c_s + S(s+1, k-1) | S(s+1, k)]. Each prefix, in
+    lexicographic order, adds its sum to its table, so the subsets come in
+    lexicographic order and the first minimum of the worst case over
+    scenarios takes value ties to the smallest tuple.
+    """
+    costs = u.costs.astype(np.int32)
+    n, p, r = spec.n, spec.p, min(spec.p, 5)
+    assert np.array_equal(costs, u.costs) and p * int(costs.max(initial=0)) < 2**31
+    level = [np.zeros((u.n_scenarios, 1), np.int32)] + [np.zeros((u.n_scenarios, 0), np.int32)] * r  # S(n, 0..r)
+    tables = {}
+    for s in range(n - 1, p - r - 1, -1):
+        level = level[:1] + [np.concatenate((costs[:, s, None] + level[k - 1], level[k]), axis=1) for k in range(1, r + 1)]
+        tables[s] = level[r]
+    best = (math.inf,)
+    for prefix in itertools.combinations(range(n - r), p - r):
+        s = prefix[-1] + 1 if prefix else 0
+        values = (tables[s] + costs[:, list(prefix)].sum(axis=1, dtype=np.int32)[:, None]).max(axis=0)
+        b = int(values.argmin())  # first minimum
+        if values[b] < best[0]:
+            best = (int(values[b]), prefix, s, b)
+    value, prefix, s, b = best
+    return float(value), prefix + next(itertools.islice(itertools.combinations(range(s, n), r), b, None))
 
 
 def tie_heavy_selection(data):
@@ -524,13 +543,11 @@ class TestExactMinMax:
         assert opt == 5.0
         assert solution.selected == (4,)
 
-    @pytest.mark.slow
     def test_pruning_matches_reference_at_scale(self):
+        # every one of the C(30, 9) = 14307150 subsets, without pruning
         u, spec = rk.generate_instance(30, 9, 10, seed=11)
         opt, solution = rk.exact_minmax(u, spec)
-        ref_value, ref_combo = brute_force_minmax(u, spec)
-        assert opt == ref_value
-        assert solution.selected == ref_combo
+        assert (opt, solution.selected) == vectorized_brute_force(u, spec)
 
 
 class TestSandwich:

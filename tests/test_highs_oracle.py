@@ -80,11 +80,14 @@ def test_construction_t_star_matches_highs(k):
 
 
 def test_construction_t_star_beyond_k3_matches_highs():
-    n, p, N = 10, 5, 10
-    for i in range(3):
-        u, spec = rk.generate_instance(n, p, N, derive_seed(7, n, p, N, i))
-        t_star, _, _ = rk.construct_lp_scenario(u, spec, 4)
-        assert abs(t_star - highs_max(eager_scenario_lp(u, 4))) <= 1e-9
+    # (8,4,5) at k = p = 4: HiGHS solves all N * C(8, 4) = 350 rows, the
+    # ones of every solution, and the oracle finds no cut at the optimum
+    for n, p, N, k in [(10, 5, 10, 4), (8, 4, 5, 4)]:
+        for i in range(3):
+            u, spec = rk.generate_instance(n, p, N, derive_seed(7, n, p, N, i))
+            t_star, scenario, _ = rk.construct_lp_scenario(u, spec, k)
+            assert abs(t_star - highs_max(eager_scenario_lp(u, k))) <= 1e-9
+            assert rk.separation_oracle(u, scenario, t_star, k) is None
 
 
 def test_zero_cost_corners_match_the_hull_form():

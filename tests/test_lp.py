@@ -252,6 +252,39 @@ class TestFeasibilityOfReportedOptimum:
         with pytest.raises(rk.LpError, match="solution has non-finite values"):
             rk.solve_lp(self.AT_LEAST_ONE)
 
+    def test_violated_generated_row_is_refused_at_the_end(self, monkeypatch):
+        # the dual simplex stops pivoting after the first appended row, so
+        # the cut x >= 2, row 1 after the one base row, stays violated; the
+        # source, having returned it, accepts the same point, and the check
+        # at the end names the row
+        real, solves, seen = lp_module._dual_simplex, [], []
+
+        def pivots_only_the_base_rows(T, basis):
+            solves.append(len(basis))
+            return real(T, basis) if len(solves) == 1 else 0
+
+        monkeypatch.setattr(lp_module, "_dual_simplex", pivots_only_the_base_rows)
+
+        def once(x):
+            seen.append(x.copy())
+            return (np.array([-1.0]), -2.0) if len(seen) == 1 else None
+
+        with pytest.raises(rk.LpError, match=r"constraint 1 violated: -1\.0 > -2\.0"):
+            rk.solve_lp(self.AT_LEAST_ONE, once)
+        assert solves == [1, 2] and [x.tolist() for x in seen] == [[1.0], [1.0]]
+
+    def test_rows_are_checked_once_over_base_and_generated_rows(self, monkeypatch):
+        u, _ = generate_instance(10, 3, 10, derive_seed(5, 10, 3, 10, 0))
+        full = eager_covering_lp(u, 2)
+        lp = rk.LinearProgram(full.objective, full.constraints[:2], full.rhs[:2])
+        checked, check = [], lp_module._check_feasible
+        monkeypatch.setattr(lp_module, "_check_feasible", lambda x, A, b: checked.append((x, A, b)) or check(x, A, b))
+        sol = rk.solve_lp(lp, first_violated_source(list(zip(full.constraints, full.rhs))))
+        assert sol.rounds > 1 and len(checked) == 1
+        x, A, b = checked[0]
+        assert x is sol.x and A.shape == (len(lp.rhs) + sol.rounds, u.n_scenarios) and b.shape == (len(A),)
+        assert A[: len(lp.rhs)].tobytes() == lp.constraints.tobytes() and b[: len(lp.rhs)].tobytes() == lp.rhs.tobytes()
+
 
 def first_violated_source(rows):
     """Row source returning the first of rows that x violates by more than 1e-9."""

@@ -400,12 +400,11 @@ class TestConstructLpScenario:
             assert row.tobytes() == rk.scenarios._subset_rows(u, [(i, subset)])[0].tobytes()
         assert rk.scenarios._subset_rows(u, []).shape == (0, 7)
 
-    @pytest.mark.parametrize("k", [1, 3, 9])
-    def test_generated_rows_equal_subset_rows(self, k, monkeypatch):
-        # each generated row has the bits _subset_rows gives the (i, S) of
-        # its _most_violated call
-        u, spec = rk.generate_instance(20, 9, 12, 3)
-        generated, solve_lp = [], rk.scenarios.solve_lp
+    @staticmethod
+    def record_cuts(monkeypatch):
+        """Lists that gather each row the row source returns and each _most_violated result."""
+        generated, cuts = [], []
+        solve_lp, most_violated = rk.scenarios.solve_lp, rk.scenarios._most_violated
 
         def recording_solve_lp(lp, source):
             def recording_source(x):
@@ -417,14 +416,42 @@ class TestConstructLpScenario:
             return solve_lp(lp, recording_source)
 
         monkeypatch.setattr("robustkit.scenarios.solve_lp", recording_solve_lp)
-        cuts, most_violated = [], rk.scenarios._most_violated
         monkeypatch.setattr("robustkit.scenarios._most_violated", lambda *a: cuts.append(most_violated(*a)) or cuts[-1])
-        rk.construct_lp_scenario(u, spec, k)
-        # the row source's last call finds no cut; the post-solve self-check makes one more
-        assert generated and len(generated) == len(cuts) - 2 and cuts[-2][0] <= rk.EPS_CUT
+        return generated, cuts
+
+    @staticmethod
+    def assert_cuts_are_subset_rows(u, generated, cuts):
+        # the row source's last call finds no cut; the post-solve self-check
+        # makes one more; each generated row has the bits _subset_rows gives
+        # the (i, S) of its _most_violated call
+        assert len(generated) == len(cuts) - 2 and cuts[-2][0] <= rk.EPS_CUT * rk.core.cost_scale(u)
         for row, (violation, i, subset) in zip(generated, cuts):
-            assert violation > rk.EPS_CUT
+            assert violation > rk.EPS_CUT * rk.core.cost_scale(u)
             assert row.tobytes() == rk.scenarios._subset_rows(u, [(i, subset)])[0].tobytes()
+
+    @pytest.mark.parametrize("k", [1, 3, 9])
+    def test_generated_rows_equal_subset_rows(self, k, monkeypatch):
+        u, spec = rk.generate_instance(20, 9, 12, 3)
+        generated, cuts = self.record_cuts(monkeypatch)
+        rk.construct_lp_scenario(u, spec, k)
+        assert generated
+        self.assert_cuts_are_subset_rows(u, generated, cuts)
+
+    @pytest.mark.parametrize("cell", [(10, 3, 10), (20, 6, 50), (30, 9, 100)])
+    def test_chained_cuts_equal_subset_rows_at_the_paper_cells(self, cell, monkeypatch):
+        # the row source builds its one cut apart from _subset_rows, the
+        # builder of seeded rows; on the grid's k chain they agree
+        generated, cuts = self.record_cuts(monkeypatch)
+        rounds = 0
+        for instance_id in range(2):
+            u, spec = rk.generate_instance(*cell, rk.derive_seed(5, *cell, instance_id))
+            start = None
+            for k in (1, 2, 3):
+                start = (k, *rk.construct_lp_scenario(u, spec, k, start=start)[:2])
+                self.assert_cuts_are_subset_rows(u, generated, cuts)
+                rounds += len(generated)
+                del generated[:], cuts[:]
+        assert rounds > 0
 
     def test_scenario_is_hull_combination(self, table1):
         u, spec = table1
