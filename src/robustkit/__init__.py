@@ -26,9 +26,7 @@ from .problems import (
     dimension,
     enumerate_solutions,
     max_solution_cardinality_bound,
-    min_solution_cardinality,
     nominal_solve,
-    validate_k,
 )
 from .lp import LinearProgram, LpError, LpSolution, solve_lp
 from .scenarios import (
@@ -87,7 +85,6 @@ __all__ = [
     "max_solution_cardinality_bound",
     "maxmin_certificate",
     "midpoint_scenario",
-    "min_solution_cardinality",
     "nominal_solve",
     "parse_instance",
     "ratio_or_inf",
@@ -96,7 +93,6 @@ __all__ = [
     "serialize_instance",
     "solve_lp",
     "upper_bound",
-    "validate_k",
     "worstcase_apriori_bound",
     "worstcase_scenario",
 ]

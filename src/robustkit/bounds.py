@@ -51,8 +51,6 @@ class BudgetError(RuntimeError):
 
 def upper_bound(u: UncertaintySet, x: BinarySolution) -> float:
     """Worst-case value of x over all scenarios: max_i c^i . x."""
-    if not x.selected:
-        return 0.0
     return float(u.costs[:, list(x.selected)].sum(axis=1).max())
 
 

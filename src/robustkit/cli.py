@@ -17,7 +17,7 @@ from pathlib import Path
 from .bounds import BudgetError, certify, exact_minmax, maxmin_certificate, upper_bound
 from .core import ConvexWeights, parse_instance, ratio_or_inf, serialize_instance
 from .experiments import ExperimentGrid, derive_seed, emit_csv, generate_instance, run_grid
-from .problems import nominal_solve, validate_k
+from .problems import nominal_solve, require_k
 from .scenarios import (
     construct_lp_scenario,
     fixed_scenario_guarantee,
@@ -76,8 +76,7 @@ def _representative(u, spec, method: str, k: int):
     The LP at k is solved as the experiment grid solves it: at 1, ..., k,
     each started from the one before, so an (instance, k) has one answer.
     """
-    if not validate_k(spec, k):
-        raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
+    require_k(spec, k)
     if method == "worstcase":
         return worstcase_scenario(u), None, worstcase_apriori_bound(u, spec), None
     if method == "midpoint":

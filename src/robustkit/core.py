@@ -115,7 +115,7 @@ class BinarySolution:
 
     def cost(self, values: np.ndarray) -> float:
         """Total cost of this solution under one cost vector."""
-        return float(np.asarray(values, dtype=float)[list(self.selected)].sum()) if self.selected else 0.0
+        return float(np.asarray(values, dtype=float)[list(self.selected)].sum())
 
     def __len__(self) -> int:
         return len(self.selected)
@@ -265,14 +265,10 @@ def serialize_instance(u: UncertaintySet, spec) -> str:
 
     lines = ["# robust-instance v1"]
     if isinstance(spec, problems.Selection):
-        if spec.n != u.n_items:
-            raise ValueError(f"spec has n={spec.n} but uncertainty set has {u.n_items} items")
         lines.append("problem selection")
         lines.append(f"n {spec.n}")
         lines.append(f"p {spec.p}")
     elif isinstance(spec, problems.ShortestPath):
-        if len(spec.edges) != u.n_items:
-            raise ValueError(f"spec has {len(spec.edges)} edges but uncertainty set has {u.n_items} items")
         lines.append("problem shortestpath")
         lines.append(f"edges {len(spec.edges)}")
         for idx, (a, b) in enumerate(spec.edges):
@@ -281,6 +277,7 @@ def serialize_instance(u: UncertaintySet, spec) -> str:
         lines.append(f"sink {spec.sink}")
     else:
         raise ValueError(f"unsupported problem spec {type(spec).__name__}")
+    problems.require_dimension(u, spec)
     lines.append(f"N {u.n_scenarios}")
     for row in u.costs:
         lines.append("c " + " ".join(_fmt(v) for v in row))

@@ -3,16 +3,15 @@
 Two feasible-set shapes are supported: choose exactly p of n items
 (selection), and directed s-t paths with indexed edges (shortest path).
 Both expose the same operations: solve the nominal problem for a cost
-vector, bound the solution cardinality from below and above, and check
-whether a subset-size parameter k is valid for the guarantee machinery.
+vector, bound the solution cardinality from above, and refuse a
+subset-size parameter k that some feasible solution is smaller than.
 """
 
 from __future__ import annotations
 
 import heapq
-from collections import deque
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Tuple, Union
 
 import numpy as np
 
@@ -46,8 +45,7 @@ class ShortestPath:
             raise ValueError("source and sink must differ")
         if not self.edges:
             raise ValueError("need at least one edge")
-        if _min_hops(self) is None:
-            raise ValueError(f"no path from {self.source} to {self.sink}")
+        nominal_solve(self, np.ones(len(self.edges)))  # raises unless the sink is reachable
 
 
 ProblemSpec = Union[Selection, ShortestPath]
@@ -69,21 +67,6 @@ def _out_edges(spec: ShortestPath):
     for j, (a, b) in enumerate(spec.edges):
         out.setdefault(a, []).append((j, b))
     return out
-
-
-def _min_hops(spec: ShortestPath) -> Optional[int]:
-    """BFS hop count from source to sink, None if unreachable."""
-    out = _out_edges(spec)
-    dist = {spec.source: 0}
-    queue = [spec.source]
-    for v in queue:
-        if v == spec.sink:
-            return dist[v]
-        for _, w in out.get(v, ()):
-            if w not in dist:
-                dist[w] = dist[v] + 1
-                queue.append(w)
-    return dist.get(spec.sink)
 
 
 def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
@@ -135,64 +118,43 @@ def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
     return BinarySolution(tuple(path))
 
 
-def min_solution_cardinality(spec: ProblemSpec) -> int:
-    """Largest k with k <= |x| for every feasible x (exact for both kinds)."""
-    if isinstance(spec, Selection):
-        return spec.p
-    return _min_hops(spec)
+def require_k(spec: ProblemSpec, k: int) -> None:
+    """Refuse k unless 1 <= k <= |x| for every feasible x: p items, or the fewest hops of a unit-cost path."""
+    if k < 1:
+        raise ValueError(f"k must be >= 1, got {k}")
+    fewest = spec.p if isinstance(spec, Selection) else len(nominal_solve(spec, np.ones(len(spec.edges))))
+    if k > fewest:
+        raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
 
 
 def max_solution_cardinality_bound(spec: ProblemSpec) -> int:
     """Upper bound on the solution cardinality |X| = max_x sum_j x_j.
 
     Exact for selection (p) and for acyclic graphs (longest s-t path by
-    dynamic programming). Cyclic graphs fall back to the edge count n,
+    dynamic programming in graphlib's topological order). Cyclic graphs,
+    which graphlib refuses, fall back to the edge count n,
     which is always valid for simple paths but weaker.
     """
     if isinstance(spec, Selection):
         return spec.p
 
-    out = _out_edges(spec)
-    order = _topological_order(spec, out)
-    if order is None:
+    from graphlib import CycleError, TopologicalSorter
+
+    preds = {}
+    for a, b in spec.edges:
+        preds.setdefault(b, []).append(a)
+    try:
+        order = tuple(TopologicalSorter(preds).static_order())
+    except CycleError:
         return len(spec.edges)
     longest = {spec.source: 0}
     for v in order:
-        if v not in longest:
-            continue
-        for j, w in out.get(v, ()):
-            cand = longest[v] + 1
-            if cand > longest.get(w, -1):
-                longest[w] = cand
+        # pull from the predecessors the source reaches; in a DAG none of its own, so it keeps 0
+        reached = [longest[u] for u in preds.get(v, ()) if u in longest]
+        if reached:
+            longest[v] = max(reached) + 1
     # sink reachable by spec invariant
     return longest[spec.sink]
-
-
-def _topological_order(spec: ShortestPath, out):
-    """Kahn's algorithm over the out-edge lists; None if the graph has a cycle."""
-    vertices = {spec.source, spec.sink}
-    indeg = {}
-    for a, b in spec.edges:
-        vertices.add(a)
-        vertices.add(b)
-        indeg[b] = indeg.get(b, 0) + 1
-    queue = deque(sorted(v for v in vertices if indeg.get(v, 0) == 0))
-    order = []
-    while queue:
-        v = queue.popleft()
-        order.append(v)
-        for _, w in out.get(v, ()):
-            indeg[w] -= 1
-            if indeg[w] == 0:
-                queue.append(w)
-    return order if len(order) == len(vertices) else None
-
-
-def validate_k(spec: ProblemSpec, k: int) -> bool:
-    """True iff every feasible solution has at least k items."""
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    return k <= min_solution_cardinality(spec)
 
 
 def enumerate_solutions(spec: ShortestPath):

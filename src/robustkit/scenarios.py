@@ -45,7 +45,7 @@ import numpy as np
 
 from .core import EPS_CMP, EPS_CUT, EPS_FEAS, ConvexWeights, UncertaintySet, cost_scale, cost_vector
 from .lp import LinearProgram, LpError, solve_lp
-from .problems import ProblemSpec, max_solution_cardinality_bound, require_dimension, validate_k
+from .problems import ProblemSpec, max_solution_cardinality_bound, require_dimension, require_k
 
 
 def midpoint_scenario(u: UncertaintySet) -> np.ndarray:
@@ -194,8 +194,7 @@ def construct_lp_scenario(
     unseeded; the optimal vertex, and with it the scenario, may differ.
     """
     require_dimension(u, spec)
-    if not validate_k(spec, k):
-        raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
+    require_k(spec, k)
 
     if start is not None:
         rows = _extended_rows(u, *start, k)

@@ -91,6 +91,10 @@ class TestUpperBound:
         u = rk.UncertaintySet(np.zeros((2, 3)))
         assert rk.upper_bound(u, rk.BinarySolution((0, 1))) == 0.0
 
+    def test_empty_selection(self, table1):
+        u, _ = table1
+        assert rk.upper_bound(u, rk.BinarySolution(())) == 0.0
+
 
 class TestLowerBound:
     """certify's lb: the nominal minimum of a scenario the weights certify inside the hull."""

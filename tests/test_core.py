@@ -232,6 +232,10 @@ class TestSerializeInstance:
         u, _ = table1
         with pytest.raises(ValueError, match="n=3"):
             rk.serialize_instance(u, rk.Selection(n=3, p=1))
+        with pytest.raises(ValueError, match="spec has n=1 but uncertainty set has 4 items"):
+            rk.serialize_instance(u, rk.ShortestPath(edges=((0, 1),), source=0, sink=1))
+        with pytest.raises(ValueError, match="unsupported problem spec object"):  # before its dimension
+            rk.serialize_instance(u, object())
 
 
 @settings(max_examples=50, deadline=None)

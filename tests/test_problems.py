@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkit as rk
-from robustkit import problems as problems_module
+from robustkit.problems import require_k
 from splitmix64 import SplitMix64
 
 
@@ -123,15 +123,27 @@ class TestNominalSolveShortestPath:
         assert x in set(rk.enumerate_solutions(DIAMOND))
 
 
-class TestCardinalities:
+def accepts(spec, k):
+    """require_k's answer as a bool: k is accepted unless it raises."""
+    try:
+        require_k(spec, k)
+    except ValueError as exc:
+        assert "exceeds the minimum solution cardinality" in str(exc)
+        return False
+    return True
+
+
+class TestRequireK:
     def test_selection_values(self):
-        assert rk.min_solution_cardinality(rk.Selection(n=30, p=9)) == 9
-        assert rk.min_solution_cardinality(rk.Selection(n=4, p=2)) == 2
+        for n, p in [(30, 9), (4, 2), (10, 3)]:
+            assert accepts(rk.Selection(n=n, p=p), p)
+            assert not accepts(rk.Selection(n=n, p=p), p + 1)
+        assert accepts(rk.Selection(n=10, p=3), 1)
         assert rk.max_solution_cardinality_bound(rk.Selection(n=10, p=3)) == 3
 
     def test_single_edge_graph(self):
         spec = rk.ShortestPath(edges=((0, 1),), source=0, sink=1)
-        assert rk.min_solution_cardinality(spec) == 1
+        assert accepts(spec, 1) and not accepts(spec, 2)
         assert rk.max_solution_cardinality_bound(spec) == 1
 
     def test_three_node_dag(self):
@@ -140,45 +152,36 @@ class TestCardinalities:
         paths = list(rk.enumerate_solutions(spec))
         assert max(len(x) for x in paths) == 2  # oracle: enumerate both paths
         assert rk.max_solution_cardinality_bound(spec) == 2
-        assert rk.min_solution_cardinality(spec) == 1
+        assert accepts(spec, 1) and not accepts(spec, 2)
+
+    def test_path(self):
+        assert accepts(DIAMOND, 1)
+        assert not accepts(DIAMOND, 2)  # the direct edge is a 1-hop solution
 
     def test_cyclic_graph_falls_back_to_edge_count(self):
         spec = rk.ShortestPath(edges=((0, 1), (1, 0), (1, 2)), source=0, sink=2)
         assert rk.max_solution_cardinality_bound(spec) == 3
 
     @pytest.mark.parametrize("steps", [100, 20_000])
-    def test_longest_path_builds_adjacency_once(self, monkeypatch, steps):
+    def test_longest_path_on_a_ladder(self, steps):
         # ladder DAG: edges i -> i+1 and i -> i+2; the longest path takes every unit step
         edges = tuple((i, i + d) for i in range(steps) for d in (1, 2) if i + d <= steps)
         spec = rk.ShortestPath(edges=edges, source=0, sink=steps)
-        real = problems_module._out_edges
-        calls = []
-        monkeypatch.setattr(problems_module, "_out_edges", lambda s: calls.append(1) or real(s))
         assert rk.max_solution_cardinality_bound(spec) == steps
-        assert len(calls) == 1
+        assert accepts(spec, steps // 2) and not accepts(spec, steps // 2 + 1)  # the fewest hops take the 2-steps
 
-    def test_min_le_max(self):
+    def test_selection_accepts_k_up_to_its_max(self):
         rng = SplitMix64(99)
         for _ in range(20):
             n = 2 + rng.randint_upto(10)
             p = 1 + rng.randint_upto(n - 1)
             spec = rk.Selection(n=n, p=p)
-            assert rk.min_solution_cardinality(spec) <= rk.max_solution_cardinality_bound(spec)
-
-
-class TestValidateK:
-    def test_examples(self):
-        assert rk.validate_k(rk.Selection(n=4, p=2), 2)
-        assert not rk.validate_k(rk.Selection(n=4, p=2), 3)
-        assert rk.validate_k(rk.Selection(n=10, p=3), 1)
-
-    def test_path(self):
-        assert rk.validate_k(DIAMOND, 1)
-        assert not rk.validate_k(DIAMOND, 2)  # the direct edge is a 1-hop solution
+            assert accepts(spec, rk.max_solution_cardinality_bound(spec))
 
     def test_rejects_nonpositive_k(self):
-        with pytest.raises(ValueError):
-            rk.validate_k(rk.Selection(n=4, p=2), 0)
+        for spec in (rk.Selection(n=4, p=2), DIAMOND):
+            with pytest.raises(ValueError, match="k must be >= 1, got 0"):
+                require_k(spec, 0)
 
 
 class TestSpecValidation:
@@ -193,3 +196,52 @@ class TestSpecValidation:
             rk.ShortestPath(edges=((0, 1),), source=1, sink=0)
         with pytest.raises(ValueError, match="differ"):
             rk.ShortestPath(edges=((0, 1),), source=0, sink=0)
+
+
+def random_digraph(rng, cyclic):
+    """Small digraph on vertices 0..v, with the source at a random position.
+
+    Edges run forward in a random vertex order, each with probability 1/2,
+    or 1/4 for the direct source-sink edge, so that many shortest paths
+    take more than one hop. The graph is acyclic unless cyclic adds a
+    2-cycle on a random pair, a doubled self-loop when the pair is one
+    vertex. Vertex v reaches the graph by one edge, often
+    into the source, and nothing reaches v.
+    """
+    v = 3 + rng.randint_upto(5)
+    rank = list(range(v))
+    for i in range(v - 1, 0, -1):
+        j = rng.randint_upto(i)
+        rank[i], rank[j] = rank[j], rank[i]
+    source, sink = rng.randint_upto(v - 1), rng.randint_upto(v - 1)
+    edges = [
+        (a, b)
+        for a in range(v)
+        for b in range(v)
+        if rank[a] < rank[b] and rng.randint_upto(3 if (a, b) == (source, sink) else 1) == 0
+    ]
+    edges.append((v, rng.randint_upto(v - 1)))
+    if cyclic:
+        a, b = rng.randint_upto(v - 1), rng.randint_upto(v - 1)
+        edges += [(a, b), (b, a)]
+    return tuple(edges), source, sink
+
+
+def test_cardinalities_match_path_enumeration_on_random_digraphs():
+    rng = SplitMix64(31)
+    checked = {False: 0, True: 0}
+    while min(checked.values()) < 60:
+        cyclic = rng.randint_upto(1) == 1
+        edges, source, sink = random_digraph(rng, cyclic)
+        try:
+            spec = rk.ShortestPath(edges=edges, source=source, sink=sink)
+        except ValueError:
+            continue  # source == sink, or the sink is unreachable
+        lengths = [len(x) for x in rk.enumerate_solutions(spec)]
+        for k in range(1, max(lengths) + 2):
+            assert accepts(spec, k) == (k <= min(lengths))
+        if cyclic:
+            assert rk.max_solution_cardinality_bound(spec) >= max(lengths)
+        else:
+            assert rk.max_solution_cardinality_bound(spec) == max(lengths)
+        checked[cyclic] += 1
