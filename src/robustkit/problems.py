@@ -127,13 +127,39 @@ def require_k(spec: ProblemSpec, k: int) -> None:
         raise ValueError(f"k={k} exceeds the minimum solution cardinality of the problem")
 
 
+def _reached(start, neighbours) -> set:
+    """The vertices reachable from start along neighbours (vertex -> list of vertices), start included."""
+    seen, stack = {start}, [start]
+    while stack:
+        for w in neighbours.get(stack.pop(), ()):
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return seen
+
+
+def st_subgraph_edges(spec: ShortestPath) -> list:
+    """Indices of the edges whose tail the source reaches and whose head reaches the sink.
+
+    Their endpoints are the vertices that lie on some s-t walk, so every
+    simple s-t path uses only these edges.
+    """
+    succ, pred = {}, {}
+    for a, b in spec.edges:
+        succ.setdefault(a, []).append(b)
+        pred.setdefault(b, []).append(a)
+    from_source, to_sink = _reached(spec.source, succ), _reached(spec.sink, pred)
+    return [j for j, (a, b) in enumerate(spec.edges) if a in from_source and b in to_sink]
+
+
 def max_solution_cardinality_bound(spec: ProblemSpec) -> int:
     """Upper bound on the solution cardinality |X| = max_x sum_j x_j.
 
-    Exact for selection (p) and for acyclic graphs (longest s-t path by
-    dynamic programming in graphlib's topological order). Cyclic graphs,
-    which graphlib refuses, fall back to the edge count n,
-    which is always valid for simple paths but weaker.
+    Selection: p. Shortest path, on the s-t subgraph (st_subgraph_edges):
+    if it is acyclic, the longest s-t path by dynamic programming in
+    graphlib's topological order; otherwise its vertex count minus one, as
+    a simple path visits each vertex once (never above its edge count: the
+    source reaches every vertex and a cycle closes).
     """
     if isinstance(spec, Selection):
         return spec.p
@@ -141,19 +167,17 @@ def max_solution_cardinality_bound(spec: ProblemSpec) -> int:
     from graphlib import CycleError, TopologicalSorter
 
     preds = {}
-    for a, b in spec.edges:
+    for j in st_subgraph_edges(spec):
+        a, b = spec.edges[j]
         preds.setdefault(b, []).append(a)
     try:
         order = tuple(TopologicalSorter(preds).static_order())
     except CycleError:
-        return len(spec.edges)
-    longest = {spec.source: 0}
+        return len(set(preds).union(*preds.values())) - 1
+    longest = {}
     for v in order:
-        # pull from the predecessors the source reaches; in a DAG none of its own, so it keeps 0
-        reached = [longest[u] for u in preds.get(v, ()) if u in longest]
-        if reached:
-            longest[v] = max(reached) + 1
-    # sink reachable by spec invariant
+        # the source reaches every vertex, so each predecessor came earlier and only the source has none
+        longest[v] = max((longest[u] + 1 for u in preds.get(v, ())), default=0)
     return longest[spec.sink]
 
 

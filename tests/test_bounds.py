@@ -193,7 +193,7 @@ class TestAposterioriReport:
                 rk.certify(scaled, spec, rk.worstcase_scenario(scaled), lam)
 
     def test_path_report_solves_once_and_keeps_lower_bound(self, monkeypatch):
-        # the 4-vertex, 5-edge, N = 3 instance the CI runs through the CLI
+        # the 4-vertex, 5-edge, N = 3 instance of the `path` pin in test_pins.py
         spec = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 3), (1, 2)), source=0, sink=3)
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 2.0, 6.0, 1.0], [1.0, 5.0, 3.0, 2.0, 2.0], [3.0, 3.0, 5.0, 1.0, 4.0]]))
         cases = [(rk.midpoint_scenario(u), rk.ConvexWeights.uniform(3))]

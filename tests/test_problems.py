@@ -158,9 +158,18 @@ class TestRequireK:
         assert accepts(DIAMOND, 1)
         assert not accepts(DIAMOND, 2)  # the direct edge is a 1-hop solution
 
-    def test_cyclic_graph_falls_back_to_edge_count(self):
+    def test_cyclic_subgraph_falls_back_to_vertex_count_minus_one(self):
+        # 0 <-> 1 -> 2: the cycle lies on s-t walks, and a simple path visits each of the 3 vertices once
         spec = rk.ShortestPath(edges=((0, 1), (1, 0), (1, 2)), source=0, sink=2)
-        assert rk.max_solution_cardinality_bound(spec) == 3
+        assert rk.max_solution_cardinality_bound(spec) == 2
+
+    def test_cycles_off_the_st_subgraph_leave_the_dag_answer(self):
+        # the 3-node DAG of test_three_node_dag, longest path 2, plus a 2-cycle feeding the source (3 <-> 4 -> 0)
+        # and one the sink cannot be reached from (1 -> 5 <-> 6)
+        dag = ((0, 1), (1, 2), (0, 2))
+        for extra in [((3, 4), (4, 3), (3, 0)), ((1, 5), (5, 6), (6, 5))]:
+            spec = rk.ShortestPath(edges=dag + extra, source=0, sink=2)
+            assert rk.max_solution_cardinality_bound(spec) == 2
 
     @pytest.mark.parametrize("steps", [100, 20_000])
     def test_longest_path_on_a_ladder(self, steps):
@@ -227,9 +236,21 @@ def random_digraph(rng, cyclic):
     return tuple(edges), source, sink
 
 
+def st_subgraph(edges, source, sink):
+    """(the vertices on some s-t walk, whether a cycle runs through one of them), by transitive closure."""
+    v = 1 + max(max(e) for e in edges)
+    reach = np.zeros((v, v), dtype=bool)
+    reach[tuple(zip(*edges))] = True
+    for w in range(v):  # Warshall: paths through intermediates 0..w
+        reach |= np.outer(reach[:, w], reach[w])
+    on_walks = [w for w in range(v) if (w == source or reach[source, w]) and (w == sink or reach[w, sink])]
+    return on_walks, any(reach[w, w] for w in on_walks)
+
+
 def test_cardinalities_match_path_enumeration_on_random_digraphs():
     rng = SplitMix64(31)
     checked = {False: 0, True: 0}
+    st_checked = {False: 0, True: 0}
     while min(checked.values()) < 60:
         cyclic = rng.randint_upto(1) == 1
         edges, source, sink = random_digraph(rng, cyclic)
@@ -240,8 +261,13 @@ def test_cardinalities_match_path_enumeration_on_random_digraphs():
         lengths = [len(x) for x in rk.enumerate_solutions(spec)]
         for k in range(1, max(lengths) + 2):
             assert accepts(spec, k) == (k <= min(lengths))
-        if cyclic:
-            assert rk.max_solution_cardinality_bound(spec) >= max(lengths)
+        on_walks, st_cyclic = st_subgraph(edges, source, sink)
+        bound = rk.max_solution_cardinality_bound(spec)
+        if st_cyclic:
+            assert max(lengths) <= bound <= len(on_walks) - 1
         else:
-            assert rk.max_solution_cardinality_bound(spec) == max(lengths)
+            assert bound == max(lengths)
         checked[cyclic] += 1
+        st_checked[st_cyclic] += 1
+    assert min(st_checked.values()) >= 20
+    assert st_checked[False] > checked[False]  # some cyclic graphs keep their cycle off the s-t subgraph

@@ -521,6 +521,13 @@ class TestConstructLpScenario:
                 previous = lp_pre
 
 
+def tie_heavy_instances():
+    """Four instances each of five cells with costs floor(c / 34), in {0, 1, 2}, so that many subset sums tie."""
+    cells = [(10, 3, 10), (20, 6, 50), (30, 9, 100), (12, 3, 20), (8, 4, 5)]
+    instances = [rk.generate_instance(*cell, rk.derive_seed(5, *cell, i)) for cell in cells for i in range(4)]
+    return [(rk.UncertaintySet(np.floor(u.costs / 34)), spec) for u, spec in instances]
+
+
 class TestConstructLpScenarioMetamorphic:
     """1/t* under changes of the instance that leave it unchanged: t* is a ratio of costs."""
 
@@ -534,15 +541,25 @@ class TestConstructLpScenarioMetamorphic:
             chained.append(1.0 / start[1])
         return single + chained
 
+    @classmethod
+    def scale_free(cls, u, spec):
+        """guarantees, then the midpoint's guarantee at k = 1, 2, 3."""
+        mid = rk.midpoint_scenario(u)
+        return cls.guarantees(u, spec) + [rk.fixed_scenario_guarantee(u, mid, k) for k in (1, 2, 3)]
+
+    @pytest.fixture(scope="class")
+    def at_unit_scale(self):
+        """(u, spec, scale_free, max-min V) of the paper cells and of tie-heavy costs."""
+        instances = paper_cell_instances(2) + tie_heavy_instances()
+        return [(u, spec, self.scale_free(u, spec), rk.maxmin_certificate(u, spec)[0]) for u, spec in instances]
+
     @pytest.mark.parametrize("alpha", COST_SCALES)
-    def test_scaling_the_costs_keeps_the_guarantees(self, alpha):
-        for u, spec in paper_cell_instances(2):
+    def test_scaling_the_costs_keeps_the_guarantees(self, alpha, at_unit_scale):
+        # not the LP scenario's ub and lb: on tie-heavy costs the optimal vertex, and so the scenario, may move with the unit
+        for u, spec, expected, value in at_unit_scale:
             scaled = rk.UncertaintySet(alpha * u.costs)
-            assert self.guarantees(scaled, spec) == pytest.approx(self.guarantees(u, spec), rel=1e-9, abs=0)
-            mid, mid_scaled = rk.midpoint_scenario(u), rk.midpoint_scenario(scaled)
-            for k in (1, 2, 3):
-                expected = rk.fixed_scenario_guarantee(u, mid, k)
-                assert rk.fixed_scenario_guarantee(scaled, mid_scaled, k) == pytest.approx(expected, rel=1e-9, abs=0)
+            assert self.scale_free(scaled, spec) == pytest.approx(expected, rel=1e-9, abs=0)
+            assert rk.maxmin_certificate(scaled, spec)[0] == pytest.approx(alpha * value, rel=1e-9, abs=0)
 
     @pytest.mark.parametrize("alpha", COST_SCALES)
     def test_the_oracle_clears_the_scaled_optimum(self, alpha):
