@@ -141,15 +141,18 @@ def _reached(start, neighbours) -> set:
 def st_subgraph_edges(spec: ShortestPath) -> list:
     """Indices of the edges whose tail the source reaches and whose head reaches the sink.
 
-    Their endpoints are the vertices that lie on some s-t walk, so every
-    simple s-t path uses only these edges.
+    Edges into the source and out of the sink are left out first, as no
+    simple s-t path uses one. The endpoints of the rest are the vertices on
+    some s-t walk that neither leaves the sink nor returns to the source,
+    so every simple s-t path uses only these edges.
     """
+    kept = [(j, a, b) for j, (a, b) in enumerate(spec.edges) if a != spec.sink and b != spec.source]
     succ, pred = {}, {}
-    for a, b in spec.edges:
+    for _, a, b in kept:
         succ.setdefault(a, []).append(b)
         pred.setdefault(b, []).append(a)
     from_source, to_sink = _reached(spec.source, succ), _reached(spec.sink, pred)
-    return [j for j, (a, b) in enumerate(spec.edges) if a in from_source and b in to_sink]
+    return [j for j, a, b in kept if a in from_source and b in to_sink]
 
 
 def max_solution_cardinality_bound(spec: ProblemSpec) -> int:

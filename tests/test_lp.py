@@ -104,6 +104,16 @@ def reference_append_row(T, basis, row, rhs):
     return out
 
 
+def reference_pivot(T, basis, row, col):
+    """`_pivot` with the rank-1 update as numpy's broadcast product, the reference the BLAS update must match."""
+    prow = T[row]
+    prow /= prow[col]
+    colv = T[:, col].copy()
+    colv[row] = 0.0
+    T -= colv[:, None] * prow
+    basis[row] = col
+
+
 def random_lp(rng, max_vars=6, max_rows=8):
     """A random LP with an objective <= 0 and right-hand sides of either sign, and a point x >= 0.
 
@@ -488,11 +498,68 @@ class TestTableauSteps:
                 assert dual_pivots(grown, basis) == dual_pivots(T, ref_basis)
                 assert grown.tobytes() == T.tobytes() and basis == ref_basis
 
+    @pytest.mark.parametrize("shape", [(12, 25), (21, 71), (31, 163), (45, 150)])
+    def test_pivot_matches_the_broadcast_update(self, shape):
+        # each cell of the update is one product, so the BLAS product must
+        # round it as the broadcast one does; only the sign of a zero may
+        # differ (0 * -a is +0 from dgemm and -0 from numpy), which
+        # np.array_equal ignores. Small integers make exact zeros, and half
+        # of them are -0
+        rng = np.random.default_rng(shape[0])
+        for _ in range(20):
+            T = rng.integers(-3, 4, shape).astype(float)
+            T[(T == 0) & (rng.random(shape) < 0.5)] = -0.0
+            row, col = int(rng.integers(shape[0] - 1)), int(rng.integers(shape[1] - 1))
+            T[row, col] = -float(rng.integers(1, 4))  # the dual simplex pivots on a negative entry
+            basis = list(range(shape[1] - shape[0], shape[1] - 1))
+            ref, ref_basis = T.copy(), list(basis)
+            lp_module._pivot(T, basis, row, col)
+            reference_pivot(ref, ref_basis, row, col)
+            assert np.array_equal(T, ref) and basis == ref_basis
+
     def test_dual_simplex_refuses_nan_rhs(self):
         # the NaN row's basic variable is a slack, which no later check reads
         T = np.array([[1.0, 1.0, 0.0, np.nan], [1.0, 0.0, 1.0, 2.0], [1.0, 0.0, 0.0, 0.0]])
         with pytest.raises(LpError, match="non-finite right-hand side"):
             lp_module._dual_simplex(T, [1, 2])
+
+
+def grid_solves(cell, monkeypatch, seeded=False):
+    """Every LP solution of the grid's LPs on derive_seed(5, ...) ids 0-2 of cell, as (k or "mm", solution).
+
+    Each instance solves the scenario LP at k = 1, 2, 3, seeded from the
+    previous k's optimum when seeded (the grid's path), then the max-min LP.
+    """
+    solutions = []
+
+    def recording_solve_lp(lp, row_source=None):
+        solutions.append(rk.solve_lp(lp, row_source))
+        return solutions[-1]
+
+    monkeypatch.setattr("robustkit.scenarios.solve_lp", recording_solve_lp)
+    monkeypatch.setattr("robustkit.bounds.solve_lp", recording_solve_lp)
+    solves = []
+    for instance_id in range(3):
+        u, spec = generate_instance(*cell, derive_seed(5, *cell, instance_id))
+        start = None
+        for k in (1, 2, 3):
+            t_star, scenario, _ = rk.construct_lp_scenario(u, spec, k, start=start)
+            start = (k, t_star, scenario) if seeded else None
+            solves.append((k, solutions[-1]))
+        rk.maxmin_certificate(u, spec)
+        solves.append(("mm", solutions[-1]))
+    return solves
+
+
+@pytest.mark.parametrize("cell", [(10, 3, 10), (20, 6, 50), (30, 9, 100)])
+def test_grid_solves_match_the_broadcast_pivot(cell, monkeypatch):
+    # the whole pivot sequence, not just the values, must be the reference's
+    def fingerprint(solves):
+        return [(key, sol.x.tobytes(), sol.iterations, sol.rounds) for key, sol in solves]
+
+    shipped = fingerprint(grid_solves(cell, monkeypatch, seeded=True))
+    monkeypatch.setattr(lp_module, "_pivot", reference_pivot)
+    assert fingerprint(grid_solves(cell, monkeypatch, seeded=True)) == shipped
 
 
 class TestPivotCounts:
@@ -534,26 +601,14 @@ class TestPivotCounts:
 
     @staticmethod
     def counts(cell, monkeypatch, seeded=False):
-        solutions = []
-
-        def recording_solve_lp(lp, row_source=None):
-            solutions.append(rk.solve_lp(lp, row_source))
-            return solutions[-1]
-
-        monkeypatch.setattr("robustkit.scenarios.solve_lp", recording_solve_lp)
-        monkeypatch.setattr("robustkit.bounds.solve_lp", recording_solve_lp)
         pivots, rounds = [0, 0, 0, 0], [0, 0, 0]
-        for instance_id in range(3):
-            u, spec = generate_instance(*cell, derive_seed(5, *cell, instance_id))
-            start = None
-            for k in (1, 2, 3):
-                t_star, scenario, _ = rk.construct_lp_scenario(u, spec, k, start=start)
-                start = (k, t_star, scenario) if seeded else None
-                pivots[k - 1] += solutions[-1].iterations
-                rounds[k - 1] += solutions[-1].rounds
-            rk.maxmin_certificate(u, spec)
-            pivots[3] += solutions[-1].iterations
-            assert solutions[-1].rounds == 0
+        for key, sol in grid_solves(cell, monkeypatch, seeded):
+            if key == "mm":
+                pivots[3] += sol.iterations
+                assert sol.rounds == 0
+            else:
+                pivots[key - 1] += sol.iterations
+                rounds[key - 1] += sol.rounds
         return pivots, rounds
 
     @pytest.mark.parametrize("cell", sorted(CEILINGS))

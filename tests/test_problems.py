@@ -159,8 +159,22 @@ class TestRequireK:
         assert not accepts(DIAMOND, 2)  # the direct edge is a 1-hop solution
 
     def test_cyclic_subgraph_falls_back_to_vertex_count_minus_one(self):
-        # 0 <-> 1 -> 2: the cycle lies on s-t walks, and a simple path visits each of the 3 vertices once
-        spec = rk.ShortestPath(edges=((0, 1), (1, 0), (1, 2)), source=0, sink=2)
+        # 0 -> 1 <-> 2 -> 3: the cycle lies on s-t walks, and a simple path visits each of the 4 vertices once
+        spec = rk.ShortestPath(edges=((0, 1), (1, 2), (2, 1), (2, 3)), source=0, sink=3)
+        assert rk.max_solution_cardinality_bound(spec) == 3
+
+    @pytest.mark.parametrize(
+        "edges",
+        [
+            ((0, 1), (0, 2), (1, 3), (2, 3), (3, 2)),  # an edge out of the sink closes 2 <-> 3
+            ((0, 1), (1, 2), (2, 0), (1, 3)),  # an edge into the source closes 0 -> 1 -> 2 -> 0
+            ((0, 1), (1, 0), (1, 3)),  # a 2-cycle through the source
+        ],
+    )
+    def test_edges_into_the_source_or_out_of_the_sink_close_no_cycle(self, edges):
+        # no simple 0-3 path uses such an edge, so the bound is the longest path, 2
+        spec = rk.ShortestPath(edges=edges, source=0, sink=3)
+        assert max(len(x) for x in rk.enumerate_solutions(spec)) == 2
         assert rk.max_solution_cardinality_bound(spec) == 2
 
     def test_cycles_off_the_st_subgraph_leave_the_dag_answer(self):
@@ -237,10 +251,13 @@ def random_digraph(rng, cyclic):
 
 
 def st_subgraph(edges, source, sink):
-    """(the vertices on some s-t walk, whether a cycle runs through one of them), by transitive closure."""
+    """(the vertices on some s-t walk, whether a cycle runs through one of them), by transitive closure.
+
+    The walks use no edge into the source or out of the sink, as no simple s-t path does.
+    """
     v = 1 + max(max(e) for e in edges)
     reach = np.zeros((v, v), dtype=bool)
-    reach[tuple(zip(*edges))] = True
+    reach[tuple(zip(*[(a, b) for a, b in edges if a != sink and b != source]))] = True
     for w in range(v):  # Warshall: paths through intermediates 0..w
         reach |= np.outer(reach[:, w], reach[w])
     on_walks = [w for w in range(v) if (w == source or reach[source, w]) and (w == sink or reach[w, sink])]
@@ -251,7 +268,7 @@ def test_cardinalities_match_path_enumeration_on_random_digraphs():
     rng = SplitMix64(31)
     checked = {False: 0, True: 0}
     st_checked = {False: 0, True: 0}
-    while min(checked.values()) < 60:
+    while min(checked.values()) < 150:  # draws 28 graphs whose s-t subgraph is cyclic
         cyclic = rng.randint_upto(1) == 1
         edges, source, sink = random_digraph(rng, cyclic)
         try:
