@@ -32,7 +32,7 @@ print("its nominal solution picks items:", x_mid.selected)
 
 ub, lb = rk.certify(u, spec, mid, rk.ConvexWeights.uniform(u.n_scenarios))
 print(f"bounds from the midpoint: LB={lb:g}  UB={ub:g}  ratio={rk.ratio_or_inf(ub, lb):.2f}")
-print(f"a-priori guarantee with k=1 (before solving): {rk.fixed_scenario_guarantee(u, mid, 1):.3f}")
+print(f"a-priori guarantee with k=1 (before solving): {rk.fixed_scenario_guarantee(u, spec, 1, mid):.3f}")
 
 # --- the element-wise worst case ------------------------------------------
 wc = rk.worstcase_scenario(u)

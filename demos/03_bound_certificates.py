@@ -34,7 +34,7 @@ assert lb_mid <= mm + 1e-6 and lb_lp <= mm + 1e-6
 assert mm <= opt + 1e-6 <= min(ub_mid, ub_lp) + 1e-6
 
 # The ratio view: what each method can promise vs what it delivered here.
-print(f"\nmidpoint:    promised <= {rk.fixed_scenario_guarantee(u, mid, 2):.3f} x optimum, delivered {rk.ratio_or_inf(ub_mid, lb_mid):.3f}")
+print(f"\nmidpoint:    promised <= {rk.fixed_scenario_guarantee(u, spec, 2, mid):.3f} x optimum, delivered {rk.ratio_or_inf(ub_mid, lb_mid):.3f}")
 print(f"LP scenario: promised <= {1.0 / t_star:.3f} x optimum, delivered {rk.ratio_or_inf(ub_lp, lb_lp):.3f}")
 print(f"true gaps:   midpoint {ub_mid / opt:.3f}, LP {ub_lp / opt:.3f}")
 

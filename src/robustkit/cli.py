@@ -81,7 +81,7 @@ def _representative(u, spec, method: str, k: int):
         return worstcase_scenario(u), None, worstcase_apriori_bound(u, spec), None
     if method == "midpoint":
         scen = midpoint_scenario(u)
-        return scen, ConvexWeights.uniform(u.n_scenarios), fixed_scenario_guarantee(u, scen, k), None
+        return scen, ConvexWeights.uniform(u.n_scenarios), fixed_scenario_guarantee(u, spec, k, scen), None
     prev = None
     for j in range(1, k + 1):
         t_star, scen, lam = construct_lp_scenario(u, spec, j, start=prev)

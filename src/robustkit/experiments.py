@@ -188,7 +188,7 @@ def _instance_metrics(task) -> Tuple[int, int, Optional[str], Dict[MetricKey, fl
         start = time.perf_counter()
         mid = midpoint_scenario(u)
         for k in ks_valid:
-            out[("apriori", "mid", k)] = fixed_scenario_guarantee(u, mid, k)
+            out[("apriori", "mid", k)] = fixed_scenario_guarantee(u, spec, k, mid)
         _record(out, "mid", None, *certify(u, spec, mid, ConvexWeights.uniform(N)))
         timings["mid"] = time.perf_counter() - start
 

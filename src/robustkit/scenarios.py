@@ -34,6 +34,11 @@ optimal vertex may differ. The same constraint family with c held fixed
 gives a sharpened guarantee for any hull scenario (in particular the
 midpoint): the smallest subset-sum ratio, found exactly by Dinkelbach's
 min-ratio iteration with that oracle.
+
+Every function here that takes k takes the spec too and checks k with
+problems.require_k: summing the rows over the k-subsets S of a solution
+x gives t * c^i(x) <= c(x) only if k <= |x| for every feasible x. Every
+subset row, seeded or generated, is built by _subset_rows.
 """
 
 from __future__ import annotations
@@ -83,21 +88,18 @@ def _most_violated(costs: np.ndarray, values: np.ndarray, t: float, k: int):
     return float(violations[i]), i, tuple(sorted(idx.tolist()))
 
 
-def separation_oracle(
-    u: UncertaintySet, c, t: float, k: int
-) -> Optional[Tuple[int, Tuple[int, ...]]]:
+def separation_oracle(u: UncertaintySet, spec: ProblemSpec, k: int, c, t: float) -> Optional[Tuple[int, Tuple[int, ...]]]:
     """Most violated subset constraint t*sum_S c^i <= sum_S c, if any.
 
     Returns (scenario index, subset) when the worst violation exceeds
     EPS_CUT * cost_scale(u), else None. None is equivalent to an
     exhaustive check of all N * C(n, k) constraints finding none beyond.
+    require_k checks k: the summation proof needs k <= |x| for every feasible x.
     """
+    require_dimension(u, spec)
+    require_k(spec, k)
     if not 0 < t < math.inf:
         raise ValueError(f"t must be positive and finite, got {t}")
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > u.n_items:
-        raise ValueError(f"k={k} exceeds the item count {u.n_items}")
     values = cost_vector(c, u.n_items)
     violation, i, subset = _most_violated(u.costs, values, t, k)
     if violation > EPS_CUT * cost_scale(u):
@@ -212,8 +214,7 @@ def construct_lp_scenario(
         violation, i, subset = _most_violated(u.costs, c, t, k)
         if violation <= EPS_CUT * scale:
             return None
-        sums = u.costs[:, subset].sum(axis=1)  # as _subset_rows, bit for bit
-        return -sums / sums[i], -1.0  # a violated row has a(i, S) > 0
+        return _subset_rows(u, [(i, subset)])[0], -1.0  # a violated row has a(i, S) > 0
 
     mu = solve_lp(lp, row_source).x
     total = float(mu.sum())
@@ -233,7 +234,7 @@ def construct_lp_scenario(
     return t_star, scenario, lam
 
 
-def fixed_scenario_guarantee(u: UncertaintySet, c, k: int) -> float:
+def fixed_scenario_guarantee(u: UncertaintySet, spec: ProblemSpec, k: int, c) -> float:
     """Sharpened guarantee 1/t for a fixed scenario, keeping only t variable.
 
     t is the largest value satisfying t * sum_S c^i <= sum_S c for all
@@ -248,12 +249,11 @@ def fixed_scenario_guarantee(u: UncertaintySet, c, k: int) -> float:
     rather than loop. Returns +inf when some scenario has positive cost on
     a subset where c has none. The scenario must lie in the convex hull
     of u for the guarantee to be meaningful; that is the caller's
-    responsibility (it holds for midpoint and LP scenarios).
+    responsibility (it holds for midpoint and LP scenarios). require_k
+    checks k: the summation proof needs k <= |x| for every feasible x.
     """
-    if k < 1:
-        raise ValueError(f"k must be >= 1, got {k}")
-    if k > u.n_items:
-        raise ValueError(f"k={k} exceeds the item count {u.n_items}")
+    require_dimension(u, spec)
+    require_k(spec, k)
     values = cost_vector(c, u.n_items)
     costs = u.costs
     tol = 1e-12 * float(values.max()) * k  # relative: violations scale with c

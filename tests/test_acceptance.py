@@ -171,7 +171,7 @@ def test_criterion_4_guarantee_properties():
                 if not ub_lp <= guarantee * opt + tol:
                     violations += 1
                 # (b) sandwich against the fixed-midpoint guarantee
-                mid_guarantee = rk.fixed_scenario_guarantee(u, mid, k)
+                mid_guarantee = rk.fixed_scenario_guarantee(u, spec, k, mid)
                 if not (guarantee <= mid_guarantee + rk.EPS_CMP and mid_guarantee <= N + rk.EPS_CMP):
                     violations += 1
                 # (c) monotone in k

@@ -233,7 +233,7 @@ class TestAposterioriReport:
             spec = rk.Selection(n=n, p=3)
             mid = rk.midpoint_scenario(u)
             ub, lb = rk.certify(u, spec, mid, rk.ConvexWeights.uniform(n_scen))
-            assert rk.ratio_or_inf(ub, lb) <= rk.fixed_scenario_guarantee(u, mid, 2) + rk.EPS_CMP
+            assert rk.ratio_or_inf(ub, lb) <= rk.fixed_scenario_guarantee(u, spec, 2, mid) + rk.EPS_CMP
             t_star, scen, lam = rk.construct_lp_scenario(u, spec, 2)
             ub, lb = rk.certify(u, spec, scen, lam)
             assert rk.ratio_or_inf(ub, lb) <= 1.0 / t_star + rk.EPS_CMP

@@ -294,7 +294,7 @@ class TestExperiment:
         assert not out_csv.exists()
 
     def test_failed_instance_reported_with_seed(self, capsys, tmp_path, monkeypatch):
-        def failing(u, c, k):
+        def failing(u, spec, k, c):
             raise RuntimeError("synthetic failure")
 
         monkeypatch.setattr("robustkit.experiments.fixed_scenario_guarantee", failing)

@@ -55,8 +55,8 @@ class TestScenario:
     @pytest.mark.parametrize(
         "consumer",
         [
-            lambda u, spec, c: rk.fixed_scenario_guarantee(u, c, 1),
-            lambda u, spec, c: rk.separation_oracle(u, c, 0.5, 1),
+            lambda u, spec, c: rk.fixed_scenario_guarantee(u, spec, 1, c),
+            lambda u, spec, c: rk.separation_oracle(u, spec, 1, c, 0.5),
             lambda u, spec, c: rk.certify(u, spec, c, rk.ConvexWeights.uniform(u.n_scenarios)),
             lambda u, spec, c: rk.nominal_solve(spec, c),
         ],

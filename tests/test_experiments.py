@@ -272,11 +272,11 @@ class TestRunGrid:
         calls = {"count": 0}
         real = rk.scenarios.fixed_scenario_guarantee
 
-        def flaky(u, c, k):
+        def flaky(u, spec, k, c):
             calls["count"] += 1
             if calls["count"] == 1:
                 raise RuntimeError("synthetic failure")
-            return real(u, c, k)
+            return real(u, spec, k, c)
 
         monkeypatch.setattr("robustkit.experiments.fixed_scenario_guarantee", flaky)
         grid = rk.ExperimentGrid(cells=[(5, 2, 2)], instance_count=3, master_seed=2)

@@ -87,7 +87,7 @@ def test_construction_t_star_beyond_k3_matches_highs():
             u, spec = rk.generate_instance(n, p, N, derive_seed(7, n, p, N, i))
             t_star, scenario, _ = rk.construct_lp_scenario(u, spec, k)
             assert abs(t_star - highs_max(eager_scenario_lp(u, k))) <= 1e-9
-            assert rk.separation_oracle(u, scenario, t_star, k) is None
+            assert rk.separation_oracle(u, spec, k, scenario, t_star) is None
 
 
 def test_zero_cost_corners_match_the_hull_form():

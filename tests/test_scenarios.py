@@ -1,6 +1,7 @@
 import dataclasses
 import itertools
 import math
+import re
 from unittest import mock
 
 import numpy as np
@@ -19,6 +20,11 @@ uncertainty_sets = st.lists(
 ).filter(lambda rows: len({len(r) for r in rows}) == 1).map(
     lambda rows: rk.UncertaintySet(np.array(rows, dtype=float))
 )
+
+
+def every_item(u):
+    """The selection of all items: require_k accepts k = 1..n, the range a test without a problem runs over."""
+    return rk.Selection(n=u.n_items, p=u.n_items)
 
 
 def exhaustive_guarantee(u, values, k):
@@ -95,48 +101,48 @@ class TestWorstCaseAprioriBound:
 
 class TestSeparationOracle:
     def test_worked_violation(self, table1):
-        u, _ = table1
+        u, spec = table1
         mid = rk.midpoint_scenario(u)
         # oracle: check all 12 (i, j) pairs explicitly
         violation, i, subset = exhaustive_most_violated(u, mid, 0.5, 1)
         assert (i, subset) == (1, (2,)) and violation == pytest.approx(0.5 * 9 - 13 / 3)
-        assert rk.separation_oracle(u, mid, 0.5, 1) == (1, (2,))
+        assert rk.separation_oracle(u, spec, 1, mid, 0.5) == (1, (2,))
 
     def test_worstcase_never_violated(self, table1):
-        u, _ = table1
-        assert rk.separation_oracle(u, rk.worstcase_scenario(u), 1.0, 1) is None
-        assert rk.separation_oracle(u, rk.worstcase_scenario(u), 1.0, 2) is None
+        u, spec = table1
+        assert rk.separation_oracle(u, spec, 1, rk.worstcase_scenario(u), 1.0) is None
+        assert rk.separation_oracle(u, spec, 2, rk.worstcase_scenario(u), 1.0) is None
 
     def test_second_row_feasible_at_one(self, table1):
-        u, _ = table1
+        u, spec = table1
         # oracle: all 6 pairs per scenario, consistent with t* = 1 at k = 2
         violation, _, _ = exhaustive_most_violated(u, u.costs[1], 1.0, 2)
         assert violation <= 0
-        assert rk.separation_oracle(u, u.costs[1], 1.0, 2) is None
+        assert rk.separation_oracle(u, spec, 2, u.costs[1], 1.0) is None
 
     def test_rejects_bad_arguments(self, table1):
-        u, _ = table1
+        u, spec = table1
         with pytest.raises(ValueError):
-            rk.separation_oracle(u, rk.midpoint_scenario(u), 0.0, 1)
+            rk.separation_oracle(u, spec, 1, rk.midpoint_scenario(u), 0.0)
         with pytest.raises(ValueError):
-            rk.separation_oracle(u, rk.midpoint_scenario(u), 1.0, 0)
-        with pytest.raises(ValueError, match="item count"):
-            rk.separation_oracle(u, rk.midpoint_scenario(u), 1.0, u.n_items + 1)
+            rk.separation_oracle(u, spec, 0, rk.midpoint_scenario(u), 1.0)
+        with pytest.raises(ValueError, match="minimum solution cardinality"):
+            rk.separation_oracle(u, spec, u.n_items + 1, rk.midpoint_scenario(u), 1.0)
 
     def test_rejects_cost_vector_of_wrong_length(self, table1):
-        u, _ = table1
+        u, spec = table1
         with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
-            rk.separation_oracle(u, [1.0], 1.0, 1)
+            rk.separation_oracle(u, spec, 1, [1.0], 1.0)
 
     def test_rejects_non_finite_cost_or_t(self, table1):
         # a NaN violation compares False against EPS_CUT, which would read as "no violated row"
-        u, _ = table1
+        u, spec = table1
         c = rk.midpoint_scenario(u)
         with pytest.raises(ValueError, match="cost vector must be finite"):
-            rk.separation_oracle(u, [np.nan, 1.0, 1.0, 1.0], 1.0, 2)
+            rk.separation_oracle(u, spec, 2, [np.nan, 1.0, 1.0, 1.0], 1.0)
         for t in (np.nan, np.inf, -1.0):
             with pytest.raises(ValueError, match="t must be positive and finite"):
-                rk.separation_oracle(u, c, t, 2)
+                rk.separation_oracle(u, spec, 2, c, t)
 
     def test_vectorized_oracle_equals_per_scenario_loop_on_ties(self):
         from robustkit.scenarios import _most_violated
@@ -216,7 +222,7 @@ class TestSeparationOracle:
         if u.n_items < k:
             return
         mid = rk.midpoint_scenario(u)
-        got = rk.separation_oracle(u, mid, t, k)
+        got = rk.separation_oracle(u, every_item(u), k, mid, t)
         violation, _, _ = exhaustive_most_violated(u, mid, t, k)
         if got is None:
             assert violation <= rk.EPS_CUT
@@ -365,7 +371,7 @@ class TestConstructLpScenario:
             u, spec = rk.generate_instance(*cell, rk.derive_seed(5, *cell, instance_id))
             t_star, scen, _ = rk.construct_lp_scenario(u, spec, 1)
             assert rounds[-1].rounds == 0
-            assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, scen, 1), rel=1e-9)
+            assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, spec, 1, scen), rel=1e-9)
 
     @pytest.mark.parametrize("cell", [(400, 5, 9), (40, 3, 5)])
     def test_k1_seed_keeps_the_n_scenarios_plus_1_smallest_ratios_in_item_order(self, cell, monkeypatch):
@@ -384,12 +390,13 @@ class TestConstructLpScenario:
         seed, (t_star, scen, _) = self.k1_seed(u, spec, monkeypatch)
         # item 2 ties between scenarios 0 and 1: the smallest one
         assert seed == [(1, (0,)), (0, (2,)), (1, (3,))]
-        assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, scen, 1), rel=1e-9)
+        assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, spec, 1, scen), rel=1e-9)
 
     @pytest.mark.parametrize("k", [1, 3, 9, 12])
     def test_subset_rows_equal_the_per_row_sums(self, k):
-        # k >= 8 reaches numpy's pairwise summation; each row must still be
-        # the bits of its own sums, as a lone generated row is
+        # k >= 8 reaches numpy's pairwise summation; each row of a batch must
+        # still be the bits of its own sums and of the row built alone, as
+        # the row source builds its cut
         rng = np.random.default_rng(k)
         u = rk.UncertaintySet(rng.uniform(0, 100, (7, 15)) / 7)
         rows = [(int(rng.integers(7)), tuple(sorted(rng.choice(15, k, replace=False).tolist()))) for _ in range(6)]
@@ -439,8 +446,9 @@ class TestConstructLpScenario:
 
     @pytest.mark.parametrize("cell", [(10, 3, 10), (20, 6, 50), (30, 9, 100)])
     def test_chained_cuts_equal_subset_rows_at_the_paper_cells(self, cell, monkeypatch):
-        # the row source builds its one cut apart from _subset_rows, the
-        # builder of seeded rows; on the grid's k chain they agree
+        # the row source builds its one cut with _subset_rows, as the seeded
+        # rows are built; on the grid's k chain each cut is that of the
+        # (i, S) its _most_violated call found
         generated, cuts = self.record_cuts(monkeypatch)
         rounds = 0
         for instance_id in range(2):
@@ -480,7 +488,7 @@ class TestConstructLpScenario:
             assert rk.construct_lp_scenario(u, spec, k, start=start)[0] == pytest.approx(t_star, rel=1e-12)
             start = k, t_star, scen
             assert exhaustive_most_violated(u, scen, t_star, k)[0] <= rk.EPS_CMP
-            assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, scen, k), rel=1e-9)
+            assert 1.0 / t_star == pytest.approx(rk.fixed_scenario_guarantee(u, spec, k, scen), rel=1e-9)
         # a zero-cost scenario seeds no row, even from a start where it binds
         t1, scen1, _ = rk.construct_lp_scenario(u, spec, 1)
         zeroed = scen1.copy()
@@ -514,7 +522,7 @@ class TestConstructLpScenario:
             for k in (1, 2, 3):
                 t_star, _, _ = rk.construct_lp_scenario(u, spec, k)
                 lp_pre = 1.0 / t_star
-                mid_pre = rk.fixed_scenario_guarantee(u, mid, k)
+                mid_pre = rk.fixed_scenario_guarantee(u, spec, k, mid)
                 assert lp_pre <= mid_pre + rk.EPS_CMP
                 assert mid_pre <= u.n_scenarios + rk.EPS_CMP
                 assert lp_pre <= previous + rk.EPS_CMP  # non-increasing in k
@@ -545,7 +553,7 @@ class TestConstructLpScenarioMetamorphic:
     def scale_free(cls, u, spec):
         """guarantees, then the midpoint's guarantee at k = 1, 2, 3."""
         mid = rk.midpoint_scenario(u)
-        return cls.guarantees(u, spec) + [rk.fixed_scenario_guarantee(u, mid, k) for k in (1, 2, 3)]
+        return cls.guarantees(u, spec) + [rk.fixed_scenario_guarantee(u, spec, k, mid) for k in (1, 2, 3)]
 
     @pytest.fixture(scope="class")
     def at_unit_scale(self):
@@ -568,7 +576,7 @@ class TestConstructLpScenarioMetamorphic:
             scaled = rk.UncertaintySet(alpha * u.costs)
             for k in (1, 2, 3):
                 t_star, scen, _ = rk.construct_lp_scenario(scaled, spec, k)
-                assert rk.separation_oracle(scaled, scen, t_star, k) is None
+                assert rk.separation_oracle(scaled, spec, k, scen, t_star) is None
 
     def test_permuting_scenarios_or_items(self):
         rng = np.random.default_rng(6)
@@ -586,38 +594,38 @@ class TestConstructLpScenarioMetamorphic:
 
 class TestFixedScenarioGuarantee:
     def test_table1_midpoint_k1(self, table1):
-        u, _ = table1
+        u, spec = table1
         mid = rk.midpoint_scenario(u)
         ref = exhaustive_guarantee(u, mid, 1)  # enumerates all 12 ratios
-        got = rk.fixed_scenario_guarantee(u, mid, 1)
+        got = rk.fixed_scenario_guarantee(u, spec, 1, mid)
         assert ref == pytest.approx(27 / 13, abs=1e-12)
         assert got == pytest.approx(ref, abs=1e-6)
 
     def test_worstcase_is_one(self, table1):
-        u, _ = table1
+        u, spec = table1
         for k in (1, 2):
-            assert rk.fixed_scenario_guarantee(u, rk.worstcase_scenario(u), k) == 1.0
+            assert rk.fixed_scenario_guarantee(u, spec, k, rk.worstcase_scenario(u)) == 1.0
 
     def test_single_scenario_identity(self):
         u = rk.UncertaintySet(np.array([[2.0, 3.0]]))
-        assert rk.fixed_scenario_guarantee(u, u.costs[0], 1) == 1.0
-        assert rk.fixed_scenario_guarantee(u, u.costs[0], 2) == 1.0
+        assert rk.fixed_scenario_guarantee(u, every_item(u), 1, u.costs[0]) == 1.0
+        assert rk.fixed_scenario_guarantee(u, every_item(u), 2, u.costs[0]) == 1.0
 
     def test_rejects_cost_vector_of_wrong_length(self, table1):
-        u, _ = table1
+        u, spec = table1
         with pytest.raises(ValueError, match="cost vector has length 1, expected 4"):
-            rk.fixed_scenario_guarantee(u, [50.0], 1)
+            rk.fixed_scenario_guarantee(u, spec, 1, [50.0])
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_rejects_non_finite_cost_vector(self, table1, bad):
-        u, _ = table1
+        u, spec = table1
         with pytest.raises(ValueError, match="cost vector must be finite"):
-            rk.fixed_scenario_guarantee(u, [bad, 1.0, 1.0, 1.0], 2)
+            rk.fixed_scenario_guarantee(u, spec, 2, [bad, 1.0, 1.0, 1.0])
 
     def test_infinite_when_scenario_misses_support(self):
         u = rk.UncertaintySet(np.array([[1.0, 5.0]]))
         zero_there = [1.0, 0.0]
-        assert rk.fixed_scenario_guarantee(u, zero_there, 1) == math.inf
+        assert rk.fixed_scenario_guarantee(u, every_item(u), 1, zero_there) == math.inf
 
     def test_matches_enumeration_on_random_instances(self):
         rng = np.random.default_rng(2718)
@@ -630,7 +638,7 @@ class TestFixedScenarioGuarantee:
                 if k > n:
                     continue
                 ref = exhaustive_guarantee(u, mid, k)
-                got = rk.fixed_scenario_guarantee(u, mid, k)
+                got = rk.fixed_scenario_guarantee(u, every_item(u), k, mid)
                 if math.isinf(ref):
                     assert math.isinf(got)
                 else:
@@ -639,7 +647,7 @@ class TestFixedScenarioGuarantee:
     @settings(max_examples=30, deadline=None)
     @given(u=uncertainty_sets)
     def test_worstcase_always_one(self, u):
-        assert rk.fixed_scenario_guarantee(u, rk.worstcase_scenario(u), 1) == 1.0
+        assert rk.fixed_scenario_guarantee(u, every_item(u), 1, rk.worstcase_scenario(u)) == 1.0
 
     @settings(max_examples=300, deadline=None)
     @given(st.data())
@@ -662,7 +670,7 @@ class TestFixedScenarioGuarantee:
         values = lam @ u.costs
         k = data.draw(st.integers(1, min(n, 4)), label="k")
         ref = exhaustive_guarantee(u, values, k)
-        got = rk.fixed_scenario_guarantee(u, values, k)
+        got = rk.fixed_scenario_guarantee(u, every_item(u), k, values)
         if math.isinf(ref):
             assert math.isinf(got)
         else:
@@ -677,6 +685,48 @@ class TestFixedScenarioGuarantee:
             return 1.0, 0, (0,)
 
         monkeypatch.setattr("robustkit.scenarios._most_violated", stuck)
-        u, _ = table1
+        u, spec = table1
         with pytest.raises(rk.LpError, match="stalled"):
-            rk.fixed_scenario_guarantee(u, rk.midpoint_scenario(u), 1)
+            rk.fixed_scenario_guarantee(u, spec, 1, rk.midpoint_scenario(u))
+
+
+def k_check_instances():
+    """(u, spec) pairs with a k above |x| but not above the item count, which an item-count check lets through.
+
+    Selection(5, 2): at k = 3 the midpoint's guarantee would read 1.4667, below
+    its solution's true ub/opt of 1.6. The path DAG has five edges but its
+    fewest hops is 2.
+    """
+    selection = np.array([[4, 8, 9, 2, 4], [2, 6, 6, 8, 8], [9, 9, 8, 1, 0], [4, 3, 8, 7, 4]], dtype=float)
+    path = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 4), (4, 3)), source=0, sink=3)
+    path_costs = np.array([[3, 1, 2, 2, 1], [1, 4, 2, 1, 3], [2, 2, 5, 1, 1]], dtype=float)
+    return [(rk.UncertaintySet(selection), rk.Selection(n=5, p=2)), (rk.UncertaintySet(path_costs), path)]
+
+
+def test_the_k_above_p_guarantee_is_not_a_bound():
+    u, spec = k_check_instances()[0]
+    mid = rk.midpoint_scenario(u)
+    ratio = rk.upper_bound(u, rk.nominal_solve(spec, mid)) / rk.exact_minmax(u, spec)[0]
+    assert exhaustive_guarantee(u, mid, 3) == pytest.approx(22 / 15) and ratio == pytest.approx(1.6)
+
+
+@pytest.mark.parametrize("instance", k_check_instances(), ids=["selection", "path"])
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda u, spec, k: rk.construct_lp_scenario(u, spec, k),
+        lambda u, spec, k: rk.fixed_scenario_guarantee(u, spec, k, rk.midpoint_scenario(u)),
+        lambda u, spec, k: rk.separation_oracle(u, spec, k, rk.midpoint_scenario(u), 0.5),
+    ],
+    ids=["construct_lp_scenario", "fixed_scenario_guarantee", "separation_oracle"],
+)
+def test_every_guarantee_accepts_exactly_the_k_require_k_accepts(instance, call):
+    u, spec = instance
+    for k in range(u.n_items + 2):
+        try:
+            rk.problems.require_k(spec, k)
+        except ValueError as exc:
+            with pytest.raises(ValueError, match=f"^{re.escape(str(exc))}$"):
+                call(u, spec, k)
+        else:
+            call(u, spec, k)
