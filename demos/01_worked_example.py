@@ -28,7 +28,7 @@ mid = rk.midpoint_scenario(u)
 print("\nmidpoint scenario:", np.round(mid, 2))
 
 x_mid = rk.nominal_solve(spec, mid)
-print("its nominal solution picks items:", x_mid.selected)
+print("its nominal solution picks items:", x_mid)
 
 ub, lb = rk.certify(u, spec, mid, rk.ConvexWeights.uniform(u.n_scenarios))
 print(f"bounds from the midpoint: LB={lb:g}  UB={ub:g}  ratio={rk.ratio_or_inf(ub, lb):.2f}")
@@ -39,7 +39,7 @@ wc = rk.worstcase_scenario(u)
 print("\nworst-case scenario:", wc)
 print("guarantee min(N, |X|):", rk.worstcase_apriori_bound(u, spec))
 x_wc = rk.nominal_solve(spec, wc)
-print("its solution:", x_wc.selected, "with worst-case value", rk.upper_bound(u, x_wc))
+print("its solution:", x_wc, "with worst-case value", rk.upper_bound(u, x_wc))
 
 # --- the LP-constructed scenario -------------------------------------------
 for k in (1, 2):
@@ -53,7 +53,7 @@ for k in (1, 2):
 # With k=2 the guarantee is exactly 1: the solution is provably optimal
 # before we even evaluate it. The exhaustive solver agrees:
 opt, solution = rk.exact_minmax(u, spec)
-print(f"\nexact optimum: {opt:g} at items {solution.selected}")
+print(f"\nexact optimum: {opt:g} at items {solution}")
 
 # --- instances are plain text files ----------------------------------------
 print("\nthe same instance as a file:")

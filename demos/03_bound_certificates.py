@@ -26,7 +26,7 @@ print(f"instance: n={spec.n}, p={spec.p}, N={u.n_scenarios}\n")
 print(f"midpoint lower bound        {lb_mid:8.2f}")
 print(f"LP-scenario lower bound     {lb_lp:8.2f}")
 print(f"hull max-min lower bound    {mm:8.2f}   (never below the two above)")
-print(f"exact optimum               {opt:8.2f}   at items {x_opt.selected}")
+print(f"exact optimum               {opt:8.2f}   at items {x_opt}")
 print(f"LP-scenario upper bound     {ub_lp:8.2f}")
 print(f"midpoint upper bound        {ub_mid:8.2f}")
 

@@ -10,16 +10,13 @@ from .core import (
     EPS_CMP,
     EPS_CUT,
     EPS_FEAS,
-    BinarySolution,
     ConvexWeights,
-    InstanceFormatError,
     InvariantError,
     UncertaintySet,
-    parse_instance,
     ratio_or_inf,
-    serialize_instance,
 )
 from .problems import (
+    InstanceFormatError,
     ProblemSpec,
     Selection,
     ShortestPath,
@@ -27,6 +24,8 @@ from .problems import (
     enumerate_solutions,
     max_solution_cardinality_bound,
     nominal_solve,
+    parse_instance,
+    serialize_instance,
 )
 from .lp import LinearProgram, LpError, LpSolution, solve_lp
 from .scenarios import (
@@ -56,7 +55,6 @@ from .experiments import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "BinarySolution",
     "BudgetError",
     "ConvexWeights",
     "EPS_CMP",

@@ -26,7 +26,6 @@ import numpy as np
 
 from .core import (
     EPS_CMP,
-    BinarySolution,
     ConvexWeights,
     InvariantError,
     UncertaintySet,
@@ -49,9 +48,12 @@ class BudgetError(RuntimeError):
     """The instance is too large for exhaustive enumeration; refusing beats degrading."""
 
 
-def upper_bound(u: UncertaintySet, x: BinarySolution) -> float:
-    """Worst-case value of x over all scenarios: max_i c^i . x."""
-    return float(u.costs[:, list(x.selected)].sum(axis=1).max())
+def upper_bound(u: UncertaintySet, x: Tuple[int, ...]) -> float:
+    """Worst-case value of x over all scenarios, max_i c^i . x; refuses a repeated or negative index, which numpy would misread."""
+    items = list(x)
+    if len(set(items)) != len(items) or min(items, default=0) < 0:
+        raise ValueError(f"solution indices must be distinct and nonnegative, got {x}")
+    return float(u.costs[:, items].sum(axis=1).max())
 
 
 def certify(u: UncertaintySet, spec: ProblemSpec, c, lam: ConvexWeights) -> Tuple[float, float]:
@@ -79,7 +81,7 @@ def certify(u: UncertaintySet, spec: ProblemSpec, c, lam: ConvexWeights) -> Tupl
     if isinstance(spec, Selection):
         lb = float(values[np.sort(np.argsort(values, kind="stable")[: spec.p])].sum())
     else:
-        lb = x.cost(values)
+        lb = float(values[list(x)].sum())
     if lb > ub + tol:
         raise InvariantError(f"lb <= ub violated: lb={lb} ub={ub}")
     return ub, lb
@@ -132,7 +134,7 @@ def maxmin_certificate(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Con
     return math.ldexp(scale / total, exp - 7), ConvexWeights(lam / total)
 
 
-def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySolution]:
+def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, Tuple[int, ...]]:
     """Exact min-max optimum by exhaustive enumeration with pruning.
 
     Returns the lexicographic minimum of (value, sorted index tuple) over
@@ -184,7 +186,7 @@ def exact_minmax(u: UncertaintySet, spec: ProblemSpec) -> Tuple[float, BinarySol
     return _exact_paths(u, spec)
 
 
-def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinarySolution]:
+def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, Tuple[int, ...]]:
     n, p = spec.n, spec.p
     total = math.comb(n, p)
     if total > MAX_ENUMERATION:
@@ -283,7 +285,7 @@ def _exact_selection(u: UncertaintySet, spec: Selection) -> Tuple[float, BinaryS
         pos, acc, chosen = take(acc, chosen, f, j + lo)
         for start in range((len(f) - 1) // rows * rows, -1, -rows):
             stack.append((pos[start : start + rows], acc[start : start + rows], chosen[start : start + rows], cut))
-    return float(best_val), BinarySolution(best_sol)
+    return float(best_val), best_sol
 
 
 def _refilter(cut, pushed) -> bool:
@@ -298,12 +300,12 @@ def _refilter(cut, pushed) -> bool:
     return cut < pushed
 
 
-def _exact_paths(u: UncertaintySet, spec: ShortestPath) -> Tuple[float, BinarySolution]:
+def _exact_paths(u: UncertaintySet, spec: ShortestPath) -> Tuple[float, Tuple[int, ...]]:
     best = None
     for count, x in enumerate(enumerate_solutions(spec), start=1):
         if count > MAX_ENUMERATION:
             raise BudgetError(f"more than {MAX_ENUMERATION} s-t paths")
-        key = (upper_bound(u, x), x.selected)
+        key = (upper_bound(u, x), x)
         if best is None or key < best:
             best = key
-    return best[0], BinarySolution(best[1])
+    return best

@@ -15,9 +15,9 @@ import sys
 from pathlib import Path
 
 from .bounds import BudgetError, certify, exact_minmax, maxmin_certificate, upper_bound
-from .core import ConvexWeights, parse_instance, ratio_or_inf, serialize_instance
+from .core import ConvexWeights, ratio_or_inf
 from .experiments import ExperimentGrid, derive_seed, emit_csv, generate_instance, run_grid
-from .problems import nominal_solve, require_k
+from .problems import nominal_solve, parse_instance, require_k, serialize_instance
 from .scenarios import (
     construct_lp_scenario,
     fixed_scenario_guarantee,
@@ -121,7 +121,7 @@ def cmd_bounds(args) -> int:
     if args.with_exact:
         opt, solution = exact_minmax(u, spec)
         lines.append(f"opt={_num(opt)}")
-        lines.append(f"opt_solution={','.join(str(j) for j in solution.selected)}")
+        lines.append(f"opt_solution={','.join(str(j) for j in solution)}")
     print("\n".join(lines))
     return EXIT_OK
 

@@ -18,6 +18,7 @@ which makes every instance independent of worker scheduling.
 from __future__ import annotations
 
 import math
+import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
@@ -85,6 +86,14 @@ def generate_instance(n: int, p: int, N: int, seed: int) -> Tuple[UncertaintySet
 MetricKey = Tuple[str, str, Optional[int]]  # (metric, method, k)
 
 
+def _integer(value, what: str) -> int:
+    """value as a Python int, refused with ValueError naming what unless it is an integer type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
+
+
 @dataclass
 class ExperimentGrid:
     """Which cells to run, how many instances per cell, and which k and exact optima to compute."""
@@ -96,6 +105,9 @@ class ExperimentGrid:
     exact_budget: int = 2_000_000  # skip exact optima above this many subsets (at most MAX_ENUMERATION)
 
     def __post_init__(self):
+        self.instance_count = _integer(self.instance_count, "instance_count")
+        self.exact_budget = _integer(self.exact_budget, "exact_budget")
+        self.ks = tuple(_integer(k, "subset size k") for k in self.ks or ())
         if self.instance_count < 1:
             raise ValueError("instance_count must be >= 1")
         self.cells = [tuple(cell) for cell in self.cells or ()]
@@ -107,7 +119,10 @@ class ExperimentGrid:
             raise ValueError("subset sizes must be >= 1")
         if any(b <= a for a, b in zip(self.ks, self.ks[1:])):
             raise ValueError(f"subset sizes must be strictly increasing, got {self.ks}")
-        for i, (n, p, N) in enumerate(self.cells):
+        for i, cell in enumerate(self.cells):
+            if len(cell) != 3:
+                raise ValueError(f"cell {cell} is not an (n, p, N) triple")
+            n, p, N = self.cells[i] = tuple(_integer(v, f"entry of cell {cell}") for v in cell)
             Selection(n=n, p=p)  # validates 1 <= p <= n
             if N < 1:
                 raise ValueError(f"cell ({n},{p},{N}): N must be >= 1")

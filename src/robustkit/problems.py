@@ -1,21 +1,25 @@
-"""Nominal problem definitions and solvers.
+"""Nominal problem definitions and solvers, and the instance file format.
 
 Two feasible-set shapes are supported: choose exactly p of n items
 (selection), and directed s-t paths with indexed edges (shortest path).
 Both expose the same operations: solve the nominal problem for a cost
 vector, bound the solution cardinality from above, and refuse a
 subset-size parameter k that some feasible solution is smaller than.
+A solution x in {0,1}^n is its support: the sorted tuple of the Python
+int indices of its items (for paths, its edges). parse_instance and
+serialize_instance read and write both families as text.
 """
 
 from __future__ import annotations
 
 import heapq
+import math
 from dataclasses import dataclass
-from typing import Tuple, Union
+from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import EPS_FEAS, BinarySolution, UncertaintySet, cost_vector
+from .core import EPS_FEAS, UncertaintySet, cost_vector
 
 
 @dataclass(frozen=True)
@@ -69,7 +73,7 @@ def _out_edges(spec: ShortestPath):
     return out
 
 
-def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
+def nominal_solve(spec: ProblemSpec, c) -> Tuple[int, ...]:
     """Minimize c.x over the feasible set; deterministic under cost ties.
 
     Selection takes the p cheapest items. Items whose values lie within
@@ -87,7 +91,7 @@ def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
     if isinstance(spec, Selection):
         cut, tol = np.partition(values, spec.p - 1)[spec.p - 1], EPS_FEAS * values.max()
         below, tied = np.flatnonzero(values < cut - tol), np.flatnonzero(np.abs(values - cut) <= tol)
-        return BinarySolution(tuple(below) + tuple(tied[: spec.p - len(below)]))
+        return tuple(sorted(int(j) for j in np.concatenate((below, tied[: spec.p - len(below)]))))
 
     out = _out_edges(spec)
     dist = {spec.source: 0.0}
@@ -115,7 +119,7 @@ def nominal_solve(spec: ProblemSpec, c) -> BinarySolution:
         pv, j = pred[v]
         path.append(j)
         v = pv
-    return BinarySolution(tuple(path))
+    return tuple(sorted(path))
 
 
 def require_k(spec: ProblemSpec, k: int) -> None:
@@ -193,8 +197,146 @@ def enumerate_solutions(spec: ShortestPath):
     while stack:
         v, path, seen = stack.pop()
         if v == spec.sink:
-            yield BinarySolution(path)
+            yield tuple(sorted(path))
             continue
         for j, w in sorted(out.get(v, ()), reverse=True):
             if w not in seen:
                 stack.append((w, path + (j,), seen | {w}))
+
+
+# ---------------------------------------------------------------------------
+# Instance file format (one directive per line, '#' starts a comment):
+#
+#   # robust-instance v1
+#   problem selection          |  problem shortestpath
+#   n <int>                    |  edges <int>
+#   p <int>                    |  edge <idx> <from> <to>   (repeated)
+#                              |  source <v>
+#                              |  sink <v>
+#   N <int>
+#   c <v1> ... <vn>            (repeated N times, nonnegative decimals)
+# ---------------------------------------------------------------------------
+
+
+class InstanceFormatError(ValueError):
+    """Malformed instance file. Carries the 1-based line number when known."""
+
+    def __init__(self, message: str, line: Optional[int] = None):
+        self.line = line
+        if line is not None:
+            message = f"line {line}: {message}"
+        super().__init__(message)
+
+
+def parse_instance(text: str) -> Tuple[UncertaintySet, ProblemSpec]:
+    """Parse instance-file contents into (UncertaintySet, ProblemSpec).
+
+    Raises InstanceFormatError with a line number on malformed input.
+    """
+    tokens = (raw.split("#", 1)[0].split() for raw in text.splitlines())
+    directives = [(lineno, toks) for lineno, toks in enumerate(tokens, start=1) if toks]
+
+    def fail(msg, lineno=None):
+        raise InstanceFormatError(msg, lineno)
+
+    def parse_int(tok, what, lineno):
+        try:
+            return int(tok)
+        except ValueError:
+            fail(f"expected integer {what}, got {tok!r}", lineno)
+
+    if not directives:
+        fail("empty instance file")
+    it = iter(directives)
+
+    def expect(key, usage, arity=2):
+        """The next directive; fails with `usage` at its line unless it is `key` with `arity` tokens."""
+        lineno, toks = next(it, (None, None))
+        if toks is None or toks[0] != key or (arity is not None and len(toks) != arity):
+            fail(usage, lineno)
+        return lineno, toks
+
+    lineno, toks = expect("problem", "first directive must be 'problem selection' or 'problem shortestpath'")
+    kind = toks[1]
+    if kind == "selection":
+        fields = {}
+        for key in ("n", "p"):
+            lineno, toks = expect(key, f"expected '{key} <int>'")
+            fields[key] = parse_int(toks[1], key, lineno)
+        try:
+            spec = Selection(n=fields["n"], p=fields["p"])
+        except ValueError as e:
+            fail(str(e), lineno)
+        n_items = fields["n"]
+    elif kind == "shortestpath":
+        lineno, toks = expect("edges", "expected 'edges <int>'")
+        n_edges = parse_int(toks[1], "edge count", lineno)
+        edges = [None] * n_edges
+        for _ in range(n_edges):
+            lineno, toks = expect("edge", "expected 'edge <idx> <from> <to>'", 4)
+            idx = parse_int(toks[1], "edge index", lineno)
+            if not 0 <= idx < n_edges:
+                fail(f"edge index {idx} out of range [0, {n_edges})", lineno)
+            if edges[idx] is not None:
+                fail(f"duplicate edge index {idx}", lineno)
+            edges[idx] = (parse_int(toks[2], "tail", lineno), parse_int(toks[3], "head", lineno))
+        endpoints = {}
+        for key in ("source", "sink"):
+            lineno, toks = expect(key, f"expected '{key} <vertex>'")
+            endpoints[key] = parse_int(toks[1], key, lineno)
+        try:
+            spec = ShortestPath(edges=tuple(edges), source=endpoints["source"], sink=endpoints["sink"])
+        except ValueError as e:
+            fail(str(e), lineno)
+        n_items = n_edges
+    else:
+        fail(f"unknown problem kind {kind!r}", lineno)
+
+    lineno, toks = expect("N", "expected 'N <int>'")
+    n_scen = parse_int(toks[1], "scenario count", lineno)
+    if n_scen < 1:
+        fail("N must be >= 1", lineno)
+
+    rows = []
+    for _ in range(n_scen):
+        lineno, toks = expect("c", "expected a 'c <v1> ... <vn>' cost row", None)
+        if len(toks) - 1 != n_items:
+            fail(f"cost row has {len(toks) - 1} entries, expected {n_items}", lineno)
+        try:
+            row = [float(t) for t in toks[1:]]
+        except ValueError:
+            fail("cost entries must be decimal numbers", lineno)
+        if any(not math.isfinite(v) for v in row):
+            fail("cost entries must be finite", lineno)
+        if any(v < 0 for v in row):
+            fail("negative cost", lineno)
+        rows.append(row)
+
+    extra = next(it, None)
+    if extra is not None:
+        fail(f"unexpected directive {extra[1][0]!r}", extra[0])
+
+    return UncertaintySet(np.array(rows, dtype=float)), spec
+
+
+def _fmt(v: float) -> str:
+    """Exact decimal for integers, repr round-trip otherwise."""
+    if float(v).is_integer() and abs(v) < 2**53:
+        return str(int(v))
+    return repr(float(v))
+
+
+def serialize_instance(u: UncertaintySet, spec: ProblemSpec) -> str:
+    """Canonical text form; parse_instance() round-trips it exactly for integer costs."""
+    if isinstance(spec, Selection):
+        lines = ["# robust-instance v1", "problem selection", f"n {spec.n}", f"p {spec.p}"]
+    elif isinstance(spec, ShortestPath):
+        lines = ["# robust-instance v1", "problem shortestpath", f"edges {len(spec.edges)}"]
+        lines += [f"edge {idx} {a} {b}" for idx, (a, b) in enumerate(spec.edges)]
+        lines += [f"source {spec.source}", f"sink {spec.sink}"]
+    else:
+        raise ValueError(f"unsupported problem spec {type(spec).__name__}")
+    require_dimension(u, spec)
+    lines.append(f"N {u.n_scenarios}")
+    lines += ["c " + " ".join(_fmt(v) for v in row) for row in u.costs]
+    return "\n".join(lines) + "\n"

@@ -72,7 +72,7 @@ def test_criterion_1_table1_worked_example(table1):
             for j in range(u.n_items):
                 assert t_star * u.costs[i, j] <= printed[j] + 0.01
         x_printed = rk.nominal_solve(spec, printed)
-        lb_printed = x_printed.cost(printed)
+        lb_printed = float(np.asarray(printed)[list(x_printed)].sum())
         ub_printed = rk.upper_bound(u, x_printed)
         assert lb_printed == pytest.approx(9.25, abs=0.01)
         assert ub_printed == pytest.approx(10.0, abs=0.01)
@@ -85,7 +85,7 @@ def test_criterion_1_table1_worked_example(table1):
 
         opt, solution = rk.exact_minmax(u, spec)
         assert opt == pytest.approx(10.0, abs=1e-9)
-        assert solution.selected == (0, 3)
+        assert solution == (0, 3)
 
         assert time.perf_counter() - started < 1.0
 

@@ -81,19 +81,33 @@ def simplex_grid(n_parts, steps):
 class TestUpperBound:
     def test_table1_midpoint_solution(self, table1):
         u, _ = table1
-        assert rk.upper_bound(u, rk.BinarySolution((0, 2))) == 12.0  # max(8, 12, 4)
+        assert rk.upper_bound(u, (0, 2)) == 12.0  # max(8, 12, 4)
 
     def test_table1_lp_solution(self, table1):
         u, _ = table1
-        assert rk.upper_bound(u, rk.BinarySolution((0, 3))) == 10.0
+        assert rk.upper_bound(u, (0, 3)) == 10.0
 
     def test_zero_costs(self):
         u = rk.UncertaintySet(np.zeros((2, 3)))
-        assert rk.upper_bound(u, rk.BinarySolution((0, 1))) == 0.0
+        assert rk.upper_bound(u, (0, 1)) == 0.0
 
     def test_empty_selection(self, table1):
         u, _ = table1
-        assert rk.upper_bound(u, rk.BinarySolution(())) == 0.0
+        assert rk.upper_bound(u, ()) == 0.0
+
+    def test_sums_the_indexed_items_in_any_order(self):
+        u = rk.UncertaintySet(np.array([[5.0, 8, 9, 7]]))
+        assert rk.upper_bound(u, (0, 3)) == rk.upper_bound(u, (3, 0)) == 12.0
+
+    def test_refuses_repeated_index(self, table1):
+        # numpy would count item 1 twice
+        with pytest.raises(ValueError, match="distinct and nonnegative"):
+            rk.upper_bound(table1[0], (1, 1))
+
+    def test_refuses_negative_index(self, table1):
+        # numpy would wrap -1 around to the last item
+        with pytest.raises(ValueError, match="distinct and nonnegative"):
+            rk.upper_bound(table1[0], (-1, 0))
 
 
 class TestLowerBound:
@@ -201,7 +215,7 @@ class TestAposterioriReport:
             cases.append(rk.construct_lp_scenario(u, spec, k)[1:])
         # the nominal minimum over all three s-t paths, with no Dijkstra
         paths = list(rk.enumerate_solutions(spec))
-        expected = [min(x.cost(scen) for x in paths) for scen, _ in cases]
+        expected = [min(float(np.asarray(scen)[list(x)].sum()) for x in paths) for scen, _ in cases]
         assert [round(lb, 8) for lb in expected] == [5.66666667, 5.59440559, 5.54347826]
         solves = []
         real = bounds_module.nominal_solve
@@ -256,7 +270,7 @@ class TestMaxMin:
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
         x = rk.nominal_solve(spec, u.costs[0])
-        assert rk.maxmin_certificate(u, spec)[0] == pytest.approx(x.cost(u.costs[0]))
+        assert rk.maxmin_certificate(u, spec)[0] == pytest.approx(float(u.costs[0][list(x)].sum()))
 
     def test_against_grid_oracle(self):
         rng = np.random.default_rng(808)
@@ -294,7 +308,7 @@ class TestMaxMin:
         value, lam = rk.maxmin_certificate(u, spec)
         scenario = lam.combine(u)
         x = rk.nominal_solve(spec, scenario)
-        assert x.cost(scenario) == pytest.approx(value, abs=1e-8)
+        assert float(np.asarray(scenario)[list(x)].sum()) == pytest.approx(value, abs=1e-8)
 
 
 class TestMaxMinMetamorphic:
@@ -358,14 +372,14 @@ class TestExactMinMax:
         u, spec = table1
         opt, solution = rk.exact_minmax(u, spec)
         assert opt == 10.0
-        assert solution.selected == (0, 3)  # items 1 and 4
+        assert solution == (0, 3)  # items 1 and 4
 
     def test_single_scenario_reduces_to_nominal(self):
         u = rk.UncertaintySet(np.array([[4.0, 1.0, 3.0]]))
         spec = rk.Selection(n=3, p=2)
         opt, solution = rk.exact_minmax(u, spec)
         x = rk.nominal_solve(spec, u.costs[0])
-        assert opt == x.cost(u.costs[0])
+        assert opt == float(u.costs[0][list(x)].sum())
         assert solution == x
 
     def test_matches_no_pruning_reference(self):
@@ -373,14 +387,14 @@ class TestExactMinMax:
         opt, solution = rk.exact_minmax(u, spec)
         ref_value, ref_combo = brute_force_minmax(u, spec)
         assert opt == ref_value
-        assert solution.selected == ref_combo
+        assert solution == ref_combo
 
     def test_lexicographic_tie_break(self):
         # both pairs reach the same worst case; (0, 1) must win
         u = rk.UncertaintySet(np.array([[1.0, 1.0, 1.0, 1.0]]))
         opt, solution = rk.exact_minmax(u, rk.Selection(n=4, p=2))
         assert opt == 2.0
-        assert solution.selected == (0, 1)
+        assert solution == (0, 1)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -388,7 +402,7 @@ class TestExactMinMax:
         costs, spec = tie_heavy_selection(data)
         u = rk.UncertaintySet(costs)
         opt, solution = rk.exact_minmax(u, spec)
-        assert (opt, solution.selected) == brute_force_minmax(u, spec)
+        assert (opt, solution) == brute_force_minmax(u, spec)
 
     @settings(max_examples=150, deadline=None)
     @given(st.data())
@@ -400,7 +414,7 @@ class TestExactMinMax:
         opt, solution = rk.exact_minmax(u, spec)
         ref_value, ref_combo = brute_force_minmax(u, spec)
         assert opt == ref_value
-        assert solution.selected == ref_combo
+        assert solution == ref_combo
 
     def test_incumbent_valued_in_search_order(self):
         # the midpoint incumbent (0, 1, 2, 3) is optimal; its sum in index
@@ -410,23 +424,23 @@ class TestExactMinMax:
         )
         spec = rk.Selection(n=5, p=4)
         opt, solution = rk.exact_minmax(u, spec)
-        assert (opt, solution.selected) == brute_force_minmax(u, spec)
+        assert (opt, solution) == brute_force_minmax(u, spec)
 
     @pytest.mark.parametrize("seed", [1, 2, 3, 4])
     def test_mid_pool_cell_matches_vectorized_brute_force(self, seed):
         u, spec = rk.generate_instance(20, 6, 50, seed=seed)
         opt, solution = rk.exact_minmax(u, spec)
-        assert (opt, solution.selected) == vectorized_brute_force(u, spec)
+        assert (opt, solution) == vectorized_brute_force(u, spec)
 
     def test_deep_instances_need_no_recursion(self):
         # the search stack grows with n, far beyond Python's recursion limit
         assert rk.exact_minmax(rk.UncertaintySet(np.ones((2, 1500))), rk.Selection(1500, 2)) == (
             2.0,
-            rk.BinarySolution((0, 1)),
+            (0, 1),
         )
         assert rk.exact_minmax(rk.UncertaintySet(np.ones((2, 1500))), rk.Selection(1500, 1500)) == (
             1500.0,
-            rk.BinarySolution(tuple(range(1500))),
+            tuple(range(1500)),
         )
 
     @pytest.mark.parametrize("n_scen", [2, 8])
@@ -463,7 +477,7 @@ class TestExactMinMax:
         monkeypatch.setattr(bounds_module, "_BLOCK_CELLS", block_cells)
         u, spec = rk.generate_instance(20, 6, 50, seed=5)
         opt, solution = rk.exact_minmax(u, spec)
-        assert (opt, solution.selected) == vectorized_brute_force(u, spec)
+        assert (opt, solution) == vectorized_brute_force(u, spec)
 
     @staticmethod
     def search_dtypes(monkeypatch):
@@ -498,7 +512,7 @@ class TestExactMinMax:
             u, spec = rk.UncertaintySet(costs.astype(float)), rk.Selection(n=n, p=p)
             dtypes = self.search_dtypes(monkeypatch)
             opt, solution = rk.exact_minmax(u, spec)
-            assert (opt, solution.selected) == vectorized_brute_force(u, spec)
+            assert (opt, solution) == vectorized_brute_force(u, spec)
             assert dtypes and set(dtypes) == {np.dtype(dtype)}
 
     @pytest.mark.parametrize("alpha", [1.0, 1 / 7], ids=["integer", "sevenths"])
@@ -528,7 +542,7 @@ class TestExactMinMax:
         real = bounds_module.upper_bound
 
         def counting(u_, x):
-            evaluated.append(x.selected)
+            evaluated.append(x)
             return real(u_, x)
 
         monkeypatch.setattr(bounds_module, "upper_bound", counting)
@@ -537,7 +551,7 @@ class TestExactMinMax:
             rk.exact_minmax(u, spec)
         assert len(evaluated) == 2
         monkeypatch.setattr(bounds_module, "MAX_ENUMERATION", 4)
-        assert rk.exact_minmax(u, spec) == (1.0, rk.BinarySolution((4,)))
+        assert rk.exact_minmax(u, spec) == (1.0, (4,))
 
     def test_shortest_path(self):
         spec = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 3), (0, 3)), source=0, sink=3)
@@ -545,13 +559,13 @@ class TestExactMinMax:
         opt, solution = rk.exact_minmax(u, spec)
         # oracle: path values are max(2,18)=18, max(18,2)=18, max(5,5)=5
         assert opt == 5.0
-        assert solution.selected == (4,)
+        assert solution == (4,)
 
     def test_pruning_matches_reference_at_scale(self):
         # every one of the C(30, 9) = 14307150 subsets, without pruning
         u, spec = rk.generate_instance(30, 9, 10, seed=11)
         opt, solution = rk.exact_minmax(u, spec)
-        assert (opt, solution.selected) == vectorized_brute_force(u, spec)
+        assert (opt, solution) == vectorized_brute_force(u, spec)
 
 
 class TestSandwich:

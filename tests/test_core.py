@@ -1,6 +1,7 @@
 import ast
 import inspect
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import robustkit as rk
-from robustkit.core import InstanceFormatError, cost_vector
+from robustkit.core import cost_vector
+from robustkit.problems import InstanceFormatError
 
 
 class TestPublicSurface:
@@ -21,6 +23,17 @@ class TestPublicSurface:
         namespace = {}
         exec("from robustkit import *", namespace)
         assert set(namespace) - {"__builtins__"} == set(rk.__all__)
+
+    def test_core_imports_no_problem_family(self):
+        # the families, their solutions and the file format live in problems
+        tree = ast.parse(Path(rk.core.__file__).read_text(encoding="utf-8"))
+        names = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom):
+                names.append(node.module or "")
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                names += [a.name for a in node.names]
+        assert not [name for name in names if "problems" in name.split(".")]
 
 
 class TestUncertaintySet:
@@ -94,19 +107,6 @@ class TestConvexWeights:
         u, _ = table1
         lam = rk.ConvexWeights([1.0 + 5e-10, 0.0, -5e-10])
         assert np.all(lam.combine(u) >= 0.0)
-
-
-class TestBinarySolution:
-    def test_sorted_and_unique(self):
-        x = rk.BinarySolution((3, 1, 2))
-        assert x.selected == (1, 2, 3)
-        with pytest.raises(ValueError, match="unique"):
-            rk.BinarySolution((1, 1))
-
-    def test_cost(self):
-        x = rk.BinarySolution((0, 3))
-        assert x.cost(np.array([5.0, 8, 9, 7])) == 12.0
-        assert rk.BinarySolution(()).cost(np.array([1.0])) == 0.0
 
 
 def test_ratio_or_inf():

@@ -413,6 +413,26 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="exact_budget must be >= 0, got -1"):
             rk.ExperimentGrid(cells=[(10, 3, 10)], exact_budget=-1)
 
+    @pytest.mark.parametrize(
+        "fields, match",
+        [
+            ({"cells": [(10.0, 3, 10)]}, r"entry of cell \(10\.0, 3, 10\) must be an integer"),
+            ({"cells": [(10, 3, 10.0)]}, r"entry of cell \(10, 3, 10\.0\) must be an integer"),
+            ({"cells": [(10, 3, 10)], "ks": (1.5, 2)}, "subset size k must be an integer, got 1.5"),
+            ({"cells": [(10, 3, 10)], "instance_count": 2.5}, "instance_count must be an integer, got 2.5"),
+            ({"cells": [(10, 3)]}, r"cell \(10, 3\) is not an \(n, p, N\) triple"),
+        ],
+    )
+    def test_rejects_values_that_are_not_integers(self, fields, match):
+        # each once ran: math.comb raised, or every instance was excluded with a TypeError
+        with pytest.raises(ValueError, match=match):
+            rk.ExperimentGrid(**fields)
+
+    def test_integer_types_become_python_ints(self):
+        grid = rk.ExperimentGrid(cells=[np.array([10, 3, 10])], ks=[np.int64(1), 2], exact_budget=np.int32(100))
+        assert grid.cells == [(10, 3, 10)] and grid.ks == (1, 2) and grid.exact_budget == 100
+        assert all(type(v) is int for v in (*grid.cells[0], *grid.ks, grid.exact_budget))
+
     def test_rejects_exact_budget_above_the_enumeration_cap(self):
         # C(30, 15) is under this budget but over the cap, so the exact
         # search would refuse every instance and drop all its other metrics

@@ -24,18 +24,18 @@ class TestNominalSolveSelection:
     def test_midpoint_scenario_solution(self, table1):
         u, spec = table1
         x = rk.nominal_solve(spec, rk.midpoint_scenario(u))
-        assert x.selected == (0, 2)  # items 1 and 3, 1-indexed
+        assert x == (0, 2)  # items 1 and 3, 1-indexed
 
     def test_lp_scenario_solution(self, table1):
         _, spec = table1
         c_prime = [3.75, 6.88, 6.75, 5.50]
         x = rk.nominal_solve(spec, c_prime)
-        assert x.selected == (0, 3)  # items 1 and 4
+        assert x == (0, 3)  # items 1 and 4
 
     def test_forced_full_selection(self):
         spec = rk.Selection(n=5, p=5)
         x = rk.nominal_solve(spec, [9.0, 1.0, 4.0, 2.0, 8.0])
-        assert x.selected == (0, 1, 2, 3, 4)
+        assert x == (0, 1, 2, 3, 4)
 
     def test_worstcase_scenario_solution(self, table1):
         u, spec = table1
@@ -44,13 +44,13 @@ class TestNominalSolveSelection:
         ref_vals = u.costs.max(axis=0)
         ref_cost, ref_combo = brute_force_selection(list(ref_vals), 2)
         x = rk.nominal_solve(spec, wc)
-        assert x.selected == ref_combo == (0, 3)
-        assert x.cost(wc) == ref_cost == 12.0
+        assert x == ref_combo == (0, 3)
+        assert float(np.asarray(wc)[list(x)].sum()) == ref_cost == 12.0
 
     def test_tie_breaks_by_index(self):
         spec = rk.Selection(n=4, p=2)
         x = rk.nominal_solve(spec, [2.0, 2.0, 2.0, 2.0])
-        assert x.selected == (0, 1)
+        assert x == (0, 1)
 
     def test_near_tie_goes_to_the_smaller_index(self):
         # items 1 and 2 tie but for a 1e-13 perturbation, far below
@@ -58,11 +58,11 @@ class TestNominalSolveSelection:
         # the exact minimum, the cost of item 2
         spec = rk.Selection(n=4, p=2)
         values = [5.0, 1.0 + 1e-13, 1.0, 0.5]
-        assert rk.nominal_solve(spec, values).selected == (1, 3)
+        assert rk.nominal_solve(spec, values) == (1, 3)
         u = rk.UncertaintySet(np.array([values]))
         assert rk.certify(u, spec, values, rk.ConvexWeights([1.0]))[1] == 1.5
         # beyond the tolerance the cheaper item wins
-        assert rk.nominal_solve(spec, [5.0, 1.0 + 1e-8, 1.0, 0.5]).selected == (2, 3)
+        assert rk.nominal_solve(spec, [5.0, 1.0 + 1e-8, 1.0, 0.5]) == (2, 3)
 
     def test_matches_brute_force_on_random_instances(self):
         rng = SplitMix64(2024)
@@ -71,7 +71,7 @@ class TestNominalSolveSelection:
             p = 1 + rng.randint_upto(n - 1)
             values = [float(rng.randint_upto(100)) for _ in range(n)]
             x = rk.nominal_solve(rk.Selection(n=n, p=p), values)
-            assert x.cost(np.array(values)) == brute_force_selection(values, p)[0]
+            assert float(np.array(values)[list(x)].sum()) == brute_force_selection(values, p)[0]
 
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="length"):
@@ -95,28 +95,59 @@ def test_scaling_leaves_argmin_unchanged(values, scale, data):
     spec = rk.Selection(n=n, p=p)
     base = rk.nominal_solve(spec, [float(v) for v in values])
     scaled = rk.nominal_solve(spec, [float(v) * scale for v in values])
-    assert base.selected == scaled.selected
+    assert base == scaled
 
 
 DIAMOND = rk.ShortestPath(edges=((0, 1), (1, 3), (0, 2), (2, 3), (0, 3)), source=0, sink=3)
+# a path whose edges the walk meets in descending index order
+DESCENDING = rk.ShortestPath(edges=((2, 3), (1, 2), (0, 1)), source=0, sink=3)
+
+
+def _table1_over_seven(table1):
+    u, spec = table1
+    return rk.exact_minmax(rk.UncertaintySet(u.costs / 7), spec)[1]  # not integers: the float64 search
+
+
+@pytest.mark.parametrize(
+    "solve, expected",
+    [
+        (lambda _: rk.nominal_solve(rk.Selection(n=4, p=2), [5.0, 1.0 + 1e-13, 1.0, 0.5]), (1, 3)),  # tied after below
+        (lambda _: rk.nominal_solve(rk.Selection(n=4, p=2), [5.0, 1.0 + 1e-8, 1.0, 0.5]), (2, 3)),
+        (lambda _: rk.nominal_solve(DESCENDING, [1.0, 1.0, 1.0]), (0, 1, 2)),
+        (lambda table1: rk.exact_minmax(*table1)[1], (0, 3)),  # integers: the int16 search
+        (_table1_over_seven, (0, 3)),
+        (lambda _: rk.exact_minmax(rk.UncertaintySet(np.ones((2, 3))), DESCENDING)[1], (0, 1, 2)),
+        (lambda _: rk.exact_minmax(rk.UncertaintySet(np.array([[1.0, 1.0, 9.0, 9.0, 5.0]])), DIAMOND)[1], (0, 1)),
+        (lambda _: list(rk.enumerate_solutions(DESCENDING)), [(0, 1, 2)]),
+        (lambda _: list(rk.enumerate_solutions(DIAMOND)), [(0, 1), (2, 3), (4,)]),
+    ],
+)
+def test_every_solution_is_a_sorted_tuple_of_python_ints(table1, solve, expected):
+    # a numpy integer would print as np.int64(2) under numpy 2, and an
+    # unsorted tuple would break the (value, tuple) tie rule
+    found = solve(table1)
+    assert found == expected
+    for x in found if isinstance(found, list) else [found]:
+        assert type(x) is tuple and x == tuple(sorted(x))
+        assert all(type(j) is int for j in x)
 
 
 class TestNominalSolveShortestPath:
     def test_picks_cheapest_path(self):
         x = rk.nominal_solve(DIAMOND, [1.0, 1.0, 5.0, 5.0, 3.0])
-        assert x.selected == (0, 1)
+        assert x == (0, 1)
 
     def test_direct_edge_wins(self):
         x = rk.nominal_solve(DIAMOND, [2.0, 2.0, 2.0, 2.0, 1.0])
-        assert x.selected == (4,)
+        assert x == (4,)
 
     def test_matches_path_enumeration(self):
         rng = SplitMix64(7)
         for _ in range(25):
             values = np.array([float(rng.randint_upto(10)) for _ in range(5)])
             x = rk.nominal_solve(DIAMOND, values)
-            ref = min(x.cost(values) for x in rk.enumerate_solutions(DIAMOND))
-            assert x.cost(values) == ref
+            ref = min(float(np.asarray(values)[list(x)].sum()) for x in rk.enumerate_solutions(DIAMOND))
+            assert float(np.asarray(values)[list(x)].sum()) == ref
 
     def test_solution_is_feasible(self):
         x = rk.nominal_solve(DIAMOND, [1.0, 1.0, 1.0, 1.0, 3.0])
