@@ -11,6 +11,7 @@ are integers, and a single numeric type avoids conversion layers.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -27,6 +28,14 @@ EPS_CUT = 1e-7
 
 class InvariantError(RuntimeError):
     """Results break an ordering every correct run satisfies, such as lb <= ub."""
+
+
+def _integer(value, what: str) -> int:
+    """value as a Python int, refused with ValueError naming what unless it is an integer type."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{what} must be an integer, got {value!r}") from None
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:

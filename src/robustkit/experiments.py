@@ -18,14 +18,13 @@ which makes every instance independent of worker scheduling.
 from __future__ import annotations
 
 import math
-import operator
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from .core import EPS_CMP, ConvexWeights, InvariantError, UncertaintySet, cost_scale, ratio_or_inf
+from .core import EPS_CMP, ConvexWeights, InvariantError, UncertaintySet, _integer, cost_scale, ratio_or_inf
 from .problems import Selection
 from .scenarios import construct_lp_scenario, fixed_scenario_guarantee, midpoint_scenario
 from .bounds import MAX_ENUMERATION, certify, exact_minmax, maxmin_certificate
@@ -86,14 +85,6 @@ def generate_instance(n: int, p: int, N: int, seed: int) -> Tuple[UncertaintySet
 MetricKey = Tuple[str, str, Optional[int]]  # (metric, method, k)
 
 
-def _integer(value, what: str) -> int:
-    """value as a Python int, refused with ValueError naming what unless it is an integer type."""
-    try:
-        return operator.index(value)
-    except TypeError:
-        raise ValueError(f"{what} must be an integer, got {value!r}") from None
-
-
 @dataclass
 class ExperimentGrid:
     """Which cells to run, how many instances per cell, and which k and exact optima to compute."""
@@ -106,6 +97,7 @@ class ExperimentGrid:
 
     def __post_init__(self):
         self.instance_count = _integer(self.instance_count, "instance_count")
+        self.master_seed = _integer(self.master_seed, "master_seed")
         self.exact_budget = _integer(self.exact_budget, "exact_budget")
         self.ks = tuple(_integer(k, "subset size k") for k in self.ks or ())
         if self.instance_count < 1:

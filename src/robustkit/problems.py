@@ -19,7 +19,7 @@ from typing import Optional, Tuple, Union
 
 import numpy as np
 
-from .core import EPS_FEAS, UncertaintySet, cost_vector
+from .core import EPS_FEAS, UncertaintySet, _integer, cost_vector
 
 
 @dataclass(frozen=True)
@@ -30,6 +30,8 @@ class Selection:
     p: int
 
     def __post_init__(self):
+        object.__setattr__(self, "n", _integer(self.n, "n"))
+        object.__setattr__(self, "p", _integer(self.p, "p"))
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         if not 1 <= self.p <= self.n:

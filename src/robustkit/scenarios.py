@@ -18,22 +18,23 @@ slack basis is dual feasible, so the dual simplex solves it from the
 start and after every appended row.
 
 The N * C(n, k) subset rows are never materialized: one vectorized
-separation oracle (for each scenario, the k items where c - t * c^i is
-smallest) finds the most violated row, and the LP is solved by
+kernel, _smallest_sums, is the one place of the rule "for each scenario,
+the k items where c - t * c^i is smallest". The oracle, the row source
+and the seeds read their rows from it, and the LP is solved by
 warm-started row generation. At k = 1 the rows are known in advance:
 item j's row for the scenario of largest c^i_j implies its others. The
 base LP starts from these dominating rows, at most N + 1 of them (a
-dense n-row start loses when n >> N), so with n <= N + 1 the oracle
-only certifies the optimum. A construction at a larger k can start from
-one at a smaller k, as the experiment grid's do. The seed is read from
-that optimum (t, c) alone: each scenario i that binds there (its
-smaller-k smallest values of c - t * c^i sum to about 0) puts its k
-smallest, its most violated size-k row, into the base LP. Seeded rows
-are rows of the LP, so t* is the same and only the rounds fall; the
-optimal vertex may differ. The same constraint family with c held fixed
-gives a sharpened guarantee for any hull scenario (in particular the
-midpoint): the smallest subset-sum ratio, found exactly by Dinkelbach's
-min-ratio iteration with that oracle.
+dense n-row start loses when n >> N), so with n <= N + 1 the oracle only
+certifies the optimum. A construction at a larger k can start from one
+at a smaller k, as the experiment grid's do. The seed is read from that
+optimum (t, c) alone: each scenario i that binds there (its smaller-k
+smallest values of c - t * c^i sum to about 0) puts its k smallest, its
+most violated size-k row, into the base LP. Seeded rows are rows of the
+LP, so t* is the same and only the rounds fall; the optimal vertex may
+differ. The same constraint family with c held fixed gives a sharpened
+guarantee for any hull scenario (in particular the midpoint): the
+smallest subset-sum ratio, found exactly by Dinkelbach's min-ratio
+iteration with that oracle.
 
 Every function here that takes k takes the spec too and checks k with
 problems.require_k: summing the rows over the k-subsets S of a solution
@@ -69,23 +70,23 @@ def worstcase_apriori_bound(u: UncertaintySet, spec: ProblemSpec) -> int:
     return min(u.n_scenarios, max_solution_cardinality_bound(spec))
 
 
-def _most_violated(costs: np.ndarray, values: np.ndarray, t: float, k: int):
-    """Max of t*sum_S c^i - sum_S c over scenarios i and |S| = k subsets.
+def _smallest_sums(costs: np.ndarray, values: np.ndarray, t: float, k: int):
+    """(vals, sums): vals = values - t * costs, and sums[i] the sum of row i's k smallest vals, added in ascending order.
 
-    For each scenario the maximizing S collects the k smallest values of
-    (c_j - t * c^i_j). Ties resolve to the smallest scenario index (argmax
-    takes the first maximum), then the smallest item indices (the sort is
-    stable). Returns (violation, i, S) with S sorted.
-
-    The violations sum each row's k smallest values in ascending order;
-    only the winning row is sorted stably for S.
+    The one place of the smallest-k rule: -sums[i] is the largest
+    violation t*sum_S c^i - sum_S c over the |S| = k subsets, and a
+    stable argsort of vals[i] gives its S, ties to the smallest items.
     """
     vals = values - t * costs
-    smallest = np.sort(vals, axis=1)[:, :k]
-    violations = -smallest.sum(axis=1)
-    i = int(violations.argmax())
+    return vals, np.sort(vals, axis=1)[:, :k].sum(axis=1)
+
+
+def _most_violated(costs: np.ndarray, values: np.ndarray, t: float, k: int):
+    """(violation, i, S) of the most violated row by _smallest_sums, S sorted; ties go to the smallest scenario i."""
+    vals, sums = _smallest_sums(costs, values, t, k)
+    i = int(sums.argmin())
     idx = vals[i].argsort(kind="stable")[:k]
-    return float(violations[i]), i, tuple(sorted(idx.tolist()))
+    return float(-sums[i]), i, tuple(sorted(idx.tolist()))
 
 
 def separation_oracle(u: UncertaintySet, spec: ProblemSpec, k: int, c, t: float) -> Optional[Tuple[int, Tuple[int, ...]]]:
@@ -150,20 +151,18 @@ def _dominating_rows(u: UncertaintySet):
 def _extended_rows(u: UncertaintySet, k_prev: int, t: float, c, k: int):
     """The size-k rows an optimum (t, c) at 1 <= k_prev < k seeds, one per scenario that binds there.
 
-    With vals = c - t * c^i, scenario i binds when its k_prev smallest
-    vals sum to at most EPS_FEAS * max c (vals scale with the costs); it
-    seeds its k smallest vals, ties going to the smallest item: its most
-    violated size-k row at that optimum. A row with a(i, S) = 0 holds for
-    every mu and is left out.
+    Scenario i binds when its k_prev smallest values of c - t * c^i
+    (_smallest_sums) sum to at most EPS_FEAS * max c (they scale with the
+    costs); it seeds its k smallest, ties going to the smallest item: its
+    most violated size-k row at that optimum. A row with a(i, S) = 0 holds
+    for every mu and is left out.
     """
     if not 1 <= k_prev < k:
         raise ValueError(f"a start must come from a construction at 1 <= k < {k}, got k={k_prev}")
     values = cost_vector(c, u.n_items)
-    vals = values - t * u.costs
-    order = np.argsort(vals, axis=1, kind="stable")
-    slack = np.take_along_axis(vals, order[:, :k_prev], axis=1).sum(axis=1)
-    scen = np.flatnonzero(slack <= EPS_FEAS * float(values.max()))
-    grown = np.sort(order[scen, :k], axis=1)
+    vals, sums = _smallest_sums(u.costs, values, t, k_prev)
+    scen = np.flatnonzero(sums <= EPS_FEAS * float(values.max()))
+    grown = np.sort(vals[scen].argsort(axis=1, kind="stable")[:, :k], axis=1)
     own = u.costs[scen[:, None], grown].sum(axis=1)
     return [(int(i), tuple(S.tolist())) for i, S, a in zip(scen, grown, own) if a > 0.0]
 
@@ -189,11 +188,10 @@ def construct_lp_scenario(
     LP, so t_star is unchanged.
 
     start, the (k_prev, t_star, scenario) of a construction of the same
-    instance at 1 <= k_prev < k, seeds the base LP from that optimum alone:
-    each scenario i whose k_prev smallest values of c - t_star * c^i sum
-    to at most EPS_FEAS * max c binds there, and seeds its k smallest
-    (_extended_rows). They are rows of this LP, so t_star is the same as
-    unseeded; the optimal vertex, and with it the scenario, may differ.
+    instance at 1 <= k_prev < k, seeds the base LP from that optimum alone
+    with the size-k rows of the scenarios that bind there (_extended_rows).
+    They are rows of this LP, so t_star is the same as unseeded; the
+    optimal vertex, and with it the scenario, may differ.
     """
     require_dimension(u, spec)
     require_k(spec, k)

@@ -53,6 +53,8 @@ class TestUncertaintySet:
     def test_rejects_empty(self):
         with pytest.raises(ValueError):
             rk.UncertaintySet(np.zeros((0, 3)))
+        with pytest.raises(ValueError, match="2-d matrix, got ndim=1"):
+            rk.UncertaintySet(np.ones(3))
 
     def test_costs_are_immutable(self, table1):
         u, _ = table1
@@ -98,6 +100,10 @@ class TestConvexWeights:
     def test_rejects_nan(self):
         with pytest.raises(ValueError, match="finite"):
             rk.ConvexWeights(np.array([np.nan, 1.0]))
+
+    def test_rejects_empty(self):
+        with pytest.raises(ValueError, match="nonempty 1-d vector"):
+            rk.ConvexWeights([])
 
     def test_tiny_negative_tolerated(self):
         lam = rk.ConvexWeights([1.0 + 5e-10, -5e-10])
@@ -179,12 +185,16 @@ class TestParseInstance:
             ("problem selection\nn 4\n\np 2 3\n", "expected 'p <int>'", 4),
             ("problem shortestpath\nedges\n", "expected 'edges <int>'", 2),
             ("problem shortestpath\nedges 2\nedge 0 0 1\nedge 1 1\n", "expected 'edge <idx> <from> <to>'", 4),
+            ("problem shortestpath\nedges 2\nedge 2 0 1\n", "edge index 2 out of range [0, 2)", 3),
+            ("problem shortestpath\nedges 2\nedge 0 0 1\nedge 0 1 2\n", "duplicate edge index 0", 4),
             ("problem shortestpath\nedges 1\nedge 0 0 1\nsink 1\n", "expected 'source <vertex>'", 4),
             ("problem shortestpath\nedges 1\nedge 0 0 1\nsource 0\nsink # end\n", "expected 'sink <vertex>'", 5),
             ("problem shortestpath\nedges 1\nedge 0 0 1\nsource 0\n", "expected 'sink <vertex>'", None),
             ("problem selection\nn 2\np 1\nc 1 2\n", "expected 'N <int>'", 4),
             ("problem selection\nn 2\np 1\nN 2\nc 1 2\nN 2\n", "expected a 'c <v1> ... <vn>' cost row", 6),
             ("problem selection\nn 2\np 1\nN 2\nc 1 2\n", "expected a 'c <v1> ... <vn>' cost row", None),
+            ("problem selection\nn 2\np 1\nN 1\nc 1 x\n", "cost entries must be decimal numbers", 5),
+            ("problem selection\nn 2\np 1\nN 1\nc 1 inf\n", "cost entries must be finite", 5),
         ],
     )
     def test_malformed_directive(self, text, message, line):

@@ -14,7 +14,7 @@ import pytest
 
 import robustkit as rk
 from robustkit import experiments as experiments_module
-from robustkit.experiments import InvariantError, _mix64, _spot_check, derive_seed
+from robustkit.experiments import AggregateRow, InvariantError, _mix64, _spot_check, derive_seed
 from splitmix64 import SplitMix64
 
 
@@ -81,6 +81,10 @@ class TestGenerateInstance:
         a, _ = rk.generate_instance(10, 3, 5, seed=1)
         b, _ = rk.generate_instance(10, 3, 5, seed=2)
         assert not np.array_equal(a.costs, b.costs)
+
+    def test_rejects_no_scenarios(self):
+        with pytest.raises(ValueError, match="N must be >= 1, got 0"):
+            rk.generate_instance(10, 3, 0, seed=1)
 
     def test_sample_mean(self):
         total, count = 0.0, 0
@@ -156,6 +160,8 @@ class TestRunGrid:
             opts.append(rk.exact_minmax(u, spec)[0])
         assert result.value(6, 3, 4, "aposteriori", "mid") == pytest.approx(float(np.mean(mids)), abs=1e-12)
         assert result.value(6, 3, 4, "opt", "exact") == pytest.approx(float(np.mean(opts)), abs=1e-12)
+        with pytest.raises(KeyError, match=r"no aggregate for \(6, 3, 4, 'lp', 'exact', None\)"):
+            result.value(6, 3, 4, "lp", "exact")
         row = next(r for r in result.rows if r.metric == "opt")
         assert row.instances == 3
         assert row.stderr == pytest.approx(float(np.std(opts, ddof=1) / math.sqrt(3)), abs=1e-12)
@@ -242,6 +248,8 @@ class TestRunGrid:
         serial = rk.emit_csv(rk.run_grid(grid, workers=1))
         parallel = rk.emit_csv(rk.run_grid(grid, workers=2))
         assert serial == parallel
+        with pytest.raises(ValueError, match="workers must be >= 1"):
+            rk.run_grid(grid, workers=0)
 
     def test_serial_run_never_loads_the_process_pool(self):
         # in a fresh interpreter: the test session itself has loaded multiprocessing
@@ -355,6 +363,9 @@ class TestEmitCsv:
         for line in text.splitlines()[1:]:
             value = line.split(",")[6]
             assert len(value.replace(".", "").replace("-", "").lstrip("0")) <= 7
+        # an a-posteriori ratio over a lower bound of 0 is inf
+        row = AggregateRow(5, 2, 3, "aposteriori", "mid", None, math.inf, math.inf, 2, 0.0)
+        assert rk.emit_csv(rk.GridResult(rows=[row])).splitlines()[1] == "5,2,3,aposteriori,mid,,inf,inf,2,"
 
     def test_runtime_column_opt_in(self):
         grid = rk.ExperimentGrid(cells=[(5, 2, 3)], instance_count=2, master_seed=31)
@@ -402,6 +413,11 @@ class TestGridValidation:
         with pytest.raises(ValueError, match="at least one subset size"):
             rk.ExperimentGrid(cells=[(10, 3, 10)], ks=())
 
+    def test_rejects_ks_below_one(self):
+        # require_k refuses k = 0, so every instance of the grid would fail
+        with pytest.raises(ValueError, match="subset sizes must be >= 1"):
+            rk.ExperimentGrid(cells=[(10, 3, 10)], ks=(0, 1))
+
     def test_rejects_cell_with_p_below_every_k(self):
         # that cell's grid would write no lp and no apriori rows at all
         with pytest.raises(ValueError, match=r"cell \(10,3,10\): p=3 is below every subset size"):
@@ -420,6 +436,7 @@ class TestGridValidation:
             ({"cells": [(10, 3, 10.0)]}, r"entry of cell \(10, 3, 10\.0\) must be an integer"),
             ({"cells": [(10, 3, 10)], "ks": (1.5, 2)}, "subset size k must be an integer, got 1.5"),
             ({"cells": [(10, 3, 10)], "instance_count": 2.5}, "instance_count must be an integer, got 2.5"),
+            ({"cells": [(4, 2, 2)], "instance_count": 1, "master_seed": 1.5}, "master_seed must be an integer, got 1.5"),
             ({"cells": [(10, 3)]}, r"cell \(10, 3\) is not an \(n, p, N\) triple"),
         ],
     )
@@ -429,9 +446,11 @@ class TestGridValidation:
             rk.ExperimentGrid(**fields)
 
     def test_integer_types_become_python_ints(self):
-        grid = rk.ExperimentGrid(cells=[np.array([10, 3, 10])], ks=[np.int64(1), 2], exact_budget=np.int32(100))
-        assert grid.cells == [(10, 3, 10)] and grid.ks == (1, 2) and grid.exact_budget == 100
-        assert all(type(v) is int for v in (*grid.cells[0], *grid.ks, grid.exact_budget))
+        grid = rk.ExperimentGrid(
+            cells=[np.array([10, 3, 10])], ks=[np.int64(1), 2], exact_budget=np.int32(100), master_seed=np.int64(7)
+        )
+        assert grid.cells == [(10, 3, 10)] and grid.ks == (1, 2) and grid.exact_budget == 100 and grid.master_seed == 7
+        assert all(type(v) is int for v in (*grid.cells[0], *grid.ks, grid.exact_budget, grid.master_seed))
 
     def test_rejects_exact_budget_above_the_enumeration_cap(self):
         # C(30, 15) is under this budget but over the cap, so the exact

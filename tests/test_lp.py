@@ -184,6 +184,8 @@ class TestSolveLpBasics:
             rk.LinearProgram([1.0, 2.0], [[1.0]], [0.0])
         with pytest.raises(ValueError, match="shapes"):  # a row that is not a matrix
             rk.LinearProgram([1.0], [1.0], [0.0])
+        with pytest.raises(ValueError, match="objective must be a nonempty vector"):
+            rk.LinearProgram([], np.zeros((0, 0)), [])
         lp = rk.LinearProgram([-1.0, -1.0], np.eye(2), [1.0, 1.0])
         with pytest.raises(ValueError, match=r"\(2,\) finite coefficients"):
             rk.solve_lp(lp, lambda x: (np.array([1.0]), 0.0))

@@ -120,6 +120,8 @@ def _table1_over_seven(table1):
         (lambda _: rk.exact_minmax(rk.UncertaintySet(np.array([[1.0, 1.0, 9.0, 9.0, 5.0]])), DIAMOND)[1], (0, 1)),
         (lambda _: list(rk.enumerate_solutions(DESCENDING)), [(0, 1, 2)]),
         (lambda _: list(rk.enumerate_solutions(DIAMOND)), [(0, 1), (2, 3), (4,)]),
+        # both paths cost 2 and vertex 3 is reached first, yet the smaller predecessor vertex 0 wins
+        (lambda _: rk.nominal_solve(rk.ShortestPath(((5, 3), (5, 0), (3, 1), (0, 1)), 5, 1), [0.0, 1.0, 2.0, 1.0]), (1, 3)),
     ],
 )
 def test_every_solution_is_a_sorted_tuple_of_python_ints(table1, solve, expected):
@@ -244,12 +246,29 @@ class TestSpecValidation:
             rk.Selection(n=3, p=0)
         with pytest.raises(ValueError):
             rk.Selection(n=3, p=4)
+        with pytest.raises(ValueError, match="n must be >= 1, got 0"):
+            rk.Selection(n=0, p=1)
+
+    @pytest.mark.parametrize(
+        "n, p, match",
+        [(4, 2.0, "p must be an integer, got 2.0"), (4.5, 2, "n must be an integer, got 4.5"), ("4", 2, "n must be an integer, got '4'")],
+    )
+    def test_selection_sizes_must_be_integers(self, n, p, match):
+        # each once constructed, and nominal_solve then raised numpy's TypeError
+        with pytest.raises(ValueError, match=match):
+            rk.Selection(n=n, p=p)
+
+    def test_selection_sizes_become_python_ints(self):
+        spec = rk.Selection(n=np.int64(4), p=np.int32(2))
+        assert spec == rk.Selection(n=4, p=2) and type(spec.n) is int and type(spec.p) is int
 
     def test_path_needs_connectivity(self):
         with pytest.raises(ValueError, match="no path"):
             rk.ShortestPath(edges=((0, 1),), source=1, sink=0)
         with pytest.raises(ValueError, match="differ"):
             rk.ShortestPath(edges=((0, 1),), source=0, sink=0)
+        with pytest.raises(ValueError, match="need at least one edge"):
+            rk.ShortestPath(edges=(), source=0, sink=1)
 
 
 def random_digraph(rng, cyclic):

@@ -202,7 +202,7 @@ class TestSeparationOracle:
     def test_oracle_equals_exhaustive_check_on_ties(self, data):
         # integer costs and a dyadic t make every sum exact, so ties are
         # real ties: the first (i, S) in scenario-then-lexicographic order wins
-        from robustkit.scenarios import _most_violated
+        from robustkit.scenarios import _most_violated, _smallest_sums
 
         n = data.draw(st.integers(1, 7), label="n")
         n_scen = data.draw(st.integers(1, 5), label="N")
@@ -215,6 +215,10 @@ class TestSeparationOracle:
         ref_violation, ref_i, ref_subset = exhaustive_most_violated(u, values, t, k)
         assert (i, subset) == (ref_i, ref_subset)
         assert abs(violation - ref_violation) <= 1e-12
+        # the kernel: each scenario's sum is the exhaustive minimum over its |S| = k rows
+        vals, sums = _smallest_sums(u.costs, values, t, k)
+        assert np.array_equal(vals, values - t * u.costs)
+        assert sums.tolist() == [-exhaustive_most_violated(rk.UncertaintySet(row[None]), values, t, k)[0] for row in u.costs]
 
     @settings(max_examples=40, deadline=None)
     @given(u=uncertainty_sets, t=st.floats(min_value=0.05, max_value=1.0), k=st.integers(min_value=1, max_value=2))
@@ -340,6 +344,43 @@ class TestConstructLpScenario:
             assert len(subset) == 3 and u.costs[i, list(subset)].sum() > 0
             best = min(vals[i, list(S)].sum() for S in itertools.combinations(range(8), 3))
             assert vals[i, list(subset)].sum() == pytest.approx(best, abs=1e-12)
+
+    @staticmethod
+    def extended_rows_reference(u, k_prev, t, c, k):
+        """_extended_rows written with one stable argsort of every row, the slack read through take_along_axis."""
+        values = np.asarray(c, dtype=float)
+        vals = values - t * u.costs
+        order = np.argsort(vals, axis=1, kind="stable")
+        slack = np.take_along_axis(vals, order[:, :k_prev], axis=1).sum(axis=1)
+        scen = np.flatnonzero(slack <= rk.EPS_FEAS * float(values.max()))
+        grown = np.sort(order[scen, :k], axis=1)
+        own = u.costs[scen[:, None], grown].sum(axis=1)
+        return [(int(i), tuple(S.tolist())) for i, S, a in zip(scen, grown, own) if a > 0.0]
+
+    def test_extended_rows_equal_the_full_argsort_reference(self):
+        # the binding test reads the kernel's sums and only binding rows are
+        # argsorted: the rows must be exactly those of the full argsort
+        starts = []
+        for u, spec in tie_heavy_instances()[::2]:
+            for k_prev in (1, 2):
+                starts.append((u, k_prev, *rk.construct_lp_scenario(u, spec, k_prev)[:2]))
+        costs = np.array([[3.0, 1.0, 4.0, 2.0, 6.0], [0.0, 0.0, 0.0, 0.0, 0.0], [4.0, 2.0, 2.0, 5.0, 1.0]])
+        u = rk.UncertaintySet(costs)
+        t1, zeroed, _ = rk.construct_lp_scenario(u, rk.Selection(n=5, p=3), 1)
+        zeroed = np.where(np.arange(5) == 0, 0.0, zeroed)  # scenario 1, without cost, binds: its rows are left out
+        starts.append((u, 1, t1, zeroed))
+        rng = np.random.default_rng(36)
+        for _ in range(200):  # exact integer sums, so many scenarios tie at the threshold
+            n_scen, n = int(rng.integers(1, 6)), int(rng.integers(3, 8))
+            u = rk.UncertaintySet(rng.integers(0, 4, size=(n_scen, n)).astype(float))
+            starts.append((u, int(rng.integers(1, 3)), float(rng.choice([0.25, 0.5, 1.0])), rng.integers(0, 4, size=n).astype(float)))
+        seeded = 0
+        for u, k_prev, t, c in starts:
+            for k in range(k_prev + 1, min(k_prev + 2, u.n_items) + 1):
+                rows = rk.scenarios._extended_rows(u, k_prev, t, c, k)
+                assert rows == self.extended_rows_reference(u, k_prev, t, c, k)
+                seeded += len(rows)
+        assert seeded > len(starts)
 
     @pytest.mark.parametrize("cell", [(10, 3, 10), (20, 6, 50), (40, 3, 5)])
     def test_start_rebuilt_from_its_optimum_seeds_the_same_solve(self, cell, monkeypatch):
